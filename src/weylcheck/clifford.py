@@ -131,10 +131,8 @@ def gamma_canonicalize(e: Expr) -> Sum:
         if t.chain is None or not any(_is_gamma(it) for it in t.chain.items):
             out.append(t)
             continue
-        counts: dict[str, int] = {}
-        for ix in ex._term_slot_list(t.factors, t.chain):
-            counts[ix.label] = counts.get(ix.label, 0) + 1
-        free = {lab for lab, n in counts.items() if n == 1}
+        census = ex._label_census(t.factors, t.chain.items)
+        free = {lab for lab, occ in census.items() if len(occ) == 1}
         for c, extra, its in _reduce(list(t.chain.items), free):
             chain = SpinorChain(tuple(its)) if its \
                 else SpinorChain((ex.identity_spinor(),))

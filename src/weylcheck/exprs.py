@@ -8,6 +8,17 @@ sums flattened and sorted, products flattened with commuting factors in a
 fixed class order, like terms collected, and dummy indices renamed to a
 canonical sequence.  Structural equality of canonical forms is the
 engine's notion of equality.
+
+Slot symmetries are stated once, in ``_PAIR_SIGN``: the two slots of
+``g``, ``ginv``, ``eta`` and ``etainv`` are a symmetric pair (sign +1)
+and the two slots of ``sigma`` an antisymmetric pair (sign -1, so equal
+labels make it vanish); besides, the indices of nested derivatives
+commute.  Everything else follows from that rule: the one slot order of
+a node (``_rename_in_factor`` sorts each pair and the derivative indices
+by ``Index.key``), the slot orders the canonical search tries
+(``_orientations``) and the slots it cannot tell apart
+(``_slot_classes``).  A canonical form therefore cannot depend on the
+names of the dummies it started from.
 """
 
 from __future__ import annotations
@@ -210,10 +221,6 @@ _SLOT_PATTERN = {
     Kind.FERMION_BAR: (),
 }
 
-# symmetric two-slot atoms (slot swap is a sign-free identity)
-_SYMMETRIC_KINDS = {Kind.METRIC, Kind.INV_METRIC, Kind.MINKOWSKI,
-                    Kind.MINKOWSKI_UP}
-
 
 class Expr:
     """Base class; arithmetic operators build loose trees for canonicalize."""
@@ -312,6 +319,15 @@ class CliffordAtom(Expr):
             if ix.alphabet != Alphabet.FRAME:
                 raise MalformedIndex(
                     f"{self.ckind.value} carries frame indices only")
+
+
+# the sign a swap of its two slots gives each pair node; no other slots
+# of an atom may be exchanged
+_PAIR_SIGN = {Kind.METRIC: 1, Kind.INV_METRIC: 1, Kind.MINKOWSKI: 1,
+              Kind.MINKOWSKI_UP: 1, CliffordKind.SIGMA: -1}
+
+_CLIFFORD_RANK = {CliffordKind.IDENTITY: 0, CliffordKind.GAMMA: 1,
+                  CliffordKind.SIGMA: 2}
 
 
 @dataclass(frozen=True, slots=True)
@@ -460,45 +476,29 @@ def d(label: str, operand: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # structural keys
 
-def _atom_key(a: FieldAtom) -> tuple:
-    exp = (0, 0) if a.exponent is None else \
-        (a.exponent.numerator, a.exponent.denominator)
-    return (2, _CLASS_OF_KIND[a.kind], _KIND_RANK[a.kind], exp,
-            tuple(ix.key() for ix in a.indices))
-
-
-def _clifford_key(a: CliffordAtom) -> tuple:
-    rank = {CliffordKind.IDENTITY: 0, CliffordKind.GAMMA: 1,
-            CliffordKind.SIGMA: 2}[a.ckind]
-    return (4, rank, tuple(ix.key() for ix in a.indices))
-
-
 def _factor_key(f: Expr) -> tuple:
+    """Sort key of any factor or chain item; the class number leads, so
+    couplings < atoms < Clifford atoms < derivatives."""
+    if isinstance(f, FieldAtom):
+        exp = (0, 0) if f.exponent is None else \
+            (f.exponent.numerator, f.exponent.denominator)
+        return (2, _CLASS_OF_KIND[f.kind], _KIND_RANK[f.kind], exp,
+                tuple(ix.key() for ix in f.indices))
+    if isinstance(f, Partial):
+        idxs, atom = _deriv_split(f)
+        return (6, _factor_key(atom), tuple(ix.key() for ix in idxs))
+    if isinstance(f, CliffordAtom):
+        return (4, _CLIFFORD_RANK[f.ckind],
+                tuple(ix.key() for ix in f.indices))
     if isinstance(f, Coupling):
         return (0, 0, f.name, f.power)
-    if isinstance(f, FieldAtom):
-        return _atom_key(f)
-    if isinstance(f, Partial):
-        idxs, atom = _deriv_split(f)
-        return (6, _node_key_inner(atom), tuple(ix.key() for ix in idxs))
-    raise TypeError(f"unexpected factor {f!r}")
-
-
-def _node_key_inner(f: Expr) -> tuple:
-    if isinstance(f, FieldAtom):
-        return _atom_key(f)
-    if isinstance(f, CliffordAtom):
-        return _clifford_key(f)
-    if isinstance(f, Partial):
-        idxs, atom = _deriv_split(f)
-        return (6, _node_key_inner(atom), tuple(ix.key() for ix in idxs))
     raise TypeError(f"unexpected node {f!r}")
 
 
 def _chain_key(c: Optional[SpinorChain]) -> tuple:
     if c is None:
         return ()
-    return tuple(_node_key_inner(it) for it in c.items)
+    return tuple(_factor_key(it) for it in c.items)
 
 
 def term_key(p: Product) -> tuple:
@@ -547,50 +547,79 @@ def _term_slot_list(factors, chain) -> list[Index]:
     return out
 
 
+def _label_census(factors: Iterable[Expr],
+                  chain_items: Optional[Iterable[Expr]]
+                  ) -> dict[str, list[Index]]:
+    """label -> its occurrences over every slot of a term, derivative
+    indices and chain items included: one makes a free index, two a
+    dummy."""
+    out: dict[str, list[Index]] = {}
+    for node in itertools.chain(factors, chain_items or ()):
+        for ix in _slots_of_factor(node):
+            out.setdefault(ix.label, []).append(ix)
+    return out
+
+
+def _pair_sign(node: Expr) -> int:
+    if isinstance(node, FieldAtom):
+        return _PAIR_SIGN.get(node.kind, 0)
+    if isinstance(node, CliffordAtom):
+        return _PAIR_SIGN.get(node.ckind, 0)
+    return 0
+
+
 def _rename_in_factor(f: Expr, ren: dict[str, str]):
-    """Apply a dummy relabeling; returns (node, sign) after re-normalizing
-    symmetric or antisymmetric slot order."""
+    """Relabel one node by ``ren`` and put it in its one slot order: a
+    pair and the derivative indices sorted by ``Index.key``.  Returns
+    (node, sign), the sign a swapped antisymmetric pair gives, or
+    (None, 0) when the node vanishes.  With ``ren`` empty it only
+    normalizes."""
     if isinstance(f, Coupling):
         return f, 1
-    if isinstance(f, FieldAtom):
-        idxs = tuple(Index(ren.get(ix.label, ix.label), ix.alphabet,
-                           ix.variance) for ix in f.indices)
-        return _normalize_atom(FieldAtom(f.kind, idxs, f.exponent))
-    if isinstance(f, CliffordAtom):
-        idxs = tuple(Index(ren.get(ix.label, ix.label), ix.alphabet,
-                           ix.variance) for ix in f.indices)
-        return _normalize_clifford(CliffordAtom(f.ckind, idxs))
     if isinstance(f, Partial):
         idxs, atom = _deriv_split(f)
-        new_idxs = [Index(ren.get(ix.label, ix.label), ix.alphabet,
-                          ix.variance) for ix in idxs]
         inner, sign = _rename_in_factor(atom, ren)
         if inner is None:
             return None, 0
-        return _deriv_join(new_idxs, inner), sign
-    raise TypeError(f"unexpected factor {f!r}")
-
-
-def _normalize_atom(a: FieldAtom):
-    """Sort symmetric slot pairs; returns (atom, sign) or (None, 0) if the
-    atom vanishes identically."""
-    if a.kind in _SYMMETRIC_KINDS:
-        i, j = a.indices
-        if j.key() < i.key():
-            a = FieldAtom(a.kind, (j, i), a.exponent)
-    return a, 1
-
-
-def _normalize_clifford(a: CliffordAtom):
-    if a.ckind == CliffordKind.SIGMA:
-        i, j = a.indices
-        if i.label == j.label:
+        idxs = sorted((Index(ren.get(ix.label, ix.label), ix.alphabet,
+                             ix.variance) for ix in idxs), key=Index.key)
+        return _deriv_join(idxs, inner), sign
+    idxs = tuple(Index(ren.get(ix.label, ix.label), ix.alphabet,
+                       ix.variance) for ix in f.indices)
+    pair, sign = _pair_sign(f), 1
+    if pair:
+        i, j = idxs
+        if pair < 0 and i.label == j.label:
             # equal labels: antisymmetry (same variance) or the eta trace
             # of an antisymmetric object (mixed variance) both vanish
             return None, 0
         if j.key() < i.key():
-            return CliffordAtom(a.ckind, (j, i)), -1
-    return a, 1
+            idxs, sign = (j, i), pair
+    return _with_indices(f, idxs), sign
+
+
+def _with_indices(atom: Expr, idxs: tuple[Index, ...]) -> Expr:
+    if isinstance(atom, FieldAtom):
+        return FieldAtom(atom.kind, idxs, atom.exponent)
+    return CliffordAtom(atom.ckind, idxs)
+
+
+def _rename_term(factors: list, chain_items: Optional[list],
+                 ren: dict[str, str]):
+    """``_rename_in_factor`` over a term: (factors, chain items, sign),
+    or (None, None, 0) when a node vanishes."""
+    sign = 1
+    out = []
+    for nodes in (factors, chain_items or ()):
+        renamed = []
+        for f in nodes:
+            nf, s = _rename_in_factor(f, ren)
+            if nf is None:
+                return None, None, 0
+            sign *= s
+            renamed.append(nf)
+        out.append(renamed)
+    return out[0], out[1] if chain_items is not None else None, sign
 
 
 # ---------------------------------------------------------------------------
@@ -783,57 +812,29 @@ def _strip_identities(items: list) -> list:
     return kept
 
 
-def _coarse_key(f: Expr, dummies: set[str]) -> tuple:
-    """Factor key with dummy labels erased, for tie-group detection."""
-    def ix_coarse(ix: Index):
-        # dummies erase to "", frees keep a prefixed name: both str, so
-        # mixed dummy/free keys stay sortable
-        lab = "" if ix.label in dummies else "f:" + ix.label
-        return (int(ix.alphabet), int(ix.variance), lab)
-
-    if isinstance(f, Coupling):
-        return (0, f.name, f.power)
-    if isinstance(f, FieldAtom):
-        exp = (0, 0) if f.exponent is None else \
-            (f.exponent.numerator, f.exponent.denominator)
-        return (2, _CLASS_OF_KIND[f.kind], _KIND_RANK[f.kind], exp,
-                tuple(ix_coarse(ix) for ix in f.indices))
-    if isinstance(f, Partial):
-        idxs, atom = _deriv_split(f)
-        return (6, _coarse_key(atom, dummies),
-                tuple(ix_coarse(ix) for ix in idxs))
-    raise TypeError(f"unexpected factor {f!r}")
-
-
 def _slot_classes(f: Expr) -> list[str]:
-    """Equivalence class per slot: slots that denote the same position up
-    to a flip candidate (symmetric pairs, sigma orientation, commuting
-    derivative indices) share a class, so adjacency refinement cannot
-    depend on which orientation the input happened to use."""
-    if isinstance(f, Coupling):
-        return []
-    if isinstance(f, FieldAtom):
-        if f.kind in _SYMMETRIC_KINDS:
-            return ["s", "s"]
-        return [str(i) for i in range(len(f.indices))]
-    if isinstance(f, CliffordAtom):
-        if f.ckind == CliffordKind.SIGMA:
-            return ["s", "s"]
-        return [str(i) for i in range(len(f.indices))]
+    """Equivalence class per slot: slots that one of ``_orientations``
+    may exchange share a class, so adjacency refinement cannot depend on
+    which orientation the input happened to use."""
     if isinstance(f, Partial):
         idxs, atom = _deriv_split(f)
         return ["d"] * len(idxs) + ["a" + c for c in _slot_classes(atom)]
-    raise TypeError(f"unexpected factor {f!r}")
+    if _pair_sign(f):
+        return ["s", "s"]
+    return [str(i) for i in range(len(_slots_of_factor(f)))]
 
 
 def _refined_groups(factors: list, chain_items: Optional[list],
                     dummies: set[str]) -> list[list[Expr]]:
-    """Partition factors into permutable tie groups: start from the
-    dummy-blind coarse key and iteratively split by the colors reached
-    through dummy contractions.  Nodes that remain tied are (at worst)
-    automorphic images, so the candidate enumeration stays tiny even for
-    terms like the quartic Yang-Mills self-interaction."""
-    keys = [_coarse_key(f, dummies) for f in factors]
+    """Partition factors into permutable tie groups: start from the key
+    of each factor with its dummies renamed to "" (and then normalized,
+    so no orientation chosen by a dummy's name survives) and iteratively
+    split by the colors reached through dummy contractions.  Nodes that
+    remain tied are (at worst) automorphic images, so the candidate
+    enumeration stays tiny even for terms like the quartic Yang-Mills
+    self-interaction."""
+    erase = dict.fromkeys(dummies, "")
+    keys = [_factor_key(_rename_in_factor(f, erase)[0]) for f in factors]
     rank_of = {k: r for r, k in enumerate(sorted(set(keys)))}
     color = [rank_of[k] for k in keys]
 
@@ -880,38 +881,33 @@ def _refined_groups(factors: list, chain_items: Optional[list],
     return [buckets[c] for c in sorted(buckets)]
 
 
+def _orientations(node: Expr, dummies: set[str]) -> list[tuple[Expr, int]]:
+    """Slot orders of one node that denote the same object, each with the
+    sign it carries: both orders of a pair, every order of nested
+    derivative indices.  Only orders that move a dummy can name the
+    dummies differently, so a node without one keeps its own order."""
+    if isinstance(node, Partial):
+        idxs, atom = _deriv_split(node)
+        perms = itertools.permutations(idxs) if len(idxs) > 1 and any(
+            ix.label in dummies for ix in idxs) else [idxs]
+        inner = _orientations(atom, dummies)
+        return [(_deriv_join(p, a), s) for p in perms for a, s in inner]
+    pair = _pair_sign(node)
+    if pair and any(ix.label in dummies for ix in node.indices):
+        i, j = node.indices
+        return [(node, 1), (_with_indices(node, (j, i)), pair)]
+    return [(node, 1)]
+
+
 def _flip_candidates(f: Expr, dummies: set[str]) -> list[Expr]:
-    """Slot orderings of one factor that denote the same object (metric
-    symmetry, sigma antisymmetry, derivative commutation)."""
-    if isinstance(f, FieldAtom) and f.kind in _SYMMETRIC_KINDS:
-        i, j = f.indices
-        if i.label in dummies or j.label in dummies:
-            return [f, FieldAtom(f.kind, (j, i), f.exponent)]
-        return [f]
-    if isinstance(f, Partial):
-        idxs, atom = _deriv_split(f)
-        atoms = _flip_candidates(atom, dummies) \
-            if isinstance(atom, FieldAtom) else [atom]
-        if len(idxs) > 1 and any(ix.label in dummies for ix in idxs):
-            perms = itertools.permutations(idxs)
-        else:
-            perms = [idxs]
-        return [_deriv_join(p, a) for p in perms for a in atoms]
-    return [f]
+    """``_orientations`` of a factor without their signs, which are all
+    +1: antisymmetric pairs occur only in chains."""
+    return [v for v, _ in _orientations(f, dummies)]
 
 
 def _chain_flip_candidates(items: list, dummies: set[str]):
-    """Sigma slot orientations inside a chain (sign-tracked)."""
-    options = []
-    for it in items:
-        if isinstance(it, CliffordAtom) and it.ckind == CliffordKind.SIGMA:
-            i, j = it.indices
-            if i.label in dummies or j.label in dummies:
-                options.append([(it, 1),
-                                (CliffordAtom(it.ckind, (j, i)), -1)])
-                continue
-        options.append([(it, 1)])
-    return options
+    """``_orientations`` of each chain item."""
+    return [_orientations(it, dummies) for it in items]
 
 
 # Partial candidates a search may extend before the term is refused.  The
@@ -968,7 +964,7 @@ def _least_candidate(factors: list, chain_items: Optional[list],
 
     def member(f, options):
         # members of one group differ only in their dummies, since the
-        # coarse key they share keeps free labels
+        # tie key they share keeps free labels
         labels = tuple(ix.label for ix in _slots_of_factor(f)
                        if ix.label in dummies)
         return options, set(labels), labels
@@ -982,13 +978,10 @@ def _least_candidate(factors: list, chain_items: Optional[list],
         mult: dict[Expr, int] = {}
         for f in g:
             mult[f] = mult.get(f, 0) + 1
-        steps.append((False, [member(f, [(v, 1) for v in
-                                         _flip_candidates(f, dummies)])
+        steps.append((False, [member(f, _orientations(f, dummies))
                               for f in mult], tuple(mult.values())))
-    if chain_items is not None:
-        for it, opts in zip(chain_items,
-                            _chain_flip_candidates(chain_items, dummies)):
-            steps.append((True, [member(it, opts)], (1,)))
+    for it in chain_items or ():
+        steps.append((True, [member(it, _orientations(it, dummies))], (1,)))
 
     def residual(t, left, ren):
         """What is left to name from step t on, up to a relabeling of the
@@ -1043,7 +1036,7 @@ def _least_candidate(factors: list, chain_items: Optional[list],
                         node, s = _rename_in_factor(v, ren2)
                         if node is None:
                             continue
-                        key = _node_key_inner(node)
+                        key = _factor_key(node)
                         node_of[key] = node
                         if is_chain:
                             fk2, ck2 = fkeys, ckeys + (key,)
@@ -1131,34 +1124,13 @@ def _prepare_term(factors: list, chain_items: Optional[list]):
 
     # pre-normalize atoms first: identically vanishing atoms (equal-label
     # sigma slots) zero the term before index pairing is judged
-    sign0 = 1
-    norm_factors = []
-    for f in factors:
-        nf, s = _rename_in_factor(f, {})
-        if nf is None:
-            return None
-        sign0 *= s
-        norm_factors.append(nf)
-    factors = norm_factors
-    if chain_items is not None:
-        new_items = []
-        for it in chain_items:
-            ni, s = _rename_in_factor(it, {})
-            if ni is None:
-                return None
-            sign0 *= s
-            new_items.append(ni)
-        chain_items = new_items
+    factors, chain_items, sign0 = _rename_term(factors, chain_items, {})
+    if not sign0:
+        return None
 
-    # index occurrence accounting
-    slots = _term_slot_list(factors, SpinorChain(tuple(chain_items))
-                            if chain_items else None)
-    by_label: dict[str, list[Index]] = {}
-    for ix in slots:
-        by_label.setdefault(ix.label, []).append(ix)
     dummies: set[str] = set()
     free_labels: set[str] = set()
-    for lab, occ in by_label.items():
+    for lab, occ in _label_census(factors, chain_items).items():
         if len(occ) == 1:
             free_labels.add(lab)
         elif len(occ) == 2:
@@ -1218,11 +1190,8 @@ def canonicalize(e: Expr) -> Sum:
 
 
 def _term_free_indices(p: Product):
-    slots = _term_slot_list(p.factors, p.chain)
-    by_label: dict[str, list[Index]] = {}
-    for ix in slots:
-        by_label.setdefault(ix.label, []).append(ix)
-    return frozenset(occ[0] for occ in by_label.values() if len(occ) == 1)
+    census = _label_census(p.factors, p.chain and p.chain.items)
+    return frozenset(occ[0] for occ in census.values() if len(occ) == 1)
 
 
 def _check_sum_frees(s: Sum) -> None:
@@ -1273,26 +1242,12 @@ def _freshen_dummies(e: Expr, keep: frozenset[str]) -> Expr:
     s = canonicalize(e)
     new_terms = []
     for t in s.terms:
-        slots = _term_slot_list(t.factors, t.chain)
-        by_label: dict[str, int] = {}
-        for ix in slots:
-            by_label[ix.label] = by_label.get(ix.label, 0) + 1
-        ren = {lab: _fresh_label() for lab, n in by_label.items()
-               if n == 2 and lab not in keep}
-        fs = []
-        sign = 1
-        for f in t.factors:
-            nf, sg = _rename_in_factor(f, ren)
-            sign *= sg
-            fs.append(nf)
-        ch = None
-        if t.chain is not None:
-            items = []
-            for it in t.chain.items:
-                ni, sg = _rename_in_factor(it, ren)
-                sign *= sg
-                items.append(ni)
-            ch = SpinorChain(tuple(items))
+        items = t.chain and t.chain.items
+        ren = {lab: _fresh_label()
+               for lab, occ in _label_census(t.factors, items).items()
+               if len(occ) == 2 and lab not in keep}
+        fs, items, sign = _rename_term(t.factors, items, ren)
+        ch = SpinorChain(tuple(items)) if items is not None else None
         new_terms.append(Product(t.coeff * CRat(sign), tuple(fs), ch))
     return Sum(tuple(new_terms))
 

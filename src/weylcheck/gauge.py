@@ -31,18 +31,17 @@ from .exprs import (
     equal,
 )
 from .report import Mode, OracleSummary, TraceStep, VerificationReport
+from .scale import default_weight_table
 from .simplify import full_simplify
 from .tensor import contract_pairs
 
-COVARIANT_SHIFT = {
-    Kind.METRIC: Fraction(2),
-    Kind.INV_METRIC: Fraction(-2),
-    Kind.TETRAD: Fraction(1),
-    Kind.INV_TETRAD: Fraction(-1),
-    Kind.SCALAR: Fraction(-1),
-    Kind.FERMION: Fraction(-3, 2),
-    Kind.FERMION_BAR: Fraction(-3, 2),
-}
+# A derivative of a field of homogeneous weight w shifts by w f S.  The
+# determinant factor is the one weighted kind without a shift rule: the
+# densities hold it underived, and a derivative of it is refused.
+COVARIANT_SHIFT = {kind: w.value
+                   for kind, w in default_weight_table().items()
+                   if w.homogeneous and w.value
+                   and kind != Kind.DET_FACTOR}
 
 EXEMPT_KINDS = {Kind.EM_VECTOR, Kind.YM_VECTOR}
 

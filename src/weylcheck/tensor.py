@@ -45,49 +45,10 @@ def _top_atoms(factors) -> list[tuple[int, FieldAtom]]:
             if isinstance(f, FieldAtom)]
 
 
-def _label_slots(factors, chain) -> dict[str, list[tuple]]:
-    """label -> [(container, pos, slot, Index)] over every slot of the
-    term, including derivative indices and chain items."""
-    out: dict[str, list[tuple]] = {}
-
-    def add(cont, pos, slots):
-        for si, ix in enumerate(slots):
-            out.setdefault(ix.label, []).append((cont, pos, si, ix))
-
-    for i, f in enumerate(factors):
-        add("f", i, ex._slots_of_factor(f))
-    if chain is not None:
-        for i, it in enumerate(chain):
-            add("c", i, ex._slots_of_factor(it))
-    return out
-
-
-def _relabel(factors, chain, old: str, new: str):
-    ren = {old: new}
-    sign = 1
-    nf = []
-    for f in factors:
-        r, s = ex._rename_in_factor(f, ren)
-        if r is None:
-            return None, None, 0
-        sign *= s
-        nf.append(r)
-    nc = None
-    if chain is not None:
-        nc = []
-        for it in chain:
-            r, s = ex._rename_in_factor(it, ren)
-            if r is None:
-                return None, None, 0
-            sign *= s
-            nc.append(r)
-    return nf, nc, sign
-
-
 def _contract_step(coeff: CRat, factors: list, chain):
     """Apply the highest-priority applicable rule once.  Returns the
     rewritten (coeff, factors, chain) or None when no rule matches."""
-    slots = _label_slots(factors, chain)
+    slots = ex._label_census(factors, chain)
     atoms = _top_atoms(factors)
 
     # 1: Kronecker delta elimination and traces
@@ -100,12 +61,12 @@ def _contract_step(coeff: CRat, factors: list, chain):
             dim = CRat(ex.SPACETIME_DIM)
             return coeff * dim, rest, chain
         if len(slots[up.label]) == 2:
-            nf, nc, s = _relabel(rest, chain, up.label, dn.label)
+            nf, nc, s = ex._rename_term(rest, chain, {up.label: dn.label})
             if s:
                 return coeff * CRat(s), nf, nc
             return CRat(0), [], None
         if len(slots[dn.label]) == 2:
-            nf, nc, s = _relabel(rest, chain, dn.label, up.label)
+            nf, nc, s = ex._rename_term(rest, chain, {dn.label: up.label})
             if s:
                 return coeff * CRat(s), nf, nc
             return CRat(0), [], None
@@ -241,8 +202,8 @@ def _contract_step(coeff: CRat, factors: list, chain):
                                            new_var)
                             idxs = list(item.indices)
                             idxs[si] = new_ix
-                            na, s = ex._normalize_clifford(
-                                CliffordAtom(item.ckind, tuple(idxs)))
+                            na, s = ex._rename_in_factor(
+                                CliffordAtom(item.ckind, tuple(idxs)), {})
                             if na is None:
                                 return CRat(0), [], None
                             nchain = list(chain)

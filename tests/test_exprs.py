@@ -306,3 +306,79 @@ def test_count_atoms():
     e = ex.weyl_vector("m") * ex.weyl_vector("n") * ex.inv_metric("m", "n")
     assert ex.count_atoms(e, ex.Kind.WEYL_VECTOR) == 2
     assert ex.count_atoms(e, ex.Kind.SCALAR) == 0
+
+
+def _density(body, labels):
+    return dsl.parse(f"indices spacetime {labels} ;\nfields ginv phi ;\n"
+                     f"name t ;\ndensity {body} ;\n").parsed
+
+
+def test_symmetric_pair_orientation_ignores_dummy_names():
+    """Which way round a metric holds a dummy and a free label cannot
+    depend on the dummy's name, or tie groups would order differently."""
+    body = "d[a](ginv[b,x]) * d[b](ginv[a,y])"
+    one = _density(body, "a b x y")
+    other = _density(body.replace("b", "zz"), "a zz x y")
+    assert one == other
+    assert ex.is_zero(one - other)
+
+
+def test_derivative_indices_commute():
+    phi = ex.scalar_field()
+    assert ex.canonicalize(ex.d("x", ex.d("y", phi))
+                           - ex.d("y", ex.d("x", phi))) == ex.ZERO
+
+    def in_chain(inner):
+        return Product(CRat(1), (ex.inv_metric("a", "x"),
+                                 ex.inv_metric("b", "y"), ex.em_vector("x"),
+                                 ex.weyl_vector("y")),
+                       SpinorChain((ex.fermion_bar(), inner)))
+
+    psi = ex.fermion()
+    assert ex.is_zero(in_chain(ex.d("a", ex.d("b", psi)))
+                      - in_chain(ex.d("b", ex.d("a", psi))))
+
+
+def _dummy_labels(factors, chain):
+    seen = {}
+    for ix in ex._term_slot_list(factors, SpinorChain(tuple(chain))
+                                 if chain else None):
+        seen[ix.label] = seen.get(ix.label, 0) + 1
+    return sorted(lab for lab, n in seen.items() if n == 2)
+
+
+def _renamed_term(coeff, factors, chain, ren):
+    sign = 1
+    out = []
+    for nodes in (factors, chain or []):
+        renamed = []
+        for f in nodes:
+            nf, s = ex._rename_in_factor(f, ren)
+            sign *= s
+            renamed.append(nf)
+        out.append(renamed)
+    return coeff * CRat(sign), out[0], out[1] if chain is not None else None
+
+
+def test_canonical_term_ignores_dummy_names_on_generated():
+    """Renaming dummies so that they sort before and after the free
+    labels z0.. leaves every generated term's canonical form alone."""
+    failed = set()
+    with_dummies = 0
+    for seed in range(2000):
+        for coeff, factors, chain in ex._flatten(
+                gen.random_term(random.Random(seed))):
+            dummies = _dummy_labels(factors, chain)
+            if not dummies:
+                continue
+            with_dummies += 1
+            want = ex._canonical_term_uncached(coeff, factors, chain)
+            for first, second in (("a", "zz"), ("zz", "a")):
+                ren = {lab: f"{(first, second)[i % 2]}{i}"
+                       for i, lab in enumerate(dummies)}
+                got = ex._canonical_term_uncached(
+                    *_renamed_term(coeff, factors, chain, ren))
+                if got != want:
+                    failed.add(seed)
+    assert with_dummies > 600
+    assert not failed, sorted(failed)
