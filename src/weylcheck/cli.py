@@ -109,6 +109,8 @@ def _cmd_oracle(args) -> VerificationReport:
         except ValueError:
             raise _UsageError(
                 f"WEYLCHECK_SEED must be an integer, got {env!r}")
+    if seed < 0:
+        raise _UsageError(f"the oracle seed must be non-negative, got {seed}")
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
     return oracle.run_oracle(trials=args.trials, seed=seed)

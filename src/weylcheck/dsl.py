@@ -366,13 +366,6 @@ class _Parser:
         if self.at_sym("("):
             self.advance()
             v = self.parse_signed_rational()
-            if self.at_sym("/"):
-                self.advance()
-                t = self.peek()
-                if t.kind != "int":
-                    self.fail("expected a denominator", t)
-                self.advance()
-                v = v / int(t.text)
             self.expect_sym(")")
             return v
         neg = False

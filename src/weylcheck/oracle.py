@@ -42,73 +42,6 @@ from .report import Mode, OracleSummary, TraceStep, VerificationReport
 TOL_FIELD = 1e-9
 TOL_PURE = 1e-12
 
-# degree <= 2 monomial exponents in 4 coordinates
-_MONOS = [(0, 0, 0, 0)]
-_MONOS += [tuple(1 if k == i else 0 for k in range(4)) for i in range(4)]
-_MONOS += [tuple((1 if k == i else 0) + (1 if k == j else 0)
-                 for k in range(4))
-           for i in range(4) for j in range(i, 4)]
-
-
-class Poly4:
-    """Exact polynomial in four coordinates, complex coefficients."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: dict):
-        self.c = {e: v for e, v in coeffs.items() if v != 0}
-
-    @staticmethod
-    def sample(rng, complex_=False) -> "Poly4":
-        vals = rng.uniform(-1.0, 1.0, len(_MONOS))
-        if complex_:
-            vals = vals + 1j * rng.uniform(-1.0, 1.0, len(_MONOS))
-        return Poly4(dict(zip(_MONOS, vals)))
-
-    def diff(self, i: int) -> "Poly4":
-        out = {}
-        for e, v in self.c.items():
-            if e[i]:
-                e2 = tuple(n - 1 if k == i else n for k, n in enumerate(e))
-                out[e2] = out.get(e2, 0) + v * e[i]
-        return Poly4(out)
-
-    def __call__(self, x) -> complex:
-        total = 0.0
-        for e, v in self.c.items():
-            m = v
-            for k in range(4):
-                for _ in range(e[k]):
-                    m = m * x[k]
-            total += m
-        return total
-
-
-def _jet(p: Poly4, x):
-    """Value, gradient, and Hessian of a polynomial at a point."""
-    v = p(x)
-    d1 = np.array([p.diff(i)(x) for i in range(4)])
-    d2 = np.array([[p.diff(i).diff(j)(x) for j in range(4)]
-                   for i in range(4)])
-    return v, d1, d2
-
-
-def _jet_array(ps, x, shape):
-    """Jets of a nested list of polynomials; derivative axes first."""
-    flat = list(np.reshape(np.array(ps, dtype=object), -1))
-    vals, d1s, d2s = [], [], []
-    for p in flat:
-        v, d1, d2 = _jet(p, x)
-        vals.append(v)
-        d1s.append(d1)
-        d2s.append(d2)
-    v = np.array(vals).reshape(shape)
-    d1 = np.moveaxis(np.array(d1s).reshape(shape + (4,)), -1, 0)
-    d2 = np.array(d2s).reshape(shape + (4, 4))
-    d2 = np.moveaxis(d2, (-2, -1), (0, 1))
-    return v, d1, d2
-
-
 _ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 _S1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -133,13 +66,52 @@ SIGMA_UU = (SIGMA_UU - np.einsum("abij->baij", SIGMA_UU)) / 4.0
 _MAX_RESAMPLE = 100
 _COND_CAP = 1e3
 
+_UPPER = np.triu_indices(4)
+
+
+def _poly_jets(rng, x, shape=(), complex_=False):
+    """Draw degree <= 2 polynomials of the given array shape and return
+    their value, gradient and Hessian at x, derivative axes first.
+
+    Each polynomial takes 15 uniform(-1, 1) coefficients in the order of
+    the `Assignment` docstring; a complex one draws its 15 real parts,
+    then its 15 imaginary parts.
+    """
+    parts = (2,) if complex_ else ()
+    coef = rng.uniform(-1.0, 1.0, shape + parts + (15,))
+    if complex_:
+        coef = coef[..., 0, :] + 1j * coef[..., 1, :]
+    c, b = coef[..., 0], coef[..., 1:5]
+    hess = np.zeros(shape + (4, 4), dtype=coef.dtype)
+    hess[..., _UPPER[0], _UPPER[1]] = coef[..., 5:]
+    hess = hess + np.swapaxes(hess, -1, -2)
+    hx = hess @ x
+    val = c + (b + 0.5 * hx) @ x
+    return (np.asarray(val), np.moveaxis(b + hx, -1, 0),
+            np.moveaxis(hess, (-2, -1), (0, 1)))
+
+
+def _inverse_jet(m, dm, ddm):
+    """Value, gradient and Hessian of inv(m) from those of a matrix m."""
+    inv = np.linalg.inv(m)
+    d = -np.einsum("ma,kab,bn->kmn", inv, dm, inv)
+    dd = (-np.einsum("ma,ksab,bn->ksmn", inv, ddm, inv)
+          + np.einsum("ma,kab,bc,scd,dn->ksmn", inv, dm, inv, dm, inv)
+          + np.einsum("ma,sab,bc,kcd,dn->ksmn", inv, dm, inv, dm, inv))
+    return inv, d, dd
+
 
 class Assignment:
     """One random evaluation context.
 
     Sampling order is fixed and part of the reproducibility contract:
     point, tetrad (resampled until well conditioned), phi, A, W, S,
-    ell, Psi, Psibar, structure constants, couplings.
+    ell, Psi, Psibar, structure constants, couplings.  Every field is a
+    degree <= 2 polynomial; array-valued fields draw their components
+    in row-major order.  Each polynomial draws 15 coefficients: the
+    constant, then those of x0..x3, then those of x_i*x_j for i <= j in
+    the order (0,0), (0,1), (0,2), (0,3), (1,1), ..., (3,3).  A complex
+    polynomial draws all 15 real parts before its 15 imaginary parts.
     """
 
     def __init__(self, key, tetrad_scale: float = 1.0):
@@ -151,10 +123,8 @@ class Assignment:
         self.x = x
 
         for _ in range(_MAX_RESAMPLE):
-            eps_p = [[Poly4.sample(rng) for _ in range(4)]
-                     for _ in range(4)]
-            e0 = np.array([[eps_p[a][m](x).real for m in range(4)]
-                           for a in range(4)])
+            eps = _poly_jets(rng, x, (4, 4))
+            e0 = eps[0]
             if abs(np.linalg.det(e0)) <= 0.1:
                 continue
             g0 = e0.T @ _ETA @ e0
@@ -165,13 +135,13 @@ class Assignment:
                 "no well-conditioned tetrad found for "
                 f"seed {self.key}")
 
-        phi_p = Poly4.sample(rng)
-        a_p = [Poly4.sample(rng) for _ in range(4)]
-        w_p = [[Poly4.sample(rng) for _ in range(4)] for _ in range(4)]
-        s_p = [Poly4.sample(rng) for _ in range(4)]
-        ell_p = Poly4.sample(rng)
-        psi_p = [Poly4.sample(rng, complex_=True) for _ in range(4)]
-        psibar_p = [Poly4.sample(rng, complex_=True) for _ in range(4)]
+        phi = _poly_jets(rng, x)
+        A = _poly_jets(rng, x, (4,))
+        W = _poly_jets(rng, x, (4, 4))
+        S = _poly_jets(rng, x, (4,))
+        ell0, D0, dD = _poly_jets(rng, x)
+        psi = _poly_jets(rng, x, (4,), complex_=True)
+        psibar = _poly_jets(rng, x, (4,), complex_=True)
 
         t = rng.uniform(-1.0, 1.0, (4, 4, 4))
         f = np.zeros((4, 4, 4))
@@ -187,8 +157,7 @@ class Assignment:
             self.couplings[name] = sign * mag
 
         s = self.tetrad_scale
-        E0, dE, ddE = _jet_array(eps_p, x, (4, 4))
-        E0, dE, ddE = s * E0.real, s * dE.real, s * ddE.real
+        E0, dE, ddE = (s * j for j in eps)
 
         G0 = np.einsum("ab,am,bn->mn", _ETA, E0, E0)
         dG = (np.einsum("ab,ram,bn->rmn", _ETA, dE, E0)
@@ -198,40 +167,15 @@ class Assignment:
                + np.einsum("ab,sam,rbn->rsmn", _ETA, dE, dE)
                + np.einsum("ab,am,rsbn->rsmn", _ETA, E0, ddE))
 
-        Ginv = np.linalg.inv(G0)
-        dGinv = -np.einsum("mr,krs,sn->kmn", Ginv, dG, Ginv)
-        ddGinv = (-np.einsum("ma,ksab,bn->ksmn", Ginv, ddG, Ginv)
-                  + np.einsum("ma,kab,bc,scd,dn->ksmn",
-                              Ginv, dG, Ginv, dG, Ginv)
-                  + np.einsum("ma,sab,bc,kcd,dn->ksmn",
-                              Ginv, dG, Ginv, dG, Ginv))
-
-        Minv = np.linalg.inv(E0)          # [mu, a]
-        dMinv = -np.einsum("ma,kab,bn->kmn", Minv, dE, Minv)
-        ddMinv = (-np.einsum("ma,ksab,bn->ksmn", Minv, ddE, Minv)
-                  + np.einsum("ma,kab,bc,scd,dn->ksmn",
-                              Minv, dE, Minv, dE, Minv)
-                  + np.einsum("ma,sab,bc,kcd,dn->ksmn",
-                              Minv, dE, Minv, dE, Minv))
-        Einv = Minv.T                      # [a, mu]
-        dEinv = np.einsum("kmn->knm", dMinv)
-        ddEinv = np.einsum("ksmn->ksnm", ddMinv)
+        Ginv, dGinv, ddGinv = _inverse_jet(G0, dG, ddG)
+        # inv(E0) is indexed [mu, a]; the inverse tetrad is [a, mu]
+        Einv, dEinv, ddEinv = (np.swapaxes(j, -1, -2)
+                               for j in _inverse_jet(E0, dE, ddE))
 
         detg0 = math.sqrt(abs(np.linalg.det(G0)))
         ddetg = 0.5 * detg0 * np.einsum("rs,mrs->m", Ginv, dG)
 
-        phi = _jet(phi_p, x)
-        A = _jet_array(a_p, x, (4,))
-        W = _jet_array(w_p, x, (4, 4))
-        S = _jet_array(s_p, x, (4,))
-        psi = _jet_array(psi_p, x, (4,))
-        psibar = _jet_array(psibar_p, x, (4,))
-
-        self.ell0 = ell_p(x).real
-        D0 = np.array([ell_p.diff(m)(x).real for m in range(4)])
-        dD = np.array([[ell_p.diff(m).diff(r)(x).real for m in range(4)]
-                       for r in range(4)])
-        ddD = np.zeros((4, 4, 4))
+        self.ell0 = float(ell0)
 
         zero2 = (np.zeros((4, 4, 4)), np.zeros((4, 4, 4, 4)))
         self._jets = {
@@ -242,11 +186,11 @@ class Assignment:
             Kind.TETRAD: (E0, dE, ddE),
             Kind.INV_TETRAD: (Einv, dEinv, ddEinv),
             Kind.DET_FACTOR: (np.array(detg0), ddetg, None),
-            Kind.SCALAR: tuple(np.asarray(v) for v in phi),
+            Kind.SCALAR: phi,
             Kind.EM_VECTOR: A,
             Kind.YM_VECTOR: W,
             Kind.WEYL_VECTOR: S,
-            Kind.LOG_DERIV: (D0, dD, ddD),
+            Kind.LOG_DERIV: (D0, dD, np.zeros((4, 4, 4))),
             Kind.STRUCTURE_CONST: (self.structf,
                                    np.zeros((4, 4, 4, 4)),
                                    np.zeros((4, 4, 4, 4, 4))),
@@ -426,7 +370,11 @@ def evaluate_components(e: Expr, a: Assignment):
     The array's leading axes follow the sorted free labels; spinor axes,
     if the expression has an open chain, come last.
     """
-    s = canonicalize(e)
+    return _evaluate_canonical(canonicalize(e), a)
+
+
+def _evaluate_canonical(s: Sum, a: Assignment):
+    """`evaluate_components` of a sum already in canonical form."""
     acc = None
     shape_key = None
     for t in s.terms:
@@ -501,8 +449,8 @@ def _pair(name: str, lhs: Expr, rhs: Expr, pure=False) -> OracleCheck:
     rhs_c = canonicalize(rhs)
 
     def fn(a: Assignment) -> float:
-        xa, xl, xs = evaluate_components(lhs_c, a)
-        ya, yl, ys = evaluate_components(rhs_c, a)
+        xa, xl, xs = _evaluate_canonical(lhs_c, a)
+        ya, yl, ys = _evaluate_canonical(rhs_c, a)
         # an identically-zero side carries no free structure of its own
         if (xl, xs) != (yl, ys) and ya.size == 1 and not np.any(ya):
             ya, yl, ys = np.zeros_like(xa), xl, xs
@@ -573,7 +521,7 @@ def _build_catalog() -> list:
     chr_exp = canonicalize(christoffel("rho", "mu", "nu").expansion)
 
     def christoffel_direct(a: Assignment) -> float:
-        arr, labels, state = evaluate_components(chr_exp, a)
+        arr, labels, state = _evaluate_canonical(chr_exp, a)
         assert labels == ("mu", "nu", "rho") and state == "scalar"
         direct = 0.5 * (np.einsum("rs,msn->mnr", a.Ginv0, a.dG)
                         + np.einsum("rs,nsm->mnr", a.Ginv0, a.dG)
@@ -620,19 +568,17 @@ def _build_catalog() -> list:
     lam4 = ex.lam(Fraction(4))
     for name in densities.BUILTIN_NAMES:
         L = densities.builtin(name).parsed
-        checks.append(_pair(
-            f"scale/global-{name}",
-            canonicalize(lam4 * scale.apply_global_scale(L)), L))
+        checks.append(_pair(f"scale/global-{name}",
+                            lam4 * scale.apply_global_scale(L), L))
     for name in ("maxwell", "yangmills", "dirac", "scalar-gauged"):
         L = densities.builtin(name).parsed
-        checks.append(_pair(
-            f"scale/local-{name}",
-            canonicalize(lam4 * scale.apply_local_scale(L)), L))
+        checks.append(_pair(f"scale/local-{name}",
+                            lam4 * scale.apply_local_scale(L), L))
 
     # the ungauged scalar is the negative control: its local residual is
     # nonzero, and full simplification must preserve its value
     sc = densities.scalar().parsed
-    raw = canonicalize(lam4 * scale.apply_local_scale(sc) - sc)
+    raw = lam4 * scale.apply_local_scale(sc) - sc
     checks.append(_pair("scale/local-scalar-residual", raw,
                         full_simplify(raw)))
 
@@ -649,8 +595,7 @@ def _build_catalog() -> list:
     phi2 = ex.scalar_field() * ex.scalar_field()
     checks.append(_pair(
         "scale/homogeneous-weight",
-        scale.apply_global_scale(phi2),
-        canonicalize(ex.lam(Fraction(-2)) * phi2)))
+        scale.apply_global_scale(phi2), ex.lam(Fraction(-2)) * phi2))
 
     # gauge shifts: engine output vs hand-built covariant replacement
     fS = lambda m: Coupling("f") * ex.weyl_vector(m)
@@ -694,9 +639,8 @@ def _build_catalog() -> list:
     detg_expr = canonicalize(ex.det_factor())
 
     def detg_tetrad(a: Assignment) -> float:
-        val = evaluate(detg_expr, a)
-        return relative_deviation(np.asarray(val),
-                                  np.asarray(abs(np.linalg.det(a.E0))))
+        val, _, _ = _evaluate_canonical(detg_expr, a)
+        return relative_deviation(val, abs(np.linalg.det(a.E0)))
 
     checks.append(OracleCheck("oracle/detg-tetrad-det", detg_tetrad))
 
@@ -710,10 +654,10 @@ def _build_catalog() -> list:
 
     checks.append(OracleCheck("oracle/detg-rescale", detg_rescale))
 
-    ident = ex.inv_metric("m", "r") * ex.metric("r", "n")
+    ident = canonicalize(ex.inv_metric("m", "r") * ex.metric("r", "n"))
 
     def inverse_identity(a: Assignment) -> float:
-        arr, labels, state = evaluate_components(canonicalize(ident), a)
+        arr, labels, state = _evaluate_canonical(ident, a)
         return relative_deviation(arr, np.eye(4))
 
     checks.append(OracleCheck("oracle/inverse-identity", inverse_identity,

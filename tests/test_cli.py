@@ -160,6 +160,17 @@ def test_oracle_rejects_nonpositive_trials():
     assert run_cli("oracle", "--trials=0").returncode == 2
 
 
+@pytest.mark.parametrize("args, env", [
+    (["--seed=-1"], None),
+    ([], {"WEYLCHECK_SEED": "-3"}),
+])
+def test_oracle_rejects_negative_seed(args, env):
+    p = run_cli("oracle", "--trials=1", *args, env_extra=env)
+    assert p.returncode == 2
+    assert len(p.stderr.splitlines()) == 1
+    assert "non-negative" in p.stderr
+
+
 def test_no_arguments_is_usage_error():
     assert run_cli().returncode == 2
 

@@ -95,6 +95,13 @@ def test_zero_denominator_rejected():
     _err("fields phi ;\nname t ;\ndensity 1/0 * phi^2 ;", ParseError)
 
 
+@pytest.mark.parametrize("factor", ["Lam^(1/2/0)", "f^(1/2/0)"])
+def test_exponent_takes_one_slash(factor):
+    e = _err(f"fields phi Lam ;\nname t ;\ndensity {factor} * phi^4 ;",
+             ParseError)
+    assert "expected ')'" in str(e)
+
+
 def test_undeclared_field_rejected():
     e = _err("indices spacetime mu nu ;\nfields phi ;\nname t ;\n"
              "density ginv[mu,nu] * phi ;", UndeclaredField)

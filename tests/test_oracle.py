@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import strategies as gen
+from reference_jets import reference_fields
 from weylcheck import exprs as ex
 from weylcheck import oracle
 from weylcheck.errors import SingularAssignment, UnboundIndex
@@ -176,3 +177,35 @@ def test_chain_evaluation_matches_direct_matrices():
         want = bar @ oracle.GAMMA_LO[i] @ psi
         got = evaluate(e, a, {"a": i})
         assert relative_deviation(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("key", [(0, 0), (0, 12), (3, 17), (7, 3)])
+def test_closed_form_jets_match_monomial_reference(key):
+    x, fields, resamples = reference_fields(key)
+    if key == (0, 12):
+        assert resamples > 0  # the resampling loop's draws are covered
+    a = Assignment(key)
+    assert np.array_equal(a.x, x)
+    for kind, (v, d1, d2) in fields.items():
+        if kind == ex.Kind.LOG_DERIV:
+            assert relative_deviation(a.ell0, v) < 1e-13
+            got = (a.tensor_jet(kind, 0), a.tensor_jet(kind, 1))
+            want = (d1, d2)
+        else:
+            got = tuple(a.tensor_jet(kind, k) for k in range(3))
+            want = (v, d1, d2)
+        for order, (g, w) in enumerate(zip(got, want)):
+            assert g.shape == np.shape(w), (kind, order)
+            assert relative_deviation(g, w) < 1e-13, (kind, order)
+
+
+def test_catalog_sides_are_canonicalized_once(monkeypatch):
+    catalog()
+
+    def refuse(e):
+        raise AssertionError("canonicalize called after the catalog "
+                             "was built")
+
+    monkeypatch.setattr(oracle, "canonicalize", refuse)
+    r = run_oracle(trials=2)
+    assert r.passed, r.residual
