@@ -14,7 +14,6 @@ import sys
 from typing import Optional
 
 from . import densities, dsl, gauge, oracle, scale
-from . import exprs as ex
 from .errors import ParseError, UncoveredDerivative, WeylcheckError
 from .report import Mode, OracleSummary, TraceStep, VerificationReport
 from .simplify import full_simplify
@@ -69,7 +68,7 @@ def _cmd_verify(args) -> VerificationReport:
 def _cmd_covariantize(args) -> tuple[VerificationReport, str]:
     L = _load_target(args.target)
     cov = gauge.gauge_covariantize(L)
-    diff = full_simplify(ex.canonicalize(cov - L.parsed))
+    diff = full_simplify(cov - L.parsed)
     out = dsl.render(dsl.make_def(L.name + "-cov", cov))
     trace = (TraceStep("covariantize", dsl.render_expr(L.parsed),
                        dsl.render_expr(cov)),

@@ -11,6 +11,7 @@ their position relative to the tensors they contract with."""
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from . import exprs as ex
 from .exprs import (
@@ -24,7 +25,6 @@ from .exprs import (
     SpinorChain,
     Sum,
     Variance,
-    canonicalize,
 )
 
 
@@ -32,33 +32,32 @@ def _is_gamma(it) -> bool:
     return isinstance(it, CliffordAtom) and it.ckind == CliffordKind.GAMMA
 
 
+def _is_sigma(it) -> bool:
+    return isinstance(it, CliffordAtom) and it.ckind == CliffordKind.SIGMA
+
+
+def _expand_sigma_term(t: Product) -> Optional[Sum]:
+    if t.chain is None or not any(map(_is_sigma, t.chain.items)):
+        return None
+    quarter = CRat(Fraction(1, 4))
+    branches = [(CRat(1), [])]
+    for it in t.chain.items:
+        if _is_sigma(it):
+            gi = CliffordAtom(CliffordKind.GAMMA, (it.indices[0],))
+            gj = CliffordAtom(CliffordKind.GAMMA, (it.indices[1],))
+            opts = [(quarter, [gi, gj]), (-quarter, [gj, gi])]
+        else:
+            opts = [(CRat(1), [it])]
+        branches = [(c1 * c2, l1 + l2)
+                    for c1, l1 in branches for c2, l2 in opts]
+    return Sum(tuple(Product(t.coeff * c, t.factors,
+                             SpinorChain(tuple(items)))
+                     for c, items in branches))
+
+
 def expand_sigma(e: Expr) -> Sum:
     """Rewrite every sigma as the normalized gamma commutator."""
-    s = canonicalize(e)
-    out = []
-    for t in s.terms:
-        has_sigma = t.chain is not None and any(
-            isinstance(it, CliffordAtom) and it.ckind == CliffordKind.SIGMA
-            for it in t.chain.items)
-        if not has_sigma:
-            out.append(t)
-            continue
-        quarter = CRat(Fraction(1, 4))
-        branches = [(CRat(1), [])]
-        for it in t.chain.items:
-            if isinstance(it, CliffordAtom) and \
-                    it.ckind == CliffordKind.SIGMA:
-                gi = CliffordAtom(CliffordKind.GAMMA, (it.indices[0],))
-                gj = CliffordAtom(CliffordKind.GAMMA, (it.indices[1],))
-                opts = [(quarter, [gi, gj]), (-quarter, [gj, gi])]
-            else:
-                opts = [(CRat(1), [it])]
-            branches = [(c1 * c2, l1 + l2)
-                        for c1, l1 in branches for c2, l2 in opts]
-        for c, items in branches:
-            out.append(Product(t.coeff * c, t.factors,
-                               SpinorChain(tuple(items))))
-    return canonicalize(Sum(tuple(out)))
+    return ex.rewrite_terms(e, _expand_sigma_term)
 
 
 def _pairing_atom(a: Index, b: Index):
@@ -121,21 +120,21 @@ def _swap(items: list, i: int, j: int, free: set):
     return out
 
 
+def _reduce_term(t: Product) -> Optional[Sum]:
+    if t.chain is None or not any(map(_is_gamma, t.chain.items)):
+        return None
+    census = ex._label_census(t.factors, t.chain.items)
+    free = {lab for lab, occ in census.items() if len(occ) == 1}
+    out = []
+    for c, extra, its in _reduce(list(t.chain.items), free):
+        chain = SpinorChain(tuple(its)) if its \
+            else SpinorChain((ex.identity_spinor(),))
+        out.append(Product(t.coeff * c, t.factors + tuple(extra), chain))
+    return Sum(tuple(out))
+
+
 def gamma_canonicalize(e: Expr) -> Sum:
     """Expand sigmas, resolve contracted gamma pairs, and order free
     gammas.  Emitted eta and delta factors are left for the contraction
     engine."""
-    s = expand_sigma(e)
-    out = []
-    for t in s.terms:
-        if t.chain is None or not any(_is_gamma(it) for it in t.chain.items):
-            out.append(t)
-            continue
-        census = ex._label_census(t.factors, t.chain.items)
-        free = {lab for lab, occ in census.items() if len(occ) == 1}
-        for c, extra, its in _reduce(list(t.chain.items), free):
-            chain = SpinorChain(tuple(its)) if its \
-                else SpinorChain((ex.identity_spinor(),))
-            out.append(Product(t.coeff * c,
-                               t.factors + tuple(extra), chain))
-    return canonicalize(Sum(tuple(out)))
+    return ex.rewrite_terms(expand_sigma(e), _reduce_term)

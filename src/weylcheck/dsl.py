@@ -64,7 +64,7 @@ class LagrangianDef:
     def __hash__(self) -> int:
         return hash((self.name, self.parsed, self.declared))
 
-    def free_indices(self) -> list:
+    def free_indices(self) -> frozenset[Index]:
         return ex.free_indices(self.parsed)
 
 

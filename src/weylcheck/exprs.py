@@ -9,6 +9,13 @@ fixed class order, like terms collected, and dummy indices renamed to a
 canonical sequence.  Structural equality of canonical forms is the
 engine's notion of equality.
 
+Every engine function accepts any ``Expr`` and returns a canonical
+``Sum``.  ``canonicalize`` marks the Sums it returns and hands a marked
+Sum back unchanged, so canonicalizing an engine's output again costs
+nothing.  ``rewrite_terms`` is the one pass that maps the terms of a
+canonical form and canonicalizes the result; the engines supply only
+the per-term rewrite.
+
 Slot symmetries are stated once, in ``_PAIR_SIGN``: the two slots of
 ``g``, ``ginv``, ``eta`` and ``etainv`` are a symmetric pair (sign +1)
 and the two slots of ``sigma`` an antisymmetric pair (sign -1, so equal
@@ -27,7 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 from .errors import IndexClash, MalformedChain, MalformedIndex
 
@@ -369,6 +376,9 @@ class Product(Expr):
 @dataclass(frozen=True, slots=True)
 class Sum(Expr):
     terms: tuple[Expr, ...]
+    # set by ``canonicalize`` on the Sums it returns, and only there
+    _canonical: bool = field(default=False, init=False, compare=False,
+                             repr=False)
 
 
 ZERO = Sum(())
@@ -505,9 +515,11 @@ def term_key(p: Product) -> tuple:
     return (tuple(_factor_key(f) for f in p.factors), _chain_key(p.chain))
 
 
-def _deriv_split(p: Partial) -> tuple[tuple[Index, ...], Expr]:
+def _deriv_split(f: Expr) -> tuple[tuple[Index, ...], Expr]:
+    """The derivative indices over a factor, outermost first, and the
+    node under them; a bare atom has none."""
     idxs = []
-    node: Expr = p
+    node = f
     while isinstance(node, Partial):
         idxs.append(node.index)
         node = node.operand
@@ -625,36 +637,15 @@ def _rename_term(factors: list, chain_items: Optional[list],
 # ---------------------------------------------------------------------------
 # flattening
 
-_TMP_COUNTER = itertools.count()
-
-
 def _flatten(e: Expr) -> list[tuple[CRat, list, Optional[list]]]:
     """Distribute sums and derivatives; returns raw (coeff, factors, chain
     items) triples with derivatives applied to single atoms."""
     if isinstance(e, Sum):
-        out = []
-        for t in e.terms:
-            out.extend(_flatten(t))
-        return out
+        return [t for u in e.terms for t in _flatten(u)]
     if isinstance(e, Product):
-        terms = [(e.coeff, [], None)]
-        for f in e.factors:
-            sub = _flatten(f)
-            new_terms = []
-            for (c1, fs1, ch1) in terms:
-                for (c2, fs2, ch2) in sub:
-                    new_terms.append(
-                        (c1 * c2, fs1 + fs2, _merge_chain(ch1, ch2)))
-            terms = new_terms
-        if e.chain is not None:
-            sub = _flatten_chain(e.chain)
-            new_terms = []
-            for (c1, fs1, ch1) in terms:
-                for (c2, fs2, ch2) in sub:
-                    new_terms.append(
-                        (c1 * c2, fs1 + fs2, _merge_chain(ch1, ch2)))
-            terms = new_terms
-        return [t for t in terms if not t[0].is_zero()]
+        parts = e.factors if e.chain is None else e.factors + (e.chain,)
+        return [t for t in _distribute(e.coeff, parts)
+                if not t[0].is_zero()]
     if isinstance(e, (FieldAtom,)):
         if e.kind in (Kind.FERMION, Kind.FERMION_BAR):
             return [(CRat(1), [], [e])]
@@ -666,19 +657,17 @@ def _flatten(e: Expr) -> list[tuple[CRat, list, Optional[list]]]:
     if isinstance(e, Partial):
         return _flatten_partial(e.index, e.operand)
     if isinstance(e, SpinorChain):
-        return _flatten_chain(e)
+        return _distribute(CRat(1), e.items)
     raise TypeError(f"cannot flatten {e!r}")
 
 
-def _flatten_chain(ch: SpinorChain):
-    terms = [(CRat(1), [], None)]
-    for item in ch.items:
-        sub = _flatten(item)
-        new_terms = []
-        for (c1, fs1, ch1) in terms:
-            for (c2, fs2, ch2) in sub:
-                new_terms.append((c1 * c2, fs1 + fs2, _merge_chain(ch1, ch2)))
-        terms = new_terms
+def _distribute(coeff: CRat, parts: Iterable[Expr]):
+    """Multiply out the flattened parts of a product, in order."""
+    terms = [(coeff, [], None)]
+    for part in parts:
+        sub = _flatten(part)
+        terms = [(c1 * c2, fs1 + fs2, _merge_chain(ch1, ch2))
+                 for c1, fs1, ch1 in terms for c2, fs2, ch2 in sub]
     return terms
 
 
@@ -701,34 +690,21 @@ def _is_spinor_item(f: Expr) -> bool:
 
 
 def _flatten_partial(ix: Index, operand: Expr):
-    """Leibniz expansion; the derivative lands on single atoms."""
+    """Leibniz expansion; the derivative lands on single atoms, and a
+    constant term has none."""
     out = []
     for coeff, factors, chain in _flatten(operand):
-        parts = list(factors)
-        chain_items = list(chain) if chain is not None else None
-        produced_any = False
-        for pos, f in enumerate(parts):
-            dterm = _derive_factor(ix, f)
-            if dterm is None:
-                continue
-            produced_any = True
-            for (dc, dfs, dch) in dterm:
-                nf = parts[:pos] + dfs + parts[pos + 1:]
-                out.append((coeff * dc, nf, _merge_chain(
-                    list(chain_items) if chain_items else None, dch)
-                    if dch is not None or chain_items is not None
-                    else None))
-        if chain_items is not None:
-            for pos, it in enumerate(chain_items):
-                if isinstance(it, CliffordAtom):
-                    continue  # constant matrices
-                produced_any = True
-                nch = chain_items[:pos] + [Partial(ix, it)] \
-                    + chain_items[pos + 1:]
-                out.append((coeff, list(parts), nch))
-        if not produced_any:
-            # derivative of a constant term
-            continue
+        for pos, f in enumerate(factors):
+            for dc, dfs, dch in _derive_factor(ix, f) or ():
+                out.append((coeff * dc,
+                            factors[:pos] + dfs + factors[pos + 1:],
+                            _merge_chain(list(chain) if chain else None,
+                                         dch)))
+        for pos, it in enumerate(chain or ()):
+            if isinstance(it, CliffordAtom):
+                continue  # constant matrices
+            out.append((coeff, list(factors),
+                        chain[:pos] + [Partial(ix, it)] + chain[pos + 1:]))
     return out
 
 
@@ -1164,7 +1140,10 @@ def _canonical_term_uncached(coeff: CRat, factors: list,
 
 def canonicalize(e: Expr) -> Sum:
     """Normal form: a Sum of coefficient-carrying Products with sorted
-    factors, canonical dummy labels and like terms collected."""
+    factors, canonical dummy labels and like terms collected.  The Sum
+    returned is marked canonical, and a marked Sum is returned as is."""
+    if isinstance(e, Sum) and e._canonical:
+        return e
     raw = _flatten(_as_expr(e))
     bucket: dict[tuple, tuple[CRat, Product]] = {}
     for coeff, factors, chain in raw:
@@ -1186,6 +1165,7 @@ def canonicalize(e: Expr) -> Sum:
         terms.append(Product(c, skel.factors, skel.chain))
     out = Sum(tuple(terms))
     _check_sum_frees(out)
+    object.__setattr__(out, "_canonical", True)
     return out
 
 
@@ -1232,89 +1212,83 @@ class AtomRule:
     build: Callable[[FieldAtom], Expr]
 
 
-def _fresh_label() -> str:
-    return f"tmp{next(_TMP_COUNTER)}"
+def _fresh_label(prefix: str, taken) -> str:
+    """The first ``<prefix>k`` not among the labels ``taken``."""
+    k = 0
+    while f"{prefix}{k}" in taken:
+        k += 1
+    return f"{prefix}{k}"
 
 
-def _freshen_dummies(e: Expr, keep: frozenset[str]) -> Expr:
-    """Rename replacement-internal dummies so splicing cannot clash with
-    the surrounding term."""
-    s = canonicalize(e)
+def _freshen_dummies(e: Expr, keep: frozenset[str], taken: set) -> Expr:
+    """Rename replacement-internal dummies to labels not yet ``taken`` by
+    the surrounding term, so splicing cannot clash with it; the new
+    labels join ``taken``."""
     new_terms = []
-    for t in s.terms:
+    for t in canonicalize(e).terms:
         items = t.chain and t.chain.items
-        ren = {lab: _fresh_label()
-               for lab, occ in _label_census(t.factors, items).items()
-               if len(occ) == 2 and lab not in keep}
+        census = _label_census(t.factors, items)
+        taken.update(census)
+        ren = {}
+        for lab, occ in census.items():
+            if len(occ) == 2 and lab not in keep:
+                ren[lab] = _fresh_label("tmp", taken)
+                taken.add(ren[lab])
         fs, items, sign = _rename_term(t.factors, items, ren)
         ch = SpinorChain(tuple(items)) if items is not None else None
         new_terms.append(Product(t.coeff * CRat(sign), tuple(fs), ch))
     return Sum(tuple(new_terms))
 
 
-def _rule_applies(rule: AtomRule, atom: FieldAtom) -> Expr:
-    rep = rule.build(atom)
+def _rule_applies(rule: AtomRule, atom: FieldAtom, taken: set) -> Expr:
+    rep = canonicalize(rule.build(atom))
     rep_free = free_indices(rep)
     want = frozenset(atom.indices)
     if rep_free != want and not is_zero(rep):
         raise IndexClash(
             f"replacement for {atom.kind.value} changes free indices")
-    return _freshen_dummies(rep, frozenset(ix.label for ix in want))
+    return _freshen_dummies(rep, frozenset(ix.label for ix in want), taken)
 
 
 def substitute(e: Expr, rule: AtomRule) -> Sum:
     """Replace every atom matching the rule, including under derivatives,
     then canonicalize."""
-    s = canonicalize(e)
 
-    def map_factor(f: Expr) -> Expr:
-        if isinstance(f, FieldAtom) and f.kind == rule.kind:
-            return _rule_applies(rule, f)
-        if isinstance(f, Partial):
-            return Partial(f.index, map_factor(f.operand))
-        return f
+    def map_term(t: Product) -> Expr:
+        taken = set(_label_census(t.factors, t.chain and t.chain.items))
 
-    new_terms = []
-    for t in s.terms:
+        def map_factor(f: Expr) -> Expr:
+            if isinstance(f, FieldAtom) and f.kind == rule.kind:
+                return _rule_applies(rule, f, taken)
+            if isinstance(f, Partial):
+                return Partial(f.index, map_factor(f.operand))
+            return f
+
         parts: list[Expr] = [Product(t.coeff, (), None)]
-        for f in t.factors:
-            parts.append(map_factor(f))
+        parts.extend(map(map_factor, t.factors))
         if t.chain is not None:
-            parts.append(SpinorChain(tuple(
-                map_factor(it) for it in t.chain.items)))
-        new_terms.append(Product(CRat(1), tuple(parts), None))
-    return canonicalize(Sum(tuple(new_terms)))
+            parts.append(SpinorChain(tuple(map(map_factor, t.chain.items))))
+        return Product(CRat(1), tuple(parts), None)
+
+    return rewrite_terms(e, map_term)
 
 
 def rewrite_terms(e: Expr, fn: Callable[[Product], Optional[Expr]]) -> Sum:
-    """Map each canonical term through fn (None keeps the term)."""
+    """The one term-map pass: canonicalize, map each canonical term
+    through fn (None keeps the term), canonicalize the result."""
     s = canonicalize(e)
-    out = []
-    for t in s.terms:
-        r = fn(t)
-        out.append(t if r is None else r)
-    return canonicalize(Sum(tuple(out)))
+    mapped = [fn(t) for t in s.terms]
+    if all(r is None for r in mapped):
+        return s
+    return canonicalize(Sum(tuple(t if r is None else r
+                                  for t, r in zip(s.terms, mapped))))
 
 
 def count_atoms(e: Expr, kind: Kind) -> int:
     """Total occurrences of an atom kind across all canonical terms."""
-    s = canonicalize(e)
-    n = 0
-
-    def walk(f: Expr) -> int:
-        if isinstance(f, FieldAtom):
-            return 1 if f.kind == kind else 0
-        if isinstance(f, Partial):
-            return walk(f.operand)
-        return 0
-
-    for t in s.terms:
-        for f in t.factors:
-            n += walk(f)
-        if t.chain is not None:
-            for it in t.chain.items:
-                n += walk(it)
-    return n
+    atoms = (_deriv_split(f)[1] for t in canonicalize(e).terms
+             for f in t.factors + (t.chain.items if t.chain else ()))
+    return sum(isinstance(a, FieldAtom) and a.kind == kind for a in atoms)
 
 
 def set_coupling(e: Expr, name: str, value) -> Sum:
@@ -1323,9 +1297,8 @@ def set_coupling(e: Expr, name: str, value) -> Sum:
     value may be an int, Fraction, or CRat.  A zero value against a
     negative power is rejected."""
     val = value if isinstance(value, CRat) else CRat.of(Fraction(value))
-    s = canonicalize(e)
-    out = []
-    for t in s.terms:
+
+    def fold(t: Product) -> Optional[Expr]:
         coeff = t.coeff
         kept = []
         for f in t.factors:
@@ -1336,5 +1309,8 @@ def set_coupling(e: Expr, name: str, value) -> Sum:
                 coeff = coeff * val ** f.power
             else:
                 kept.append(f)
-        out.append(Product(coeff, tuple(kept), t.chain))
-    return canonicalize(Sum(tuple(out)))
+        if len(kept) == len(t.factors):
+            return None
+        return Product(coeff, tuple(kept), t.chain)
+
+    return rewrite_terms(e, fold)

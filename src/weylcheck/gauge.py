@@ -10,7 +10,7 @@ picks up exactly the cross and quadratic S terms of its gauged form."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from . import densities, dsl
 from . import exprs as ex
@@ -21,14 +21,12 @@ from .exprs import (
     Coupling,
     CRat,
     Expr,
-    FieldAtom,
     Kind,
     Partial,
     Product,
     SpinorChain,
     Sum,
     canonicalize,
-    equal,
 )
 from .report import Mode, OracleSummary, TraceStep, VerificationReport
 from .scale import default_weight_table
@@ -65,21 +63,19 @@ def _covariantize_partial(f: Partial) -> Expr:
     return Sum((f, shift))
 
 
+def _covariantize_term(t: Product) -> Optional[Product]:
+    items = t.factors + (t.chain.items if t.chain else ())
+    if not any(isinstance(f, Partial) for f in items):
+        return None
+    return Product(t.coeff, tuple(
+        _covariantize_partial(f) if isinstance(f, Partial) else f
+        for f in items), None)
+
+
 def gauge_covariantize(L: Union[Expr, "dsl.LagrangianDef"]) -> Sum:
     """Apply the derivative shifts across a canonical density."""
     e = L.parsed if isinstance(L, dsl.LagrangianDef) else L
-    s = canonicalize(e)
-    out = []
-    for t in s.terms:
-        pieces: list[Expr] = []
-        items = list(t.factors) + (list(t.chain.items) if t.chain else [])
-        for f in items:
-            if isinstance(f, Partial):
-                pieces.append(_covariantize_partial(f))
-            else:
-                pieces.append(f)
-        out.append(Product(t.coeff, tuple(pieces), None))
-    return canonicalize(Sum(tuple(out)))
+    return ex.rewrite_terms(e, _covariantize_term)
 
 
 def _sigma_terms(s: Sum) -> Sum:
@@ -110,11 +106,11 @@ def verify_fermion_decoupling() -> VerificationReport:
     residual = full_simplify(cov - L)
 
     sig = _sigma_terms(L)
-    sig_extra = contract_pairs(canonicalize(gauge_covariantize(sig) - sig))
+    sig_extra = contract_pairs(gauge_covariantize(sig) - sig)
     sig_reduced = full_simplify(sig_extra)
 
     kin = _kinetic_terms(L)
-    kin_extra = full_simplify(canonicalize(gauge_covariantize(kin) - kin))
+    kin_extra = full_simplify(gauge_covariantize(kin) - kin)
 
     combined = full_simplify(sig_reduced + kin_extra)
     trace = (

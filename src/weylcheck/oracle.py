@@ -22,7 +22,6 @@ import numpy as np
 from . import exprs as ex
 from .errors import SingularAssignment, UnboundIndex, WeylcheckError
 from .exprs import (
-    Alphabet,
     CliffordAtom,
     CliffordKind,
     Coupling,
@@ -518,7 +517,7 @@ def _build_catalog() -> list:
         pure=True))
 
     # Christoffel expansion against a direct formula on the assignment
-    chr_exp = canonicalize(christoffel("rho", "mu", "nu").expansion)
+    chr_exp = christoffel("rho", "mu", "nu").expansion
 
     def christoffel_direct(a: Assignment) -> float:
         arr, labels, state = _evaluate_canonical(chr_exp, a)

@@ -130,26 +130,18 @@ def _transform_term(t: Product, table: WeightTable, power: Fraction,
     for f in items:
         if isinstance(f, (Coupling, ex.CliffordAtom)):
             pieces.append(f)
-        elif isinstance(f, FieldAtom):
-            if local:
-                pieces.append(_scaled_atom_local(f, table, power))
-            else:
-                w = table[f.kind].value
-                if w != 0 and f.kind != Kind.LAMBDA_POWER:
-                    pieces.append(ex.lam(power * w))
-                pieces.append(f)
-        elif isinstance(f, Partial):
-            idxs, atom = ex._deriv_split(f)
-            if local:
-                inner = _scaled_atom_local(atom, table, power)
-                pieces.append(ex._deriv_join(idxs, inner))
-            else:
-                w = table[atom.kind].value
-                if w != 0 and atom.kind != Kind.LAMBDA_POWER:
-                    pieces.append(ex.lam(power * w))
-                pieces.append(f)
-        else:
+            continue
+        if not isinstance(f, (FieldAtom, Partial)):
             raise TypeError(f"unexpected factor {f!r}")
+        idxs, atom = ex._deriv_split(f)
+        if local:
+            inner = _scaled_atom_local(atom, table, power)
+            pieces.append(ex._deriv_join(idxs, inner))
+        else:
+            w = table[atom.kind].value
+            if w != 0 and atom.kind != Kind.LAMBDA_POWER:
+                pieces.append(ex.lam(power * w))
+            pieces.append(f)
     return Product(t.coeff, tuple(pieces), None)
 
 
@@ -157,9 +149,8 @@ def _apply_scale(e: Expr, table: Optional[WeightTable], power,
                  local: bool) -> Sum:
     table = table or _DEFAULT
     power = Fraction(power)
-    s = canonicalize(e)
-    out = [_transform_term(t, table, power, local) for t in s.terms]
-    return canonicalize(Sum(tuple(out)))
+    return ex.rewrite_terms(
+        e, lambda t: _transform_term(t, table, power, local))
 
 
 def apply_global_scale(e: Expr, table: Optional[WeightTable] = None,
@@ -194,13 +185,14 @@ def check_invariance(L, mode: Mode,
         raise ValueError(f"check_invariance expects Global or Local, "
                          f"got {mode}")
     rescaled = canonicalize(ex.lam(Fraction(4)) * transformed)
-    residual = full_simplify(rescaled - expr)
+    difference = canonicalize(rescaled - expr)
+    residual = full_simplify(difference)
     trace = (
         TraceStep(f"apply-{mode.value}-scale", dsl.render_expr(expr),
                   dsl.render_expr(transformed)),
         TraceStep("rescale-by-Lam4", dsl.render_expr(transformed),
                   dsl.render_expr(rescaled)),
-        TraceStep("residual", dsl.render_expr(canonicalize(rescaled - expr)),
+        TraceStep("residual", dsl.render_expr(difference),
                   dsl.render_expr(residual)),
     )
     return VerificationReport(

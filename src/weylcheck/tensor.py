@@ -25,19 +25,25 @@ from .exprs import (
     FieldAtom,
     Index,
     Kind,
-    Partial,
     Product,
     SpinorChain,
     Sum,
     Variance,
-    canonicalize,
 )
 
-_FRESH = itertools.count()
+# rules 2 and 3, in order: (inverse metric, metric, alphabet)
+_INVERSE_PAIRS = ((Kind.INV_METRIC, Kind.METRIC, Alphabet.SPACETIME),
+                  (Kind.MINKOWSKI_UP, Kind.MINKOWSKI, Alphabet.FRAME))
 
+# rule 5: frame metric -> (the tetrad kind it closes, the metric made)
+_CLOSERS = {Kind.MINKOWSKI: (Kind.TETRAD, ex.metric),
+            Kind.MINKOWSKI_UP: (Kind.INV_TETRAD, ex.inv_metric)}
 
-def _fresh_frame() -> str:
-    return f"ctr{next(_FRESH)}"
+# rule 6: (metric kind, tetrad kind, frame metric, new tetrad) for a
+# metric contracted with a tetrad's spacetime slot
+_THROUGH_FRAME = ((Kind.INV_METRIC, Kind.TETRAD, ex.minkowski_up,
+                   ex.inv_tetrad),
+                  (Kind.METRIC, Kind.INV_TETRAD, ex.minkowski, ex.tetrad))
 
 
 def _top_atoms(factors) -> list[tuple[int, FieldAtom]]:
@@ -85,31 +91,17 @@ def _contract_step(coeff: CRat, factors: list, chain):
         keep = [f for i, f in enumerate(factors) if i not in positions]
         return coeff, keep + extra, chain
 
-    # 2: metric times inverse metric
-    for (p, a), (q, b) in itertools.combinations(atoms, 2):
-        pair = {a.kind, b.kind}
-        if pair == {Kind.INV_METRIC, Kind.METRIC}:
-            inv, met = (a, b) if a.kind == Kind.INV_METRIC else (b, a)
-            z = shared_dummy(inv.indices, met.indices)
+    # 2, 3: metric times inverse metric, then the frame metric pair
+    for up_kind, dn_kind, alph in _INVERSE_PAIRS:
+        for (p, a), (q, b) in itertools.combinations(atoms, 2):
+            if {a.kind, b.kind} != {up_kind, dn_kind}:
+                continue
+            up, dn = (a, b) if a.kind == up_kind else (b, a)
+            z = shared_dummy(up.indices, dn.indices)
             if z is not None:
                 dlt = FieldAtom(Kind.DELTA, (
-                    Index(others(inv, z)[0].label, Alphabet.SPACETIME,
-                          Variance.UP),
-                    Index(others(met, z)[0].label, Alphabet.SPACETIME,
-                          Variance.DOWN)))
-                return drop({p, q}, [dlt])
-
-    # 3: frame metric against its inverse
-    for (p, a), (q, b) in itertools.combinations(atoms, 2):
-        if {a.kind, b.kind} == {Kind.MINKOWSKI_UP, Kind.MINKOWSKI}:
-            up_a, dn_a = (a, b) if a.kind == Kind.MINKOWSKI_UP else (b, a)
-            z = shared_dummy(up_a.indices, dn_a.indices)
-            if z is not None:
-                dlt = FieldAtom(Kind.DELTA, (
-                    Index(others(up_a, z)[0].label, Alphabet.FRAME,
-                          Variance.UP),
-                    Index(others(dn_a, z)[0].label, Alphabet.FRAME,
-                          Variance.DOWN)))
+                    Index(others(up, z)[0].label, alph, Variance.UP),
+                    Index(others(dn, z)[0].label, alph, Variance.DOWN)))
                 return drop({p, q}, [dlt])
 
     # 4: tetrad completeness, frame and spacetime contractions
@@ -131,57 +123,30 @@ def _contract_step(coeff: CRat, factors: list, chain):
 
     # 5: frame metric closing two tetrads into a metric
     for p, a in atoms:
-        if a.kind == Kind.MINKOWSKI:
-            mates = []
-            for lab in (a.indices[0].label, a.indices[1].label):
-                hit = None
-                for q, b in atoms:
-                    if q != p and b.kind == Kind.TETRAD and \
-                            b.indices[0].label == lab:
-                        hit = (q, b)
-                        break
-                mates.append(hit)
-            if mates[0] and mates[1] and mates[0][0] != mates[1][0]:
-                (q1, t1), (q2, t2) = mates
-                g = ex.metric(t1.indices[1].label, t2.indices[1].label)
-                return drop({p, q1, q2}, [g])
-        if a.kind == Kind.MINKOWSKI_UP:
-            mates = []
-            for lab in (a.indices[0].label, a.indices[1].label):
-                hit = None
-                for q, b in atoms:
-                    if q != p and b.kind == Kind.INV_TETRAD and \
-                            b.indices[0].label == lab:
-                        hit = (q, b)
-                        break
-                mates.append(hit)
-            if mates[0] and mates[1] and mates[0][0] != mates[1][0]:
-                (q1, t1), (q2, t2) = mates
-                g = ex.inv_metric(t1.indices[1].label, t2.indices[1].label)
-                return drop({p, q1, q2}, [g])
+        if a.kind not in _CLOSERS:
+            continue
+        mate_kind, build = _CLOSERS[a.kind]
+        mates = [next(((q, b) for q, b in atoms if q != p
+                       and b.kind == mate_kind
+                       and b.indices[0].label == ix.label), None)
+                 for ix in a.indices]
+        if mates[0] and mates[1] and mates[0][0] != mates[1][0]:
+            (q1, t1), (q2, t2) = mates
+            g = build(t1.indices[1].label, t2.indices[1].label)
+            return drop({p, q1, q2}, [g])
 
     # 6: metric-tetrad contraction rewritten through the frame metric
     for (p, a), (q, b) in itertools.combinations(atoms, 2):
-        if {a.kind, b.kind} == {Kind.INV_METRIC, Kind.TETRAD}:
-            inv, tet = (a, b) if a.kind == Kind.INV_METRIC else (b, a)
+        for met_kind, tet_kind, frame_metric, new_tetrad in _THROUGH_FRAME:
+            if {a.kind, b.kind} != {met_kind, tet_kind}:
+                continue
+            met, tet = (a, b) if a.kind == met_kind else (b, a)
             sm = tet.indices[1]
-            hit = next((u for u in inv.indices if u.label == sm.label), None)
-            if hit is not None:
-                other = others(inv, sm.label)[0]
-                c = _fresh_frame()
-                eta_up = ex.minkowski_up(tet.indices[0].label, c)
-                itet = ex.inv_tetrad(c, other.label)
-                return drop({p, q}, [eta_up, itet])
-        if {a.kind, b.kind} == {Kind.METRIC, Kind.INV_TETRAD}:
-            met, itet = (a, b) if a.kind == Kind.METRIC else (b, a)
-            sn = itet.indices[1]
-            hit = next((u for u in met.indices if u.label == sn.label), None)
-            if hit is not None:
-                other = others(met, sn.label)[0]
-                c = _fresh_frame()
-                eta_dn = ex.minkowski(itet.indices[0].label, c)
-                tet = ex.tetrad(c, other.label)
-                return drop({p, q}, [eta_dn, tet])
+            if any(u.label == sm.label for u in met.indices):
+                other = others(met, sm.label)[0]
+                c = ex._fresh_label("ctr", slots)
+                return drop({p, q}, [frame_metric(tet.indices[0].label, c),
+                                     new_tetrad(c, other.label)])
 
     # 7: frame metric absorbs into a Clifford slot
     if chain is not None:
@@ -213,27 +178,31 @@ def _contract_step(coeff: CRat, factors: list, chain):
     return None
 
 
+def _contract_term(t: Product) -> Optional[Product]:
+    """One term with the rule set applied to a fixpoint, or None when no
+    rule matches."""
+    coeff = t.coeff
+    factors = list(t.factors)
+    chain = list(t.chain.items) if t.chain is not None else None
+    step = _contract_step(coeff, factors, chain)
+    if step is None:
+        return None
+    for _ in range(500):
+        coeff, factors, chain = step
+        if coeff.is_zero():
+            break
+        step = _contract_step(coeff, factors, chain)
+        if step is None:
+            break
+    else:
+        raise RuntimeError("contraction did not terminate")
+    return Product(coeff, tuple(factors),
+                   SpinorChain(tuple(chain)) if chain else None)
+
+
 def contract_pairs(e: Expr) -> Sum:
     """Apply the contraction rule set to a fixpoint and recanonicalize."""
-    s = canonicalize(e)
-    pieces = []
-    for t in s.terms:
-        coeff = t.coeff
-        factors = list(t.factors)
-        chain = list(t.chain.items) if t.chain is not None else None
-        for _ in range(500):
-            step = _contract_step(coeff, factors, chain)
-            if step is None:
-                break
-            coeff, factors, chain = step
-            if coeff.is_zero():
-                break
-        else:
-            raise RuntimeError("contraction did not terminate")
-        body = Product(coeff, tuple(factors),
-                       SpinorChain(tuple(chain)) if chain else None)
-        pieces.append(body)
-    return canonicalize(Sum(tuple(pieces)))
+    return ex.rewrite_terms(e, _contract_term)
 
 
 @dataclass(frozen=True)
@@ -246,10 +215,10 @@ def christoffel(rho: str = "rho", mu: str = "mu",
                 nu: str = "nu") -> ChristoffelExpr:
     """Metric connection with free labels (rho upper, mu and nu lower):
     (1/2) ginv(rho,s) (d_mu g_{s nu} + d_nu g_{s mu} - d_s g_{mu nu})."""
-    s = f"chr{next(_FRESH)}"
+    s = ex._fresh_label("chr", (rho, mu, nu))
     half = Fraction(1, 2)
     body = half * (ex.inv_metric(rho, s)
                    * (ex.d(mu, ex.metric(s, nu))
                       + ex.d(nu, ex.metric(s, mu))
                       - ex.d(s, ex.metric(mu, nu))))
-    return ChristoffelExpr(canonicalize(body))
+    return ChristoffelExpr(ex.canonicalize(body))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,22 @@ def test_file_target_matches_builtin(tmp_path):
     b = run_cli("verify", "builtin:scalar", "--mode=global", "--json")
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
+
+
+def test_frame_label_named_like_an_internal_one(tmp_path):
+    """A user label that looks like a contraction's internal frame label
+    gets the same verdict as any other name."""
+    out = {}
+    for label in ("ctr0", "b"):
+        f = tmp_path / f"{label}.lag"
+        f.write_text(f"indices spacetime nu lam ;\nindices frame {label} ;\n"
+                     f"fields ginv eps S ;\n"
+                     f"density ginv[nu,lam] * eps[{label},lam] * S[nu] ;\n")
+        p = run_cli("verify", str(f), "--mode=global", "--json")
+        assert p.returncode == 1, p.stderr
+        out[label] = p.stdout
+    assert json.loads(out["ctr0"])["pass"] is False
+    assert re.sub(r"\bb\b", "ctr0", out["b"]) == out["ctr0"]
 
 
 def test_non_scalar_density_is_flagged(tmp_path):

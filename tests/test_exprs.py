@@ -2,6 +2,8 @@
 
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -382,3 +384,88 @@ def test_canonical_term_ignores_dummy_names_on_generated():
                     failed.add(seed)
     assert with_dummies > 600
     assert not failed, sorted(failed)
+
+
+def _canonical_samples(builtins):
+    for L in builtins.values():
+        yield L.parsed
+    for seed in range(200):
+        # a fresh, unmarked Sum of the generated terms
+        yield Sum(gen.random_expr(seed).terms)
+
+
+def test_canonical_sum_is_returned_as_is(builtins_all):
+    """A Sum that canonicalize returned comes back unchanged, the very
+    same object, and the mark it carries changes no comparison."""
+    for x in _canonical_samples(builtins_all):
+        c = ex.canonicalize(x)
+        assert ex.canonicalize(c) is c
+        plain = Sum(c.terms)
+        assert plain == c and hash(plain) == hash(c)
+        assert repr(plain) == repr(c)
+        assert ex.canonicalize(plain) == c
+
+
+def test_rewrite_terms_keeps_splices_and_canonicalizes():
+    phi, s_m = ex.scalar_field(), ex.weyl_vector("m")
+    e = ex.canonicalize(phi ** 2 + ex.inv_metric("m", "n") * s_m
+                        * ex.weyl_vector("n"))
+    seen = []
+
+    def keep(t):
+        seen.append(t)
+        return None
+
+    assert ex.rewrite_terms(e, keep) is e
+    assert tuple(seen) == e.terms
+
+    def split_scalar(t):
+        # phi^2 -> 2 phi^2 + phi * Lam^2 * phi (raw, unsorted) + phi^2
+        if ex.count_atoms(t, ex.Kind.SCALAR) == 0:
+            return None
+        return Sum((2 * t, phi * ex.lam(2) * phi, t))
+
+    got = ex.rewrite_terms(e, split_scalar)
+    want = ex.canonicalize(3 * phi ** 2 + ex.lam(2) * phi ** 2
+                           + ex.inv_metric("m", "n") * s_m
+                           * ex.weyl_vector("n"))
+    assert got == want and len(got.terms) == 3
+    assert ex.canonicalize(got) is got
+
+
+def _run_fresh(code):
+    return subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+
+
+def test_substitute_fresh_labels_avoid_the_term():
+    """Internal labels for a replacement's dummies never reuse a label
+    of the term they enter; a new process shows it for the first
+    internal label, tmp0."""
+    p = _run_fresh(
+        "from weylcheck import exprs as ex\n"
+        "rule = ex.AtomRule(ex.Kind.EM_VECTOR, lambda a: ex.metric("
+        "a.indices[0].label, 'k') * ex.inv_metric('k', 'j')"
+        " * ex.em_vector('j'))\n"
+        "got = ex.substitute(ex.em_vector('tmp0'), rule)\n"
+        "want = ex.metric('tmp0', 'k') * ex.inv_metric('k', 'j')"
+        " * ex.em_vector('j')\n"
+        "assert ex.equal(got, want), got\n"
+        "print(sorted(ix.label for ix in ex.free_indices(got)))\n")
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "['tmp0']"
+
+
+def test_substitute_fresh_labels_avoid_each_other():
+    rule = ex.AtomRule(ex.Kind.EM_VECTOR, lambda a: ex.metric(
+        a.indices[0].label, "k") * ex.inv_metric("k", "j")
+        * ex.em_vector("j"))
+    e = ex.em_vector("tmp0") * ex.em_vector("tmp1") * ex.em_vector("tmp2")
+    twice = ex.substitute(ex.substitute(e, rule), rule)
+    want = 1
+    for lab in ("tmp0", "tmp1", "tmp2"):
+        want = want * ex.metric(lab, "k" + lab) \
+            * ex.inv_metric("k" + lab, "j" + lab) \
+            * ex.metric("j" + lab, "u" + lab) \
+            * ex.inv_metric("u" + lab, "v" + lab) * ex.em_vector("v" + lab)
+    assert twice == ex.canonicalize(want)
