@@ -3,7 +3,9 @@
 Subcommands: verify, covariantize, decoupling, identity, oracle.
 Densities come from a file or from `builtin:NAME`.  Reports print as
 human-readable text, or as JSON with `--json`.  Exit codes: 0 all checks
-passed, 1 a verification failed, 2 usage or parse error.
+passed, 1 a verification failed, 2 usage or parse error.  A reader that
+closes stdout early (`| head`) cuts the report short without an error;
+the exit code is still the verdict's.
 """
 
 from __future__ import annotations
@@ -184,12 +186,20 @@ def main(argv: Optional[list] = None) -> int:
         print(f"weylcheck: {e.args[0]}", file=sys.stderr)
         return 1
 
-    if args.json:
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(report.to_text())
-        if extra_text is not None:
-            sys.stdout.write("\n" + extra_text)
+    try:
+        if args.json:
+            sys.stdout.write(report.to_json())
+        else:
+            sys.stdout.write(report.to_text())
+            if extra_text is not None:
+                sys.stdout.write("\n" + extra_text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull so
+        # the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if report.passed else 1
 
 

@@ -7,6 +7,8 @@ and evaluated by repeated multiplication.  ``reference_fields`` replays
 the documented sampling order on a fresh generator, so tests can compare
 every field's value, gradient and Hessian with ``Assignment.tensor_jet``
 and check that the closed form draws the same random stream.
+``inverse_jet`` is the einsum form of the inverse-matrix jet that
+``oracle._inverse_jet`` now computes with broadcast matmuls.
 """
 
 from __future__ import annotations
@@ -120,3 +122,14 @@ def reference_fields(key):
         Kind.FERMION_BAR: _jet_array(psibar_p, x, (4,)),
     }
     return x, fields, resamples
+
+
+def inverse_jet(m, dm, ddm):
+    """Value, gradient and Hessian of inv(m) from those of a matrix m,
+    as explicit einsum contractions."""
+    inv = np.linalg.inv(m)
+    d = -np.einsum("ma,kab,bn->kmn", inv, dm, inv)
+    dd = (-np.einsum("ma,ksab,bn->ksmn", inv, ddm, inv)
+          + np.einsum("ma,kab,bc,scd,dn->ksmn", inv, dm, inv, dm, inv)
+          + np.einsum("ma,sab,bc,kcd,dn->ksmn", inv, dm, inv, dm, inv))
+    return inv, d, dd

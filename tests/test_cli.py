@@ -26,6 +26,25 @@ def run_cli(*args, env_extra=None):
         capture_output=True, text=True, env=env)
 
 
+def test_closed_stdout_exits_quietly():
+    """A reader that closes the pipe early gets no traceback; the exit
+    code stays the verdict's."""
+    r, w = os.pipe()
+    os.close(r)  # closed before the child starts: its first write fails
+    try:
+        env = dict(os.environ)
+        env.pop("WEYLCHECK_SEED", None)
+        p = subprocess.run(
+            [sys.executable, "-m", "weylcheck", "covariantize",
+             "builtin:scalar"],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(w)
+    assert "Traceback" not in p.stderr
+    assert "Exception ignored" not in p.stderr
+    assert p.returncode == 0, p.stderr
+
+
 def test_verify_global_passes():
     p = run_cli("verify", "builtin:scalar", "--mode=global")
     assert p.returncode == 0

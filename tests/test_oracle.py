@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import strategies as gen
-from reference_jets import reference_fields
+from reference_eval import reference_components
+from reference_jets import inverse_jet, reference_fields
+from weylcheck import cli
 from weylcheck import exprs as ex
 from weylcheck import oracle
-from weylcheck.errors import SingularAssignment, UnboundIndex
+from weylcheck.errors import SingularAssignment, UnboundIndex, WeylcheckError
 from weylcheck.oracle import (
     Assignment,
     catalog,
@@ -179,7 +181,10 @@ def test_chain_evaluation_matches_direct_matrices():
         assert relative_deviation(got, want) < 1e-12
 
 
-@pytest.mark.parametrize("key", [(0, 0), (0, 12), (3, 17), (7, 3)])
+_JET_KEYS = [(0, 0), (0, 12), (3, 17), (7, 3)]
+
+
+@pytest.mark.parametrize("key", _JET_KEYS)
 def test_closed_form_jets_match_monomial_reference(key):
     x, fields, resamples = reference_fields(key)
     if key == (0, 12):
@@ -209,3 +214,134 @@ def test_catalog_sides_are_canonicalized_once(monkeypatch):
     monkeypatch.setattr(oracle, "canonicalize", refuse)
     r = run_oracle(trials=2)
     assert r.passed, r.residual
+
+
+@pytest.mark.parametrize("key", _JET_KEYS)
+def test_inverse_jets_match_einsum_reference(key):
+    a = Assignment(key)
+
+    def jet(kind):
+        return tuple(a.tensor_jet(kind, k) for k in range(3))
+
+    want = {
+        ex.Kind.INV_METRIC: inverse_jet(*jet(ex.Kind.METRIC)),
+        ex.Kind.INV_TETRAD: tuple(np.swapaxes(j, -1, -2) for j in
+                                  inverse_jet(*jet(ex.Kind.TETRAD))),
+    }
+    for kind, ref in want.items():
+        for order, (g, w) in enumerate(zip(jet(kind), ref)):
+            assert relative_deviation(g, w) < 1e-13, (kind, order)
+    # G Ginv = 1 everywhere, so its gradient and Hessian vanish: the
+    # product-rule terms cancel, relative to their own size
+    g, dg, ddg = jet(ex.Kind.METRIC)
+    gi, dgi, ddgi = jet(ex.Kind.INV_METRIC)
+    assert relative_deviation(dg @ gi, -(g @ dgi)) < 1e-12
+    dd_rest = (ddg @ gi + dg[:, None] @ dgi[None, :]
+               + dg[None, :] @ dgi[:, None])
+    assert relative_deviation(dd_rest, -(g @ ddgi)) < 1e-12
+
+
+def _catalog_sides(monkeypatch):
+    """Every sum the catalog compiles, recorded from a fresh build."""
+    sides = []
+
+    class Recording(oracle._Plan):
+        def __init__(self, s):
+            sides.append(s)
+            super().__init__(s)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_Plan", Recording)
+        oracle._build_catalog()
+    return sides
+
+
+def test_compiled_evaluator_matches_reference(monkeypatch, builtins_all):
+    sides = _catalog_sides(monkeypatch)
+    assert len(sides) > 2 * 37
+    exprs = (sides + [d.parsed for d in builtins_all.values()]
+             + [gen.random_expr(seed) for seed in range(200)])
+    for key in [(0, 0), (0, 12), (3, 17)]:
+        a = Assignment(key)
+        for e in exprs:
+            try:
+                want = reference_components(e, a)
+            except WeylcheckError:
+                with pytest.raises(WeylcheckError):
+                    evaluate_components(e, a)
+                continue
+            got = evaluate_components(e, a)
+            assert got[1:] == want[1:], e
+            assert relative_deviation(got[0], want[0]) < 1e-13, (key, e)
+
+
+def _trial_devs(seed, trials, block_size, checks):
+    """(trial, check) deviations, evaluated `block_size` trials at a
+    time."""
+    rows = []
+    for start in range(0, trials, block_size):
+        block = oracle._Block(
+            Assignment((seed, t))
+            for t in range(start, min(start + block_size, trials)))
+        rows.append(np.column_stack([c.fn(block) for c in checks]))
+    return np.concatenate(rows)
+
+
+@pytest.fixture(scope="module")
+def block_devs():
+    return _trial_devs(0, 100, oracle._BLOCK, catalog())
+
+
+def test_block_deviations_match_single_trials(block_devs):
+    checks = catalog()
+    single = _trial_devs(0, 100, 1, checks)
+    diff = np.abs(block_devs - single)
+    trial, j = np.unravel_index(np.argmax(diff), diff.shape)
+    assert diff[trial, j] < 1e-13, (checks[j].name, trial)
+
+
+def _failing_check(name, trials):
+    def fn(block):
+        return np.array([2e-9 if a.key[1] in trials else 0.0
+                         for a in block.assignments])
+
+    return oracle.OracleCheck(name, fn)
+
+
+def test_failures_reported_across_block_boundaries(monkeypatch, capsys,
+                                                   block_devs):
+    # trials 3, 26 and 60 lie in three blocks; a second check, first in
+    # the catalog, fails at trial 4 so that the order within a block
+    # (trial, then catalog) shows in the residual
+    failing = (3, 26, 60)
+    assert len({t // oracle._BLOCK for t in failing}) == 3
+    checks = ([_failing_check("oracle/fails-at-trial-4", (4,))]
+              + catalog()
+              + [_failing_check("oracle/fails-at-some-trials", failing)])
+    devs = np.column_stack([
+        [2e-9 if t == 4 else 0.0 for t in range(100)], block_devs,
+        [2e-9 if t in failing else 0.0 for t in range(100)]])
+
+    # the report a trial-by-trial loop gives
+    worst = {c.name: 0.0 for c in checks}
+    failures = []
+    for trial in range(100):
+        for c, dev in zip(checks, devs[trial]):
+            worst[c.name] = max(worst[c.name], dev)
+            if dev > c.tolerance:
+                failures.append(
+                    f"{c.name}: deviation {dev:.3e} at trial {trial}")
+    assert [f.rsplit(" ", 1)[1] for f in failures] == ["3", "4", "26", "60"]
+
+    monkeypatch.setattr(oracle, "_CATALOG", checks)
+    r = run_oracle(trials=100, seed=0)
+    assert not r.passed
+    assert r.residual == "; ".join(failures)
+    assert r.oracle.maxdev == max(worst.values())
+    assert [(s.rule, s.after) for s in r.trace] == [
+        (c.name, f"max relative deviation {worst[c.name]:.3e} over 100 "
+                 f"trials (tolerance {c.tolerance:.0e})") for c in checks]
+
+    monkeypatch.delenv("WEYLCHECK_SEED", raising=False)
+    assert cli.main(["oracle", "--trials=100"]) == 1
+    assert "oracle/fails-at-some-trials" in capsys.readouterr().out
