@@ -96,22 +96,3 @@ def builtin(name: str) -> LagrangianDef:
         _CACHE[name] = make_def(name, _BUILDERS[name]())
     return _CACHE[name]
 
-
-def scalar() -> LagrangianDef:
-    return builtin("scalar")
-
-
-def maxwell() -> LagrangianDef:
-    return builtin("maxwell")
-
-
-def yangmills() -> LagrangianDef:
-    return builtin("yangmills")
-
-
-def dirac() -> LagrangianDef:
-    return builtin("dirac")
-
-
-def scalar_gauged() -> LagrangianDef:
-    return builtin("scalar-gauged")

@@ -16,16 +16,22 @@ nothing.  ``rewrite_terms`` is the one pass that maps the terms of a
 canonical form and canonicalizes the result; the engines supply only
 the per-term rewrite.
 
-Slot symmetries are stated once, in ``_PAIR_SIGN``: the two slots of
-``g``, ``ginv``, ``eta`` and ``etainv`` are a symmetric pair (sign +1)
-and the two slots of ``sigma`` an antisymmetric pair (sign -1, so equal
-labels make it vanish); besides, the indices of nested derivatives
-commute.  Everything else follows from that rule: the one slot order of
-a node (``_rename_in_factor`` sorts each pair and the derivative indices
-by ``Index.key``), the slot orders the canonical search tries
-(``_orientations``) and the slots it cannot tell apart
-(``_slot_classes``).  A canonical form therefore cannot depend on the
-names of the dummies it started from.
+Slot symmetries are stated once, in the slot-symmetry rule
+(``_slot_groups``).  For any node it lists the groups of slot positions
+that may be permuted, and the sign an odd permutation of a group gives:
+
+- the two slots of ``g``, ``ginv``, ``eta`` and ``etainv`` (+1) and of
+  ``sigma`` (-1, so equal labels make it vanish);
+- the indices of nested derivatives (+1);
+- in ``d[...](D[n])`` the derivative indices together with ``D``'s own
+  index (+1): ``D`` is the gradient of ln Lam, so its derivatives are
+  symmetric.
+
+Everything else reads that rule: the one slot order of a node
+(``_rename_in_factor`` sorts each group by ``Index.key``), the slot
+orders the canonical search tries (``_orientations``) and the slots it
+cannot tell apart (``_slot_classes``).  A canonical form therefore
+cannot depend on the names of the dummies it started from.
 """
 
 from __future__ import annotations
@@ -61,10 +67,6 @@ class Index:
 
     def key(self) -> tuple:
         return (int(self.alphabet), int(self.variance), self.label)
-
-    def flipped(self) -> "Index":
-        v = Variance.DOWN if self.variance == Variance.UP else Variance.UP
-        return Index(self.label, self.alphabet, v)
 
 
 def st_up(label: str) -> Index:
@@ -328,10 +330,16 @@ class CliffordAtom(Expr):
                     f"{self.ckind.value} carries frame indices only")
 
 
-# the sign a swap of its two slots gives each pair node; no other slots
-# of an atom may be exchanged
-_PAIR_SIGN = {Kind.METRIC: 1, Kind.INV_METRIC: 1, Kind.MINKOWSKI: 1,
-              Kind.MINKOWSKI_UP: 1, CliffordKind.SIGMA: -1}
+# Entries of the slot-symmetry rule (``_slot_groups``): per atom kind,
+# the groups of its slots that may be permuted, with the sign an odd
+# permutation gives; and the kinds whose own index joins the derivative
+# indices over them, because they are gradients.
+_ATOM_SLOT_GROUPS = {Kind.METRIC: (((0, 1), 1),),
+                     Kind.INV_METRIC: (((0, 1), 1),),
+                     Kind.MINKOWSKI: (((0, 1), 1),),
+                     Kind.MINKOWSKI_UP: (((0, 1), 1),),
+                     CliffordKind.SIGMA: (((0, 1), -1),)}
+_GRADIENT_KINDS = {Kind.LOG_DERIV}
 
 _CLIFFORD_RANK = {CliffordKind.IDENTITY: 0, CliffordKind.GAMMA: 1,
                   CliffordKind.SIGMA: 2}
@@ -572,48 +580,84 @@ def _label_census(factors: Iterable[Expr],
     return out
 
 
-def _pair_sign(node: Expr) -> int:
-    if isinstance(node, FieldAtom):
-        return _PAIR_SIGN.get(node.kind, 0)
-    if isinstance(node, CliffordAtom):
-        return _PAIR_SIGN.get(node.ckind, 0)
-    return 0
+_GROUPS: dict[tuple, tuple] = {}
+
+
+def _slot_groups(f: Expr) -> tuple[tuple[tuple[int, ...], int, str], ...]:
+    """The slot-symmetry rule for one node: its slot positions (in
+    ``_slots_of_factor`` order) partitioned into groups of
+    interchangeable slots, each as (positions, sign of an odd
+    permutation, class).  The class names the group for adjacency
+    refinement: "s" for a group of an atom's slots, the position for a
+    slot of its own, "d" for the derivative indices and "a" + the atom's
+    class under a derivative.  Built once per (kind, derivative count)."""
+    idxs, atom = _deriv_split(f)
+    kind = atom.kind if isinstance(atom, FieldAtom) else \
+        atom.ckind if isinstance(atom, CliffordAtom) else None
+    key = (kind, len(idxs))
+    groups = _GROUPS.get(key)
+    if groups is not None:
+        return groups
+    n, n_atom = len(idxs), len(_slots_of_factor(atom))
+    listed = _ATOM_SLOT_GROUPS.get(kind, ())
+    grouped = {p for pos, _ in listed for p in pos}
+    groups = tuple(sorted(
+        [(pos, sign, "s") for pos, sign in listed]
+        + [((p,), 1, str(p)) for p in range(n_atom) if p not in grouped]))
+    if n and kind in _GRADIENT_KINDS:
+        groups = ((tuple(range(n + n_atom)), 1, "d"),)
+    elif n:
+        groups = ((tuple(range(n)), 1, "d"),) + tuple(
+            (tuple(p + n for p in pos), sign, "a" + cls)
+            for pos, sign, cls in groups)
+    _GROUPS[key] = groups
+    return groups
+
+
+def _odd(order) -> bool:
+    """Whether a sequence of distinct numbers is an odd permutation of
+    its sorted order."""
+    return sum(a > b for a, b in itertools.combinations(order, 2)) % 2 == 1
+
+
+def _with_slots(f: Expr, slots: list[Index]) -> Expr:
+    """The node ``f`` with its slots, in ``_slots_of_factor`` order,
+    replaced by ``slots``."""
+    idxs, atom = _deriv_split(f)
+    n = len(idxs)
+    if isinstance(atom, FieldAtom):
+        atom = FieldAtom(atom.kind, tuple(slots[n:]), atom.exponent)
+    else:
+        atom = CliffordAtom(atom.ckind, tuple(slots[n:]))
+    return _deriv_join(slots[:n], atom)
 
 
 def _rename_in_factor(f: Expr, ren: dict[str, str]):
-    """Relabel one node by ``ren`` and put it in its one slot order: a
-    pair and the derivative indices sorted by ``Index.key``.  Returns
-    (node, sign), the sign a swapped antisymmetric pair gives, or
-    (None, 0) when the node vanishes.  With ``ren`` empty it only
-    normalizes."""
-    if isinstance(f, Coupling):
+    """Relabel one node by ``ren`` and put it in its one slot order: each
+    group of ``_slot_groups`` sorted by ``Index.key``.  Returns (node,
+    sign), the sign the sorting permutations give, or (None, 0) when the
+    node vanishes: a label repeated in an antisymmetric group (equal
+    variance: antisymmetry; mixed: the trace of an antisymmetric object).
+    With ``ren`` empty it only normalizes."""
+    slots = [ix if ix.label not in ren else
+             Index(ren[ix.label], ix.alphabet, ix.variance)
+             for ix in _slots_of_factor(f)]
+    if not slots:
         return f, 1
-    if isinstance(f, Partial):
-        idxs, atom = _deriv_split(f)
-        inner, sign = _rename_in_factor(atom, ren)
-        if inner is None:
-            return None, 0
-        idxs = sorted((Index(ren.get(ix.label, ix.label), ix.alphabet,
-                             ix.variance) for ix in idxs), key=Index.key)
-        return _deriv_join(idxs, inner), sign
-    idxs = tuple(Index(ren.get(ix.label, ix.label), ix.alphabet,
-                       ix.variance) for ix in f.indices)
-    pair, sign = _pair_sign(f), 1
-    if pair:
-        i, j = idxs
-        if pair < 0 and i.label == j.label:
-            # equal labels: antisymmetry (same variance) or the eta trace
-            # of an antisymmetric object (mixed variance) both vanish
-            return None, 0
-        if j.key() < i.key():
-            idxs, sign = (j, i), pair
-    return _with_indices(f, idxs), sign
-
-
-def _with_indices(atom: Expr, idxs: tuple[Index, ...]) -> Expr:
-    if isinstance(atom, FieldAtom):
-        return FieldAtom(atom.kind, idxs, atom.exponent)
-    return CliffordAtom(atom.ckind, idxs)
+    sign = 1
+    for pos, group_sign, _ in _slot_groups(f):
+        if len(pos) < 2:
+            continue
+        members = [slots[p] for p in pos]
+        order = sorted(range(len(pos)), key=lambda k: members[k].key())
+        if group_sign < 0:
+            if len({ix.label for ix in members}) < len(members):
+                return None, 0
+            if _odd(order):
+                sign = -sign
+        for p, k in zip(pos, order):
+            slots[p] = members[k]
+    return _with_slots(f, slots), sign
 
 
 def _rename_term(factors: list, chain_items: Optional[list],
@@ -679,16 +723,6 @@ def _merge_chain(a: Optional[list], b: Optional[list]) -> Optional[list]:
     return a + b
 
 
-def _is_spinor_item(f: Expr) -> bool:
-    if isinstance(f, CliffordAtom):
-        return True
-    if isinstance(f, FieldAtom):
-        return f.kind in (Kind.FERMION, Kind.FERMION_BAR)
-    if isinstance(f, Partial):
-        return _is_spinor_item(f.operand)
-    return False
-
-
 def _flatten_partial(ix: Index, operand: Expr):
     """Leibniz expansion; the derivative lands on single atoms, and a
     constant term has none."""
@@ -748,9 +782,7 @@ def _collect_scalars(factors: list) -> tuple[list, Optional[Fraction],
 
 def _validate_chain(items: list) -> None:
     for pos, it in enumerate(items):
-        base = it
-        while isinstance(base, Partial):
-            base = base.operand
+        base = _deriv_split(it)[1]
         if isinstance(base, FieldAtom):
             if base.kind == Kind.FERMION_BAR and pos != 0:
                 raise MalformedChain("conjugate spinor must open its block")
@@ -767,12 +799,8 @@ def _validate_chain(items: list) -> None:
 
 
 def _endpoint_kind(it: Expr) -> Optional[Kind]:
-    base = it
-    while isinstance(base, Partial):
-        base = base.operand
-    if isinstance(base, FieldAtom):
-        return base.kind
-    return None
+    base = _deriv_split(it)[1]
+    return base.kind if isinstance(base, FieldAtom) else None
 
 
 def _strip_identities(items: list) -> list:
@@ -792,12 +820,10 @@ def _slot_classes(f: Expr) -> list[str]:
     """Equivalence class per slot: slots that one of ``_orientations``
     may exchange share a class, so adjacency refinement cannot depend on
     which orientation the input happened to use."""
-    if isinstance(f, Partial):
-        idxs, atom = _deriv_split(f)
-        return ["d"] * len(idxs) + ["a" + c for c in _slot_classes(atom)]
-    if _pair_sign(f):
-        return ["s", "s"]
-    return [str(i) for i in range(len(_slots_of_factor(f)))]
+    classes = {}
+    for pos, _, cls in _slot_groups(f):
+        classes.update(dict.fromkeys(pos, cls))
+    return [classes[p] for p in range(len(classes))]
 
 
 def _refined_groups(factors: list, chain_items: Optional[list],
@@ -859,31 +885,25 @@ def _refined_groups(factors: list, chain_items: Optional[list],
 
 def _orientations(node: Expr, dummies: set[str]) -> list[tuple[Expr, int]]:
     """Slot orders of one node that denote the same object, each with the
-    sign it carries: both orders of a pair, every order of nested
-    derivative indices.  Only orders that move a dummy can name the
-    dummies differently, so a node without one keeps its own order."""
-    if isinstance(node, Partial):
-        idxs, atom = _deriv_split(node)
-        perms = itertools.permutations(idxs) if len(idxs) > 1 and any(
-            ix.label in dummies for ix in idxs) else [idxs]
-        inner = _orientations(atom, dummies)
-        return [(_deriv_join(p, a), s) for p in perms for a, s in inner]
-    pair = _pair_sign(node)
-    if pair and any(ix.label in dummies for ix in node.indices):
-        i, j = node.indices
-        return [(node, 1), (_with_indices(node, (j, i)), pair)]
-    return [(node, 1)]
-
-
-def _flip_candidates(f: Expr, dummies: set[str]) -> list[Expr]:
-    """``_orientations`` of a factor without their signs, which are all
-    +1: antisymmetric pairs occur only in chains."""
-    return [v for v, _ in _orientations(f, dummies)]
-
-
-def _chain_flip_candidates(items: list, dummies: set[str]):
-    """``_orientations`` of each chain item."""
-    return [_orientations(it, dummies) for it in items]
+    sign it carries: every order of each group of ``_slot_groups``.
+    Only orders that move a dummy can name the dummies differently, so a
+    group without one keeps its own order."""
+    slots = _slots_of_factor(node)
+    moves = [(pos, sign) for pos, sign, _ in _slot_groups(node)
+             if len(pos) > 1 and any(slots[p].label in dummies for p in pos)]
+    if not moves:
+        return [(node, 1)]
+    out = []
+    for perms in itertools.product(
+            *(itertools.permutations(pos) for pos, _ in moves)):
+        new, sign = list(slots), 1
+        for (pos, group_sign), perm in zip(moves, perms):
+            for p, q in zip(pos, perm):
+                new[p] = slots[q]
+            if group_sign < 0 and _odd(perm):
+                sign = -sign
+        out.append((_with_slots(node, new), sign))
+    return out
 
 
 # Partial candidates a search may extend before the term is refused.  The
@@ -913,8 +933,8 @@ def _least_candidate(factors: list, chain_items: Optional[list],
     """Least key over the candidates of one prepared term.
 
     A candidate orders each tie group of ``_refined_groups`` (groups in
-    color order), picks one of ``_flip_candidates`` per factor and one of
-    ``_chain_flip_candidates`` per chain item.  Walking its slots in that
+    color order) and picks one of ``_orientations`` per factor and per
+    chain item.  Walking its slots in that
     order names the dummies per alphabet by first occurrence; its key is
     the sorted renamed factor keys, then the chain key.  Returns (sign,
     factors, chain) for the least key, or None when two least candidates

@@ -74,6 +74,20 @@ _COND_CAP = 1e3
 _UPPER = np.triu_indices(4)
 
 
+def _zeros(*shape) -> np.ndarray:
+    z = np.zeros(shape)
+    z.setflags(write=False)
+    return z
+
+
+# read-only zero jets shared by every Assignment: the derivatives of eta,
+# etainv and structf, and the second derivative of D (the gradient of a
+# quadratic)
+_ZERO3 = _zeros(4, 4, 4)
+_ZERO4 = _zeros(4, 4, 4, 4)
+_ZERO5 = _zeros(4, 4, 4, 4, 4)
+
+
 def _poly_jets(rng, x, shape=(), complex_=False):
     """Draw degree <= 2 polynomials of the given array shape and return
     their value, gradient and Hessian at x, derivative axes first.
@@ -122,9 +136,8 @@ class Assignment:
     leaves every trial's draws unchanged.
     """
 
-    def __init__(self, key, tetrad_scale: float = 1.0):
+    def __init__(self, key):
         self.key = tuple(int(k) for k in key)
-        self.tetrad_scale = float(tetrad_scale)
         rng = np.random.default_rng(self.key)
 
         x = rng.uniform(-1.0, 1.0, 4)
@@ -164,8 +177,7 @@ class Assignment:
             sign = 1.0 if rng.uniform() < 0.5 else -1.0
             self.couplings[name] = sign * mag
 
-        s = self.tetrad_scale
-        E0, dE, ddE = (s * j for j in eps)
+        E0, dE, ddE = eps
 
         G0 = np.einsum("ab,am,bn->mn", _ETA, E0, E0)
         dG = (np.einsum("ab,ram,bn->rmn", _ETA, dE, E0)
@@ -185,12 +197,11 @@ class Assignment:
 
         self.ell0 = float(ell0)
 
-        zero2 = (np.zeros((4, 4, 4)), np.zeros((4, 4, 4, 4)))
         self._jets = {
             Kind.METRIC: (G0, dG, ddG),
             Kind.INV_METRIC: (Ginv, dGinv, ddGinv),
-            Kind.MINKOWSKI: (_ETA, *zero2),
-            Kind.MINKOWSKI_UP: (_ETA, *zero2),
+            Kind.MINKOWSKI: (_ETA, _ZERO3, _ZERO4),
+            Kind.MINKOWSKI_UP: (_ETA, _ZERO3, _ZERO4),
             Kind.TETRAD: (E0, dE, ddE),
             Kind.INV_TETRAD: (Einv, dEinv, ddEinv),
             Kind.DET_FACTOR: (np.array(detg0), ddetg, None),
@@ -198,15 +209,12 @@ class Assignment:
             Kind.EM_VECTOR: A,
             Kind.YM_VECTOR: W,
             Kind.WEYL_VECTOR: S,
-            Kind.LOG_DERIV: (D0, dD, np.zeros((4, 4, 4))),
-            Kind.STRUCTURE_CONST: (self.structf,
-                                   np.zeros((4, 4, 4, 4)),
-                                   np.zeros((4, 4, 4, 4, 4))),
+            Kind.LOG_DERIV: (D0, dD, _ZERO3),
+            Kind.STRUCTURE_CONST: (self.structf, _ZERO4, _ZERO5),
             Kind.FERMION: psi,
             Kind.FERMION_BAR: psibar,
         }
-        self.E0, self.G0, self.Ginv0, self.detg0 = E0, G0, Ginv, detg0
-        self.dG = dG
+        self.E0, self.G0, self.detg0 = E0, G0, detg0
 
     def lam(self, k: Fraction) -> float:
         return math.exp(float(k) * self.ell0)
@@ -598,12 +606,12 @@ def _build_catalog() -> list:
 
     # the ungauged scalar is the negative control: its local residual is
     # nonzero, and full simplification must preserve its value
-    sc = densities.scalar().parsed
+    sc = densities.builtin("scalar").parsed
     raw = lam4 * scale.apply_local_scale(sc) - sc
     checks.append(_pair("scale/local-scalar-residual", raw,
                         full_simplify(raw)))
 
-    sg = densities.scalar_gauged().parsed
+    sg = densities.builtin("scalar-gauged").parsed
     checks.append(_pair(
         "scale/composition-local",
         scale.apply_local_scale(scale.apply_local_scale(sg)),
@@ -650,7 +658,7 @@ def _build_catalog() -> list:
     shift_pair("fermion", psi_kin, psi_shift)
 
     # decoupling as numeric statements
-    dr = densities.dirac().parsed
+    dr = densities.builtin("dirac").parsed
     checks.append(_pair("gauge/decoupling-dirac-value",
                         gauge.gauge_covariantize(dr), dr))
     checks.append(_pair("gauge/scalar-gauged-value",

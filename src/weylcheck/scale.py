@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from . import dsl
 from . import exprs as ex
@@ -44,10 +44,8 @@ class SpecialWeight(Enum):
 MIXED = SpecialWeight.MIXED
 INHOMOGENEOUS = SpecialWeight.INHOMOGENEOUS
 
-WeightTable = dict  # Kind -> WeylWeight
 
-
-def default_weight_table() -> WeightTable:
+def default_weight_table() -> dict[Kind, WeylWeight]:
     w = lambda n, d=1: WeylWeight(Fraction(n, d))
     return {
         Kind.METRIC: w(2),
@@ -70,26 +68,24 @@ def default_weight_table() -> WeightTable:
     }
 
 
-_DEFAULT = default_weight_table()
+_WEIGHTS = default_weight_table()
 
 
-def _atom_weight(f: Expr, table: WeightTable) -> WeylWeight:
+def _atom_weight(f: Expr) -> WeylWeight:
     if isinstance(f, FieldAtom):
-        return table[f.kind]
+        return _WEIGHTS[f.kind]
     if isinstance(f, Partial):
         _, atom = ex._deriv_split(f)
-        return _atom_weight(atom, table)
+        return _atom_weight(atom)
     # couplings and Clifford atoms
     return WeylWeight(Fraction(0))
 
 
-def infer_weight(e: Expr, table: Optional[WeightTable] = None,
-                 strict: bool = False
+def infer_weight(e: Expr, strict: bool = False
                  ) -> Union[WeylWeight, SpecialWeight]:
     """Weight of a canonical expression: per-term sum of atom weights,
     the common value across terms.  Returns MIXED when terms disagree
     and, under strict, INHOMOGENEOUS when any S atom is present."""
-    table = table or _DEFAULT
     s = canonicalize(e)
     if not s.terms:
         return WeylWeight(Fraction(0))
@@ -99,7 +95,7 @@ def infer_weight(e: Expr, table: Optional[WeightTable] = None,
         total = Fraction(0)
         items = list(t.factors) + (list(t.chain.items) if t.chain else [])
         for f in items:
-            w = _atom_weight(f, table)
+            w = _atom_weight(f)
             total += w.value
             homogeneous = homogeneous and w.homogeneous
         values.append(total)
@@ -110,21 +106,19 @@ def infer_weight(e: Expr, table: Optional[WeightTable] = None,
     return WeylWeight(values[0], homogeneous)
 
 
-def _scaled_atom_local(f: FieldAtom, table: WeightTable,
-                       power: Fraction) -> Expr:
+def _scaled_atom_local(f: FieldAtom, power: Fraction) -> Expr:
     if f.kind == Kind.WEYL_VECTOR:
         shift = Product(CRat.of(-power),
                         (Coupling("f", -1), ex.log_deriv(f.indices[0].label)),
                         None)
         return Sum((f, shift))
-    w = table[f.kind].value
-    if w == 0 or f.kind == Kind.LAMBDA_POWER:
+    w = _WEIGHTS[f.kind].value
+    if w == 0:
         return f
     return Product(CRat(1), (ex.lam(power * w), f), None)
 
 
-def _transform_term(t: Product, table: WeightTable, power: Fraction,
-                    local: bool) -> Expr:
+def _transform_term(t: Product, power: Fraction, local: bool) -> Expr:
     pieces: list[Expr] = []
     items = list(t.factors) + (list(t.chain.items) if t.chain else [])
     for f in items:
@@ -135,42 +129,35 @@ def _transform_term(t: Product, table: WeightTable, power: Fraction,
             raise TypeError(f"unexpected factor {f!r}")
         idxs, atom = ex._deriv_split(f)
         if local:
-            inner = _scaled_atom_local(atom, table, power)
+            inner = _scaled_atom_local(atom, power)
             pieces.append(ex._deriv_join(idxs, inner))
         else:
-            w = table[atom.kind].value
-            if w != 0 and atom.kind != Kind.LAMBDA_POWER:
+            w = _WEIGHTS[atom.kind].value
+            if w != 0:
                 pieces.append(ex.lam(power * w))
             pieces.append(f)
     return Product(t.coeff, tuple(pieces), None)
 
 
-def _apply_scale(e: Expr, table: Optional[WeightTable], power,
-                 local: bool) -> Sum:
-    table = table or _DEFAULT
+def _apply_scale(e: Expr, power, local: bool) -> Sum:
     power = Fraction(power)
-    return ex.rewrite_terms(
-        e, lambda t: _transform_term(t, table, power, local))
+    return ex.rewrite_terms(e, lambda t: _transform_term(t, power, local))
 
 
-def apply_global_scale(e: Expr, table: Optional[WeightTable] = None,
-                       power=1) -> Sum:
+def apply_global_scale(e: Expr, power=1) -> Sum:
     """Multiply every weighted atom by Lam^(power * weight); constant
     Lam, so derivatives pass through and S is untouched."""
-    return _apply_scale(e, table, power, local=False)
+    return _apply_scale(e, power, local=False)
 
 
-def apply_local_scale(e: Expr, table: Optional[WeightTable] = None,
-                      power=1) -> Sum:
+def apply_local_scale(e: Expr, power=1) -> Sum:
     """Spacetime-dependent rescaling: weighted atoms pick up Lam^(pw)
     inside derivatives (the chain rule emits D terms) and S shifts by
     -(power/f) D."""
-    return _apply_scale(e, table, power, local=True)
+    return _apply_scale(e, power, local=True)
 
 
-def check_invariance(L, mode: Mode,
-                     table: Optional[WeightTable] = None
-                     ) -> VerificationReport:
+def check_invariance(L, mode: Mode) -> VerificationReport:
     """Residual of Lam^4 * transform(L) - L, fully simplified.  Passes
     iff the residual is exactly zero."""
     if isinstance(L, dsl.LagrangianDef):
@@ -178,9 +165,9 @@ def check_invariance(L, mode: Mode,
     else:
         name, expr = "expr", canonicalize(L)
     if mode == Mode.GLOBAL:
-        transformed = apply_global_scale(expr, table)
+        transformed = apply_global_scale(expr)
     elif mode == Mode.LOCAL:
-        transformed = apply_local_scale(expr, table)
+        transformed = apply_local_scale(expr)
     else:
         raise ValueError(f"check_invariance expects Global or Local, "
                          f"got {mode}")

@@ -1,9 +1,9 @@
 """Exhaustive reference for the canonical term search.
 
 This is the enumeration ``exprs`` used before its search merged partial
-candidates: every ordering of every tie group, times every slot flip of
-every factor, times every sigma orientation of the chain, each renamed
-and keyed in full.  It is exponential in the tie-group sizes, so tests
+candidates: every ordering of every tie group, times every orientation
+(``exprs._orientations``) of every factor and of every chain item, each
+renamed and keyed in full.  It is exponential in the tie-group sizes, so tests
 run it only on terms with at most ``PERM_CAP`` candidates (the quartic
 Yang-Mills term has 4096) and compare the result with
 ``exprs._canonical_term_uncached``.
@@ -24,6 +24,17 @@ class TooManyCandidates(Exception):
     pass
 
 
+def flip_candidates(f, dummies: set[str]) -> list:
+    """``_orientations`` of a factor without their signs, which are all
+    +1: antisymmetric groups occur only in chains."""
+    return [v for v, _ in ex._orientations(f, dummies)]
+
+
+def chain_flip_candidates(items: list, dummies: set[str]) -> list:
+    """``_orientations`` of each chain item."""
+    return [ex._orientations(it, dummies) for it in items]
+
+
 def candidate_count(factors: list, chain_items: Optional[list],
                     dummies: set[str]) -> int:
     """Size of the exhaustive candidate space of a prepared term."""
@@ -32,9 +43,9 @@ def candidate_count(factors: list, chain_items: Optional[list],
         for k in range(2, len(g) + 1):
             n *= k
         for f in g:
-            n *= len(ex._flip_candidates(f, dummies))
+            n *= len(flip_candidates(f, dummies))
     if chain_items is not None:
-        for opts in ex._chain_flip_candidates(chain_items, dummies):
+        for opts in chain_flip_candidates(chain_items, dummies):
             n *= len(opts)
     return n
 
@@ -64,14 +75,14 @@ def least_candidate(factors: list, chain_items: Optional[list],
         raise TooManyCandidates
     groups = ex._refined_groups(factors, chain_items, dummies)
     group_orderings = [list(itertools.permutations(g)) for g in groups]
-    chain_opts = ex._chain_flip_candidates(chain_items, dummies) \
+    chain_opts = chain_flip_candidates(chain_items, dummies) \
         if chain_items is not None else []
 
     best = None  # (key, sign, factors, chain)
     zero = False
     for ordering in itertools.product(*group_orderings):
         base_seq = [f for grp in ordering for f in grp]
-        flip_opts = [ex._flip_candidates(f, dummies) for f in base_seq]
+        flip_opts = [flip_candidates(f, dummies) for f in base_seq]
         for flipped in itertools.product(*flip_opts):
             chain_variants = itertools.product(*chain_opts) \
                 if chain_opts else [()]

@@ -45,6 +45,15 @@ def test_closed_stdout_exits_quietly():
     assert p.returncode == 0, p.stderr
 
 
+def test_weyl_meson_example_is_locally_invariant():
+    """The Weyl meson's own kinetic term passes in both modes."""
+    example = str(ROOT / "examples" / "weyl-meson.wl")
+    for mode in ("local", "global"):
+        p = run_cli("verify", example, f"--mode={mode}")
+        assert p.returncode == 0, (mode, p.stdout, p.stderr)
+        assert "pass: yes" in p.stdout
+
+
 def test_verify_global_passes():
     p = run_cli("verify", "builtin:scalar", "--mode=global")
     assert p.returncode == 0

@@ -140,6 +140,47 @@ def test_search_matches_exhaustive_reference():
     assert outcomes == {"vanishes", "negated", "kept"}
 
 
+def test_gradient_terms_match_exhaustive_reference():
+    """Terms holding derivatives of D, whose indices the search may
+    permute together with D's own, get the reference's canonical form,
+    and each canonical skeleton is its own representative."""
+    D, ginv = ex.log_deriv, ex.inv_metric
+    raw = []
+    for e in (ginv("m", "n") * ex.d("m", D("n")),
+              ginv("a", "b") * ginv("c", "e") * ex.d("a", D("c"))
+              * ex.d("b", D("e")),
+              ginv("a", "b") * ginv("c", "e") * ex.d("a", D("c"))
+              * ex.d("e", D("b")) * ex.weyl_vector("x"),
+              ginv("a", "b") * ginv("c", "e") * ex.d("a", ex.d("b", D("c")))
+              * ex.weyl_vector("e")):
+        raw.extend(ex._flatten(e))
+
+    def to_gradient(f):
+        idxs, atom = ex._deriv_split(f)
+        if idxs and atom.kind == ex.Kind.WEYL_VECTOR:
+            return ex._deriv_join(idxs, D(atom.indices[0].label))
+        return f
+
+    # generated terms with every derivative of S made one of D
+    for seed in range(2000):
+        for coeff, factors, chain in ex._flatten(
+                gen.random_term(random.Random(seed))):
+            grad = [to_gradient(f) for f in factors]
+            if grad != factors:
+                raw.append((coeff, grad, chain))
+    compared = 0
+    for coeff, factors, chain in raw:
+        want = ref.canonical_term(coeff, factors, chain)
+        assert ex._canonical_term_uncached(coeff, factors, chain) == want, \
+            factors
+        if want is not None:
+            (c, fs, ch), = ex._flatten(want[1])
+            assert ex._canonical_term_uncached(c, fs, ch) == (CRat(1),
+                                                              want[1])
+        compared += 1
+    assert compared > 80
+
+
 def test_symmetric_terms_canonicalize():
     """Runs of identical factors are one ordering, not n! of them."""
     phi = ex.scalar_field()
@@ -339,6 +380,37 @@ def test_derivative_indices_commute():
     psi = ex.fermion()
     assert ex.is_zero(in_chain(ex.d("a", ex.d("b", psi)))
                       - in_chain(ex.d("b", ex.d("a", psi))))
+
+
+def test_log_derivative_is_a_gradient():
+    """D is the gradient of ln Lam, so its derivative is symmetric."""
+    assert ex.canonicalize(ex.d("m", ex.log_deriv("n"))
+                           - ex.d("n", ex.log_deriv("m"))) == ex.ZERO
+    assert ex.is_zero(ex.d("a", ex.d("b", ex.log_deriv("c")))
+                      - ex.d("c", ex.d("a", ex.log_deriv("b"))))
+
+
+def test_orientations_agree_with_normal_form():
+    """Every slot order ``_orientations`` offers for a node denotes the
+    node times its sign: both normalize to one node, and the signs of
+    the normalizations differ by exactly that sign."""
+    nodes = [ex.d("a", ex.log_deriv("b")),
+             ex.d("a", ex.d("b", ex.metric("c", "e"))),
+             ex.sigma("a", "b")]
+    for seed in range(500):
+        for _, factors, chain in ex._flatten(
+                gen.random_term(random.Random(seed))):
+            nodes.extend(factors + (chain or []))
+    moved = 0
+    for node in nodes:
+        labels = {ix.label for ix in ex._slots_of_factor(node)}
+        want, want_sign = ex._rename_in_factor(node, {})
+        options = ex._orientations(node, labels)
+        moved += len(options) > 1
+        for v, s in options:
+            got, got_sign = ex._rename_in_factor(v, {})
+            assert (got, got_sign) == (want, s * want_sign), (node, v)
+    assert moved > 100
 
 
 def _dummy_labels(factors, chain):
