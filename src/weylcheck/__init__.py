@@ -6,7 +6,6 @@ from .densities import BUILTIN_NAMES, builtin
 from .dsl import LagrangianDef, make_def, parse, render, render_expr
 from .errors import (
     IndexArityMismatch,
-    IndexClash,
     MalformedChain,
     MalformedIndex,
     ParseError,
@@ -47,7 +46,6 @@ __all__ = [
     "ChristoffelExpr",
     "INHOMOGENEOUS",
     "IndexArityMismatch",
-    "IndexClash",
     "LagrangianDef",
     "MIXED",
     "MalformedChain",

@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import densities, dsl, gauge, oracle, scale
-from .errors import ParseError, UncoveredDerivative, WeylcheckError
+from .errors import ParseError, WeylcheckError
 from .report import Mode, OracleSummary, TraceStep, VerificationReport
 from .simplify import full_simplify
 
@@ -179,9 +179,6 @@ def main(argv: Optional[list] = None) -> int:
     except ParseError as e:
         print(f"weylcheck: parse error: {e.args[0]}", file=sys.stderr)
         return 2
-    except UncoveredDerivative as e:
-        print(f"weylcheck: {e.args[0]}", file=sys.stderr)
-        return 1
     except WeylcheckError as e:
         print(f"weylcheck: {e.args[0]}", file=sys.stderr)
         return 1

@@ -47,22 +47,11 @@ _CLIFFORD_BY_NAME = {"gamma": CliffordKind.GAMMA, "sigma": CliffordKind.SIGMA,
 _COUPLING_NAMES = ("lambda", "f", "e", "g")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LagrangianDef:
     name: str
-    source: str
     parsed: Sum
     declared: tuple[Kind, ...]
-
-    def __eq__(self, other) -> bool:
-        # source text is presentation, not identity
-        if not isinstance(other, LagrangianDef):
-            return NotImplemented
-        return (self.name == other.name and self.parsed == other.parsed
-                and self.declared == other.declared)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.parsed, self.declared))
 
     def free_indices(self) -> frozenset[Index]:
         return ex.free_indices(self.parsed)
@@ -431,7 +420,7 @@ class _Parser:
             raise UndeclaredField(f"field {name!r} used but not declared",
                                   name_t.line, name_t.col)
 
-        pattern = ex._SLOT_PATTERN[kind]
+        pattern = ex._KINDS[kind].slots
         if not has_brackets:
             raw = []
         else:
@@ -473,7 +462,7 @@ def parse(src: str) -> LagrangianDef:
         raise ParseError("empty source", 1, 1)
     p = _Parser(src)
     name, density, declared = p.run()
-    return LagrangianDef(name, src, canonicalize(density), declared)
+    return LagrangianDef(name, canonicalize(density), declared)
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +600,7 @@ def used_kinds(e: Expr) -> tuple[Kind, ...]:
 
 
 def make_def(name: str, e: Expr) -> LagrangianDef:
-    """Wrap a programmatically built density, deriving declarations and
-    source text from the expression itself."""
+    """Wrap a programmatically built density, deriving its declarations
+    from the expression itself."""
     parsed = canonicalize(e)
-    L = LagrangianDef(name, "", parsed, used_kinds(parsed))
-    return LagrangianDef(name, render(L), parsed, L.declared)
+    return LagrangianDef(name, parsed, used_kinds(parsed))

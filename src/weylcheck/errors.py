@@ -11,10 +11,6 @@ class MalformedIndex(WeylcheckError):
     """Index structure violates arity, variance or pairing rules."""
 
 
-class IndexClash(WeylcheckError):
-    """A rewrite rule changes the free indices of the atom it replaces."""
-
-
 class MalformedChain(WeylcheckError):
     """Spinor content is not a single closed bilinear or bare matrix chain."""
 

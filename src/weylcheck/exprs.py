@@ -9,6 +9,10 @@ fixed class order, like terms collected, and dummy indices renamed to a
 canonical sequence.  Structural equality of canonical forms is the
 engine's notion of equality.
 
+What the engine knows about a field kind (its sort class, slots, Weyl
+weight, derivative rule and spin) is one row of the kind table
+(``_KINDS``), which every module reads.
+
 Every engine function accepts any ``Expr`` and returns a canonical
 ``Sum``.  ``canonicalize`` marks the Sums it returns and hands a marked
 Sum back unchanged, so canonicalizing an engine's output again costs
@@ -40,9 +44,9 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .errors import IndexClash, MalformedChain, MalformedIndex
+from .errors import MalformedChain, MalformedIndex
 
 # Spacetime dimension.  A single module constant so tests can probe how
 # derived coefficients depend on it (trace rules read it at call time).
@@ -179,56 +183,61 @@ class Kind(Enum):
     FERMION_BAR = "Psibar"
 
 
-# class order: couplings < Lambda powers < det factor < metric-like <
-# tetrad-like < bosonic fields < derivative subtrees < spinor chains
-_CLASS_OF_KIND = {
-    Kind.LAMBDA_POWER: 1,
-    Kind.DET_FACTOR: 2,
-    Kind.METRIC: 3,
-    Kind.INV_METRIC: 3,
-    Kind.MINKOWSKI: 3,
-    Kind.MINKOWSKI_UP: 3,
-    Kind.DELTA: 3,
-    Kind.TETRAD: 4,
-    Kind.INV_TETRAD: 4,
-    Kind.SCALAR: 5,
-    Kind.EM_VECTOR: 5,
-    Kind.YM_VECTOR: 5,
-    Kind.WEYL_VECTOR: 5,
-    Kind.LOG_DERIV: 5,
-    Kind.STRUCTURE_CONST: 5,
-    Kind.FERMION: 5,
-    Kind.FERMION_BAR: 5,
+# (alphabet, variance) of a slot; delta's slots take any one alphabet
+_SD = (Alphabet.SPACETIME, Variance.DOWN)
+_SU = (Alphabet.SPACETIME, Variance.UP)
+_FD = (Alphabet.FRAME, Variance.DOWN)
+_FU = (Alphabet.FRAME, Variance.UP)
+_ANY_UP, _ANY_DN = (None, Variance.UP), (None, Variance.DOWN)
+
+
+class _KindRow(NamedTuple):
+    """Everything the engine knows about one field kind.
+
+    ``sort_class`` orders atoms (couplings < Lambda powers < det factor <
+    metric-like < tetrad-like < bosonic fields < derivative subtrees <
+    spinor chains), and within a class atoms follow the declaration
+    order of ``Kind`` (``rank``, filled in below).  ``slots`` is the
+    (alphabet, variance) pattern of the indices.  A field rescales as
+    Lam^weight, except an inhomogeneous one, which shifts instead (S by
+    -(1/f) D).  ``derivative`` says what a derivative does to the kind:
+    it vanishes on a "constant", takes the "chain" rule on Lam, and
+    under covariantization is shifted by the weight ("shift"), passes
+    unchanged ("exempt") or is "refused".  ``spin`` is the pair of open
+    (left, right) spinor axes: a kind with one is a spinor chain item.
+    """
+    sort_class: int
+    slots: tuple
+    weight: int | Fraction
+    derivative: str
+    spin: tuple[bool, bool] = (False, False)
+    homogeneous: bool = True
+    rank: int = 0
+
+
+_KINDS = {
+    Kind.METRIC: _KindRow(3, (_SD, _SD), 2, "shift"),
+    Kind.INV_METRIC: _KindRow(3, (_SU, _SU), -2, "shift"),
+    Kind.MINKOWSKI: _KindRow(3, (_FD, _FD), 0, "constant"),
+    Kind.MINKOWSKI_UP: _KindRow(3, (_FU, _FU), 0, "constant"),
+    Kind.DELTA: _KindRow(3, (_ANY_UP, _ANY_DN), 0, "constant"),
+    Kind.DET_FACTOR: _KindRow(2, (), 4, "refused"),
+    Kind.TETRAD: _KindRow(4, (_FU, _SD), 1, "shift"),
+    Kind.INV_TETRAD: _KindRow(4, (_FD, _SU), -1, "shift"),
+    Kind.SCALAR: _KindRow(5, (), -1, "shift"),
+    Kind.EM_VECTOR: _KindRow(5, (_SD,), 0, "exempt"),
+    Kind.YM_VECTOR: _KindRow(5, (_FU, _SD), 0, "exempt"),
+    Kind.WEYL_VECTOR: _KindRow(5, (_SD,), 0, "refused", homogeneous=False),
+    Kind.LOG_DERIV: _KindRow(5, (_SD,), 0, "refused"),
+    Kind.STRUCTURE_CONST: _KindRow(5, (_FU, _FU, _FU), 0, "constant"),
+    Kind.LAMBDA_POWER: _KindRow(1, (), 0, "chain"),
+    Kind.FERMION: _KindRow(5, (), Fraction(-3, 2), "shift", (True, False)),
+    Kind.FERMION_BAR: _KindRow(5, (), Fraction(-3, 2), "shift",
+                               (False, True)),
 }
-
-_KIND_RANK = {k: i for i, k in enumerate(Kind)}
-
-# constant tensors: partial derivatives of these vanish
-_CONSTANT_KINDS = {Kind.MINKOWSKI, Kind.MINKOWSKI_UP, Kind.DELTA,
-                   Kind.STRUCTURE_CONST}
-
-# (alphabet, variance) slot pattern per kind; None entries are free-form
-_SLOT_PATTERN = {
-    Kind.METRIC: ((Alphabet.SPACETIME, Variance.DOWN),) * 2,
-    Kind.INV_METRIC: ((Alphabet.SPACETIME, Variance.UP),) * 2,
-    Kind.MINKOWSKI: ((Alphabet.FRAME, Variance.DOWN),) * 2,
-    Kind.MINKOWSKI_UP: ((Alphabet.FRAME, Variance.UP),) * 2,
-    Kind.DET_FACTOR: (),
-    Kind.TETRAD: ((Alphabet.FRAME, Variance.UP),
-                  (Alphabet.SPACETIME, Variance.DOWN)),
-    Kind.INV_TETRAD: ((Alphabet.FRAME, Variance.DOWN),
-                      (Alphabet.SPACETIME, Variance.UP)),
-    Kind.SCALAR: (),
-    Kind.EM_VECTOR: ((Alphabet.SPACETIME, Variance.DOWN),),
-    Kind.YM_VECTOR: ((Alphabet.FRAME, Variance.UP),
-                     (Alphabet.SPACETIME, Variance.DOWN)),
-    Kind.WEYL_VECTOR: ((Alphabet.SPACETIME, Variance.DOWN),),
-    Kind.LOG_DERIV: ((Alphabet.SPACETIME, Variance.DOWN),),
-    Kind.STRUCTURE_CONST: ((Alphabet.FRAME, Variance.UP),) * 3,
-    Kind.LAMBDA_POWER: (),
-    Kind.FERMION: (),
-    Kind.FERMION_BAR: (),
-}
+# a kind without a row fails here, at import
+_KINDS = {kind: _KINDS[kind]._replace(rank=rank)
+          for rank, kind in enumerate(Kind)}
 
 
 class Expr:
@@ -280,24 +289,14 @@ class FieldAtom(Expr):
     exponent: Optional[Fraction] = None  # LAMBDA_POWER only
 
     def __post_init__(self):
-        if self.kind == Kind.DELTA:
-            # flexible alphabet, fixed (upper, lower) slot order
-            if len(self.indices) != 2:
-                raise MalformedIndex("delta takes 2 indices")
-            up, dn = self.indices
-            if up.variance != Variance.UP or dn.variance != Variance.DOWN \
-                    or up.alphabet != dn.alphabet:
-                raise MalformedIndex("delta slots must be (upper, lower) "
-                                     "in one alphabet")
-            if self.exponent is not None:
-                raise MalformedIndex("exponent only valid on Lambda powers")
-            return
-        pat = _SLOT_PATTERN[self.kind]
+        pat = _KINDS[self.kind].slots
         if len(pat) != len(self.indices):
             raise MalformedIndex(
                 f"{self.kind.value} takes {len(pat)} indices, "
                 f"got {len(self.indices)}")
         for ix, (alph, var) in zip(self.indices, pat):
+            if alph is None:
+                alph = self.indices[0].alphabet
             if ix.alphabet != alph or ix.variance != var:
                 raise MalformedIndex(
                     f"bad slot {ix.label} on {self.kind.value}")
@@ -500,7 +499,8 @@ def _factor_key(f: Expr) -> tuple:
     if isinstance(f, FieldAtom):
         exp = (0, 0) if f.exponent is None else \
             (f.exponent.numerator, f.exponent.denominator)
-        return (2, _CLASS_OF_KIND[f.kind], _KIND_RANK[f.kind], exp,
+        row = _KINDS[f.kind]
+        return (2, row.sort_class, row.rank, exp,
                 tuple(ix.key() for ix in f.indices))
     if isinstance(f, Partial):
         idxs, atom = _deriv_split(f)
@@ -578,6 +578,14 @@ def _label_census(factors: Iterable[Expr],
         for ix in _slots_of_factor(node):
             out.setdefault(ix.label, []).append(ix)
     return out
+
+
+def _fresh_label(prefix: str, taken) -> str:
+    """The first ``<prefix>k`` not among the labels ``taken``."""
+    k = 0
+    while f"{prefix}{k}" in taken:
+        k += 1
+    return f"{prefix}{k}"
 
 
 _GROUPS: dict[tuple, tuple] = {}
@@ -690,8 +698,8 @@ def _flatten(e: Expr) -> list[tuple[CRat, list, Optional[list]]]:
         parts = e.factors if e.chain is None else e.factors + (e.chain,)
         return [t for t in _distribute(e.coeff, parts)
                 if not t[0].is_zero()]
-    if isinstance(e, (FieldAtom,)):
-        if e.kind in (Kind.FERMION, Kind.FERMION_BAR):
+    if isinstance(e, FieldAtom):
+        if any(_KINDS[e.kind].spin):
             return [(CRat(1), [], [e])]
         return [(CRat(1), [e], None)]
     if isinstance(e, CliffordAtom):
@@ -748,9 +756,10 @@ def _derive_factor(ix: Index, f: Expr):
     if isinstance(f, Coupling):
         return None
     if isinstance(f, FieldAtom):
-        if f.kind in _CONSTANT_KINDS:
+        rule = _KINDS[f.kind].derivative
+        if rule == "constant":
             return None
-        if f.kind == Kind.LAMBDA_POWER:
+        if rule == "chain":
             if f.exponent == 0:
                 return None
             # chain rule: the log derivative atom carries d ln(Lambda)
@@ -781,17 +790,22 @@ def _collect_scalars(factors: list) -> tuple[list, Optional[Fraction],
 
 
 def _validate_chain(items: list) -> None:
+    """A spinor endpoint has one open axis: a conjugate spinor (open on
+    the right) opens the block, a spinor (open on the left) closes it."""
+    ends = []
     for pos, it in enumerate(items):
         base = _deriv_split(it)[1]
         if isinstance(base, FieldAtom):
-            if base.kind == Kind.FERMION_BAR and pos != 0:
+            left, right = spin = _KINDS[base.kind].spin
+            if not left and pos != 0:
                 raise MalformedChain("conjugate spinor must open its block")
-            if base.kind == Kind.FERMION and pos != len(items) - 1:
+            if not right and pos != len(items) - 1:
                 raise MalformedChain("spinor must close its block")
+            ends.append(spin)
         elif not isinstance(base, CliffordAtom):
             raise MalformedChain(f"bad chain item {it!r}")
-    n_bar = sum(1 for it in items if _endpoint_kind(it) == Kind.FERMION_BAR)
-    n_psi = sum(1 for it in items if _endpoint_kind(it) == Kind.FERMION)
+    n_bar = ends.count((False, True))
+    n_psi = ends.count((True, False))
     if n_bar > 1 or n_psi > 1:
         raise MalformedChain("at most one spinor bilinear per term")
     if n_bar != n_psi:
@@ -1222,76 +1236,7 @@ def equal(a: Expr, b: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# substitution
-
-@dataclass(frozen=True, slots=True)
-class AtomRule:
-    """Atom-level rewrite: every atom of ``kind`` is replaced by
-    ``build(atom)``, an expression with the same free indices (or zero)."""
-    kind: Kind
-    build: Callable[[FieldAtom], Expr]
-
-
-def _fresh_label(prefix: str, taken) -> str:
-    """The first ``<prefix>k`` not among the labels ``taken``."""
-    k = 0
-    while f"{prefix}{k}" in taken:
-        k += 1
-    return f"{prefix}{k}"
-
-
-def _freshen_dummies(e: Expr, keep: frozenset[str], taken: set) -> Expr:
-    """Rename replacement-internal dummies to labels not yet ``taken`` by
-    the surrounding term, so splicing cannot clash with it; the new
-    labels join ``taken``."""
-    new_terms = []
-    for t in canonicalize(e).terms:
-        items = t.chain and t.chain.items
-        census = _label_census(t.factors, items)
-        taken.update(census)
-        ren = {}
-        for lab, occ in census.items():
-            if len(occ) == 2 and lab not in keep:
-                ren[lab] = _fresh_label("tmp", taken)
-                taken.add(ren[lab])
-        fs, items, sign = _rename_term(t.factors, items, ren)
-        ch = SpinorChain(tuple(items)) if items is not None else None
-        new_terms.append(Product(t.coeff * CRat(sign), tuple(fs), ch))
-    return Sum(tuple(new_terms))
-
-
-def _rule_applies(rule: AtomRule, atom: FieldAtom, taken: set) -> Expr:
-    rep = canonicalize(rule.build(atom))
-    rep_free = free_indices(rep)
-    want = frozenset(atom.indices)
-    if rep_free != want and not is_zero(rep):
-        raise IndexClash(
-            f"replacement for {atom.kind.value} changes free indices")
-    return _freshen_dummies(rep, frozenset(ix.label for ix in want), taken)
-
-
-def substitute(e: Expr, rule: AtomRule) -> Sum:
-    """Replace every atom matching the rule, including under derivatives,
-    then canonicalize."""
-
-    def map_term(t: Product) -> Expr:
-        taken = set(_label_census(t.factors, t.chain and t.chain.items))
-
-        def map_factor(f: Expr) -> Expr:
-            if isinstance(f, FieldAtom) and f.kind == rule.kind:
-                return _rule_applies(rule, f, taken)
-            if isinstance(f, Partial):
-                return Partial(f.index, map_factor(f.operand))
-            return f
-
-        parts: list[Expr] = [Product(t.coeff, (), None)]
-        parts.extend(map(map_factor, t.factors))
-        if t.chain is not None:
-            parts.append(SpinorChain(tuple(map(map_factor, t.chain.items))))
-        return Product(CRat(1), tuple(parts), None)
-
-    return rewrite_terms(e, map_term)
-
+# term rewriting
 
 def rewrite_terms(e: Expr, fn: Callable[[Product], Optional[Expr]]) -> Sum:
     """The one term-map pass: canonicalize, map each canonical term

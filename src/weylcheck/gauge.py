@@ -21,7 +21,6 @@ from .exprs import (
     Coupling,
     CRat,
     Expr,
-    Kind,
     Partial,
     Product,
     SpinorChain,
@@ -29,36 +28,31 @@ from .exprs import (
     canonicalize,
 )
 from .report import Mode, OracleSummary, TraceStep, VerificationReport
-from .scale import default_weight_table
 from .simplify import full_simplify
 from .tensor import contract_pairs
 
-# A derivative of a field of homogeneous weight w shifts by w f S.  The
-# determinant factor is the one weighted kind without a shift rule: the
-# densities hold it underived, and a derivative of it is refused.
-COVARIANT_SHIFT = {kind: w.value
-                   for kind, w in default_weight_table().items()
-                   if w.homogeneous and w.value
-                   and kind != Kind.DET_FACTOR}
-
-EXEMPT_KINDS = {Kind.EM_VECTOR, Kind.YM_VECTOR}
+# The weight w in d + w f S for each kind whose covariant derivative
+# shifts: a view of the kind table, which covariantization reads.
+COVARIANT_SHIFT = {kind: Fraction(row.weight)
+                   for kind, row in ex._KINDS.items()
+                   if row.derivative == "shift"}
 
 
 def _covariantize_partial(f: Partial) -> Expr:
     idxs, atom = ex._deriv_split(f)
     kind = atom.kind
-    if kind in EXEMPT_KINDS:
+    row = ex._KINDS[kind]
+    if row.derivative == "exempt":
         return f
-    if kind not in COVARIANT_SHIFT:
+    if row.derivative != "shift":
         raise UncoveredDerivative(
             f"no covariantization rule for a derivative of "
             f"{kind.value!r}")
     if len(idxs) > 1:
         raise UncoveredDerivative(
             f"nested derivative of {kind.value!r} has no single-shift rule")
-    c = COVARIANT_SHIFT[kind]
     ix = idxs[0]
-    shift = Product(CRat.of(c),
+    shift = Product(CRat.of(row.weight),
                     (Coupling("f"), ex.weyl_vector(ix.label), atom), None)
     return Sum((f, shift))
 

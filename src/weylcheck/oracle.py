@@ -293,8 +293,7 @@ def _operand(f: Expr, in_chain: bool):
     idxs, atom = ex._deriv_split(f)
     if not isinstance(atom, FieldAtom):
         raise WeylcheckError(f"cannot evaluate {what} {f!r}")
-    spin = {Kind.FERMION: (True, False),
-            Kind.FERMION_BAR: (False, True)}.get(atom.kind, (False, False))
+    spin = ex._KINDS[atom.kind].spin
     if in_chain != any(spin):
         raise WeylcheckError(f"cannot evaluate {what} {f!r}")
     labels = [ix.label for ix in idxs + atom.indices]

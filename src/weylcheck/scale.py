@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from . import dsl
 from . import exprs as ex
@@ -46,39 +46,9 @@ INHOMOGENEOUS = SpecialWeight.INHOMOGENEOUS
 
 
 def default_weight_table() -> dict[Kind, WeylWeight]:
-    w = lambda n, d=1: WeylWeight(Fraction(n, d))
-    return {
-        Kind.METRIC: w(2),
-        Kind.INV_METRIC: w(-2),
-        Kind.DET_FACTOR: w(4),
-        Kind.TETRAD: w(1),
-        Kind.INV_TETRAD: w(-1),
-        Kind.SCALAR: w(-1),
-        Kind.EM_VECTOR: w(0),
-        Kind.YM_VECTOR: w(0),
-        Kind.FERMION: w(-3, 2),
-        Kind.FERMION_BAR: w(-3, 2),
-        Kind.WEYL_VECTOR: WeylWeight(Fraction(0), homogeneous=False),
-        Kind.MINKOWSKI: w(0),
-        Kind.MINKOWSKI_UP: w(0),
-        Kind.DELTA: w(0),
-        Kind.STRUCTURE_CONST: w(0),
-        Kind.LAMBDA_POWER: w(0),
-        Kind.LOG_DERIV: w(0),
-    }
-
-
-_WEIGHTS = default_weight_table()
-
-
-def _atom_weight(f: Expr) -> WeylWeight:
-    if isinstance(f, FieldAtom):
-        return _WEIGHTS[f.kind]
-    if isinstance(f, Partial):
-        _, atom = ex._deriv_split(f)
-        return _atom_weight(atom)
-    # couplings and Clifford atoms
-    return WeylWeight(Fraction(0))
+    """The Weyl weight of every kind, as the kind table states it."""
+    return {kind: WeylWeight(Fraction(row.weight), row.homogeneous)
+            for kind, row in ex._KINDS.items()}
 
 
 def infer_weight(e: Expr, strict: bool = False
@@ -95,9 +65,11 @@ def infer_weight(e: Expr, strict: bool = False
         total = Fraction(0)
         items = list(t.factors) + (list(t.chain.items) if t.chain else [])
         for f in items:
-            w = _atom_weight(f)
-            total += w.value
-            homogeneous = homogeneous and w.homogeneous
+            atom = ex._deriv_split(f)[1]
+            if isinstance(atom, FieldAtom):
+                row = ex._KINDS[atom.kind]
+                total += row.weight
+                homogeneous = homogeneous and row.homogeneous
         values.append(total)
     if strict and not homogeneous:
         return INHOMOGENEOUS
@@ -107,15 +79,15 @@ def infer_weight(e: Expr, strict: bool = False
 
 
 def _scaled_atom_local(f: FieldAtom, power: Fraction) -> Expr:
-    if f.kind == Kind.WEYL_VECTOR:
+    row = ex._KINDS[f.kind]
+    if not row.homogeneous:
         shift = Product(CRat.of(-power),
                         (Coupling("f", -1), ex.log_deriv(f.indices[0].label)),
                         None)
         return Sum((f, shift))
-    w = _WEIGHTS[f.kind].value
-    if w == 0:
+    if row.weight == 0:
         return f
-    return Product(CRat(1), (ex.lam(power * w), f), None)
+    return Product(CRat(1), (ex.lam(power * row.weight), f), None)
 
 
 def _transform_term(t: Product, power: Fraction, local: bool) -> Expr:
@@ -132,7 +104,7 @@ def _transform_term(t: Product, power: Fraction, local: bool) -> Expr:
             inner = _scaled_atom_local(atom, power)
             pieces.append(ex._deriv_join(idxs, inner))
         else:
-            w = _WEIGHTS[atom.kind].value
+            w = ex._KINDS[atom.kind].weight
             if w != 0:
                 pieces.append(ex.lam(power * w))
             pieces.append(f)
@@ -192,7 +164,15 @@ def check_invariance(L, mode: Mode) -> VerificationReport:
     )
 
 
-def drop_log_derivative(e) -> ex.Sum:
-    """Set D_mu to zero: the constant-Lambda limit of a local transform."""
-    rule = ex.AtomRule(ex.Kind.LOG_DERIV, lambda atom: ex.Sum(()))
-    return ex.substitute(e, rule)
+def drop_log_derivative(e) -> Sum:
+    """Set D_mu to zero: the constant-Lambda limit of a local transform.
+    A term holding D, bare or under derivatives, vanishes."""
+
+    def drop(t: Product) -> Optional[Expr]:
+        for f in t.factors:
+            atom = ex._deriv_split(f)[1]
+            if isinstance(atom, FieldAtom) and atom.kind == Kind.LOG_DERIV:
+                return ex.ZERO
+        return None
+
+    return ex.rewrite_terms(e, drop)

@@ -1,9 +1,7 @@
-"""Canonical forms, arithmetic, and substitution in the expression core."""
+"""Canonical forms, arithmetic, and term rewriting in the expression core."""
 
 import random
 import re
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -13,8 +11,9 @@ import reference_canon as ref
 import strategies as gen
 from weylcheck import densities, dsl
 from weylcheck import exprs as ex
-from weylcheck.errors import IndexClash, MalformedIndex
+from weylcheck.errors import IndexArityMismatch, MalformedIndex
 from weylcheck.exprs import CRat, I_UNIT, Product, SpinorChain, Sum
+from weylcheck.oracle import Assignment
 
 
 def test_canonicalize_idempotent_on_builtins(builtins_all):
@@ -314,30 +313,6 @@ def test_set_coupling_other_names_untouched():
     assert got == ex.canonicalize(e)
 
 
-def test_substitute_replaces_under_derivative():
-    rule = ex.AtomRule(ex.Kind.SCALAR,
-                       lambda a: Product(CRat(2), (ex.scalar_field(),), None))
-    e = ex.inv_metric("m", "n") * ex.d("m", ex.scalar_field()) \
-        * ex.d("n", ex.scalar_field())
-    got = ex.substitute(e, rule)
-    assert got == ex.canonicalize(Product(CRat(4), tuple(
-        ex.canonicalize(e).terms[0].factors), None))
-
-
-def test_substitute_to_zero():
-    rule = ex.AtomRule(ex.Kind.WEYL_VECTOR, lambda a: Sum(()))
-    e = ex.weyl_vector("m") * ex.em_vector("n") * ex.inv_metric("m", "n") \
-        + ex.scalar_field() ** 2
-    assert ex.substitute(e, rule) == ex.canonicalize(ex.scalar_field() ** 2)
-
-
-def test_substitute_index_mismatch_raises():
-    rule = ex.AtomRule(ex.Kind.EM_VECTOR, lambda a: ex.scalar_field())
-    e = ex.em_vector("m") * ex.weyl_vector("n") * ex.inv_metric("m", "n")
-    with pytest.raises(IndexClash):
-        ex.substitute(e, rule)
-
-
 def test_derivative_chain_rule():
     phi = ex.scalar_field()
     prod = ex.d("m", phi * phi)
@@ -505,39 +480,21 @@ def test_rewrite_terms_keeps_splices_and_canonicalizes():
     assert ex.canonicalize(got) is got
 
 
-def _run_fresh(code):
-    return subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
-
-
-def test_substitute_fresh_labels_avoid_the_term():
-    """Internal labels for a replacement's dummies never reuse a label
-    of the term they enter; a new process shows it for the first
-    internal label, tmp0."""
-    p = _run_fresh(
-        "from weylcheck import exprs as ex\n"
-        "rule = ex.AtomRule(ex.Kind.EM_VECTOR, lambda a: ex.metric("
-        "a.indices[0].label, 'k') * ex.inv_metric('k', 'j')"
-        " * ex.em_vector('j'))\n"
-        "got = ex.substitute(ex.em_vector('tmp0'), rule)\n"
-        "want = ex.metric('tmp0', 'k') * ex.inv_metric('k', 'j')"
-        " * ex.em_vector('j')\n"
-        "assert ex.equal(got, want), got\n"
-        "print(sorted(ix.label for ix in ex.free_indices(got)))\n")
-    assert p.returncode == 0, p.stderr
-    assert p.stdout.strip() == "['tmp0']"
-
-
-def test_substitute_fresh_labels_avoid_each_other():
-    rule = ex.AtomRule(ex.Kind.EM_VECTOR, lambda a: ex.metric(
-        a.indices[0].label, "k") * ex.inv_metric("k", "j")
-        * ex.em_vector("j"))
-    e = ex.em_vector("tmp0") * ex.em_vector("tmp1") * ex.em_vector("tmp2")
-    twice = ex.substitute(ex.substitute(e, rule), rule)
-    want = 1
-    for lab in ("tmp0", "tmp1", "tmp2"):
-        want = want * ex.metric(lab, "k" + lab) \
-            * ex.inv_metric("k" + lab, "j" + lab) \
-            * ex.metric("j" + lab, "u" + lab) \
-            * ex.inv_metric("u" + lab, "v" + lab) * ex.em_vector("v" + lab)
-    assert twice == ex.canonicalize(want)
+@pytest.mark.parametrize("kind", list(ex.Kind), ids=lambda k: k.value)
+def test_kind_table_agrees_with_its_readers(kind):
+    """The slots and spin a kind's row states match the oracle's field
+    jets (one axis per slot, one more for a spinor, one more per
+    derivative) and the DSL's arity check.  The oracle builds delta and
+    Lam itself, and the DSL does not accept delta."""
+    row = ex._KINDS[kind]
+    if kind not in (ex.Kind.DELTA, ex.Kind.LAMBDA_POWER):
+        a = Assignment((0, 0))
+        axes = len(row.slots) + any(row.spin)
+        assert a.tensor_jet(kind, 0).shape == (4,) * axes
+        assert a.tensor_jet(kind, 1).shape == (4,) * (axes + 1)
+    if kind != ex.Kind.DELTA:
+        labels = ",".join(f"m{k}" for k in range(len(row.slots) + 1))
+        with pytest.raises(IndexArityMismatch):
+            dsl.parse(f"indices spacetime m0 m1 m2 m3 ;\n"
+                      f"fields {kind.value} ;\nname t ;\n"
+                      f"density {kind.value}[{labels}] ;")

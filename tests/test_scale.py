@@ -101,6 +101,13 @@ def test_local_scale_emits_log_derivative():
         ex.d("m", phi) * ex.em_vector("n") * ex.inv_metric("m", "n"))
 
 
+def test_drop_log_derivative_kills_terms_holding_d():
+    phi = ex.scalar_field()
+    e = ex.inv_metric("m", "n") * ex.d("m", ex.log_deriv("n")) * phi ** 2 \
+        + phi ** 4
+    assert drop_log_derivative(e) == ex.canonicalize(phi ** 4)
+
+
 def test_local_scale_shifts_gauge_vector():
     got = apply_local_scale(ex.weyl_vector("z0"))
     want = ex.canonicalize(
