@@ -16,10 +16,10 @@ from typing import Optional
 from . import exprs as ex
 from .exprs import (
     Alphabet,
-    CliffordAtom,
     CliffordKind,
     CRat,
     Expr,
+    FieldAtom,
     Index,
     Product,
     SpinorChain,
@@ -29,11 +29,11 @@ from .exprs import (
 
 
 def _is_gamma(it) -> bool:
-    return isinstance(it, CliffordAtom) and it.ckind == CliffordKind.GAMMA
+    return getattr(it, "kind", None) == CliffordKind.GAMMA
 
 
 def _is_sigma(it) -> bool:
-    return isinstance(it, CliffordAtom) and it.ckind == CliffordKind.SIGMA
+    return getattr(it, "kind", None) == CliffordKind.SIGMA
 
 
 def _expand_sigma_term(t: Product) -> Optional[Sum]:
@@ -43,8 +43,8 @@ def _expand_sigma_term(t: Product) -> Optional[Sum]:
     branches = [(CRat(1), [])]
     for it in t.chain.items:
         if _is_sigma(it):
-            gi = CliffordAtom(CliffordKind.GAMMA, (it.indices[0],))
-            gj = CliffordAtom(CliffordKind.GAMMA, (it.indices[1],))
+            gi = FieldAtom(CliffordKind.GAMMA, (it.indices[0],))
+            gj = FieldAtom(CliffordKind.GAMMA, (it.indices[1],))
             opts = [(quarter, [gi, gj]), (-quarter, [gj, gi])]
         else:
             opts = [(CRat(1), [it])]

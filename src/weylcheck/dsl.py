@@ -9,7 +9,8 @@ A source file is a sequence of `;`-terminated statements:
     density 1/2 * ginv[mu,nu] * d[mu](phi) * d[nu](phi) - lambda * phi^4 ;
 
 Factors are joined with `*`.  Atoms take comma-separated index labels in
-brackets; Clifford indices may carry a leading `-` for a lowered slot.
+brackets; the indices of `gamma` and `sigma` may carry a leading `-` for
+a lowered slot.  `gamma`, `sigma` and `one` are used undeclared.
 `d[mu](...)` is the partial derivative.  `lambda`, `f`, `e` and bare `g`
 are coupling constants; `g[mu,nu]` is the metric.  `Lam^k` is the formal
 scale factor with rational exponent k.  `phi^4` abbreviates a repeated
@@ -26,8 +27,6 @@ from . import exprs as ex
 from .errors import IndexArityMismatch, ParseError, UndeclaredField
 from .exprs import (
     Alphabet,
-    CliffordAtom,
-    CliffordKind,
     Coupling,
     CRat,
     Expr,
@@ -41,10 +40,7 @@ from .exprs import (
     canonicalize,
 )
 
-_KIND_BY_NAME = {k.value: k for k in Kind}
-_CLIFFORD_BY_NAME = {"gamma": CliffordKind.GAMMA, "sigma": CliffordKind.SIGMA,
-                     "one": CliffordKind.IDENTITY}
-_COUPLING_NAMES = ("lambda", "f", "e", "g")
+_KIND_BY_NAME = {k.value: k for k in ex._KINDS}
 
 
 @dataclass(frozen=True)
@@ -214,7 +210,7 @@ class _Parser:
             if t.text == "delta":
                 self.fail("delta is internal to the contraction engine", t)
             kind = _KIND_BY_NAME.get(t.text)
-            if kind is None:
+            if not isinstance(kind, Kind):
                 raise UndeclaredField(f"unknown field {t.text!r}",
                                       t.line, t.col)
             self.fields.add(kind)
@@ -327,22 +323,17 @@ class _Parser:
         return Partial(Index(lab_t.text, Alphabet.SPACETIME, Variance.DOWN),
                        inner)
 
-    def parse_index(self, clifford: bool) -> tuple[str, bool, _Tok]:
-        lowered = False
-        if self.at_sym("-"):
-            t = self.advance()
-            if not clifford:
-                self.fail("explicit variance marks are only valid on "
-                          "gamma and sigma", t)
-            lowered = True
+    def parse_index(self) -> tuple[str, Optional[_Tok], _Tok]:
+        """(label, the token of a leading `-` or None, label token)."""
+        minus = self.advance() if self.at_sym("-") else None
         t = self.expect_ident()
-        return t.text, lowered, t
+        return t.text, minus, t
 
-    def parse_bracket_list(self, clifford: bool):
+    def parse_bracket_list(self):
         out = []
         self.expect_sym("[")
         while True:
-            out.append(self.parse_index(clifford))
+            out.append(self.parse_index())
             if self.at_sym(","):
                 self.advance()
                 continue
@@ -376,34 +367,7 @@ class _Parser:
         if name == "delta":
             self.fail("delta is internal to the contraction engine", name_t)
 
-        if name in _CLIFFORD_BY_NAME:
-            ck = _CLIFFORD_BY_NAME[name]
-            if ck == CliffordKind.IDENTITY:
-                if has_brackets:
-                    raise IndexArityMismatch("one takes no indices",
-                                             name_t.line, name_t.col)
-                return CliffordAtom(ck, ())
-            if not has_brackets:
-                raise IndexArityMismatch(f"{name} needs indices",
-                                         name_t.line, name_t.col)
-            raw = self.parse_bracket_list(clifford=True)
-            want = 1 if ck == CliffordKind.GAMMA else 2
-            if len(raw) != want:
-                raise IndexArityMismatch(
-                    f"{name} takes {want} indices, got {len(raw)}",
-                    name_t.line, name_t.col)
-            idxs = []
-            for lab, lowered, tok in raw:
-                alph = self.index_alphabet.get(lab)
-                if alph is None:
-                    self.fail(f"undeclared index {lab!r}", tok)
-                if alph != Alphabet.FRAME:
-                    self.fail(f"{name} carries frame indices", tok)
-                idxs.append(Index(lab, Alphabet.FRAME,
-                                  Variance.DOWN if lowered else Variance.UP))
-            return CliffordAtom(ck, tuple(idxs))
-
-        if name in _COUPLING_NAMES and not (name == "g" and has_brackets):
+        if name in ex._COUPLINGS and not (name == "g" and has_brackets):
             power = 1
             if self.at_sym("^"):
                 v = self.parse_exponent()
@@ -416,27 +380,30 @@ class _Parser:
         if kind is None:
             raise UndeclaredField(f"unknown field {name!r}",
                                   name_t.line, name_t.col)
-        if kind not in self.fields:
+        if isinstance(kind, Kind) and kind not in self.fields:
             raise UndeclaredField(f"field {name!r} used but not declared",
                                   name_t.line, name_t.col)
 
         pattern = ex._KINDS[kind].slots
-        if not has_brackets:
-            raw = []
-        else:
-            raw = self.parse_bracket_list(clifford=False)
+        raw = self.parse_bracket_list() if has_brackets else []
         if len(raw) != len(pattern):
             raise IndexArityMismatch(
                 f"{name} takes {len(pattern)} indices, got {len(raw)}",
                 name_t.line, name_t.col)
         idxs = []
-        for (lab, _low, tok), (alph, var) in zip(raw, pattern):
+        for (lab, minus, tok), (alph, var) in zip(raw, pattern):
+            # a variance mark is valid where the slot takes either one
+            if minus is not None and var is not None:
+                self.fail("explicit variance marks are only valid on "
+                          "gamma and sigma", minus)
             declared = self.index_alphabet.get(lab)
             if declared is None:
                 self.fail(f"undeclared index {lab!r}", tok)
             if declared != alph:
                 self.fail(f"index {lab!r} has the wrong alphabet for "
                           f"{name}", tok)
+            if var is None:
+                var = Variance.UP if minus is None else Variance.DOWN
             idxs.append(Index(lab, alph, var))
 
         if kind == Kind.LAMBDA_POWER:
@@ -446,7 +413,7 @@ class _Parser:
             return FieldAtom(kind, (), expo)
 
         atom = FieldAtom(kind, tuple(idxs))
-        if self.at_sym("^"):
+        if self.at_sym("^") and isinstance(kind, Kind):
             if idxs:
                 self.fail("exponent on an indexed atom", name_t)
             v = self.parse_exponent()
@@ -498,8 +465,9 @@ def _exponent_text(expo: Fraction) -> str:
     return f"^({_rat(expo)})"
 
 
-def _index_text(ix: Index, clifford: bool) -> str:
-    if clifford and ix.variance == Variance.DOWN:
+def _index_text(ix: Index, slot) -> str:
+    """A label, marked `-` when lowered in a slot of either variance."""
+    if slot[1] is None and ix.variance == Variance.DOWN:
         return f"-{ix.label}"
     return ix.label
 
@@ -512,16 +480,10 @@ def _factor_chunk(f: Expr) -> str:
             return "Lam" + _exponent_text(f.exponent)
         base = f.kind.value
         if f.indices:
-            labs = ",".join(_index_text(ix, False) for ix in f.indices)
+            labs = ",".join(map(_index_text, f.indices,
+                                ex._KINDS[f.kind].slots))
             return f"{base}[{labs}]"
         return base
-    if isinstance(f, CliffordAtom):
-        name = {CliffordKind.GAMMA: "gamma", CliffordKind.SIGMA: "sigma",
-                CliffordKind.IDENTITY: "one"}[f.ckind]
-        if not f.indices:
-            return name
-        labs = ",".join(_index_text(ix, True) for ix in f.indices)
-        return f"{name}[{labs}]"
     if isinstance(f, Partial):
         return f"d[{f.index.label}]({_factor_chunk(f.operand)})"
     raise TypeError(f"cannot render {f!r}")
@@ -584,7 +546,7 @@ def used_kinds(e: Expr) -> tuple[Kind, ...]:
     kinds: set[Kind] = set()
 
     def visit(f):
-        if isinstance(f, FieldAtom):
+        if isinstance(f, FieldAtom) and isinstance(f.kind, Kind):
             kinds.add(f.kind)
         elif isinstance(f, Partial):
             visit(f.operand)

@@ -1,7 +1,8 @@
 """Expression core for indexed field densities.
 
-Expressions are immutable trees built from indexed field atoms, Clifford
-chain items, coupling constants, partial derivatives, products and sums.
+Expressions are immutable trees built from atoms (indexed fields and the
+constant spinor matrices gamma, sigma and one), coupling constants,
+partial derivatives, products and sums.
 Coefficients are exact Gaussian rationals; no floats enter the symbolic
 layer.  ``canonicalize`` maps every expression to a unique normal form:
 sums flattened and sorted, products flattened with commuting factors in a
@@ -9,9 +10,10 @@ fixed class order, like terms collected, and dummy indices renamed to a
 canonical sequence.  Structural equality of canonical forms is the
 engine's notion of equality.
 
-What the engine knows about a field kind (its sort class, slots, Weyl
-weight, derivative rule and spin) is one row of the kind table
-(``_KINDS``), which every module reads.
+What the engine knows about an atom's kind, a declared field or one of
+the Clifford matrices, is one row of the kind table (``_KINDS``): its
+sort class, slots, Weyl weight, derivative rule and spin.  Every module
+reads that row; there is no other atom class.
 
 Every engine function accepts any ``Expr`` and returns a canonical
 ``Sum``.  ``canonicalize`` marks the Sums it returns and hands a marked
@@ -183,28 +185,38 @@ class Kind(Enum):
     FERMION_BAR = "Psibar"
 
 
-# (alphabet, variance) of a slot; delta's slots take any one alphabet
+class CliffordKind(Enum):
+    """The constant spinor matrices; a density uses them undeclared."""
+    IDENTITY = "one"
+    GAMMA = "gamma"
+    SIGMA = "sigma"
+
+
+# (alphabet, variance) of a slot; None is free: delta's slots take any
+# one alphabet, a Clifford slot either variance
 _SD = (Alphabet.SPACETIME, Variance.DOWN)
 _SU = (Alphabet.SPACETIME, Variance.UP)
 _FD = (Alphabet.FRAME, Variance.DOWN)
 _FU = (Alphabet.FRAME, Variance.UP)
 _ANY_UP, _ANY_DN = (None, Variance.UP), (None, Variance.DOWN)
+_F = (Alphabet.FRAME, None)
 
 
 class _KindRow(NamedTuple):
-    """Everything the engine knows about one field kind.
+    """Everything the engine knows about one atom kind.
 
-    ``sort_class`` orders atoms (couplings < Lambda powers < det factor <
-    metric-like < tetrad-like < bosonic fields < derivative subtrees <
-    spinor chains), and within a class atoms follow the declaration
-    order of ``Kind`` (``rank``, filled in below).  ``slots`` is the
-    (alphabet, variance) pattern of the indices.  A field rescales as
-    Lam^weight, except an inhomogeneous one, which shifts instead (S by
-    -(1/f) D).  ``derivative`` says what a derivative does to the kind:
-    it vanishes on a "constant", takes the "chain" rule on Lam, and
-    under covariantization is shifted by the weight ("shift"), passes
+    ``sort_class`` orders atoms (Lambda powers < det factor < metric-like
+    < tetrad-like < fields < Clifford matrices), and within a class atoms
+    follow the declaration order of ``Kind``, then of ``CliffordKind``
+    (``rank``, filled in below).  ``slots`` is the (alphabet, variance)
+    pattern of the indices.  A field rescales as Lam^weight, except an
+    inhomogeneous one, which shifts instead (S by -(1/f) D).
+    ``derivative`` says what a derivative does to the kind: it vanishes
+    on a "constant", takes the "chain" rule on Lam, and under
+    covariantization is shifted by the weight ("shift"), passes
     unchanged ("exempt") or is "refused".  ``spin`` is the pair of open
-    (left, right) spinor axes: a kind with one is a spinor chain item.
+    (left, right) spinor axes: a kind with one is a spinor chain item,
+    and the matrices have both.
     """
     sort_class: int
     slots: tuple
@@ -234,10 +246,13 @@ _KINDS = {
     Kind.FERMION: _KindRow(5, (), Fraction(-3, 2), "shift", (True, False)),
     Kind.FERMION_BAR: _KindRow(5, (), Fraction(-3, 2), "shift",
                                (False, True)),
+    CliffordKind.IDENTITY: _KindRow(6, (), 0, "constant", (True, True)),
+    CliffordKind.GAMMA: _KindRow(6, (_F,), 0, "constant", (True, True)),
+    CliffordKind.SIGMA: _KindRow(6, (_F, _F), 0, "constant", (True, True)),
 }
 # a kind without a row fails here, at import
 _KINDS = {kind: _KINDS[kind]._replace(rank=rank)
-          for rank, kind in enumerate(Kind)}
+          for rank, kind in enumerate(itertools.chain(Kind, CliffordKind))}
 
 
 class Expr:
@@ -284,7 +299,7 @@ def _as_expr(v) -> Expr:
 
 @dataclass(frozen=True, slots=True)
 class FieldAtom(Expr):
-    kind: Kind
+    kind: Kind | CliffordKind
     indices: tuple[Index, ...] = ()
     exponent: Optional[Fraction] = None  # LAMBDA_POWER only
 
@@ -297,7 +312,8 @@ class FieldAtom(Expr):
         for ix, (alph, var) in zip(self.indices, pat):
             if alph is None:
                 alph = self.indices[0].alphabet
-            if ix.alphabet != alph or ix.variance != var:
+            if ix.alphabet != alph or \
+                    var is not None and ix.variance != var:
                 raise MalformedIndex(
                     f"bad slot {ix.label} on {self.kind.value}")
         if self.kind == Kind.LAMBDA_POWER:
@@ -305,28 +321,6 @@ class FieldAtom(Expr):
                 raise MalformedIndex("Lambda power needs an exponent")
         elif self.exponent is not None:
             raise MalformedIndex("exponent only valid on Lambda powers")
-
-
-class CliffordKind(Enum):
-    GAMMA = "gamma"
-    SIGMA = "sigma"
-    IDENTITY = "one"
-
-
-@dataclass(frozen=True, slots=True)
-class CliffordAtom(Expr):
-    ckind: CliffordKind
-    indices: tuple[Index, ...] = ()
-
-    def __post_init__(self):
-        n = {CliffordKind.GAMMA: 1, CliffordKind.SIGMA: 2,
-             CliffordKind.IDENTITY: 0}[self.ckind]
-        if len(self.indices) != n:
-            raise MalformedIndex(f"{self.ckind.value} takes {n} indices")
-        for ix in self.indices:
-            if ix.alphabet != Alphabet.FRAME:
-                raise MalformedIndex(
-                    f"{self.ckind.value} carries frame indices only")
 
 
 # Entries of the slot-symmetry rule (``_slot_groups``): per atom kind,
@@ -340,8 +334,9 @@ _ATOM_SLOT_GROUPS = {Kind.METRIC: (((0, 1), 1),),
                      CliffordKind.SIGMA: (((0, 1), -1),)}
 _GRADIENT_KINDS = {Kind.LOG_DERIV}
 
-_CLIFFORD_RANK = {CliffordKind.IDENTITY: 0, CliffordKind.GAMMA: 1,
-                  CliffordKind.SIGMA: 2}
+# The coupling constants, in the order the numeric oracle draws their
+# values: reordering them changes every seeded assignment.
+_COUPLINGS = ("lambda", "f", "e", "g")
 
 
 @dataclass(frozen=True, slots=True)
@@ -350,7 +345,7 @@ class Coupling(Expr):
     power: int = 1
 
     def __post_init__(self):
-        if self.name not in ("lambda", "f", "e", "g"):
+        if self.name not in _COUPLINGS:
             raise MalformedIndex(f"unknown coupling {self.name!r}")
 
 
@@ -472,18 +467,18 @@ def fermion_bar() -> Expr:
 
 
 def gamma(label: str, up: bool = True) -> Expr:
-    return CliffordAtom(CliffordKind.GAMMA,
-                        (fr_up(label) if up else fr_lo(label),))
+    return FieldAtom(CliffordKind.GAMMA,
+                     (fr_up(label) if up else fr_lo(label),))
 
 
 def sigma(l1: str, l2: str, up1: bool = True, up2: bool = True) -> Expr:
     i1 = fr_up(l1) if up1 else fr_lo(l1)
     i2 = fr_up(l2) if up2 else fr_lo(l2)
-    return CliffordAtom(CliffordKind.SIGMA, (i1, i2))
+    return FieldAtom(CliffordKind.SIGMA, (i1, i2))
 
 
 def identity_spinor() -> Expr:
-    return CliffordAtom(CliffordKind.IDENTITY)
+    return FieldAtom(CliffordKind.IDENTITY)
 
 
 def d(label: str, operand: Expr) -> Expr:
@@ -495,7 +490,8 @@ def d(label: str, operand: Expr) -> Expr:
 
 def _factor_key(f: Expr) -> tuple:
     """Sort key of any factor or chain item; the class number leads, so
-    couplings < atoms < Clifford atoms < derivatives."""
+    couplings < atoms < derivatives, and atoms, the Clifford matrices
+    among them, sort by the class and rank of their kind's row."""
     if isinstance(f, FieldAtom):
         exp = (0, 0) if f.exponent is None else \
             (f.exponent.numerator, f.exponent.denominator)
@@ -505,9 +501,6 @@ def _factor_key(f: Expr) -> tuple:
     if isinstance(f, Partial):
         idxs, atom = _deriv_split(f)
         return (6, _factor_key(atom), tuple(ix.key() for ix in idxs))
-    if isinstance(f, CliffordAtom):
-        return (4, _CLIFFORD_RANK[f.ckind],
-                tuple(ix.key() for ix in f.indices))
     if isinstance(f, Coupling):
         return (0, 0, f.name, f.power)
     raise TypeError(f"unexpected node {f!r}")
@@ -552,8 +545,6 @@ def _slots_of_factor(f: Expr) -> list[Index]:
     if isinstance(f, Partial):
         idxs, atom = _deriv_split(f)
         return list(idxs) + _slots_of_factor(atom)
-    if isinstance(f, CliffordAtom):
-        return list(f.indices)
     raise TypeError(f"unexpected factor {f!r}")
 
 
@@ -600,8 +591,7 @@ def _slot_groups(f: Expr) -> tuple[tuple[tuple[int, ...], int, str], ...]:
     slot of its own, "d" for the derivative indices and "a" + the atom's
     class under a derivative.  Built once per (kind, derivative count)."""
     idxs, atom = _deriv_split(f)
-    kind = atom.kind if isinstance(atom, FieldAtom) else \
-        atom.ckind if isinstance(atom, CliffordAtom) else None
+    kind = atom.kind if isinstance(atom, FieldAtom) else None
     key = (kind, len(idxs))
     groups = _GROUPS.get(key)
     if groups is not None:
@@ -633,10 +623,7 @@ def _with_slots(f: Expr, slots: list[Index]) -> Expr:
     replaced by ``slots``."""
     idxs, atom = _deriv_split(f)
     n = len(idxs)
-    if isinstance(atom, FieldAtom):
-        atom = FieldAtom(atom.kind, tuple(slots[n:]), atom.exponent)
-    else:
-        atom = CliffordAtom(atom.ckind, tuple(slots[n:]))
+    atom = FieldAtom(atom.kind, tuple(slots[n:]), atom.exponent)
     return _deriv_join(slots[:n], atom)
 
 
@@ -702,8 +689,6 @@ def _flatten(e: Expr) -> list[tuple[CRat, list, Optional[list]]]:
         if any(_KINDS[e.kind].spin):
             return [(CRat(1), [], [e])]
         return [(CRat(1), [e], None)]
-    if isinstance(e, CliffordAtom):
-        return [(CRat(1), [], [e])]
     if isinstance(e, Coupling):
         return [(CRat(1), [e], None)]
     if isinstance(e, Partial):
@@ -737,38 +722,33 @@ def _flatten_partial(ix: Index, operand: Expr):
     out = []
     for coeff, factors, chain in _flatten(operand):
         for pos, f in enumerate(factors):
-            for dc, dfs, dch in _derive_factor(ix, f) or ():
+            for dc, nodes in _derive_factor(ix, f):
                 out.append((coeff * dc,
-                            factors[:pos] + dfs + factors[pos + 1:],
-                            _merge_chain(list(chain) if chain else None,
-                                         dch)))
+                            factors[:pos] + nodes + factors[pos + 1:],
+                            chain))
         for pos, it in enumerate(chain or ()):
-            if isinstance(it, CliffordAtom):
-                continue  # constant matrices
-            out.append((coeff, list(factors),
-                        chain[:pos] + [Partial(ix, it)] + chain[pos + 1:]))
+            for dc, nodes in _derive_factor(ix, it):
+                out.append((coeff * dc, list(factors),
+                            chain[:pos] + nodes + chain[pos + 1:]))
     return out
 
 
 def _derive_factor(ix: Index, f: Expr):
-    """Returns flattened terms for the derivative of one factor, or None
-    when the factor is constant."""
+    """The derivative of one factor or chain item: (coefficient, nodes
+    in its place) pairs, none when it is constant."""
     if isinstance(f, Coupling):
-        return None
+        return ()
     if isinstance(f, FieldAtom):
         rule = _KINDS[f.kind].derivative
-        if rule == "constant":
-            return None
+        if rule == "constant" or rule == "chain" and f.exponent == 0:
+            return ()
         if rule == "chain":
-            if f.exponent == 0:
-                return None
             # chain rule: the log derivative atom carries d ln(Lambda)
-            return [(CRat(f.exponent), [f, FieldAtom(
-                Kind.LOG_DERIV, (ix,))], None)]
-        return [(CRat(1), [Partial(ix, f)], None)]
-    if isinstance(f, Partial):
-        return [(CRat(1), [Partial(ix, f)], None)]
-    raise TypeError(f"cannot differentiate {f!r}")
+            return ((CRat(f.exponent),
+                     [f, FieldAtom(Kind.LOG_DERIV, (ix,))]),)
+    elif not isinstance(f, Partial):
+        raise TypeError(f"cannot differentiate {f!r}")
+    return ((CRat(1), [Partial(ix, f)]),)
 
 
 # ---------------------------------------------------------------------------
@@ -791,43 +771,28 @@ def _collect_scalars(factors: list) -> tuple[list, Optional[Fraction],
 
 def _validate_chain(items: list) -> None:
     """A spinor endpoint has one open axis: a conjugate spinor (open on
-    the right) opens the block, a spinor (open on the left) closes it."""
-    ends = []
-    for pos, it in enumerate(items):
-        base = _deriv_split(it)[1]
-        if isinstance(base, FieldAtom):
-            left, right = spin = _KINDS[base.kind].spin
-            if not left and pos != 0:
-                raise MalformedChain("conjugate spinor must open its block")
-            if not right and pos != len(items) - 1:
-                raise MalformedChain("spinor must close its block")
-            ends.append(spin)
-        elif not isinstance(base, CliffordAtom):
-            raise MalformedChain(f"bad chain item {it!r}")
-    n_bar = ends.count((False, True))
-    n_psi = ends.count((True, False))
+    the right) opens the block, a spinor (open on the left) closes it,
+    and a term holds one bilinear at most."""
+    spins = [_KINDS[_deriv_split(it)[1].kind].spin for it in items]
+    n_bar = spins.count((False, True))
+    n_psi = spins.count((True, False))
     if n_bar > 1 or n_psi > 1:
         raise MalformedChain("at most one spinor bilinear per term")
+    for pos, (left, right) in enumerate(spins):
+        if not left and pos != 0:
+            raise MalformedChain("conjugate spinor must open its block")
+        if not right and pos != len(items) - 1:
+            raise MalformedChain("spinor must close its block")
     if n_bar != n_psi:
         raise MalformedChain("spinor blocks must be closed bilinears")
 
 
-def _endpoint_kind(it: Expr) -> Optional[Kind]:
-    base = _deriv_split(it)[1]
-    return base.kind if isinstance(base, FieldAtom) else None
-
-
 def _strip_identities(items: list) -> list:
+    """The chain without its identity matrices, or one of them when
+    nothing else is left."""
     kept = [it for it in items
-            if not (isinstance(it, CliffordAtom)
-                    and it.ckind == CliffordKind.IDENTITY)]
-    if kept:
-        return kept
-    if items:
-        has_fermion = any(_endpoint_kind(it) is not None for it in items)
-        if not has_fermion:
-            return [identity_spinor()]
-    return kept
+            if getattr(it, "kind", None) != CliffordKind.IDENTITY]
+    return kept or items[:1]
 
 
 def _slot_classes(f: Expr) -> list[str]:

@@ -29,7 +29,6 @@ import numpy as np
 from . import exprs as ex
 from .errors import SingularAssignment, UnboundIndex, WeylcheckError
 from .exprs import (
-    CliffordAtom,
     CliffordKind,
     Coupling,
     CRat,
@@ -172,7 +171,7 @@ class Assignment:
         self.structf = f / 6.0
 
         self.couplings = {}
-        for name in ("lambda", "f", "e", "g"):
+        for name in ex._COUPLINGS:
             mag = rng.uniform(0.3, 1.2)
             sign = 1.0 if rng.uniform() < 0.5 else -1.0
             self.couplings[name] = sign * mag
@@ -265,29 +264,25 @@ def _trial_value(a: Assignment, handle):
     return a.tensor_jet(*handle)
 
 
-def _clifford_value(atom: CliffordAtom):
-    if atom.ckind == CliffordKind.IDENTITY:
-        return np.eye(4, dtype=complex), []
-    if atom.ckind == CliffordKind.GAMMA:
-        ix = atom.indices[0]
-        arr = GAMMA_UP if ix.variance == Variance.UP else GAMMA_LO
-        return arr, [ix.label]
+def _clifford_value(atom: FieldAtom) -> np.ndarray:
+    if atom.kind == CliffordKind.IDENTITY:
+        return np.eye(4, dtype=complex)
+    if atom.kind == CliffordKind.GAMMA:
+        up = atom.indices[0].variance == Variance.UP
+        return GAMMA_UP if up else GAMMA_LO
     i1, i2 = atom.indices
     arr = SIGMA_UU
     if i1.variance == Variance.DOWN:
         arr = np.einsum("ab,bcij->acij", _ETA, arr)
     if i2.variance == Variance.DOWN:
         arr = np.einsum("cd,adij->acij", _ETA, arr)
-    return arr, [i1.label, i2.label]
+    return arr
 
 
 def _operand(f: Expr, in_chain: bool):
     """(constant array or per-trial handle, slot labels, open spin axes
     (left, right)) of a tensor factor or a spinor chain item."""
     what = "chain item" if in_chain else "factor"
-    if isinstance(f, CliffordAtom) and in_chain:
-        arr, labels = _clifford_value(f)
-        return arr, labels, (True, True)
     if isinstance(f, Coupling) and not in_chain:
         return ("coupling", f.name, f.power), [], (False, False)
     idxs, atom = ex._deriv_split(f)
@@ -297,11 +292,15 @@ def _operand(f: Expr, in_chain: bool):
     if in_chain != any(spin):
         raise WeylcheckError(f"cannot evaluate {what} {f!r}")
     labels = [ix.label for ix in idxs + atom.indices]
-    if atom.kind in (Kind.DELTA, Kind.LAMBDA_POWER) and idxs:
+    constant = atom.kind in (Kind.DELTA, Kind.LAMBDA_POWER) or \
+        isinstance(atom.kind, CliffordKind)
+    if constant and idxs:
         raise WeylcheckError(f"derivative of {atom.kind.value} is not "
                              f"evaluated by the numeric oracle")
     if atom.kind == Kind.DELTA:
         return np.eye(4), labels, spin
+    if isinstance(atom.kind, CliffordKind):
+        return _clifford_value(atom), labels, spin
     if atom.kind == Kind.LAMBDA_POWER:
         return ("lam", atom.exponent), [], spin
     return (atom.kind, len(idxs)), labels, spin

@@ -46,9 +46,10 @@ INHOMOGENEOUS = SpecialWeight.INHOMOGENEOUS
 
 
 def default_weight_table() -> dict[Kind, WeylWeight]:
-    """The Weyl weight of every kind, as the kind table states it."""
-    return {kind: WeylWeight(Fraction(row.weight), row.homogeneous)
-            for kind, row in ex._KINDS.items()}
+    """The Weyl weight of every field kind, as the kind table states it."""
+    return {kind: WeylWeight(Fraction(ex._KINDS[kind].weight),
+                             ex._KINDS[kind].homogeneous)
+            for kind in Kind}
 
 
 def infer_weight(e: Expr, strict: bool = False
@@ -94,7 +95,7 @@ def _transform_term(t: Product, power: Fraction, local: bool) -> Expr:
     pieces: list[Expr] = []
     items = list(t.factors) + (list(t.chain.items) if t.chain else [])
     for f in items:
-        if isinstance(f, (Coupling, ex.CliffordAtom)):
+        if isinstance(f, Coupling):
             pieces.append(f)
             continue
         if not isinstance(f, (FieldAtom, Partial)):

@@ -2,8 +2,8 @@
 
 ``contract_pairs`` applies a fixed, terminating rule set until no rule
 matches: Kronecker deltas are eliminated (traces count the spacetime
-dimension), metric meets inverse metric, the frame metric contracts with
-itself, tetrads contract with inverse tetrads in both orderings, frame
+dimension), mutually inverse atoms (metric and inverse metric, the two
+frame metrics, tetrad and inverse tetrad) contract into deltas, frame
 metrics close tetrad pairs into metrics, a metric-tetrad contraction is
 rewritten through the frame metric onto the inverse tetrad, and frame
 metrics absorb into Clifford slots (frame indices raise and lower with
@@ -19,7 +19,6 @@ from typing import Optional
 from . import exprs as ex
 from .exprs import (
     Alphabet,
-    CliffordAtom,
     CRat,
     Expr,
     FieldAtom,
@@ -31,15 +30,18 @@ from .exprs import (
     Variance,
 )
 
-# rules 2 and 3, in order: (inverse metric, metric, alphabet)
-_INVERSE_PAIRS = ((Kind.INV_METRIC, Kind.METRIC, Alphabet.SPACETIME),
-                  (Kind.MINKOWSKI_UP, Kind.MINKOWSKI, Alphabet.FRAME))
+# rule 2, in order: mutually inverse kinds.  The first one's slots are
+# tried first, so a tetrad pair contracts its frame slots before its
+# spacetime slots.
+_INVERSE_PAIRS = ((Kind.INV_METRIC, Kind.METRIC),
+                  (Kind.MINKOWSKI_UP, Kind.MINKOWSKI),
+                  (Kind.TETRAD, Kind.INV_TETRAD))
 
-# rule 5: frame metric -> (the tetrad kind it closes, the metric made)
+# rule 3: frame metric -> (the tetrad kind it closes, the metric made)
 _CLOSERS = {Kind.MINKOWSKI: (Kind.TETRAD, ex.metric),
             Kind.MINKOWSKI_UP: (Kind.INV_TETRAD, ex.inv_metric)}
 
-# rule 6: (metric kind, tetrad kind, frame metric, new tetrad) for a
+# rule 4: (metric kind, tetrad kind, frame metric, new tetrad) for a
 # metric contracted with a tetrad's spacetime slot
 _THROUGH_FRAME = ((Kind.INV_METRIC, Kind.TETRAD, ex.minkowski_up,
                    ex.inv_tetrad),
@@ -91,37 +93,20 @@ def _contract_step(coeff: CRat, factors: list, chain):
         keep = [f for i, f in enumerate(factors) if i not in positions]
         return coeff, keep + extra, chain
 
-    # 2, 3: metric times inverse metric, then the frame metric pair
-    for up_kind, dn_kind, alph in _INVERSE_PAIRS:
+    # 2: two mutually inverse atoms sharing a dummy become the delta of
+    # their remaining upper and lower index
+    for first_kind, second_kind in _INVERSE_PAIRS:
         for (p, a), (q, b) in itertools.combinations(atoms, 2):
-            if {a.kind, b.kind} != {up_kind, dn_kind}:
+            if {a.kind, b.kind} != {first_kind, second_kind}:
                 continue
-            up, dn = (a, b) if a.kind == up_kind else (b, a)
-            z = shared_dummy(up.indices, dn.indices)
+            first, second = (a, b) if a.kind == first_kind else (b, a)
+            z = shared_dummy(first.indices, second.indices)
             if z is not None:
-                dlt = FieldAtom(Kind.DELTA, (
-                    Index(others(up, z)[0].label, alph, Variance.UP),
-                    Index(others(dn, z)[0].label, alph, Variance.DOWN)))
-                return drop({p, q}, [dlt])
+                ends = sorted(others(first, z) + others(second, z),
+                              key=lambda ix: ix.variance)
+                return drop({p, q}, [FieldAtom(Kind.DELTA, tuple(ends))])
 
-    # 4: tetrad completeness, frame and spacetime contractions
-    for (p, a), (q, b) in itertools.combinations(atoms, 2):
-        if {a.kind, b.kind} == {Kind.TETRAD, Kind.INV_TETRAD}:
-            tet, inv = (a, b) if a.kind == Kind.TETRAD else (b, a)
-            fa, sm = tet.indices
-            fb, sn = inv.indices
-            if fa.label == fb.label:
-                dlt = FieldAtom(Kind.DELTA, (
-                    Index(sn.label, Alphabet.SPACETIME, Variance.UP),
-                    Index(sm.label, Alphabet.SPACETIME, Variance.DOWN)))
-                return drop({p, q}, [dlt])
-            if sm.label == sn.label:
-                dlt = FieldAtom(Kind.DELTA, (
-                    Index(fa.label, Alphabet.FRAME, Variance.UP),
-                    Index(fb.label, Alphabet.FRAME, Variance.DOWN)))
-                return drop({p, q}, [dlt])
-
-    # 5: frame metric closing two tetrads into a metric
+    # 3: frame metric closing two tetrads into a metric
     for p, a in atoms:
         if a.kind not in _CLOSERS:
             continue
@@ -135,7 +120,7 @@ def _contract_step(coeff: CRat, factors: list, chain):
             g = build(t1.indices[1].label, t2.indices[1].label)
             return drop({p, q1, q2}, [g])
 
-    # 6: metric-tetrad contraction rewritten through the frame metric
+    # 4: metric-tetrad contraction rewritten through the frame metric
     for (p, a), (q, b) in itertools.combinations(atoms, 2):
         for met_kind, tet_kind, frame_metric, new_tetrad in _THROUGH_FRAME:
             if {a.kind, b.kind} != {met_kind, tet_kind}:
@@ -148,7 +133,7 @@ def _contract_step(coeff: CRat, factors: list, chain):
                 return drop({p, q}, [frame_metric(tet.indices[0].label, c),
                                      new_tetrad(c, other.label)])
 
-    # 7: frame metric absorbs into a Clifford slot
+    # 5: frame metric absorbs into a Clifford slot
     if chain is not None:
         for p, a in atoms:
             if a.kind not in (Kind.MINKOWSKI, Kind.MINKOWSKI_UP):
@@ -157,7 +142,8 @@ def _contract_step(coeff: CRat, factors: list, chain):
             new_var = Variance.DOWN if a.kind == Kind.MINKOWSKI \
                 else Variance.UP
             for ci, item in enumerate(chain):
-                if not isinstance(item, CliffordAtom):
+                # of the chain items only the Clifford matrices have slots
+                if not isinstance(item, FieldAtom):
                     continue
                 for si, ix in enumerate(item.indices):
                     for ei, eix in enumerate(a.indices):
@@ -168,7 +154,7 @@ def _contract_step(coeff: CRat, factors: list, chain):
                             idxs = list(item.indices)
                             idxs[si] = new_ix
                             na, s = ex._rename_in_factor(
-                                CliffordAtom(item.ckind, tuple(idxs)), {})
+                                FieldAtom(item.kind, tuple(idxs)), {})
                             if na is None:
                                 return CRat(0), [], None
                             nchain = list(chain)

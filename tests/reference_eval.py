@@ -17,7 +17,6 @@ import numpy as np
 from weylcheck import exprs as ex
 from weylcheck.errors import WeylcheckError
 from weylcheck.exprs import (
-    CliffordAtom,
     CliffordKind,
     Coupling,
     Expr,
@@ -33,10 +32,10 @@ from weylcheck.exprs import (
 from weylcheck.oracle import _ETA, GAMMA_LO, GAMMA_UP, SIGMA_UU
 
 
-def _clifford_value(atom: CliffordAtom):
-    if atom.ckind == CliffordKind.IDENTITY:
+def _clifford_value(atom: FieldAtom):
+    if atom.kind == CliffordKind.IDENTITY:
         return np.eye(4, dtype=complex), []
-    if atom.ckind == CliffordKind.GAMMA:
+    if atom.kind == CliffordKind.GAMMA:
         ix = atom.indices[0]
         arr = GAMMA_UP if ix.variance == Variance.UP else GAMMA_LO
         return arr, [ix.label]
@@ -82,7 +81,7 @@ def _factor_value(a, f: Expr):
 
 def _chain_item_value(a, item: Expr):
     """(array, labels, spin kind); spin axes last."""
-    if isinstance(item, CliffordAtom):
+    if isinstance(item, FieldAtom) and isinstance(item.kind, CliffordKind):
         arr, labels = _clifford_value(item)
         return arr, labels, "mat"
     if isinstance(item, FieldAtom):

@@ -7,6 +7,7 @@ from weylcheck import densities, dsl
 from weylcheck import exprs as ex
 from weylcheck.errors import (
     IndexArityMismatch,
+    MalformedChain,
     MalformedIndex,
     ParseError,
     UndeclaredField,
@@ -127,6 +128,35 @@ def test_malformed_pairing_rejected():
 def test_wrong_alphabet_rejected():
     _err("indices spacetime mu ;\nindices frame a ;\nfields eps phi ;\n"
          "name t ;\ndensity eps[mu,a] * phi ;", ParseError)
+
+
+# Clifford inputs the DSL rejects: (density, error class, column on the
+# density line, which is line 5)
+_CLIFFORD_REJECTS = [
+    ("gamma", IndexArityMismatch, 9),
+    ("gamma[a,b]", IndexArityMismatch, 9),
+    ("gamma[m]", ParseError, 15),
+    ("one[a]", IndexArityMismatch, 9),
+    ("one^2", ParseError, 12),
+    ("sigma[a]", IndexArityMismatch, 9),
+    ("gamma^2", IndexArityMismatch, 9),
+    ("eps[-a,m]", ParseError, 13),
+]
+
+
+@pytest.mark.parametrize("density,exc,col", _CLIFFORD_REJECTS,
+                         ids=[c[0] for c in _CLIFFORD_REJECTS])
+def test_clifford_input_rejected_with_location(density, exc, col):
+    e = _err("indices spacetime m ;\nindices frame a b ;\nfields eps ;\n"
+             f"name t ;\ndensity {density} ;", exc)
+    assert type(e) is exc and (e.line, e.col) == (5, col)
+
+
+def test_two_bilinears_in_one_term_rejected():
+    e = _err("indices frame a ;\nfields Psi Psibar ;\nname t ;\n"
+             "density Psibar*gamma[a]*Psi*Psibar*gamma[-a]*Psi ;",
+             MalformedChain)
+    assert "at most one spinor bilinear per term" in str(e)
 
 
 def test_make_def_canonicalizes():

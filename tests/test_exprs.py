@@ -13,7 +13,7 @@ from weylcheck import densities, dsl
 from weylcheck import exprs as ex
 from weylcheck.errors import IndexArityMismatch, MalformedIndex
 from weylcheck.exprs import CRat, I_UNIT, Product, SpinorChain, Sum
-from weylcheck.oracle import Assignment
+from weylcheck.oracle import Assignment, _operand
 
 
 def test_canonicalize_idempotent_on_builtins(builtins_all):
@@ -498,3 +498,24 @@ def test_kind_table_agrees_with_its_readers(kind):
             dsl.parse(f"indices spacetime m0 m1 m2 m3 ;\n"
                       f"fields {kind.value} ;\nname t ;\n"
                       f"density {kind.value}[{labels}] ;")
+
+
+@pytest.mark.parametrize("kind", list(ex.CliffordKind),
+                         ids=lambda k: k.value)
+def test_clifford_rows_agree_with_their_readers(kind):
+    """A Clifford matrix's row matches the DSL's arity check, puts the
+    atom in the spinor chain, gives the oracle's matrix one axis per
+    slot plus two spin axes, and makes a chain of such atoms constant
+    under a derivative."""
+    n = len(ex._KINDS[kind].slots)
+    labels = ",".join(f"a{k}" for k in range(n + 1))
+    with pytest.raises(IndexArityMismatch):
+        dsl.parse(f"indices frame a0 a1 a2 ;\nname t ;\n"
+                  f"density {kind.value}[{labels}] ;")
+    atom = ex.FieldAtom(kind, tuple(ex.fr_up(f"a{k}") for k in range(n)))
+    assert ex._flatten(atom) == [(CRat(1), [], [atom])]
+    arr, _, spin = _operand(atom, in_chain=True)
+    assert arr.shape == (4,) * (n + 2) and spin == (True, True)
+    chain = SpinorChain((atom, ex.gamma("b")))
+    assert not ex.is_zero(chain)
+    assert ex.is_zero(ex.d("m", chain))
