@@ -22,7 +22,6 @@ from .exprs import (
     FieldAtom,
     Index,
     Product,
-    SpinorChain,
     Sum,
     Variance,
 )
@@ -37,11 +36,11 @@ def _is_sigma(it) -> bool:
 
 
 def _expand_sigma_term(t: Product) -> Optional[Sum]:
-    if t.chain is None or not any(map(_is_sigma, t.chain.items)):
+    if not any(map(_is_sigma, t.factors)):
         return None
     quarter = CRat(Fraction(1, 4))
     branches = [(CRat(1), [])]
-    for it in t.chain.items:
+    for it in t.factors:
         if _is_sigma(it):
             gi = FieldAtom(CliffordKind.GAMMA, (it.indices[0],))
             gj = FieldAtom(CliffordKind.GAMMA, (it.indices[1],))
@@ -50,8 +49,7 @@ def _expand_sigma_term(t: Product) -> Optional[Sum]:
             opts = [(CRat(1), [it])]
         branches = [(c1 * c2, l1 + l2)
                     for c1, l1 in branches for c2, l2 in opts]
-    return Sum(tuple(Product(t.coeff * c, t.factors,
-                             SpinorChain(tuple(items)))
+    return Sum(tuple(Product(t.coeff * c, tuple(items))
                      for c, items in branches))
 
 
@@ -121,15 +119,15 @@ def _swap(items: list, i: int, j: int, free: set):
 
 
 def _reduce_term(t: Product) -> Optional[Sum]:
-    if t.chain is None or not any(map(_is_gamma, t.chain.items)):
+    plain, chain = ex._split_chain(t.factors)
+    if not any(map(_is_gamma, chain)):
         return None
-    census = ex._label_census(t.factors, t.chain.items)
+    census = ex._label_census(t.factors)
     free = {lab for lab, occ in census.items() if len(occ) == 1}
     out = []
-    for c, extra, its in _reduce(list(t.chain.items), free):
-        chain = SpinorChain(tuple(its)) if its \
-            else SpinorChain((ex.identity_spinor(),))
-        out.append(Product(t.coeff * c, t.factors + tuple(extra), chain))
+    for c, extra, its in _reduce(chain, free):
+        out.append(Product(t.coeff * c, tuple(
+            plain + extra + (its or [ex.identity_spinor()]))))
     return Sum(tuple(out))
 
 

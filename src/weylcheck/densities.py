@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import exprs as ex
 from .dsl import LagrangianDef, make_def
-from .exprs import CRat, I_UNIT, Product, SpinorChain
+from .exprs import CRat, I_UNIT, Product
 from .tensor import christoffel
 
 
@@ -45,24 +45,23 @@ def _yangmills_expr():
 
 def _dirac_expr():
     bar, psi = ex.fermion_bar(), ex.fermion()
-    t1 = Product(I_UNIT, (ex.inv_tetrad("c", "mu"),),
-                 SpinorChain((bar, ex.gamma("c"), ex.d("mu", psi))))
+    t1 = Product(I_UNIT, (ex.inv_tetrad("c", "mu"),
+                          bar, ex.gamma("c"), ex.d("mu", psi)))
     t2 = Product(CRat(-1),
                  (ex.coupling("e"), ex.inv_tetrad("c", "mu"),
-                  ex.em_vector("mu")),
-                 SpinorChain((bar, ex.gamma("c"), psi)))
+                  ex.em_vector("mu"), bar, ex.gamma("c"), psi))
     half_i = CRat(0, Fraction(1, 2))
-    spin_chain = SpinorChain((bar, ex.gamma("c"),
-                              ex.sigma("a", "b", up1=False, up2=False), psi))
+    spin_chain = (bar, ex.gamma("c"),
+                  ex.sigma("a", "b", up1=False, up2=False), psi)
     t3 = Product(-half_i,
                  (ex.inv_tetrad("c", "mu"), ex.inv_metric("nu", "lam"),
-                  ex.tetrad("b", "lam"), ex.d("mu", ex.tetrad("a", "nu"))),
-                 spin_chain)
+                  ex.tetrad("b", "lam"), ex.d("mu", ex.tetrad("a", "nu")))
+                 + spin_chain)
     gamma_con = christoffel("rho", "mu", "nu").expansion
     t4 = Product(half_i,
                  (ex.inv_tetrad("c", "mu"), ex.inv_metric("nu", "lam"),
-                  ex.tetrad("b", "lam"), ex.tetrad("a", "rho")),
-                 spin_chain) * gamma_con
+                  ex.tetrad("b", "lam"), ex.tetrad("a", "rho"))
+                 + spin_chain) * gamma_con
     return t1 + t2 + t3 + t4
 
 

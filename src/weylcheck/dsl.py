@@ -11,10 +11,11 @@ A source file is a sequence of `;`-terminated statements:
 Factors are joined with `*`.  Atoms take comma-separated index labels in
 brackets; the indices of `gamma` and `sigma` may carry a leading `-` for
 a lowered slot.  `gamma`, `sigma` and `one` are used undeclared.
-`d[mu](...)` is the partial derivative.  `lambda`, `f`, `e` and bare `g`
-are coupling constants; `g[mu,nu]` is the metric.  `Lam^k` is the formal
-scale factor with rational exponent k.  `phi^4` abbreviates a repeated
-index-free factor.  The Kronecker delta is internal to the contraction
+`d[mu](...)` is the partial derivative, nested at most `_MAX_NESTING`
+deep.  `lambda`, `f`, `e` and bare `g` are coupling constants;
+`g[mu,nu]` is the metric.  `Lam^k` is the formal scale factor with
+rational exponent k.  `phi^4` abbreviates a repeated index-free
+factor.  The Kronecker delta is internal to the contraction
 engine and is not accepted as input."""
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ from .exprs import (
 )
 
 _KIND_BY_NAME = {k.value: k for k in ex._KINDS}
+
+# Derivatives nested deeper than this are refused at the offending `d`:
+# every layer that walks an expression tree recurses once per level.
+_MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,7 @@ class _Parser:
         self.fields: set[Kind] = set()
         self.name: Optional[str] = None
         self.density: Optional[Expr] = None
+        self.nesting = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -247,7 +253,7 @@ class _Parser:
                 self.advance()
                 continue
             break
-        return Product(coeff, tuple(factors), None)
+        return Product(coeff, tuple(factors))
 
     def parse_factor(self) -> Union[CRat, Expr, list]:
         t = self.peek()
@@ -308,7 +314,10 @@ class _Parser:
         return CRat(re, s * im)
 
     def parse_derivative(self) -> Expr:
-        self.advance()  # d
+        d_t = self.advance()
+        if self.nesting == _MAX_NESTING:
+            self.fail(f"derivatives nested deeper than "
+                      f"{_MAX_NESTING}", d_t)
         self.expect_sym("[")
         lab_t = self.expect_ident()
         self.expect_sym("]")
@@ -318,7 +327,9 @@ class _Parser:
         if alph != Alphabet.SPACETIME:
             self.fail("derivative index must be spacetime", lab_t)
         self.expect_sym("(")
+        self.nesting += 1
         inner = self.parse_expr()
+        self.nesting -= 1
         self.expect_sym(")")
         return Partial(Index(lab_t.text, Alphabet.SPACETIME, Variance.DOWN),
                        inner)
@@ -490,7 +501,7 @@ def _factor_chunk(f: Expr) -> str:
 
 
 def _term_chunks(t: Product) -> tuple[int, list[str]]:
-    items = list(t.factors) + (list(t.chain.items) if t.chain else [])
+    items = t.factors
     sign, chunks = _coeff_chunks(t.coeff, bool(items))
     i = 0
     while i < len(items):
@@ -527,7 +538,7 @@ def render_expr(e: Expr) -> str:
 def render(L: LagrangianDef) -> str:
     st, fr = set(), set()
     for t in L.parsed.terms:
-        for ix in ex._term_slot_list(t.factors, t.chain):
+        for ix in ex._term_slot_list(t.factors):
             (st if ix.alphabet == Alphabet.SPACETIME else fr).add(ix.label)
     lines = []
     if st:
@@ -555,9 +566,6 @@ def used_kinds(e: Expr) -> tuple[Kind, ...]:
     for t in s.terms:
         for f in t.factors:
             visit(f)
-        if t.chain:
-            for it in t.chain.items:
-                visit(it)
     return tuple(sorted(kinds, key=lambda k: k.value))
 
 

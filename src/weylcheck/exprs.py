@@ -2,13 +2,15 @@
 
 Expressions are immutable trees built from atoms (indexed fields and the
 constant spinor matrices gamma, sigma and one), coupling constants,
-partial derivatives, products and sums.
+partial derivatives, products and sums.  A term has one shape,
+``Product(coeff, factors)``: the factors whose kind opens a spin axis
+are its spinor chain, in the order given, and the rest commute.
 Coefficients are exact Gaussian rationals; no floats enter the symbolic
 layer.  ``canonicalize`` maps every expression to a unique normal form:
 sums flattened and sorted, products flattened with commuting factors in a
-fixed class order, like terms collected, and dummy indices renamed to a
-canonical sequence.  Structural equality of canonical forms is the
-engine's notion of equality.
+fixed class order and the chain after them, like terms collected, and
+dummy indices renamed to a canonical sequence.  Structural equality of
+canonical forms is the engine's notion of equality.
 
 What the engine knows about an atom's kind, a declared field or one of
 the Clifford matrices, is one row of the kind table (``_KINDS``): its
@@ -267,33 +269,33 @@ class Expr:
         return Sum((_as_expr(other), self))
 
     def __sub__(self, other):
-        return Sum((self, Product(CRat(-1), (_as_expr(other),), None)))
+        return Sum((self, Product(CRat(-1), (_as_expr(other),))))
 
     def __rsub__(self, other):
-        return Sum((_as_expr(other), Product(CRat(-1), (self,), None)))
+        return Sum((_as_expr(other), Product(CRat(-1), (self,))))
 
     def __mul__(self, other):
-        return Product(CRat(1), (self, _as_expr(other)), None)
+        return Product(CRat(1), (self, _as_expr(other)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, CRat)):
-            return Product(CRat.of(other), (self,), None)
-        return Product(CRat(1), (_as_expr(other), self), None)
+            return Product(CRat.of(other), (self,))
+        return Product(CRat(1), (_as_expr(other), self))
 
     def __neg__(self):
-        return Product(CRat(-1), (self,), None)
+        return Product(CRat(-1), (self,))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 1:
             raise TypeError("expression powers are positive integers")
-        return Product(CRat(1), (self,) * n, None)
+        return Product(CRat(1), (self,) * n)
 
 
 def _as_expr(v) -> Expr:
     if isinstance(v, Expr):
         return v
     if isinstance(v, (int, Fraction, CRat)):
-        return Product(CRat.of(v), (), None)
+        return Product(CRat.of(v), ())
     raise TypeError(f"cannot coerce {v!r} to Expr")
 
 
@@ -361,18 +363,14 @@ class Partial(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class SpinorChain(Expr):
-    """Ordered spinor-space factors: optional Psibar, Clifford items,
-    optional Psi.  Fermion endpoints may sit under derivatives."""
-
-    items: tuple[Expr, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class Product(Expr):
+    """coeff times the factors, in order.  The factors whose kind row
+    opens a spin axis, bare or under derivatives, are the term's spinor
+    chain, multiplied in the order given (optional Psibar, Clifford
+    matrices, optional Psi); every other factor commutes.  A canonical
+    Product lists its sorted commuting factors, then its chain."""
     coeff: CRat
     factors: tuple[Expr, ...]
-    chain: Optional[SpinorChain]
 
 
 @dataclass(frozen=True, slots=True)
@@ -384,7 +382,7 @@ class Sum(Expr):
 
 
 ZERO = Sum(())
-ONE = Product(CRat(1), (), None)
+ONE = Product(CRat(1), ())
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +504,20 @@ def _factor_key(f: Expr) -> tuple:
     raise TypeError(f"unexpected node {f!r}")
 
 
-def _chain_key(c: Optional[SpinorChain]) -> tuple:
-    if c is None:
-        return ()
-    return tuple(_factor_key(it) for it in c.items)
+def _split_chain(factors: Iterable[Expr]) -> tuple[list, list]:
+    """(commuting factors, spinor chain) of a term: the chain is the
+    items whose kind row opens a spin axis, in the order given."""
+    plain, chain = [], []
+    for f in factors:
+        atom = _deriv_split(f)[1]
+        spins = isinstance(atom, FieldAtom) and any(_KINDS[atom.kind].spin)
+        (chain if spins else plain).append(f)
+    return plain, chain
 
 
 def term_key(p: Product) -> tuple:
-    return (tuple(_factor_key(f) for f in p.factors), _chain_key(p.chain))
+    return tuple(tuple(map(_factor_key, part))
+                 for part in _split_chain(p.factors))
 
 
 def _deriv_split(f: Expr) -> tuple[tuple[Index, ...], Expr]:
@@ -548,26 +552,17 @@ def _slots_of_factor(f: Expr) -> list[Index]:
     raise TypeError(f"unexpected factor {f!r}")
 
 
-def _term_slot_list(factors, chain) -> list[Index]:
-    out = []
-    for f in factors:
-        out.extend(_slots_of_factor(f))
-    if chain is not None:
-        for it in chain.items:
-            out.extend(_slots_of_factor(it))
-    return out
+def _term_slot_list(factors: Iterable[Expr]) -> list[Index]:
+    return [ix for f in factors for ix in _slots_of_factor(f)]
 
 
-def _label_census(factors: Iterable[Expr],
-                  chain_items: Optional[Iterable[Expr]]
-                  ) -> dict[str, list[Index]]:
+def _label_census(factors: Iterable[Expr]) -> dict[str, list[Index]]:
     """label -> its occurrences over every slot of a term, derivative
     indices and chain items included: one makes a free index, two a
     dummy."""
     out: dict[str, list[Index]] = {}
-    for node in itertools.chain(factors, chain_items or ()):
-        for ix in _slots_of_factor(node):
-            out.setdefault(ix.label, []).append(ix)
+    for ix in _term_slot_list(factors):
+        out.setdefault(ix.label, []).append(ix)
     return out
 
 
@@ -655,81 +650,67 @@ def _rename_in_factor(f: Expr, ren: dict[str, str]):
     return _with_slots(f, slots), sign
 
 
-def _rename_term(factors: list, chain_items: Optional[list],
-                 ren: dict[str, str]):
-    """``_rename_in_factor`` over a term: (factors, chain items, sign),
-    or (None, None, 0) when a node vanishes."""
+def _rename_term(factors: list, ren: dict[str, str]):
+    """``_rename_in_factor`` over a term: (factors, sign), or (None, 0)
+    when a node vanishes."""
     sign = 1
-    out = []
-    for nodes in (factors, chain_items or ()):
-        renamed = []
-        for f in nodes:
-            nf, s = _rename_in_factor(f, ren)
-            if nf is None:
-                return None, None, 0
-            sign *= s
-            renamed.append(nf)
-        out.append(renamed)
-    return out[0], out[1] if chain_items is not None else None, sign
+    renamed = []
+    for f in factors:
+        nf, s = _rename_in_factor(f, ren)
+        if nf is None:
+            return None, 0
+        sign *= s
+        renamed.append(nf)
+    return renamed, sign
 
 
 # ---------------------------------------------------------------------------
 # flattening
 
-def _flatten(e: Expr) -> list[tuple[CRat, list, Optional[list]]]:
-    """Distribute sums and derivatives; returns raw (coeff, factors, chain
-    items) triples with derivatives applied to single atoms."""
+def _flatten(e: Expr) -> list[tuple[CRat, list]]:
+    """Distribute sums and derivatives; returns raw (coeff, factors)
+    pairs with derivatives applied to single atoms.  A raw term's chain
+    items keep their order, but need not come last."""
     if isinstance(e, Sum):
         return [t for u in e.terms for t in _flatten(u)]
     if isinstance(e, Product):
-        parts = e.factors if e.chain is None else e.factors + (e.chain,)
-        return [t for t in _distribute(e.coeff, parts)
+        return [t for t in _distribute(e.coeff, e.factors)
                 if not t[0].is_zero()]
-    if isinstance(e, FieldAtom):
-        if any(_KINDS[e.kind].spin):
-            return [(CRat(1), [], [e])]
-        return [(CRat(1), [e], None)]
-    if isinstance(e, Coupling):
-        return [(CRat(1), [e], None)]
+    if isinstance(e, (FieldAtom, Coupling)):
+        return [(CRat(1), [e])]
     if isinstance(e, Partial):
         return _flatten_partial(e.index, e.operand)
-    if isinstance(e, SpinorChain):
-        return _distribute(CRat(1), e.items)
     raise TypeError(f"cannot flatten {e!r}")
 
 
 def _distribute(coeff: CRat, parts: Iterable[Expr]):
     """Multiply out the flattened parts of a product, in order."""
-    terms = [(coeff, [], None)]
+    terms = [(coeff, [])]
     for part in parts:
         sub = _flatten(part)
-        terms = [(c1 * c2, fs1 + fs2, _merge_chain(ch1, ch2))
-                 for c1, fs1, ch1 in terms for c2, fs2, ch2 in sub]
+        terms = [(c1 * c2, fs1 + fs2)
+                 for c1, fs1 in terms for c2, fs2 in sub]
     return terms
-
-
-def _merge_chain(a: Optional[list], b: Optional[list]) -> Optional[list]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
 
 
 def _flatten_partial(ix: Index, operand: Expr):
     """Leibniz expansion; the derivative lands on single atoms, and a
-    constant term has none."""
+    constant term has none.  Of equal commuting factors only the first
+    is differentiated, times their count; each chain item, whose place
+    matters, is differentiated where it stands."""
     out = []
-    for coeff, factors, chain in _flatten(operand):
+    for coeff, factors in _flatten(operand):
+        plain, chain = _split_chain(factors)
+        factors = plain + chain
         for pos, f in enumerate(factors):
+            n = 1
+            if pos < len(plain):
+                if f in plain[:pos]:
+                    continue
+                n = plain.count(f)
             for dc, nodes in _derive_factor(ix, f):
-                out.append((coeff * dc,
-                            factors[:pos] + nodes + factors[pos + 1:],
-                            chain))
-        for pos, it in enumerate(chain or ()):
-            for dc, nodes in _derive_factor(ix, it):
-                out.append((coeff * dc, list(factors),
-                            chain[:pos] + nodes + chain[pos + 1:]))
+                c = coeff * dc if n == 1 else coeff * dc * n
+                out.append((c, factors[:pos] + nodes + factors[pos + 1:]))
     return out
 
 
@@ -805,7 +786,7 @@ def _slot_classes(f: Expr) -> list[str]:
     return [classes[p] for p in range(len(classes))]
 
 
-def _refined_groups(factors: list, chain_items: Optional[list],
+def _refined_groups(factors: list, chain_items: list,
                     dummies: set[str]) -> list[list[Expr]]:
     """Partition factors into permutable tie groups: start from the key
     of each factor with its dummies renamed to "" (and then normalized,
@@ -907,7 +888,7 @@ def _dummy_name_pool(alphabet: Alphabet, count: int,
             names.append(cand)
 
 
-def _least_candidate(factors: list, chain_items: Optional[list],
+def _least_candidate(factors: list, chain_items: list,
                      dummies: set[str], free_labels: set[str]):
     """Least key over the candidates of one prepared term.
 
@@ -929,8 +910,7 @@ def _least_candidate(factors: list, chain_items: Optional[list],
     nothing wherever it goes, so it is taken at once instead of at every
     position.  Raises MalformedIndex after ``_SEARCH_CAP`` extensions.
     """
-    slots = _term_slot_list(factors, SpinorChain(tuple(chain_items))
-                            if chain_items else None)
+    slots = _term_slot_list(factors + chain_items)
     alphabet_of = {ix.label: ix.alphabet for ix in slots
                    if ix.label in dummies}
     pools = {a: _dummy_name_pool(
@@ -955,7 +935,7 @@ def _least_candidate(factors: list, chain_items: Optional[list],
             mult[f] = mult.get(f, 0) + 1
         steps.append((False, [member(f, _orientations(f, dummies))
                               for f in mult], tuple(mult.values())))
-    for it in chain_items or ():
+    for it in chain_items:
         steps.append((True, [member(it, _orientations(it, dummies))], (1,)))
 
     def residual(t, left, ren):
@@ -1036,9 +1016,7 @@ def _least_candidate(factors: list, chain_items: Optional[list],
     if len(signs) != 1:
         return None
     sign, = signs
-    out_chain = SpinorChain(tuple(node_of[k] for k in ckeys)) \
-        if chain_items is not None else None
-    return sign, [node_of[k] for k in fkeys], out_chain
+    return sign, [node_of[k] for k in fkeys], [node_of[k] for k in ckeys]
 
 
 _TERM_CACHE: dict = {}
@@ -1046,22 +1024,21 @@ _TERM_CACHE_LIMIT = 200_000
 _VANISHES = object()
 
 
-def _canonical_term(coeff: CRat, factors: list, chain_items: Optional[list]):
+def _canonical_term(coeff: CRat, factors: list):
     """Unique representative of one product term.  Returns (coeff, Product
     skeleton) or None when the term vanishes.  Results are cached by the
     raw factor skeleton, and each skeleton found is cached as its own
     representative; the coefficient passes through linearly."""
     if coeff.is_zero():
         return None
-    cache_key = (tuple(factors),
-                 tuple(chain_items) if chain_items is not None else None)
+    cache_key = tuple(factors)
     hit = _TERM_CACHE.get(cache_key)
     if hit is not None:
         if hit is _VANISHES:
             return None
         sign_c, skel = hit
         return (coeff * sign_c, skel)
-    res = _canonical_term_uncached(coeff, factors, chain_items)
+    res = _canonical_term_uncached(coeff, factors)
     if len(_TERM_CACHE) >= _TERM_CACHE_LIMIT:
         _TERM_CACHE.clear()
     if res is None:
@@ -1072,22 +1049,17 @@ def _canonical_term(coeff: CRat, factors: list, chain_items: Optional[list]):
         _TERM_CACHE[cache_key] = (c / coeff, skel)
         # a canonical skeleton is the least candidate of its own search,
         # reached with the sign it already carries
-        (_, fs, ch), = _flatten(skel)
-        _TERM_CACHE[(tuple(fs), tuple(ch) if ch is not None else None)] = \
-            (CRat(1), skel)
+        _TERM_CACHE[skel.factors] = (CRat(1), skel)
     return res
 
 
-def _prepare_term(factors: list, chain_items: Optional[list]):
+def _prepare_term(factors: list):
     """Everything a candidate search needs from one raw term: (scalar
-    factors, remaining factors, chain items, sign, dummy labels, free
-    labels), or None when an atom vanishes identically."""
-    if chain_items is not None:
-        chain_items = _strip_identities(chain_items)
-        if not chain_items:
-            chain_items = None
-        else:
-            _validate_chain(chain_items)
+    factors, remaining commuting factors, chain items, sign, dummy
+    labels, free labels), or None when an atom vanishes identically."""
+    factors, chain_items = _split_chain(factors)
+    chain_items = _strip_identities(chain_items)
+    _validate_chain(chain_items)
 
     factors, lam_exp, coup = _collect_scalars(factors)
     scalar_factors: list[Expr] = []
@@ -1099,13 +1071,14 @@ def _prepare_term(factors: list, chain_items: Optional[list]):
 
     # pre-normalize atoms first: identically vanishing atoms (equal-label
     # sigma slots) zero the term before index pairing is judged
-    factors, chain_items, sign0 = _rename_term(factors, chain_items, {})
+    nodes, sign0 = _rename_term(factors + chain_items, {})
     if not sign0:
         return None
+    factors, chain_items = nodes[:len(factors)], nodes[len(factors):]
 
     dummies: set[str] = set()
     free_labels: set[str] = set()
-    for lab, occ in _label_census(factors, chain_items).items():
+    for lab, occ in _label_census(nodes).items():
         if len(occ) == 1:
             free_labels.add(lab)
         elif len(occ) == 2:
@@ -1122,9 +1095,8 @@ def _prepare_term(factors: list, chain_items: Optional[list]):
     return scalar_factors, factors, chain_items, sign0, dummies, free_labels
 
 
-def _canonical_term_uncached(coeff: CRat, factors: list,
-                             chain_items: Optional[list]):
-    prep = _prepare_term(factors, chain_items)
+def _canonical_term_uncached(coeff: CRat, factors: list):
+    prep = _prepare_term(factors)
     if prep is None:
         return None
     scalar_factors, factors, chain_items, sign0, dummies, free_labels = prep
@@ -1133,8 +1105,8 @@ def _canonical_term_uncached(coeff: CRat, factors: list,
         return None
     sign, out_factors, out_chain = found
     all_factors = sorted(scalar_factors + out_factors, key=_factor_key)
-    return (coeff * CRat(sign0 * sign), Product(CRat(1), tuple(all_factors),
-                                                out_chain))
+    return (coeff * CRat(sign0 * sign),
+            Product(CRat(1), tuple(all_factors + out_chain)))
 
 
 def canonicalize(e: Expr) -> Sum:
@@ -1145,8 +1117,8 @@ def canonicalize(e: Expr) -> Sum:
         return e
     raw = _flatten(_as_expr(e))
     bucket: dict[tuple, tuple[CRat, Product]] = {}
-    for coeff, factors, chain in raw:
-        res = _canonical_term(coeff, factors, chain)
+    for coeff, factors in raw:
+        res = _canonical_term(coeff, factors)
         if res is None:
             continue
         c, skel = res
@@ -1161,7 +1133,7 @@ def canonicalize(e: Expr) -> Sum:
         c, skel = bucket[k]
         if c.is_zero():
             continue
-        terms.append(Product(c, skel.factors, skel.chain))
+        terms.append(Product(c, skel.factors))
     out = Sum(tuple(terms))
     _check_sum_frees(out)
     object.__setattr__(out, "_canonical", True)
@@ -1169,7 +1141,7 @@ def canonicalize(e: Expr) -> Sum:
 
 
 def _term_free_indices(p: Product):
-    census = _label_census(p.factors, p.chain and p.chain.items)
+    census = _label_census(p.factors)
     return frozenset(occ[0] for occ in census.values() if len(occ) == 1)
 
 
@@ -1217,7 +1189,7 @@ def rewrite_terms(e: Expr, fn: Callable[[Product], Optional[Expr]]) -> Sum:
 def count_atoms(e: Expr, kind: Kind) -> int:
     """Total occurrences of an atom kind across all canonical terms."""
     atoms = (_deriv_split(f)[1] for t in canonicalize(e).terms
-             for f in t.factors + (t.chain.items if t.chain else ()))
+             for f in t.factors)
     return sum(isinstance(a, FieldAtom) and a.kind == kind for a in atoms)
 
 
@@ -1241,6 +1213,6 @@ def set_coupling(e: Expr, name: str, value) -> Sum:
                 kept.append(f)
         if len(kept) == len(t.factors):
             return None
-        return Product(coeff, tuple(kept), t.chain)
+        return Product(coeff, tuple(kept))
 
     return rewrite_terms(e, fold)

@@ -22,7 +22,6 @@ from .exprs import (
     Expr,
     Partial,
     Product,
-    SpinorChain,
     Sum,
     canonicalize,
 )
@@ -52,17 +51,16 @@ def _covariantize_partial(f: Partial) -> Expr:
             f"nested derivative of {kind.value!r} has no single-shift rule")
     ix = idxs[0]
     shift = Product(CRat.of(row.weight),
-                    (Coupling("f"), ex.weyl_vector(ix.label), atom), None)
+                    (Coupling("f"), ex.weyl_vector(ix.label), atom))
     return Sum((f, shift))
 
 
 def _covariantize_term(t: Product) -> Optional[Product]:
-    items = t.factors + (t.chain.items if t.chain else ())
-    if not any(isinstance(f, Partial) for f in items):
+    if not any(isinstance(f, Partial) for f in t.factors):
         return None
     return Product(t.coeff, tuple(
         _covariantize_partial(f) if isinstance(f, Partial) else f
-        for f in items), None)
+        for f in t.factors))
 
 
 def gauge_covariantize(L: Union[Expr, "dsl.LagrangianDef"]) -> Sum:
@@ -73,8 +71,8 @@ def gauge_covariantize(L: Union[Expr, "dsl.LagrangianDef"]) -> Sum:
 
 def _chain_terms(L: Sum, item_test) -> Sum:
     """The terms of L with a chain item that passes item_test."""
-    return ex.rewrite_terms(L, lambda t: None if t.chain and any(
-        map(item_test, t.chain.items)) else ex.ZERO)
+    return ex.rewrite_terms(L, lambda t: None if any(
+        map(item_test, ex._split_chain(t.factors)[1])) else ex.ZERO)
 
 
 def verify_fermion_decoupling() -> VerificationReport:
@@ -146,11 +144,11 @@ def expected_scalar_coupling() -> Sum:
     cross = Product(CRat(-1),
                     (Coupling("f"), ex.inv_metric("mu", "nu"),
                      ex.weyl_vector("mu"), ex.scalar_field(),
-                     ex.d("nu", ex.scalar_field())), None)
+                     ex.d("nu", ex.scalar_field())))
     quad = Product(CRat(Fraction(1, 2)),
                    (Coupling("f", 2), ex.inv_metric("mu", "nu"),
                     ex.weyl_vector("mu"), ex.weyl_vector("nu"),
-                    ex.scalar_field(), ex.scalar_field()), None)
+                    ex.scalar_field(), ex.scalar_field()))
     return canonicalize(cross + quad)
 
 
@@ -186,11 +184,9 @@ def verify_scalar_coupling() -> VerificationReport:
 def verify_gamma_sigma() -> VerificationReport:
     """The contraction identity behind fermion decoupling: gamma^c
     sigma_cb reduces to (3/2) gamma_b."""
-    lhs = Product(CRat(1), (),
-                  SpinorChain((ex.gamma("c"),
-                               ex.sigma("c", "b", up1=False, up2=False))))
-    rhs = Product(CRat(Fraction(3, 2)), (),
-                  SpinorChain((ex.gamma("b", up=False),)))
+    lhs = Product(CRat(1), (ex.gamma("c"),
+                            ex.sigma("c", "b", up1=False, up2=False)))
+    rhs = Product(CRat(Fraction(3, 2)), (ex.gamma("b", up=False),))
     reduced = full_simplify(lhs)
     residual = full_simplify(lhs - rhs)
     trace = (

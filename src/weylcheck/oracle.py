@@ -8,8 +8,10 @@ exp(k*ell(x)) for a sampled polynomial ell, making D_mu = d_mu ell
 exact.  Each rewrite rule ships with an lhs/rhs pair; agreement is
 checked in relative terms over many seeded trials.
 
-Each canonical sum is compiled once into per-term plans (operands,
-integer subscripts, a contraction path from `np.einsum_path`).  A run
+Each sum is compiled once, from the raw terms of `exprs._flatten` and
+without canonicalizing it, into per-term plans (operands, integer
+subscripts, a contraction path from `np.einsum_path`).  Values therefore
+also check the sign and renaming rules inside `canonicalize`.  A run
 draws every trial's `Assignment` from the trial's own generator, in the
 same order as before blocks existed, stacks the jets of `_BLOCK`
 consecutive trials on a leading axis, and evaluates each check once per
@@ -36,10 +38,7 @@ from .exprs import (
     FieldAtom,
     Kind,
     Product,
-    SpinorChain,
-    Sum,
     Variance,
-    canonicalize,
 )
 from .report import Mode, OracleSummary, TraceStep, VerificationReport
 
@@ -279,18 +278,15 @@ def _clifford_value(atom: FieldAtom) -> np.ndarray:
     return arr
 
 
-def _operand(f: Expr, in_chain: bool):
+def _operand(f: Expr):
     """(constant array or per-trial handle, slot labels, open spin axes
     (left, right)) of a tensor factor or a spinor chain item."""
-    what = "chain item" if in_chain else "factor"
-    if isinstance(f, Coupling) and not in_chain:
+    if isinstance(f, Coupling):
         return ("coupling", f.name, f.power), [], (False, False)
     idxs, atom = ex._deriv_split(f)
     if not isinstance(atom, FieldAtom):
-        raise WeylcheckError(f"cannot evaluate {what} {f!r}")
+        raise WeylcheckError(f"cannot evaluate factor {f!r}")
     spin = ex._KINDS[atom.kind].spin
-    if in_chain != any(spin):
-        raise WeylcheckError(f"cannot evaluate {what} {f!r}")
     labels = [ix.label for ix in idxs + atom.indices]
     constant = atom.kind in (Kind.DELTA, Kind.LAMBDA_POWER) or \
         isinstance(atom.kind, CliffordKind)
@@ -326,7 +322,8 @@ def _contraction_steps(subs, out):
 
 
 class _Plan:
-    """A sum compiled for block evaluation.
+    """An expression compiled for block evaluation, one raw term of
+    `exprs._flatten` at a time.
 
     Each term keeps its coefficient, its operands (constant arrays, or
     per-trial handles whose subscripts start with the trial axis) and
@@ -334,11 +331,11 @@ class _Plan:
     by spin-axis subscripts.  `free` and `state` describe every term.
     """
 
-    def __init__(self, s: Sum):
+    def __init__(self, e: Expr):
         self.terms = []
         self.free, self.state = (), "scalar"
-        for i, t in enumerate(s.terms):
-            term, key = self._compile(t)
+        for i, (coeff, factors) in enumerate(ex._flatten(e)):
+            term, key = self._compile(coeff, factors)
             if i and key != (self.free, self.state):
                 raise WeylcheckError(
                     f"terms disagree in free structure: "
@@ -347,7 +344,7 @@ class _Plan:
             self.terms.append(term)
 
     @staticmethod
-    def _compile(t: Product):
+    def _compile(coeff: CRat, factors: list):
         ids: dict[str, int] = {}
         counts: dict[str, int] = {}
         ops, subs = [], []
@@ -363,11 +360,12 @@ class _Plan:
             subs.append(trial + [ids[lab] for lab in labels]
                         + list(spin_ids))
 
-        for f in t.factors:
-            push(*_operand(f, False)[:2])
+        plain, chain = ex._split_chain(factors)
+        for f in plain:
+            push(*_operand(f)[:2])
         state, lo, right = "scalar", None, None
-        for i, item in enumerate(t.chain.items if t.chain else ()):
-            op, labels, (has_l, has_r) = _operand(item, True)
+        for i, item in enumerate(chain):
+            op, labels, (has_l, has_r) = _operand(item)
             if i and not (right is not None and has_l):
                 raise WeylcheckError(
                     f"malformed spinor chain: {state} then "
@@ -387,7 +385,7 @@ class _Plan:
         out = ([_TRIAL] if batched else []) + [ids[lab] for lab in free]
         out += [s for s in (lo, right) if s is not None]
         steps = _contraction_steps(subs, out) if ops else []
-        return (t.coeff.to_complex(), ops, steps, batched), (free, state)
+        return (coeff.to_complex(), ops, steps, batched), (free, state)
 
     def value(self, block: _Block) -> np.ndarray:
         """Components stacked over the block's trials: trial axis, then
@@ -414,7 +412,7 @@ def evaluate_components(e: Expr, a: Assignment):
     The array's leading axes follow the sorted free labels; spinor axes,
     if the expression has an open chain, come last.
     """
-    plan = _Plan(canonicalize(e))
+    plan = _Plan(e)
     return np.array(plan.value(_Block([a]))[0]), plan.free, plan.state
 
 
@@ -476,7 +474,7 @@ class OracleCheck:
 
 
 def _pair(name: str, lhs: Expr, rhs: Expr, pure=False) -> OracleCheck:
-    x, y = _Plan(canonicalize(lhs)), _Plan(canonicalize(rhs))
+    x, y = _Plan(lhs), _Plan(rhs)
     # an identically-zero side carries no free structure of its own
     if x.terms and y.terms and (x.free, x.state) != (y.free, y.state):
         raise WeylcheckError(f"{name}: free structure mismatch "
@@ -491,7 +489,7 @@ def _pair(name: str, lhs: Expr, rhs: Expr, pure=False) -> OracleCheck:
 
 
 def _chain(*items) -> Product:
-    return Product(CRat(1), (), SpinorChain(tuple(items)))
+    return Product(CRat(1), items)
 
 
 _CATALOG: Optional[list] = None
@@ -535,13 +533,9 @@ def _build_catalog() -> list:
     add_rewrite("tensor/variance-shuffle",
                 ex.inv_metric("l", "n") * ex.tetrad("b", "l"),
                 contract_pairs)
-    checks.append(_pair(
-        "tensor/eta-into-chain",
-        Product(CRat(1), (ex.minkowski("a", "b"),),
-                SpinorChain((ex.gamma("b"),))),
-        contract_pairs(Product(CRat(1), (ex.minkowski("a", "b"),),
-                               SpinorChain((ex.gamma("b"),)))),
-        pure=True))
+    add_rewrite("tensor/eta-into-chain",
+                ex.minkowski("a", "b") * ex.gamma("b"), contract_pairs,
+                pure=True)
 
     # Christoffel expansion against a direct formula on the assignment
     chr_plan = _Plan(christoffel("rho", "mu", "nu").expansion)
@@ -561,8 +555,8 @@ def _build_catalog() -> list:
     # Clifford identities (pure matrix content, tight tolerance)
     gup, glo = ex.gamma, (lambda l: ex.gamma(l, up=False))
     anns = _chain(gup("a"), gup("b")) + _chain(gup("b"), gup("a"))
-    two_eta = Product(CRat(2), (ex.minkowski_up("a", "b"),),
-                      SpinorChain((ex.identity_spinor(),)))
+    two_eta = Product(CRat(2), (ex.minkowski_up("a", "b"),
+                                ex.identity_spinor()))
     checks.append(_pair("clifford/anticommutator", anns, two_eta,
                         pure=True))
     add_rewrite("clifford/contract-dim", _chain(gup("c"), glo("c")),
@@ -585,9 +579,8 @@ def _build_catalog() -> list:
     checks.append(OracleCheck("clifford/gamma-sigma-matrices",
                               gamma_sigma_matrices, pure=True))
 
-    fchain = Product(CRat(1), (ex.minkowski("a", "b"),),
-                     SpinorChain((ex.fermion_bar(), gup("a"), gup("b"),
-                                  ex.fermion())))
+    fchain = Product(CRat(1), (ex.minkowski("a", "b"), ex.fermion_bar(),
+                               gup("a"), gup("b"), ex.fermion()))
     add_rewrite("clifford/fermion-chain", fchain, full_simplify)
 
     # scale transforms: Lam^4 * transformed == original for invariant
@@ -646,13 +639,10 @@ def _build_catalog() -> list:
     shift_pair("scalar", ex.d("m", ex.scalar_field()),
                ex.d("m", ex.scalar_field())
                - fS("m") * ex.scalar_field())
-    psi_kin = Product(CRat(1), (),
-                      SpinorChain((ex.fermion_bar(),
-                                   ex.d("m", ex.fermion()))))
+    psi_kin = ex.fermion_bar() * ex.d("m", ex.fermion())
     psi_shift = psi_kin + Product(
         CRat(Fraction(-3, 2)),
-        (Coupling("f"), ex.weyl_vector("m")),
-        SpinorChain((ex.fermion_bar(), ex.fermion())))
+        (Coupling("f"), ex.weyl_vector("m"), ex.fermion_bar(), ex.fermion()))
     shift_pair("fermion", psi_kin, psi_shift)
 
     # decoupling as numeric statements
@@ -663,7 +653,7 @@ def _build_catalog() -> list:
                         gauge.gauge_covariantize(sc), sg))
 
     # determinant factor consistency
-    detg_plan = _Plan(canonicalize(ex.det_factor()))
+    detg_plan = _Plan(ex.det_factor())
 
     def detg_tetrad(block: _Block) -> np.ndarray:
         det = np.abs(np.linalg.det(block.stacked((Kind.TETRAD, 0))))
@@ -684,8 +674,7 @@ def _build_catalog() -> list:
 
     checks.append(OracleCheck("oracle/detg-rescale", detg_rescale))
 
-    ident = _Plan(canonicalize(ex.inv_metric("m", "r")
-                               * ex.metric("r", "n")))
+    ident = _Plan(ex.inv_metric("m", "r") * ex.metric("r", "n"))
 
     def inverse_identity(block: _Block) -> np.ndarray:
         arr = ident.value(block)

@@ -64,8 +64,7 @@ def infer_weight(e: Expr, strict: bool = False
     homogeneous = True
     for t in s.terms:
         total = Fraction(0)
-        items = list(t.factors) + (list(t.chain.items) if t.chain else [])
-        for f in items:
+        for f in t.factors:
             atom = ex._deriv_split(f)[1]
             if isinstance(atom, FieldAtom):
                 row = ex._KINDS[atom.kind]
@@ -83,18 +82,16 @@ def _scaled_atom_local(f: FieldAtom, power: Fraction) -> Expr:
     row = ex._KINDS[f.kind]
     if not row.homogeneous:
         shift = Product(CRat.of(-power),
-                        (Coupling("f", -1), ex.log_deriv(f.indices[0].label)),
-                        None)
+                        (Coupling("f", -1), ex.log_deriv(f.indices[0].label)))
         return Sum((f, shift))
     if row.weight == 0:
         return f
-    return Product(CRat(1), (ex.lam(power * row.weight), f), None)
+    return Product(CRat(1), (ex.lam(power * row.weight), f))
 
 
 def _transform_term(t: Product, power: Fraction, local: bool) -> Expr:
     pieces: list[Expr] = []
-    items = list(t.factors) + (list(t.chain.items) if t.chain else [])
-    for f in items:
+    for f in t.factors:
         if isinstance(f, Coupling):
             pieces.append(f)
             continue
@@ -109,7 +106,7 @@ def _transform_term(t: Product, power: Fraction, local: bool) -> Expr:
             if w != 0:
                 pieces.append(ex.lam(power * w))
             pieces.append(f)
-    return Product(t.coeff, tuple(pieces), None)
+    return Product(t.coeff, tuple(pieces))
 
 
 def _apply_scale(e: Expr, power, local: bool) -> Sum:

@@ -19,13 +19,13 @@ from typing import Optional
 from . import exprs as ex
 from .exprs import (
     Alphabet,
+    CliffordKind,
     CRat,
     Expr,
     FieldAtom,
     Index,
     Kind,
     Product,
-    SpinorChain,
     Sum,
     Variance,
 )
@@ -53,10 +53,10 @@ def _top_atoms(factors) -> list[tuple[int, FieldAtom]]:
             if isinstance(f, FieldAtom)]
 
 
-def _contract_step(coeff: CRat, factors: list, chain):
+def _contract_step(coeff: CRat, factors: list):
     """Apply the highest-priority applicable rule once.  Returns the
-    rewritten (coeff, factors, chain) or None when no rule matches."""
-    slots = ex._label_census(factors, chain)
+    rewritten (coeff, factors) or None when no rule matches."""
+    slots = ex._label_census(factors)
     atoms = _top_atoms(factors)
 
     # 1: Kronecker delta elimination and traces
@@ -67,17 +67,13 @@ def _contract_step(coeff: CRat, factors: list, chain):
         rest = factors[:pos] + factors[pos + 1:]
         if up.label == dn.label:
             dim = CRat(ex.SPACETIME_DIM)
-            return coeff * dim, rest, chain
+            return coeff * dim, rest
         if len(slots[up.label]) == 2:
-            nf, nc, s = ex._rename_term(rest, chain, {up.label: dn.label})
-            if s:
-                return coeff * CRat(s), nf, nc
-            return CRat(0), [], None
+            nf, s = ex._rename_term(rest, {up.label: dn.label})
+            return coeff * CRat(s), nf or []
         if len(slots[dn.label]) == 2:
-            nf, nc, s = ex._rename_term(rest, chain, {dn.label: up.label})
-            if s:
-                return coeff * CRat(s), nf, nc
-            return CRat(0), [], None
+            nf, s = ex._rename_term(rest, {dn.label: up.label})
+            return coeff * CRat(s), nf or []
 
     def shared_dummy(ix_list_a, ix_list_b):
         for ia in ix_list_a:
@@ -91,7 +87,7 @@ def _contract_step(coeff: CRat, factors: list, chain):
 
     def drop(positions, extra):
         keep = [f for i, f in enumerate(factors) if i not in positions]
-        return coeff, keep + extra, chain
+        return coeff, keep + extra
 
     # 2: two mutually inverse atoms sharing a dummy become the delta of
     # their remaining upper and lower index
@@ -134,56 +130,47 @@ def _contract_step(coeff: CRat, factors: list, chain):
                                      new_tetrad(c, other.label)])
 
     # 5: frame metric absorbs into a Clifford slot
-    if chain is not None:
-        for p, a in atoms:
-            if a.kind not in (Kind.MINKOWSKI, Kind.MINKOWSKI_UP):
-                continue
-            want = Variance.UP if a.kind == Kind.MINKOWSKI else Variance.DOWN
-            new_var = Variance.DOWN if a.kind == Kind.MINKOWSKI \
-                else Variance.UP
-            for ci, item in enumerate(chain):
-                # of the chain items only the Clifford matrices have slots
-                if not isinstance(item, FieldAtom):
-                    continue
-                for si, ix in enumerate(item.indices):
-                    for ei, eix in enumerate(a.indices):
-                        if ix.label == eix.label and ix.variance == want:
-                            other = a.indices[1 - ei]
-                            new_ix = Index(other.label, Alphabet.FRAME,
-                                           new_var)
-                            idxs = list(item.indices)
-                            idxs[si] = new_ix
-                            na, s = ex._rename_in_factor(
-                                FieldAtom(item.kind, tuple(idxs)), {})
-                            if na is None:
-                                return CRat(0), [], None
-                            nchain = list(chain)
-                            nchain[ci] = na
-                            keep = factors[:p] + factors[p + 1:]
-                            return coeff * CRat(s), keep, nchain
+    matrices = [(q, b) for q, b in atoms if isinstance(b.kind, CliffordKind)]
+    for p, a in atoms:
+        if a.kind not in (Kind.MINKOWSKI, Kind.MINKOWSKI_UP):
+            continue
+        want = Variance.UP if a.kind == Kind.MINKOWSKI else Variance.DOWN
+        new_var = Variance.DOWN if a.kind == Kind.MINKOWSKI else Variance.UP
+        for q, item in matrices:
+            for si, ix in enumerate(item.indices):
+                for ei, eix in enumerate(a.indices):
+                    if ix.label == eix.label and ix.variance == want:
+                        other = a.indices[1 - ei]
+                        idxs = list(item.indices)
+                        idxs[si] = Index(other.label, Alphabet.FRAME,
+                                         new_var)
+                        na, s = ex._rename_in_factor(
+                            FieldAtom(item.kind, tuple(idxs)), {})
+                        if na is None:
+                            return CRat(0), []
+                        new = list(factors)
+                        new[q] = na
+                        del new[p]
+                        return coeff * CRat(s), new
     return None
 
 
 def _contract_term(t: Product) -> Optional[Product]:
     """One term with the rule set applied to a fixpoint, or None when no
     rule matches."""
-    coeff = t.coeff
-    factors = list(t.factors)
-    chain = list(t.chain.items) if t.chain is not None else None
-    step = _contract_step(coeff, factors, chain)
+    step = _contract_step(t.coeff, list(t.factors))
     if step is None:
         return None
     for _ in range(500):
-        coeff, factors, chain = step
+        coeff, factors = step
         if coeff.is_zero():
             break
-        step = _contract_step(coeff, factors, chain)
+        step = _contract_step(coeff, factors)
         if step is None:
             break
     else:
         raise RuntimeError("contraction did not terminate")
-    return Product(coeff, tuple(factors),
-                   SpinorChain(tuple(chain)) if chain else None)
+    return Product(coeff, tuple(factors))
 
 
 def contract_pairs(e: Expr) -> Sum:

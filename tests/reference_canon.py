@@ -12,10 +12,9 @@ Yang-Mills term has 4096) and compare the result with
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 from weylcheck import exprs as ex
-from weylcheck.exprs import Alphabet, CRat, Index, Product, SpinorChain
+from weylcheck.exprs import Alphabet, CRat, Index, Product
 
 PERM_CAP = 5_000
 
@@ -35,7 +34,7 @@ def chain_flip_candidates(items: list, dummies: set[str]) -> list:
     return [ex._orientations(it, dummies) for it in items]
 
 
-def candidate_count(factors: list, chain_items: Optional[list],
+def candidate_count(factors: list, chain_items: list,
                     dummies: set[str]) -> int:
     """Size of the exhaustive candidate space of a prepared term."""
     n = 1
@@ -44,9 +43,8 @@ def candidate_count(factors: list, chain_items: Optional[list],
             n *= k
         for f in g:
             n *= len(flip_candidates(f, dummies))
-    if chain_items is not None:
-        for opts in chain_flip_candidates(chain_items, dummies):
-            n *= len(opts)
+    for opts in chain_flip_candidates(chain_items, dummies):
+        n *= len(opts)
     return n
 
 
@@ -66,7 +64,7 @@ def _canonical_dummy_names(walk: list[Index], dummies: set[str],
     return ren
 
 
-def least_candidate(factors: list, chain_items: Optional[list],
+def least_candidate(factors: list, chain_items: list,
                     dummies: set[str], free_labels: set[str]):
     """(sign, factors, chain) of the least candidate, or None when two
     least candidates differ in sign; same contract as
@@ -75,8 +73,7 @@ def least_candidate(factors: list, chain_items: Optional[list],
         raise TooManyCandidates
     groups = ex._refined_groups(factors, chain_items, dummies)
     group_orderings = [list(itertools.permutations(g)) for g in groups]
-    chain_opts = chain_flip_candidates(chain_items, dummies) \
-        if chain_items is not None else []
+    chain_opts = chain_flip_candidates(chain_items, dummies)
 
     best = None  # (key, sign, factors, chain)
     zero = False
@@ -87,13 +84,11 @@ def least_candidate(factors: list, chain_items: Optional[list],
             chain_variants = itertools.product(*chain_opts) \
                 if chain_opts else [()]
             for chain_pick in chain_variants:
-                ch_items = [it for it, _ in chain_pick] or None
+                ch_items = [it for it, _ in chain_pick]
                 ch_sign = 1
                 for _, s in chain_pick:
                     ch_sign *= s
-                walk = ex._term_slot_list(
-                    list(flipped),
-                    SpinorChain(tuple(ch_items)) if ch_items else None)
+                walk = ex._term_slot_list(list(flipped) + ch_items)
                 ren = _canonical_dummy_names(walk, dummies, free_labels)
                 sign = ch_sign
                 out_factors = []
@@ -107,22 +102,19 @@ def least_candidate(factors: list, chain_items: Optional[list],
                     out_factors.append(nf)
                 if dead:
                     continue
-                out_chain = None
-                if ch_items is not None:
-                    out_items = []
-                    for it in ch_items:
-                        ni, s = ex._rename_in_factor(it, ren)
-                        if ni is None:
-                            dead = True
-                            break
-                        sign *= s
-                        out_items.append(ni)
-                    if dead:
-                        continue
-                    out_chain = SpinorChain(tuple(out_items))
+                out_chain = []
+                for it in ch_items:
+                    ni, s = ex._rename_in_factor(it, ren)
+                    if ni is None:
+                        dead = True
+                        break
+                    sign *= s
+                    out_chain.append(ni)
+                if dead:
+                    continue
                 out_factors.sort(key=ex._factor_key)
                 key = (tuple(ex._factor_key(f) for f in out_factors),
-                       ex._chain_key(out_chain))
+                       tuple(ex._factor_key(it) for it in out_chain))
                 if best is None or key < best[0]:
                     best = (key, sign, out_factors, out_chain)
                     zero = False
@@ -134,9 +126,9 @@ def least_candidate(factors: list, chain_items: Optional[list],
     return sign, out_factors, out_chain
 
 
-def canonical_term(coeff: CRat, factors: list, chain_items: Optional[list]):
+def canonical_term(coeff: CRat, factors: list):
     """``exprs._canonical_term_uncached`` with the exhaustive search."""
-    prep = ex._prepare_term(factors, chain_items)
+    prep = ex._prepare_term(factors)
     if prep is None:
         return None
     scalar_factors, factors, chain_items, sign0, dummies, free_labels = prep
@@ -145,5 +137,5 @@ def canonical_term(coeff: CRat, factors: list, chain_items: Optional[list]):
         return None
     sign, out_factors, out_chain = found
     all_factors = sorted(scalar_factors + out_factors, key=ex._factor_key)
-    return (coeff * CRat(sign0 * sign), Product(CRat(1), tuple(all_factors),
-                                                out_chain))
+    return (coeff * CRat(sign0 * sign),
+            Product(CRat(1), tuple(all_factors + out_chain)))

@@ -24,7 +24,6 @@ from weylcheck.exprs import (
     Kind,
     Partial,
     Product,
-    SpinorChain,
     Sum,
     Variance,
     canonicalize,
@@ -107,8 +106,8 @@ _CHAIN_STATES = {
 }
 
 
-def _chain_value(a, chain: SpinorChain):
-    parts = [_chain_item_value(a, it) for it in chain.items]
+def _chain_value(a, chain: list):
+    parts = [_chain_item_value(a, it) for it in chain]
     arr, labels, state = parts[0]
     for arr2, labels2, st2 in parts[1:]:
         out_state = _CHAIN_STATES.get((state, st2))
@@ -149,14 +148,15 @@ def _term_value(a, t: Product):
             sub.append(label_ids[lab])
         ops.append((np.asarray(arr, dtype=complex), sub))
 
-    for f in t.factors:
+    plain, chain = ex._split_chain(t.factors)
+    for f in plain:
         arr, labels = _factor_value(a, f)
         push(arr, labels)
 
     state = "scalar"
     spin_ids: list[int] = []
-    if t.chain is not None:
-        arr, labels, state = _chain_value(a, t.chain)
+    if chain:
+        arr, labels, state = _chain_value(a, chain)
         spin_ids = [next(next_id) for _ in range(_SPIN_AXES[state])]
         sub = []
         for lab in labels:

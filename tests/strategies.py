@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from weylcheck import exprs as ex
 from weylcheck.dsl import LagrangianDef, make_def
-from weylcheck.exprs import Alphabet, CRat, Product, SpinorChain, Sum, Variance
+from weylcheck.exprs import Alphabet, CRat, Product, Sum, Variance
 
 ST = Alphabet.SPACETIME
 FR = Alphabet.FRAME
@@ -34,7 +34,8 @@ class _Slot:
 
 # A template instantiation is (slots, make, is_chain) where slots is a
 # list of (alphabet, variance, sub_atom) and make(labels) builds the
-# factor (or SpinorChain) once the pairing pass has named every slot.
+# factor (or the tuple of spinor chain items) once the pairing pass has
+# named every slot.
 
 def _t_scalar(rng):
     n = rng.choice((1, 1, 1, 2, 2, 3, 4))
@@ -172,7 +173,7 @@ def _t_chain(rng):
         for n, fn in makers:
             items.append(fn(L[pos:pos + n]))
             pos += n
-        return SpinorChain(tuple(items))
+        return tuple(items)
 
     return slots, make, True
 
@@ -266,16 +267,16 @@ def random_term(rng: random.Random, require_scalar: bool = False,
         if require_scalar and nfree:
             continue
         factors = []
-        chain = None
+        chain = ()
         for mine, make, is_chain in per_pick:
             obj = make([s.label for s in mine])
             if is_chain:
                 chain = obj
             else:
                 factors.append(obj)
-        return Product(_coeff(rng), tuple(factors), chain)
+        return Product(_coeff(rng), tuple(factors) + chain)
     return Product(_coeff(rng),
-                   (ex.scalar_field() ** 2, ex.lam(Fraction(-2))), None)
+                   (ex.scalar_field() ** 2, ex.lam(Fraction(-2))))
 
 
 def random_expr(seed_or_rng, require_scalar: bool = False,

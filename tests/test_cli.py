@@ -179,6 +179,34 @@ def test_covariantize_uncovered_derivative(tmp_path):
     assert p.returncode == 1
 
 
+def _nested_derivatives(tmp_path, depth):
+    """A density of ``depth`` nested derivatives of phi with distinct
+    declared labels, d[m<depth-1>](...d[m0](phi)...)."""
+    body = "phi"
+    for k in range(depth):
+        body = f"d[m{k}]({body})"
+    labels = " ".join(f"m{k}" for k in range(depth))
+    f = tmp_path / f"deep{depth}.lag"
+    f.write_text(f"indices spacetime {labels} ;\nfields phi ;\n"
+                 f"name deep ;\ndensity {body} ;\n")
+    return str(f)
+
+
+def test_deep_derivative_nesting_is_a_parse_error(tmp_path):
+    """Nesting past the parser's bound is refused with a one-line
+    message, not a RecursionError traceback; shallow nesting still gets
+    a verdict."""
+    p = run_cli("verify", _nested_derivatives(tmp_path, 1000),
+                "--mode=global")
+    assert p.returncode == 2, p.stderr[-500:]
+    lines = p.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("weylcheck:"), lines
+    assert "derivatives nested deeper than" in lines[0]
+    p = run_cli("verify", _nested_derivatives(tmp_path, 3), "--mode=global")
+    assert p.returncode == 1, p.stderr
+    assert "claim: invariance:deep:global" in p.stdout
+
+
 def test_oracle_small_run():
     p = run_cli("oracle", "--trials=2", "--seed=5", "--json")
     assert p.returncode == 0

@@ -7,13 +7,13 @@ import pytest
 
 from weylcheck import exprs as ex
 from weylcheck.clifford import expand_sigma, gamma_canonicalize
-from weylcheck.exprs import CRat, Product, SpinorChain
+from weylcheck.exprs import CRat, Product
 from weylcheck.simplify import full_simplify
 from weylcheck.tensor import contract_pairs
 
 
 def _chain(coeff, *items):
-    return Product(coeff, (), SpinorChain(tuple(items)))
+    return Product(coeff, items)
 
 
 BAR, PSI = ex.fermion_bar(), ex.fermion()
@@ -23,8 +23,8 @@ def test_anticommutator():
     # gamma^a gamma^b + gamma^b gamma^a = 2 eta^{ab}
     lhs = _chain(CRat(1), BAR, ex.gamma("a"), ex.gamma("b"), PSI) \
         + _chain(CRat(1), BAR, ex.gamma("b"), ex.gamma("a"), PSI)
-    rhs = Product(CRat(2), (ex.minkowski_up("a", "b"),),
-                  SpinorChain((BAR, ex.identity_spinor(), PSI)))
+    rhs = Product(CRat(2), (ex.minkowski_up("a", "b"), BAR,
+                            ex.identity_spinor(), PSI))
     assert full_simplify(lhs - rhs) == ex.Sum(())
 
 
@@ -104,25 +104,23 @@ def test_free_gammas_get_ordered():
     e = _chain(CRat(1), BAR, ex.gamma("b"), ex.gamma("a"), PSI)
     got = gamma_canonicalize(e)
     direct = _chain(CRat(1), BAR, ex.gamma("a"), ex.gamma("b"), PSI)
-    eta = Product(CRat(2), (ex.minkowski_up("a", "b"),),
-                  SpinorChain((BAR, ex.identity_spinor(), PSI)))
+    eta = Product(CRat(2), (ex.minkowski_up("a", "b"), BAR,
+                            ex.identity_spinor(), PSI))
     assert got == ex.canonicalize(eta - direct)
 
 
 def test_pure_matrix_chain_supported():
     # chains without spinor endpoints reduce the same way
-    e = Product(CRat(1), (), SpinorChain(
-        (ex.gamma("a"), ex.gamma("a", up=False))))
+    e = Product(CRat(1), (ex.gamma("a"), ex.gamma("a", up=False)))
     got = gamma_canonicalize(e)
-    want = Product(CRat(ex.SPACETIME_DIM), (),
-                   SpinorChain((ex.identity_spinor(),)))
+    want = Product(CRat(ex.SPACETIME_DIM), (ex.identity_spinor(),))
     assert got == ex.canonicalize(want)
 
 
 def test_absorbed_eta_then_reduction():
     # eta_{cb} gamma^b hits a contracted pair after absorption
-    e = Product(CRat(1), (ex.minkowski("c", "b"),),
-                SpinorChain((BAR, ex.gamma("c"), ex.gamma("b"), PSI)))
+    e = Product(CRat(1), (ex.minkowski("c", "b"), BAR, ex.gamma("c"),
+                          ex.gamma("b"), PSI))
     got = full_simplify(e)
     want = _chain(CRat(ex.SPACETIME_DIM), BAR, ex.identity_spinor(), PSI)
     assert got == full_simplify(want)

@@ -159,6 +159,25 @@ def test_two_bilinears_in_one_term_rejected():
     assert "at most one spinor bilinear per term" in str(e)
 
 
+def test_derivative_nesting_bound():
+    """The bound itself parses; one level more is refused at the
+    offending `d`."""
+    n = dsl._MAX_NESTING
+
+    def src(depth):
+        labels = " ".join(f"m{k}" for k in range(depth))
+        body = "".join(f"d[m{k}](" for k in range(depth)) + "phi" \
+            + ")" * depth
+        return (f"indices spacetime {labels} ;\nfields phi ;\nname t ;\n"
+                f"density {body} ;")
+
+    assert dsl.parse(src(n)).parsed.terms
+    e = _err(src(n + 1), ParseError)
+    col = len("density ") + sum(len(f"d[m{k}](") for k in range(n)) + 1
+    assert (e.line, e.col) == (4, col)
+    assert "nested deeper than" in str(e)
+
+
 def test_make_def_canonicalizes():
     e = ex.scalar_field() * ex.scalar_field()
     L = dsl.make_def("t", e)

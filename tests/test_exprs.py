@@ -12,7 +12,7 @@ import strategies as gen
 from weylcheck import densities, dsl
 from weylcheck import exprs as ex
 from weylcheck.errors import IndexArityMismatch, MalformedIndex
-from weylcheck.exprs import CRat, I_UNIT, Product, SpinorChain, Sum
+from weylcheck.exprs import CRat, I_UNIT, Product, Sum
 from weylcheck.oracle import Assignment, _operand
 
 
@@ -31,7 +31,7 @@ def test_canonicalize_idempotent_on_generated(seed):
 @given(st.integers(0, 10_000))
 def test_like_terms_double(seed):
     s = gen.random_expr(seed)
-    doubled = Sum(tuple(Product(t.coeff * CRat(2), t.factors, t.chain)
+    doubled = Sum(tuple(Product(t.coeff * CRat(2), t.factors)
                         for t in s.terms))
     assert ex.canonicalize(s + s) == ex.canonicalize(doubled)
 
@@ -48,9 +48,9 @@ def test_factor_order_irrelevant(seed):
     rng = random.Random(seed + 1)
     shuffled = []
     for t in s.terms:
-        fs = list(t.factors)
+        fs, chain = ex._split_chain(t.factors)
         rng.shuffle(fs)
-        shuffled.append(Product(t.coeff, tuple(fs), t.chain))
+        shuffled.append(Product(t.coeff, tuple(fs + chain)))
     assert ex.canonicalize(Sum(tuple(shuffled))) == s
 
 
@@ -89,8 +89,8 @@ def _symmetric_terms():
         ring = ring * ex.inv_metric(f"x{i}", f"y{i}") \
             * ex.weyl_vector(f"x{i}") * ex.weyl_vector(f"y{i}")
     bar, psi = ex.fermion_bar(), ex.fermion()
-    sigma_eta = Product(CRat(1), (ex.minkowski("a", "b"),), SpinorChain(
-        (bar, ex.sigma("a", "b"), psi)))
+    sigma_eta = Product(CRat(1), (ex.minkowski("a", "b"), bar,
+                                  ex.sigma("a", "b"), psi))
     return [ring, _metric_cycle(2), _metric_cycle(3), sigma_eta]
 
 
@@ -107,8 +107,8 @@ def _differential_terms():
         raw.extend(ex._flatten(gen.random_term(random.Random(seed))))
         raw.extend(ex._flatten(gen.random_expr(seed)))
     out = [(t, None) for t in raw]
-    for coeff, factors, chain in raw:
-        res = ex._canonical_term_uncached(coeff, factors, chain)
+    for coeff, factors in raw:
+        res = ex._canonical_term_uncached(coeff, factors)
         if res is not None:
             out.extend((t, res[1]) for t in ex._flatten(res[1]))
     return out
@@ -121,13 +121,12 @@ def test_search_matches_exhaustive_reference():
     which the term cache relies on."""
     outcomes = set()
     compared = 0
-    for (coeff, factors, chain), skel in _differential_terms():
+    for (coeff, factors), skel in _differential_terms():
         try:
-            want = ref.canonical_term(coeff, factors, chain)
+            want = ref.canonical_term(coeff, factors)
         except ref.TooManyCandidates:
             continue
-        assert ex._canonical_term_uncached(coeff, factors, chain) == want, \
-            (factors, chain)
+        assert ex._canonical_term_uncached(coeff, factors) == want, factors
         compared += 1
         if skel is not None:
             assert want == (CRat(1), skel)
@@ -162,20 +161,18 @@ def test_gradient_terms_match_exhaustive_reference():
 
     # generated terms with every derivative of S made one of D
     for seed in range(2000):
-        for coeff, factors, chain in ex._flatten(
+        for coeff, factors in ex._flatten(
                 gen.random_term(random.Random(seed))):
             grad = [to_gradient(f) for f in factors]
             if grad != factors:
-                raw.append((coeff, grad, chain))
+                raw.append((coeff, grad))
     compared = 0
-    for coeff, factors, chain in raw:
-        want = ref.canonical_term(coeff, factors, chain)
-        assert ex._canonical_term_uncached(coeff, factors, chain) == want, \
-            factors
+    for coeff, factors in raw:
+        want = ref.canonical_term(coeff, factors)
+        assert ex._canonical_term_uncached(coeff, factors) == want, factors
         if want is not None:
-            (c, fs, ch), = ex._flatten(want[1])
-            assert ex._canonical_term_uncached(c, fs, ch) == (CRat(1),
-                                                              want[1])
+            (c, fs), = ex._flatten(want[1])
+            assert ex._canonical_term_uncached(c, fs) == (CRat(1), want[1])
         compared += 1
     assert compared > 80
 
@@ -185,7 +182,7 @@ def test_symmetric_terms_canonicalize():
     phi = ex.scalar_field()
     for n in (9, 12):
         assert ex.canonicalize(phi ** n) == \
-            Sum((Product(CRat(1), (phi,) * n, None),))
+            Sum((Product(CRat(1), (phi,) * n),))
     s = gen.random_expr(384)
     assert ex.canonicalize(s) == s
 
@@ -194,7 +191,7 @@ def test_symmetric_terms_one_form_under_relabeling():
     """Terms past the reference's reach (147456 candidates each) get one
     canonical form whatever their dummy names and factor order."""
     for e in (_metric_cycle(4), _metric_cycle(2, "p") * _metric_cycle(2, "q")):
-        (coeff, factors, _), = ex._flatten(e)
+        (coeff, factors), = ex._flatten(e)
         labels = sorted({ix.label for f in factors
                          for ix in ex._slots_of_factor(f)})
         forms = set()
@@ -203,7 +200,7 @@ def test_symmetric_terms_one_form_under_relabeling():
             ren = dict(zip(labels, rng.sample(labels, len(labels))))
             shuffled = [ex._rename_in_factor(f, ren)[0] for f in factors]
             rng.shuffle(shuffled)
-            forms.add(ex._canonical_term_uncached(coeff, shuffled, None))
+            forms.add(ex._canonical_term_uncached(coeff, shuffled))
         assert len(forms) == 1
 
 
@@ -225,12 +222,12 @@ def test_sigma_antisymmetry():
     bar, psi = ex.fermion_bar(), ex.fermion()
 
     def chain(*items):
-        return Product(CRat(1), (), SpinorChain(tuple(items)))
+        return Product(CRat(1), items)
 
     s_ab = chain(bar, ex.sigma("a", "b", up1=False, up2=False), psi)
     s_ba = chain(bar, ex.sigma("b", "a", up1=False, up2=False), psi)
     assert ex.is_zero(s_ab + s_ba)
-    assert ex.equal(s_ab, Product(CRat(-1), (), s_ba.chain))
+    assert ex.equal(s_ab, Product(CRat(-1), s_ba.factors))
     # contracted slots of one sigma: an antisymmetric trace
     assert ex.is_zero(chain(bar, ex.sigma("a", "a", up1=True, up2=False),
                             psi))
@@ -289,9 +286,9 @@ def test_free_indices():
 
 def test_set_coupling_folds_value():
     phi = ex.scalar_field()
-    e = Product(CRat(2), (ex.coupling("f", 2), phi), None)
+    e = Product(CRat(2), (ex.coupling("f", 2), phi))
     got = ex.set_coupling(e, "f", Fraction(1, 2))
-    assert got == ex.canonicalize(Product(CRat(Fraction(1, 2)), (phi,), None))
+    assert got == ex.canonicalize(Product(CRat(Fraction(1, 2)), (phi,)))
 
 
 def test_set_coupling_zero_kills_terms():
@@ -316,8 +313,24 @@ def test_set_coupling_other_names_untouched():
 def test_derivative_chain_rule():
     phi = ex.scalar_field()
     prod = ex.d("m", phi * phi)
-    expanded = Product(CRat(2), (phi, ex.d("m", phi)), None)
+    expanded = Product(CRat(2), (phi, ex.d("m", phi)))
     assert ex.equal(prod, expanded)
+
+
+def test_equal_factors_differentiated_once():
+    """Leibniz on k equal commuting factors gives one raw term times k,
+    not k equal raw terms: six nested levels of
+    d[m5](phi*d[m4](phi*...d[m0](phi*phi)...)) flatten to their 203
+    canonical terms (5040 raw terms otherwise)."""
+    phi = ex.scalar_field
+    e = ex.d("m0", phi() * phi())
+    for k in range(1, 6):
+        e = ex.d(f"m{k}", phi() * e)
+    assert len(ex._flatten(e)) == 203
+    assert len(ex.canonicalize(e).terms) == 203
+    # chain items are differentiated where they stand
+    bar, psi = ex.fermion_bar(), ex.fermion()
+    assert len(ex._flatten(ex.d("m", bar * ex.gamma("a") * psi))) == 2
 
 
 def test_count_atoms():
@@ -349,8 +362,8 @@ def test_derivative_indices_commute():
     def in_chain(inner):
         return Product(CRat(1), (ex.inv_metric("a", "x"),
                                  ex.inv_metric("b", "y"), ex.em_vector("x"),
-                                 ex.weyl_vector("y")),
-                       SpinorChain((ex.fermion_bar(), inner)))
+                                 ex.weyl_vector("y"), ex.fermion_bar(),
+                                 inner))
 
     psi = ex.fermion()
     assert ex.is_zero(in_chain(ex.d("a", ex.d("b", psi)))
@@ -373,9 +386,9 @@ def test_orientations_agree_with_normal_form():
              ex.d("a", ex.d("b", ex.metric("c", "e"))),
              ex.sigma("a", "b")]
     for seed in range(500):
-        for _, factors, chain in ex._flatten(
+        for _, factors in ex._flatten(
                 gen.random_term(random.Random(seed))):
-            nodes.extend(factors + (chain or []))
+            nodes.extend(factors)
     moved = 0
     for node in nodes:
         labels = {ix.label for ix in ex._slots_of_factor(node)}
@@ -388,25 +401,21 @@ def test_orientations_agree_with_normal_form():
     assert moved > 100
 
 
-def _dummy_labels(factors, chain):
+def _dummy_labels(factors):
     seen = {}
-    for ix in ex._term_slot_list(factors, SpinorChain(tuple(chain))
-                                 if chain else None):
+    for ix in ex._term_slot_list(factors):
         seen[ix.label] = seen.get(ix.label, 0) + 1
     return sorted(lab for lab, n in seen.items() if n == 2)
 
 
-def _renamed_term(coeff, factors, chain, ren):
+def _renamed_term(coeff, factors, ren):
     sign = 1
-    out = []
-    for nodes in (factors, chain or []):
-        renamed = []
-        for f in nodes:
-            nf, s = ex._rename_in_factor(f, ren)
-            sign *= s
-            renamed.append(nf)
-        out.append(renamed)
-    return coeff * CRat(sign), out[0], out[1] if chain is not None else None
+    renamed = []
+    for f in factors:
+        nf, s = ex._rename_in_factor(f, ren)
+        sign *= s
+        renamed.append(nf)
+    return coeff * CRat(sign), renamed
 
 
 def test_canonical_term_ignores_dummy_names_on_generated():
@@ -415,18 +424,18 @@ def test_canonical_term_ignores_dummy_names_on_generated():
     failed = set()
     with_dummies = 0
     for seed in range(2000):
-        for coeff, factors, chain in ex._flatten(
+        for coeff, factors in ex._flatten(
                 gen.random_term(random.Random(seed))):
-            dummies = _dummy_labels(factors, chain)
+            dummies = _dummy_labels(factors)
             if not dummies:
                 continue
             with_dummies += 1
-            want = ex._canonical_term_uncached(coeff, factors, chain)
+            want = ex._canonical_term_uncached(coeff, factors)
             for first, second in (("a", "zz"), ("zz", "a")):
                 ren = {lab: f"{(first, second)[i % 2]}{i}"
                        for i, lab in enumerate(dummies)}
                 got = ex._canonical_term_uncached(
-                    *_renamed_term(coeff, factors, chain, ren))
+                    *_renamed_term(coeff, factors, ren))
                 if got != want:
                     failed.add(seed)
     assert with_dummies > 600
@@ -513,9 +522,10 @@ def test_clifford_rows_agree_with_their_readers(kind):
         dsl.parse(f"indices frame a0 a1 a2 ;\nname t ;\n"
                   f"density {kind.value}[{labels}] ;")
     atom = ex.FieldAtom(kind, tuple(ex.fr_up(f"a{k}") for k in range(n)))
-    assert ex._flatten(atom) == [(CRat(1), [], [atom])]
-    arr, _, spin = _operand(atom, in_chain=True)
+    (_, factors), = ex._flatten(atom)
+    assert ex._split_chain(factors) == ([], [atom])
+    arr, _, spin = _operand(atom)
     assert arr.shape == (4,) * (n + 2) and spin == (True, True)
-    chain = SpinorChain((atom, ex.gamma("b")))
+    chain = Product(CRat(1), (atom, ex.gamma("b")))
     assert not ex.is_zero(chain)
     assert ex.is_zero(ex.d("m", chain))

@@ -1,6 +1,7 @@
 """Numeric oracle: seeded assignments, the evaluator, and the check
 catalog that pins every rewrite rule to floating-point agreement."""
 
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -193,9 +194,7 @@ def test_global_homogeneity_on_generated():
 
 def test_chain_evaluation_matches_direct_matrices():
     a = Assignment((4, 6))
-    from weylcheck.exprs import CRat, Product, SpinorChain
-    e = Product(CRat(1), (), SpinorChain(
-        (ex.fermion_bar(), ex.gamma("a", up=False), ex.fermion())))
+    e = ex.fermion_bar() * ex.gamma("a", up=False) * ex.fermion()
     psi = a.tensor_jet(ex.Kind.FERMION, 0)
     bar = a.tensor_jet(ex.Kind.FERMION_BAR, 0)
     for i in range(4):
@@ -227,14 +226,54 @@ def test_closed_form_jets_match_monomial_reference(key):
             assert relative_deviation(g, w) < 1e-13, (kind, order)
 
 
+def _relabeled_shuffled(t, rng):
+    """The raw terms of a generated term, each with its dummies given
+    fresh random names and its commuting factors shuffled."""
+    terms = []
+    for coeff, factors in ex._flatten(t):
+        census = ex._label_census(factors)
+        dummies = [lab for lab, occ in census.items() if len(occ) == 2]
+        names = rng.sample(range(1000), len(dummies))
+        ren = {lab: f"r{k}" for lab, k in zip(dummies, names)}
+        relabeled = [ex._with_slots(f, [
+            ex.Index(ren.get(ix.label, ix.label), ix.alphabet, ix.variance)
+            for ix in ex._slots_of_factor(f)])
+            if ex._slots_of_factor(f) else f for f in factors]
+        plain, chain = ex._split_chain(relabeled)
+        rng.shuffle(plain)
+        terms.append(ex.Product(coeff, tuple(plain + chain)))
+    return ex.Sum(tuple(terms))
+
+
+def test_raw_terms_evaluate_like_their_canonical_form():
+    """The oracle evaluates raw terms, so it checks canonicalize itself:
+    the sign, slot-order and renaming rules must keep every value."""
+    a = Assignment((9, 0))
+    for seed in range(1000):
+        raw = _relabeled_shuffled(gen.random_term(random.Random(seed)),
+                                  random.Random(-seed - 1))
+        got, frees, state = evaluate_components(raw, a)
+        canon = ex.canonicalize(raw)
+        if not canon.terms:
+            want = np.zeros_like(got)
+        else:
+            want, *key = evaluate_components(canon, a)
+            assert key == [frees, state], seed
+        dev = relative_deviation(got, want)
+        assert dev < oracle.TOL_FIELD, (seed, dev)
+
+
 def test_catalog_sides_are_canonicalized_once(monkeypatch):
+    """After the catalog is built, a run neither canonicalizes a term
+    nor flattens an expression: every canonicalize call that does work
+    goes through ``exprs._canonical_term``."""
     catalog()
 
-    def refuse(e):
-        raise AssertionError("canonicalize called after the catalog "
-                             "was built")
+    def refuse(*args):
+        raise AssertionError("expression work after the catalog was built")
 
-    monkeypatch.setattr(oracle, "canonicalize", refuse)
+    monkeypatch.setattr(ex, "_canonical_term", refuse)
+    monkeypatch.setattr(ex, "_flatten", refuse)
     r = run_oracle(trials=2)
     assert r.passed, r.residual
 

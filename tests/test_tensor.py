@@ -3,7 +3,7 @@
 import pytest
 
 from weylcheck import exprs as ex
-from weylcheck.exprs import CRat, Product, SpinorChain
+from weylcheck.exprs import CRat, Product
 from weylcheck.tensor import christoffel, contract_pairs
 
 
@@ -94,19 +94,16 @@ def test_metric_inv_tetrad_reroutes_through_frame():
 
 def test_eta_absorbs_into_clifford_slot():
     bar, psi = ex.fermion_bar(), ex.fermion()
-    e = Product(CRat(1), (ex.minkowski("a", "b"),),
-                SpinorChain((bar, ex.gamma("a"), psi)))
-    want = Product(CRat(1), (),
-                   SpinorChain((bar, ex.gamma("b", up=False), psi)))
+    e = Product(CRat(1), (ex.minkowski("a", "b"), bar, ex.gamma("a"), psi))
+    want = Product(CRat(1), (bar, ex.gamma("b", up=False), psi))
     assert contract_pairs(e) == ex.canonicalize(want)
 
 
 def test_eta_absorption_can_vanish_on_sigma():
     # lowering one sigma slot onto the other's label kills the term
     bar, psi = ex.fermion_bar(), ex.fermion()
-    e = Product(CRat(1), (ex.minkowski("a", "b"),),
-                SpinorChain((bar, ex.sigma("a", "b", up1=True, up2=True),
-                             psi)))
+    e = Product(CRat(1), (ex.minkowski("a", "b"), bar,
+                          ex.sigma("a", "b", up1=True, up2=True), psi))
     assert contract_pairs(e) == ex.Sum(())
 
 
