@@ -94,13 +94,20 @@ def fr_lo(label: str) -> Index:
 
 
 class CRat:
-    """Gaussian rational coefficient (exact real and imaginary parts)."""
+    """Gaussian rational coefficient (exact real and imaginary parts).
+
+    A CRat is immutable, so one instance may be shared: the flattener
+    hands out the one unit ``_UNIT`` for every bare atom and plain
+    derivative, and ``_times`` compares with it by ``is`` to skip the
+    product."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(
+            self, "re", re if isinstance(re, Fraction) else Fraction(re))
+        object.__setattr__(
+            self, "im", im if isinstance(im, Fraction) else Fraction(im))
 
     def __setattr__(self, *a):
         raise AttributeError("CRat is immutable")
@@ -121,6 +128,8 @@ class CRat:
 
     def __mul__(self, o):
         o = CRat.of(o)
+        if not self.im and not o.im:
+            return CRat(self.re * o.re)
         return CRat(self.re * o.re - self.im * o.im,
                     self.re * o.im + self.im * o.re)
 
@@ -165,6 +174,12 @@ class CRat:
 
 
 I_UNIT = CRat(0, 1)
+_UNIT = CRat(1)
+
+
+def _times(a: CRat, b: CRat) -> CRat:
+    """a * b, without the product when either side is the shared unit."""
+    return b if a is _UNIT else a if b is _UNIT else a * b
 
 
 class Kind(Enum):
@@ -275,12 +290,12 @@ class Expr:
         return Sum((_as_expr(other), Product(CRat(-1), (self,))))
 
     def __mul__(self, other):
-        return Product(CRat(1), (self, _as_expr(other)))
+        return Product(_UNIT, (self, _as_expr(other)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, CRat)):
             return Product(CRat.of(other), (self,))
-        return Product(CRat(1), (_as_expr(other), self))
+        return Product(_UNIT, (_as_expr(other), self))
 
     def __neg__(self):
         return Product(CRat(-1), (self,))
@@ -288,7 +303,7 @@ class Expr:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 1:
             raise TypeError("expression powers are positive integers")
-        return Product(CRat(1), (self,) * n)
+        return Product(_UNIT, (self,) * n)
 
 
 def _as_expr(v) -> Expr:
@@ -382,7 +397,7 @@ class Sum(Expr):
 
 
 ZERO = Sum(())
-ONE = Product(CRat(1), ())
+ONE = Product(_UNIT, ())
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +692,7 @@ def _flatten(e: Expr) -> list[tuple[CRat, list]]:
         return [t for t in _distribute(e.coeff, e.factors)
                 if not t[0].is_zero()]
     if isinstance(e, (FieldAtom, Coupling)):
-        return [(CRat(1), [e])]
+        return [(_UNIT, [e])]
     if isinstance(e, Partial):
         return _flatten_partial(e.index, e.operand)
     raise TypeError(f"cannot flatten {e!r}")
@@ -688,7 +703,7 @@ def _distribute(coeff: CRat, parts: Iterable[Expr]):
     terms = [(coeff, [])]
     for part in parts:
         sub = _flatten(part)
-        terms = [(c1 * c2, fs1 + fs2)
+        terms = [(_times(c1, c2), fs1 + fs2)
                  for c1, fs1 in terms for c2, fs2 in sub]
     return terms
 
@@ -709,7 +724,7 @@ def _flatten_partial(ix: Index, operand: Expr):
                     continue
                 n = plain.count(f)
             for dc, nodes in _derive_factor(ix, f):
-                c = coeff * dc if n == 1 else coeff * dc * n
+                c = _times(coeff, dc) if n == 1 else coeff * dc * n
                 out.append((c, factors[:pos] + nodes + factors[pos + 1:]))
     return out
 
@@ -729,7 +744,7 @@ def _derive_factor(ix: Index, f: Expr):
                      [f, FieldAtom(Kind.LOG_DERIV, (ix,))]),)
     elif not isinstance(f, Partial):
         raise TypeError(f"cannot differentiate {f!r}")
-    return ((CRat(1), [Partial(ix, f)]),)
+    return ((_UNIT, [Partial(ix, f)]),)
 
 
 # ---------------------------------------------------------------------------
@@ -1037,7 +1052,7 @@ def _canonical_term(coeff: CRat, factors: list):
         if hit is _VANISHES:
             return None
         sign_c, skel = hit
-        return (coeff * sign_c, skel)
+        return (_times(coeff, sign_c), skel)
     res = _canonical_term_uncached(coeff, factors)
     if len(_TERM_CACHE) >= _TERM_CACHE_LIMIT:
         _TERM_CACHE.clear()
@@ -1045,11 +1060,13 @@ def _canonical_term(coeff: CRat, factors: list):
         _TERM_CACHE[cache_key] = _VANISHES
     else:
         c, skel = res
-        # c == coeff * sign with sign in {1, -1, i, -i} factored by walks
-        _TERM_CACHE[cache_key] = (c / coeff, skel)
+        # c == coeff * sign with sign in {1, -1, i, -i} factored by walks;
+        # a sign of 1 is stored as _UNIT so that hits skip the product
+        sign_c = c / coeff
+        _TERM_CACHE[cache_key] = (_UNIT if sign_c == _UNIT else sign_c, skel)
         # a canonical skeleton is the least candidate of its own search,
         # reached with the sign it already carries
-        _TERM_CACHE[skel.factors] = (CRat(1), skel)
+        _TERM_CACHE[skel.factors] = (_UNIT, skel)
     return res
 
 

@@ -257,6 +257,91 @@ def test_crat_arithmetic():
             == CRat(2))  # (1+i)(1-i) = 2
     assert CRat(3).is_zero() is False
     assert CRat(0).is_zero() is True
+    # equal values built in different ways are equal and hash equal
+    for same in ((CRat(Fraction(2, 4)), CRat(Fraction(1, 2))),
+                 (CRat(1), CRat(1, 0), CRat(Fraction(1)), ex._UNIT)):
+        assert len({(c.re, c.im) for c in same}) == 1
+        assert all(c == same[0] for c in same)
+        assert len({hash(c) for c in same}) == 1
+
+
+_FRACS = st.fractions(-20, 20, max_denominator=9)
+
+
+def _crat_and_pair(shape):
+    """A CRat of the given shape with the (re, im) Fractions it holds."""
+    if shape == "unit":
+        return st.just((ex._UNIT, (Fraction(1), Fraction(0))))
+    im = st.just(Fraction(0)) if shape == "real" else _FRACS.filter(bool)
+    return st.tuples(_FRACS, im).map(lambda p: (CRat(*p), p))
+
+
+def _pair_mul(p, q):
+    (a, b), (c, d) = p, q
+    return (a * c - b * d, a * d + b * c)
+
+
+def _pair_div(p, q):
+    (a, b), (c, d) = p, q
+    n = c * c + d * d
+    return ((a * c + b * d) / n, (b * c - a * d) / n)
+
+
+def _pair_pow(p, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        out = _pair_mul(out, p)
+    return out if k >= 0 else _pair_div((Fraction(1), Fraction(0)), out)
+
+
+@pytest.mark.parametrize("shapes", [
+    ("real", "real"), ("real", "complex"), ("complex", "real"),
+    ("complex", "complex"), ("unit", "real"), ("complex", "unit"),
+    ("unit", "unit")])
+@given(data=st.data())
+def test_crat_matches_fraction_pairs(shapes, data):
+    x, p = data.draw(_crat_and_pair(shapes[0]))
+    y, q = data.draw(_crat_and_pair(shapes[1]))
+    k = data.draw(st.integers(-3, 3))
+
+    def holds(c, pair):
+        assert type(c.re) is Fraction and type(c.im) is Fraction
+        assert (c.re, c.im) == pair
+
+    holds(x + y, (p[0] + q[0], p[1] + q[1]))
+    holds(x - y, (p[0] - q[0], p[1] - q[1]))
+    holds(-x, (-p[0], -p[1]))
+    holds(x * y, _pair_mul(p, q))
+    holds(y * x, _pair_mul(p, q))
+    holds(x * 3, _pair_mul(p, (Fraction(3), Fraction(0))))
+    if q == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        holds(x / y, _pair_div(p, q))
+    if k >= 0 or p != (0, 0):
+        holds(x ** k, _pair_pow(p, k))
+    assert (x == y) is (p == q)
+    if p == q:
+        assert hash(x) == hash(y)
+    holds(ex._UNIT, (Fraction(1), Fraction(0)))
+
+
+def test_flatten_multiplies_no_unit_coefficients(monkeypatch):
+    """Bare atoms and plain derivatives flatten with the shared unit
+    coefficient, and a unit coefficient is never multiplied."""
+    e = ex.scalar_field() * ex.em_vector("n") * ex.d("m", ex.scalar_field())
+    calls = []
+    mul = CRat.__mul__
+
+    def counting(self, o):
+        calls.append((self, o))
+        return mul(self, o)
+
+    monkeypatch.setattr(CRat, "__mul__", counting)
+    (coeff, factors), = ex._flatten(e)
+    assert calls == []
+    assert coeff == CRat(1) and len(factors) == 3
 
 
 def test_repeated_same_variance_rejected():
