@@ -36,10 +36,11 @@ that may be permuted, and the sign an odd permutation of a group gives:
   symmetric.
 
 Everything else reads that rule: the one slot order of a node
-(``_rename_in_factor`` sorts each group by ``Index.key``), the slot
-orders the canonical search tries (``_orientations``) and the slots it
-cannot tell apart (``_slot_classes``).  A canonical form therefore
-cannot depend on the names of the dummies it started from.
+(``_rename_in_factor`` sorts each group by ``Index.key``), the orders in
+which the canonical search may meet a node's unnamed dummies (any order
+within each group) and the slots it cannot tell apart
+(``_slot_classes``).  A canonical form therefore cannot depend on the
+names of the dummies it started from.
 """
 
 from __future__ import annotations
@@ -792,9 +793,10 @@ def _strip_identities(items: list) -> list:
 
 
 def _slot_classes(f: Expr) -> list[str]:
-    """Equivalence class per slot: slots that one of ``_orientations``
-    may exchange share a class, so adjacency refinement cannot depend on
-    which orientation the input happened to use."""
+    """Equivalence class per slot: slots of one group of
+    ``_slot_groups``, whose dummies the search may name in any order,
+    share a class, so adjacency refinement cannot depend on which slot
+    of the group the input happened to use."""
     classes = {}
     for pos, _, cls in _slot_groups(f):
         classes.update(dict.fromkeys(pos, cls))
@@ -805,7 +807,7 @@ def _refined_groups(factors: list, chain_items: list,
                     dummies: set[str]) -> list[list[Expr]]:
     """Partition factors into permutable tie groups: start from the key
     of each factor with its dummies renamed to "" (and then normalized,
-    so no orientation chosen by a dummy's name survives) and iteratively
+    so no slot order chosen by a dummy's name survives) and iteratively
     split by the colors reached through dummy contractions.  Nodes that
     remain tied are (at worst) automorphic images, so the candidate
     enumeration stays tiny even for terms like the quartic Yang-Mills
@@ -817,17 +819,11 @@ def _refined_groups(factors: list, chain_items: list,
 
     # adjacency over dummy labels; chain nodes have fixed negative colors
     ends: dict[str, list[tuple[int, str]]] = {}
-    for i, f in enumerate(factors):
-        classes = _slot_classes(f)
-        for ix, cls in zip(_slots_of_factor(f), classes):
+    for i, f in itertools.chain(enumerate(factors), (
+            (-(j + 1), it) for j, it in enumerate(chain_items))):
+        for ix, cls in zip(_slots_of_factor(f), _slot_classes(f)):
             if ix.label in dummies:
                 ends.setdefault(ix.label, []).append((i, cls))
-    if chain_items:
-        for j, it in enumerate(chain_items):
-            classes = _slot_classes(it)
-            for ix, cls in zip(_slots_of_factor(it), classes):
-                if ix.label in dummies:
-                    ends.setdefault(ix.label, []).append((-(j + 1), cls))
 
     def node_color(n: int) -> int:
         return color[n] if n >= 0 else n - len(factors)
@@ -858,33 +854,9 @@ def _refined_groups(factors: list, chain_items: list,
     return [buckets[c] for c in sorted(buckets)]
 
 
-def _orientations(node: Expr, dummies: set[str]) -> list[tuple[Expr, int]]:
-    """Slot orders of one node that denote the same object, each with the
-    sign it carries: every order of each group of ``_slot_groups``.
-    Only orders that move a dummy can name the dummies differently, so a
-    group without one keeps its own order."""
-    slots = _slots_of_factor(node)
-    moves = [(pos, sign) for pos, sign, _ in _slot_groups(node)
-             if len(pos) > 1 and any(slots[p].label in dummies for p in pos)]
-    if not moves:
-        return [(node, 1)]
-    out = []
-    for perms in itertools.product(
-            *(itertools.permutations(pos) for pos, _ in moves)):
-        new, sign = list(slots), 1
-        for (pos, group_sign), perm in zip(moves, perms):
-            for p, q in zip(pos, perm):
-                new[p] = slots[q]
-            if group_sign < 0 and _odd(perm):
-                sign = -sign
-        out.append((_with_slots(node, new), sign))
-    return out
-
-
-# Partial candidates a search may extend before the term is refused.  The
-# quartic Yang-Mills term needs 1798; a closed cycle of six metrics
-# alternating with six inverse metrics, whose partial namings are mostly
-# inequivalent, needs about 60000 and is refused.
+# Partial candidates a search may extend before the term is refused: the
+# quartic Yang-Mills term needs 1798 and a closed 6-cycle of g and ginv
+# 39332; a 7-cycle, whose partial namings are mostly inequivalent, is not.
 _SEARCH_CAP = 50_000
 
 
@@ -903,17 +875,26 @@ def _dummy_name_pool(alphabet: Alphabet, count: int,
             names.append(cand)
 
 
+def _orders(groups: list[list[str]]) -> Iterable[tuple[str, ...]]:
+    """Each concatenation of one order of every group, generated lazily
+    (``itertools.product`` would first store every order of each)."""
+    if not groups:
+        return iter([()])
+    return (head + tail for head in itertools.permutations(groups[0])
+            for tail in _orders(groups[1:]))
+
+
 def _least_candidate(factors: list, chain_items: list,
                      dummies: set[str], free_labels: set[str]):
     """Least key over the candidates of one prepared term.
 
     A candidate orders each tie group of ``_refined_groups`` (groups in
-    color order) and picks one of ``_orientations`` per factor and per
-    chain item.  Walking its slots in that
-    order names the dummies per alphabet by first occurrence; its key is
-    the sorted renamed factor keys, then the chain key.  Returns (sign,
-    factors, chain) for the least key, or None when two least candidates
-    differ in sign (the term equals its own negative).
+    color order) and, for every factor and chain item, its still unnamed
+    dummies within each group of ``_slot_groups``; they are named per
+    alphabet in that order.  Its key is the sorted renamed factor keys,
+    then the chain key.  Returns (sign, factors, chain) for the least
+    key, or None when two least candidates differ in sign (the term
+    equals its own negative).
 
     Candidates grow one factor at a time.  Two partial candidates with
     the same residual (what is left to name, up to a relabeling of the
@@ -923,7 +904,8 @@ def _least_candidate(factors: list, chain_items: list,
     signs.  Identical factors of a group are one choice with a
     multiplicity, and a factor whose dummies are all named already names
     nothing wherever it goes, so it is taken at once instead of at every
-    position.  Raises MalformedIndex after ``_SEARCH_CAP`` extensions.
+    position.  Each order tried for a factor is one extension, and the
+    search raises MalformedIndex after ``_SEARCH_CAP`` of them.
     """
     slots = _term_slot_list(factors + chain_items)
     alphabet_of = {ix.label: ix.alphabet for ix in slots
@@ -932,46 +914,66 @@ def _least_candidate(factors: list, chain_items: list,
         a, sum(1 for b in alphabet_of.values() if b == a), free_labels)
         for a in Alphabet}
 
-    def member(f, options):
+    def member(f):
         # members of one group differ only in their dummies, since the
         # tie key they share keeps free labels
-        labels = tuple(ix.label for ix in _slots_of_factor(f)
-                       if ix.label in dummies)
-        return options, set(labels), labels
+        slots = _slots_of_factor(f)
+        labels = tuple(ix.label for ix in slots if ix.label in dummies)
+        seen, groups, sorted_len = set(), [], 0
+        for pos, _, cls in _slot_groups(f):
+            labs = [slots[p].label for p in pos]
+            if cls == "d":
+                sorted_len = sum(1 for lab in labs if lab in dummies)
+            labs = [lab for lab in dict.fromkeys(labs)
+                    if lab in dummies and lab not in seen]
+            seen.update(labs)
+            groups.append(labs)
+        return f, seen, labels, sorted_len, groups
 
     # one step per tie group, then one per chain item: (is_chain,
-    # members, multiplicities).  A member is a distinct factor: its
-    # [(variant, sign)] options, its set of dummy labels and its dummy
-    # labels in slot order.
+    # members, multiplicities).  A member is a distinct factor, its dummy
+    # labels as a set and in slot order, how many lead in its derivative
+    # group, and per slot group those not met in an earlier one.
     steps = []
     for g in _refined_groups(factors, chain_items, dummies):
         mult: dict[Expr, int] = {}
         for f in g:
             mult[f] = mult.get(f, 0) + 1
-        steps.append((False, [member(f, _orientations(f, dummies))
-                              for f in mult], tuple(mult.values())))
+        steps.append((False, [member(f) for f in mult], tuple(mult.values())))
     for it in chain_items:
-        steps.append((True, [member(it, _orientations(it, dummies))], (1,)))
+        steps.append((True, [member(it)], (1,)))
 
     def residual(t, left, ren):
         """What is left to name from step t on, up to a relabeling of the
         unnamed dummies: equal residuals have equal continuations.  Rows
         are (step, multiplicity, then one entry per dummy slot: its name,
-        or the order of first sight of a still unnamed dummy)."""
+        or the order of first sight of a still unnamed dummy).  The
+        entries of a derivative-index group, symmetric and tried in every
+        order at placement, form a sorted multiset, names first."""
         named = ren.get
         place: dict[str, int] = {}
         out = []
         for t2 in range(t, len(steps)):
             members = steps[t2][1]
-            rows = sorted(
-                (tuple([named(lab, "") for lab in members[i][2]]), n, i)
-                for i, n in enumerate(left if t2 == t else steps[t2][2])
-                if n)
+            rows = []
+            for i, n in enumerate(left if t2 == t else steps[t2][2]):
+                if n:
+                    _, _, labels, k, _ = members[i]
+                    partial = [named(lab, "") for lab in labels]
+                    if k > 1:
+                        partial[:k] = sorted(partial[:k])
+                    rows.append((partial, n, i))
+            rows.sort()
             for partial, n, i in rows:
+                _, _, labels, k, _ = members[i]
                 out.append(t2)
                 out.append(n)
-                for lab, name in zip(members[i][2], partial):
-                    out.append(name or place.setdefault(lab, len(place)))
+                entries = [named(lab) or place.setdefault(lab, len(place))
+                           for lab in labels]
+                if k > 1:
+                    entries[:k] = sorted(
+                        entries[:k], key=lambda e: (e.__class__ is int, e))
+                out.extend(entries)
         return tuple(out)
 
     node_of: dict[tuple, Expr] = {}
@@ -988,22 +990,20 @@ def _least_candidate(factors: list, chain_items: list,
                 open_ = [i for i, n in enumerate(left) if n]
                 closed = [i for i in open_ if members[i][1] <= ren.keys()]
                 for i in closed[:1] or open_:
+                    f, _, _, _, groups = members[i]
                     rest = left[:i] + (left[i] - 1,) + left[i + 1:]
-                    for v, flip_sign in members[i][0]:
+                    for order in _orders([[lab for lab in g if lab not in ren]
+                                          for g in groups]):
                         visited += 1
                         if visited > _SEARCH_CAP:
                             raise MalformedIndex(
                                 "term too symmetric to canonicalize")
-                        ren2 = ren
-                        for ix in _slots_of_factor(v):
-                            if ix.label in dummies and ix.label not in ren2:
-                                if ren2 is ren:
-                                    ren2 = dict(ren)
-                                pool = pools[ix.alphabet]
-                                ren2[ix.label] = pool[sum(
-                                    1 for lab in ren2
-                                    if alphabet_of[lab] == ix.alphabet)]
-                        node, s = _rename_in_factor(v, ren2)
+                        ren2 = dict(ren) if order else ren
+                        for lab in order:
+                            a = alphabet_of[lab]
+                            ren2[lab] = pools[a][sum(
+                                1 for x in ren2 if alphabet_of[x] == a)]
+                        node, s = _rename_in_factor(f, ren2)
                         if node is None:
                             continue
                         key = _factor_key(node)
@@ -1015,7 +1015,7 @@ def _least_candidate(factors: list, chain_items: list,
                             if fkeys and key < fkeys[-1]:
                                 fk2 = tuple(sorted(fk2))
                             ck2 = ckeys
-                        sg = {x * flip_sign * s for x in signs}
+                        sg = {x * s for x in signs}
                         k = residual(t, rest, ren2)
                         old = grown.get(k)
                         if old is None or (fk2, ck2) < (old[2], old[3]):

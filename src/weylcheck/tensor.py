@@ -46,6 +46,7 @@ _CLOSERS = {Kind.MINKOWSKI: (Kind.TETRAD, ex.metric),
 _THROUGH_FRAME = ((Kind.INV_METRIC, Kind.TETRAD, ex.minkowski_up,
                    ex.inv_tetrad),
                   (Kind.METRIC, Kind.INV_TETRAD, ex.minkowski, ex.tetrad))
+_THROUGH_KINDS = {kind for row in _THROUGH_FRAME for kind in row[:2]}
 
 
 def _top_atoms(factors) -> list[tuple[int, FieldAtom]]:
@@ -92,7 +93,9 @@ def _contract_step(coeff: CRat, factors: list):
     # 2: two mutually inverse atoms sharing a dummy become the delta of
     # their remaining upper and lower index
     for first_kind, second_kind in _INVERSE_PAIRS:
-        for (p, a), (q, b) in itertools.combinations(atoms, 2):
+        pair = [(p, a) for p, a in atoms
+                if a.kind is first_kind or a.kind is second_kind]
+        for (p, a), (q, b) in itertools.combinations(pair, 2):
             if {a.kind, b.kind} != {first_kind, second_kind}:
                 continue
             first, second = (a, b) if a.kind == first_kind else (b, a)
@@ -117,7 +120,8 @@ def _contract_step(coeff: CRat, factors: list):
             return drop({p, q1, q2}, [g])
 
     # 4: metric-tetrad contraction rewritten through the frame metric
-    for (p, a), (q, b) in itertools.combinations(atoms, 2):
+    joined = [(p, a) for p, a in atoms if a.kind in _THROUGH_KINDS]
+    for (p, a), (q, b) in itertools.combinations(joined, 2):
         for met_kind, tet_kind, frame_metric, new_tetrad in _THROUGH_FRAME:
             if {a.kind, b.kind} != {met_kind, tet_kind}:
                 continue

@@ -1,12 +1,13 @@
 """Exhaustive reference for the canonical term search.
 
 This is the enumeration ``exprs`` used before its search merged partial
-candidates: every ordering of every tie group, times every orientation
-(``exprs._orientations``) of every factor and of every chain item, each
-renamed and keyed in full.  It is exponential in the tie-group sizes, so tests
-run it only on terms with at most ``PERM_CAP`` candidates (the quartic
-Yang-Mills term has 4096) and compare the result with
-``exprs._canonical_term_uncached``.
+candidates and named each factor's dummies as it placed the factor:
+every ordering of every tie group, times every orientation
+(``orientations``: a copy of the factor with each slot group permuted)
+of every factor and of every chain item, each renamed and keyed in full.
+It is exponential in the tie-group sizes, so tests run it only on terms
+with at most ``PERM_CAP`` candidates (the quartic Yang-Mills term has
+4096) and compare the result with ``exprs._canonical_term_uncached``.
 """
 
 from __future__ import annotations
@@ -23,15 +24,38 @@ class TooManyCandidates(Exception):
     pass
 
 
+def orientations(node, dummies: set[str]) -> list[tuple]:
+    """Slot orders of one node that denote the same object, each with the
+    sign it carries: every order of each group of ``exprs._slot_groups``.
+    Only orders that move a dummy can name the dummies differently, so a
+    group without one keeps its own order."""
+    slots = ex._slots_of_factor(node)
+    moves = [(pos, sign) for pos, sign, _ in ex._slot_groups(node)
+             if len(pos) > 1 and any(slots[p].label in dummies for p in pos)]
+    if not moves:
+        return [(node, 1)]
+    out = []
+    for perms in itertools.product(
+            *(itertools.permutations(pos) for pos, _ in moves)):
+        new, sign = list(slots), 1
+        for (pos, group_sign), perm in zip(moves, perms):
+            for p, q in zip(pos, perm):
+                new[p] = slots[q]
+            if group_sign < 0 and ex._odd(perm):
+                sign = -sign
+        out.append((ex._with_slots(node, new), sign))
+    return out
+
+
 def flip_candidates(f, dummies: set[str]) -> list:
-    """``_orientations`` of a factor without their signs, which are all
+    """``orientations`` of a factor without their signs, which are all
     +1: antisymmetric groups occur only in chains."""
-    return [v for v, _ in ex._orientations(f, dummies)]
+    return [v for v, _ in orientations(f, dummies)]
 
 
 def chain_flip_candidates(items: list, dummies: set[str]) -> list:
-    """``_orientations`` of each chain item."""
-    return [ex._orientations(it, dummies) for it in items]
+    """``orientations`` of each chain item."""
+    return [orientations(it, dummies) for it in items]
 
 
 def candidate_count(factors: list, chain_items: list,

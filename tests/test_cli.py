@@ -207,6 +207,23 @@ def test_deep_derivative_nesting_is_a_parse_error(tmp_path):
     assert "claim: invariance:deep:global" in p.stdout
 
 
+def test_contracted_derivative_stack_gets_a_verdict(tmp_path):
+    """Eight nested derivatives of phi, contracted in pairs by ginv, are
+    canonicalized, not refused as too symmetric."""
+    body = "phi"
+    for k in reversed(range(8)):
+        body = f"d[m{k}]({body})"
+    pairs = " * ".join(f"ginv[m{k},m{k + 1}]" for k in range(0, 8, 2))
+    labels = " ".join(f"m{k}" for k in range(8))
+    f = tmp_path / "stack.lag"
+    f.write_text(f"indices spacetime {labels} ;\nfields detg ginv phi ;\n"
+                 f"name stack ;\n"
+                 f"density detg^3 * phi^7 * {pairs} * {body} ;\n")
+    p = run_cli("verify", str(f), "--mode=global")
+    assert p.returncode == 0, p.stderr[-500:]
+    assert "pass: yes" in p.stdout
+
+
 def test_oracle_small_run():
     p = run_cli("oracle", "--trials=2", "--seed=5", "--json")
     assert p.returncode == 0

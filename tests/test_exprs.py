@@ -1,8 +1,12 @@
 """Canonical forms, arithmetic, and term rewriting in the expression core."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -81,6 +85,17 @@ def _metric_cycle(n, tag=""):
     return e
 
 
+def _derivative_stack(n):
+    """d[m0](...d[m<n-1>](phi)...) with ginv contracting its indices in
+    pairs."""
+    e = ex.scalar_field()
+    for k in reversed(range(n)):
+        e = ex.d(f"m{k}", e)
+    for k in range(0, n, 2):
+        e = e * ex.inv_metric(f"m{k}", f"m{k + 1}")
+    return e
+
+
 def _symmetric_terms():
     """Terms whose tied factors are images of each other under a
     relabeling, so many partial candidates are equivalent."""
@@ -91,7 +106,12 @@ def _symmetric_terms():
     bar, psi = ex.fermion_bar(), ex.fermion()
     sigma_eta = Product(CRat(1), (ex.minkowski("a", "b"), bar,
                                   ex.sigma("a", "b"), psi))
-    return [ring, _metric_cycle(2), _metric_cycle(3), sigma_eta]
+    ginv = ex.inv_metric
+    gradient = ginv("a", "b") * ginv("c", "e") \
+        * ex.d("a", ex.d("c", ex.log_deriv("b"))) \
+        * ex.d("e", ex.scalar_field())
+    return [ring, _metric_cycle(2), _metric_cycle(3), sigma_eta,
+            _derivative_stack(4), gradient]
 
 
 def _differential_terms():
@@ -187,21 +207,77 @@ def test_symmetric_terms_canonicalize():
     assert ex.canonicalize(s) == s
 
 
+def _forms_under_relabeling(e):
+    """The canonical forms of one term under six random renamings of its
+    labels and orders of its factors."""
+    (coeff, factors), = ex._flatten(e)
+    labels = sorted({ix.label for f in factors
+                     for ix in ex._slots_of_factor(f)})
+    forms = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        ren = dict(zip(labels, rng.sample(labels, len(labels))))
+        shuffled = [ex._rename_in_factor(f, ren)[0] for f in factors]
+        rng.shuffle(shuffled)
+        forms.add(ex._canonical_term_uncached(coeff, shuffled))
+    return forms
+
+
+def _in_limited_child(code):
+    """Run ``code`` in a child limited to 1 GiB of address space, so that
+    a search which lists factorially many orders fails there instead of
+    exhausting the machine.  Returns (exit code, stdout, end of stderr)."""
+    tests = Path(__file__).resolve().parent
+    # one BLAS thread: numpy reserves address space per thread at import
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(tests),
+                                           str(tests.parent / "src")]))
+    limit = ("import resource\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n")
+    p = subprocess.run([sys.executable, "-c", limit + code],
+                       capture_output=True, text=True, env=env, timeout=120)
+    return p.returncode, p.stdout, p.stderr[-500:]
+
+
 def test_symmetric_terms_one_form_under_relabeling():
-    """Terms past the reference's reach (147456 candidates each) get one
-    canonical form whatever their dummy names and factor order."""
-    for e in (_metric_cycle(4), _metric_cycle(2, "p") * _metric_cycle(2, "q")):
-        (coeff, factors), = ex._flatten(e)
-        labels = sorted({ix.label for f in factors
-                         for ix in ex._slots_of_factor(f)})
-        forms = set()
-        for seed in range(6):
-            rng = random.Random(seed)
-            ren = dict(zip(labels, rng.sample(labels, len(labels))))
-            shuffled = [ex._rename_in_factor(f, ren)[0] for f in factors]
-            rng.shuffle(shuffled)
-            forms.add(ex._canonical_term_uncached(coeff, shuffled))
-        assert len(forms) == 1
+    """Terms past the reference's reach (147456 candidates each for the
+    cycles, 8! orders of the stack's indices) get one canonical form
+    whatever their dummy names and factor order; the 16-level stack runs
+    in a limited child."""
+    for e in (_metric_cycle(4), _metric_cycle(2, "p") * _metric_cycle(2, "q"),
+              _derivative_stack(8)):
+        assert len(_forms_under_relabeling(e)) == 1
+    got = _in_limited_child(
+        "import test_exprs as t\n"
+        "print(len(t._forms_under_relabeling(t._derivative_stack(16))))\n")
+    assert got[:2] == (0, "1\n"), got[2]
+
+
+def _stack_placed_first(n):
+    """n derivatives of ginv whose indices only the n factors after it
+    close, so the search places it while all n are unnamed."""
+    e = ex.inv_metric("p", "q")
+    for k in reversed(range(n)):
+        e = ex.d(f"m{k}", e)
+    for k in range(n):
+        e = e * ex.d(f"z{k}", ex.inv_tetrad(f"f{k}", f"m{k}"))
+    return e
+
+
+def test_search_tries_orders_without_listing_them():
+    """A factor's naming orders are generated one at a time, so a stack
+    placed with 12 unnamed dummies reaches the cap and is refused,
+    instead of storing its 12! orders first."""
+    got = _in_limited_child(
+        "import test_exprs as t\n"
+        "from weylcheck import exprs as ex\n"
+        "from weylcheck.errors import MalformedIndex\n"
+        "ex._SEARCH_CAP = 10\n"
+        "try:\n"
+        "    ex.canonicalize(t._stack_placed_first(12))\n"
+        "except MalformedIndex as err:\n"
+        "    print(err)\n")
+    assert got[:2] == (0, "term too symmetric to canonicalize\n"), got[2]
 
 
 def test_search_refuses_past_its_cap(monkeypatch):
@@ -464,7 +540,7 @@ def test_log_derivative_is_a_gradient():
 
 
 def test_orientations_agree_with_normal_form():
-    """Every slot order ``_orientations`` offers for a node denotes the
+    """Every slot order ``ref.orientations`` offers for a node denotes the
     node times its sign: both normalize to one node, and the signs of
     the normalizations differ by exactly that sign."""
     nodes = [ex.d("a", ex.log_deriv("b")),
@@ -478,7 +554,7 @@ def test_orientations_agree_with_normal_form():
     for node in nodes:
         labels = {ix.label for ix in ex._slots_of_factor(node)}
         want, want_sign = ex._rename_in_factor(node, {})
-        options = ex._orientations(node, labels)
+        options = ref.orientations(node, labels)
         moved += len(options) > 1
         for v, s in options:
             got, got_sign = ex._rename_in_factor(v, {})

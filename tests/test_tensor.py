@@ -92,6 +92,30 @@ def test_metric_inv_tetrad_reroutes_through_frame():
     assert contract_pairs(e) == contract_pairs(want)
 
 
+def test_contraction_scans_only_the_atoms_it_can_join(monkeypatch):
+    """Rules 2 and 4 pick the atoms of their kinds before pairing them,
+    so the kind hashes over a term stay linear in its atoms, not
+    quadratic."""
+    calls = [0]
+    kind_hash = ex.Kind.__hash__
+
+    def counting(self):
+        calls[0] += 1
+        return kind_hash(self)
+
+    monkeypatch.setattr(ex.Kind, "__hash__", counting)
+    counts = []
+    for size in (100, 200):
+        monkeypatch.setattr(ex, "_TERM_CACHE", {})
+        e = ex.scalar_field() ** size * ex.em_vector("m") \
+            * ex.weyl_vector("n") * ex.inv_metric("m", "n")
+        calls[0] = 0
+        assert len(contract_pairs(e).terms) == 1
+        counts.append(calls[0])
+    assert counts[1] < 2.5 * counts[0], counts
+    assert counts[1] < 40 * 200, counts
+
+
 def test_eta_absorbs_into_clifford_slot():
     bar, psi = ex.fermion_bar(), ex.fermion()
     e = Product(CRat(1), (ex.minkowski("a", "b"), bar, ex.gamma("a"), psi))
