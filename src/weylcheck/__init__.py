@@ -23,7 +23,6 @@ from .gauge import (
     verify_gauge_decoupling,
     verify_scalar_coupling,
 )
-from .oracle import Assignment, evaluate, evaluate_components, run_oracle
 from .report import Mode, OracleSummary, TraceStep, VerificationReport
 from .scale import (
     INHOMOGENEOUS,
@@ -88,3 +87,13 @@ __all__ = [
     "verify_gauge_decoupling",
     "verify_scalar_coupling",
 ]
+
+
+def __getattr__(name):
+    # the oracle brings in numpy; load it on first use, not on import
+    if name in ("oracle", "Assignment", "evaluate", "evaluate_components",
+                "run_oracle"):
+        from importlib import import_module
+        oracle = import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Optional
 
-from . import densities, dsl, gauge, oracle, scale
+from . import densities, dsl, gauge, scale
 from .errors import ParseError, WeylcheckError
 from .report import Mode, OracleSummary, TraceStep, VerificationReport
 from .simplify import full_simplify
@@ -114,6 +114,7 @@ def _cmd_oracle(args) -> VerificationReport:
         raise _UsageError(f"the oracle seed must be non-negative, got {seed}")
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
+    from . import oracle  # the only command that needs numpy
     return oracle.run_oracle(trials=args.trials, seed=seed)
 
 

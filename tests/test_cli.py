@@ -313,3 +313,48 @@ def test_golden_validates_against_schema(fname):
 def test_oracle_json_validates_against_schema():
     p = run_cli("oracle", "--trials=2", "--json")
     jsonschema.validate(json.loads(p.stdout), SCHEMA)
+
+
+_LOADS_NUMPY = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from weylcheck import cli
+
+def run(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+def loaded():
+    return ["numpy" in sys.modules, "weylcheck.oracle" in sys.modules]
+
+symbolic = [run(argv) for argv in json.loads(sys.argv[1])]
+before = loaded()
+oracle = run(["oracle", "--trials=1", "--json"])
+print(json.dumps([symbolic, before, oracle, loaded()]))
+"""
+
+
+def test_only_the_oracle_command_loads_numpy(tmp_path):
+    """Symbolic commands, and their usage and parse errors, run without
+    numpy or the oracle module; the oracle command loads both.  All cases
+    share one fresh interpreter."""
+    bad = tmp_path / "bad.lag"
+    bad.write_text("fields phi ;\nname t ;\ndensity phi^2\n")
+    names = sorted(GOLDEN_ARGS)
+    cases = [GOLDEN_ARGS[n] + ["--json"] for n in names]
+    cases += [["verify", "builtin:nosuch", "--mode=global"],
+              ["verify", str(bad), "--mode=global"]]
+    env = dict(os.environ)
+    env.pop("WEYLCHECK_SEED", None)
+    p = subprocess.run(
+        [sys.executable, "-c", _LOADS_NUMPY, json.dumps(cases)],
+        capture_output=True, text=True, env=env)
+    assert p.returncode == 0, p.stderr
+    symbolic, before, oracle, after = json.loads(p.stdout)
+    expected = [0 if json.loads((GOLDENS / n).read_text())["pass"] else 1
+                for n in names]
+    assert symbolic == expected + [2, 2]
+    assert before == [False, False]
+    assert oracle == 0
+    assert after == [True, True]
+

@@ -2,6 +2,8 @@
 catalog that pins every rewrite rule to floating-point agreement."""
 
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -407,3 +409,43 @@ def test_failures_reported_across_block_boundaries(monkeypatch, capsys,
     monkeypatch.delenv("WEYLCHECK_SEED", raising=False)
     assert cli.main(["oracle", "--trials=100"]) == 1
     assert "oracle/fails-at-some-trials" in capsys.readouterr().out
+
+
+_PUBLIC_API = """
+import sys
+import weylcheck
+assert "weylcheck.oracle" not in sys.modules
+oracle = weylcheck.oracle
+assert oracle is sys.modules["weylcheck.oracle"]
+for name in ("Assignment", "evaluate", "evaluate_components", "run_oracle"):
+    assert getattr(weylcheck, name) is getattr(oracle, name), name
+assert not hasattr(weylcheck, "no_such_name")
+namespace = {}
+exec("from weylcheck import *", namespace)
+assert set(weylcheck.__all__) <= set(namespace)
+print(" ".join(weylcheck.__all__))
+"""
+
+
+def test_package_exports_the_oracle_on_first_use():
+    """After `import weylcheck` alone, the oracle module and its four
+    re-exported names resolve to the objects in `weylcheck.oracle`, a star
+    import binds all of `__all__`, and unknown names are still missing."""
+    p = subprocess.run([sys.executable, "-c", _PUBLIC_API],
+                       capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.split() == [
+        "Assignment", "BUILTIN_NAMES", "ChristoffelExpr", "INHOMOGENEOUS",
+        "IndexArityMismatch", "LagrangianDef", "MIXED", "MalformedChain",
+        "MalformedIndex", "Mode", "OracleSummary", "ParseError",
+        "SingularAssignment", "TraceStep", "UnboundIndex",
+        "UncoveredDerivative", "UndeclaredField", "VerificationReport",
+        "WeylWeight", "WeylcheckError", "__version__", "apply_global_scale",
+        "apply_local_scale", "builtin", "canonicalize", "check_invariance",
+        "christoffel", "contract_pairs", "default_weight_table", "equal",
+        "evaluate", "evaluate_components", "full_simplify",
+        "gauge_covariantize", "infer_weight", "is_zero", "make_def", "parse",
+        "render", "render_expr", "run_oracle", "set_coupling",
+        "verify_fermion_decoupling", "verify_gamma_sigma",
+        "verify_gauge_decoupling", "verify_scalar_coupling"]
+
