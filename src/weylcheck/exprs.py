@@ -17,6 +17,15 @@ the Clifford matrices, is one row of the kind table (``_KINDS``): its
 sort class, slots, Weyl weight, derivative rule and spin.  Every module
 reads that row; there is no other atom class.
 
+Deterministic work is done once per process.  The term cache
+(``_TERM_CACHE``) has two kinds of key.  A raw term's factor tuple,
+scalars included, maps to its canonical skeleton and sign; a hit costs
+one lookup.  The canonical search is keyed on the pair (commuting
+factors, chain) a term prepares to, with its couplings and Lam power
+already split off: they carry no index, so they cannot change the
+search, and ``Lam^w * X`` for every rescaling weight w reuses the
+search of ``X``.
+
 Every engine function accepts any ``Expr`` and returns a canonical
 ``Sum``.  ``canonicalize`` marks the Sums it returns and hands a marked
 Sum back unchanged, so canonicalizing an engine's output again costs
@@ -700,13 +709,22 @@ def _flatten(e: Expr) -> list[tuple[CRat, list]]:
 
 
 def _distribute(coeff: CRat, parts: Iterable[Expr]):
-    """Multiply out the flattened parts of a product, in order."""
-    terms = [(coeff, [])]
+    """Multiply out the flattened parts of a product, in order.  A term
+    grows as a chain of (earlier chain, factors of one part) pairs, which
+    is joined once at the end, so n parts cost O(n), not O(n^2)."""
+    terms = [(coeff, None)]
     for part in parts:
         sub = _flatten(part)
-        terms = [(_times(c1, c2), fs1 + fs2)
-                 for c1, fs1 in terms for c2, fs2 in sub]
-    return terms
+        terms = [(_times(c1, c2), (head, fs2))
+                 for c1, head in terms for c2, fs2 in sub]
+    out = []
+    for c, head in terms:
+        pieces = []
+        while head is not None:
+            head, fs = head
+            pieces.append(fs)
+        out.append((c, [f for fs in reversed(pieces) for f in fs]))
+    return out
 
 
 def _flatten_partial(ix: Index, operand: Expr):
@@ -906,6 +924,12 @@ def _least_candidate(factors: list, chain_items: list,
     nothing wherever it goes, so it is taken at once instead of at every
     position.  Each order tried for a factor is one extension, and the
     search raises MalformedIndex after ``_SEARCH_CAP`` of them.
+
+    The result depends only on ``factors`` and ``chain_items``: the
+    dummies and free labels are read off them.  So
+    ``_canonical_term_uncached`` searches each prepared pair once and
+    keeps the result in the term cache, under that pair and under the
+    result's own pair (with sign +1).
     """
     slots = _term_slot_list(factors + chain_items)
     alphabet_of = {ix.label: ix.alphabet for ix in slots
@@ -1031,7 +1055,8 @@ def _least_candidate(factors: list, chain_items: list,
     if len(signs) != 1:
         return None
     sign, = signs
-    return sign, [node_of[k] for k in fkeys], [node_of[k] for k in ckeys]
+    return (sign, tuple(node_of[k] for k in fkeys),
+            tuple(node_of[k] for k in ckeys))
 
 
 _TERM_CACHE: dict = {}
@@ -1042,8 +1067,12 @@ _VANISHES = object()
 def _canonical_term(coeff: CRat, factors: list):
     """Unique representative of one product term.  Returns (coeff, Product
     skeleton) or None when the term vanishes.  Results are cached by the
-    raw factor skeleton, and each skeleton found is cached as its own
-    representative; the coefficient passes through linearly."""
+    raw factor tuple, and each skeleton found is cached as its own
+    representative; the coefficient passes through linearly.  A raw
+    miss prepares the term and looks up its search under the second
+    key, (commuting factors, chain) without the scalars, which
+    ``_canonical_term_uncached`` fills; so terms that differ only in
+    couplings or Lam powers share one search."""
     if coeff.is_zero():
         return None
     cache_key = tuple(factors)
@@ -1117,13 +1146,24 @@ def _canonical_term_uncached(coeff: CRat, factors: list):
     if prep is None:
         return None
     scalar_factors, factors, chain_items, sign0, dummies, free_labels = prep
-    found = _least_candidate(factors, chain_items, dummies, free_labels)
+    # the search key: a pair of tuples, never equal to a raw key (a tuple
+    # of nodes)
+    search_key = (tuple(factors), tuple(chain_items))
+    found = _TERM_CACHE.get(search_key)
     if found is None:
+        found = _least_candidate(factors, chain_items, dummies, free_labels)
+        if found is None:
+            found = _VANISHES
+        else:
+            # a search's result is the least candidate of its own search
+            _TERM_CACHE[found[1:]] = (1,) + found[1:]
+        _TERM_CACHE[search_key] = found
+    if found is _VANISHES:
         return None
     sign, out_factors, out_chain = found
-    all_factors = sorted(scalar_factors + out_factors, key=_factor_key)
+    all_factors = sorted(scalar_factors + list(out_factors), key=_factor_key)
     return (coeff * CRat(sign0 * sign),
-            Product(CRat(1), tuple(all_factors + out_chain)))
+            Product(CRat(1), tuple(all_factors) + out_chain))
 
 
 def canonicalize(e: Expr) -> Sum:

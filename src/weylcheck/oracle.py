@@ -302,13 +302,27 @@ def _operand(f: Expr):
     return (atom.kind, len(idxs)), labels, spin
 
 
+_STEPS: dict = {}
+
+
 def _contraction_steps(subs, out):
-    """Pairwise `np.einsum` steps along a path planned once for a full
-    block: (positions to pop, their subscripts, result subscripts)."""
-    shapes = [[_BLOCK if i == _TRIAL else 4 for i in s] for s in subs]
-    args = itertools.chain(*((np.broadcast_to(0.0, sh), s)
-                             for sh, s in zip(shapes, subs)))
-    path = np.einsum_path(*args, out, optimize="greedy")[0][1:]
+    """Pairwise `np.einsum` steps along a path planned for a full block:
+    (positions to pop, their subscripts, result subscripts).  Every axis
+    has length `_BLOCK` or 4, so the steps depend only on the integer
+    subscripts: they are planned once per signature and shared by every
+    term that has it.  One or two operands make one step, the path
+    `np.einsum_path` would return, so it is not asked."""
+    key = (tuple(map(tuple, subs)), tuple(out))
+    steps = _STEPS.get(key)
+    if steps is not None:
+        return steps
+    if len(subs) < 3:
+        path = [tuple(range(len(subs)))]
+    else:
+        shapes = [[_BLOCK if i == _TRIAL else 4 for i in s] for s in subs]
+        args = itertools.chain(*((np.broadcast_to(0.0, sh), s)
+                                 for sh, s in zip(shapes, subs)))
+        path = np.einsum_path(*args, out, optimize="greedy")[0][1:]
     subs, steps = list(subs), []
     for pos in path:
         pos = sorted(pos, reverse=True)
@@ -318,6 +332,7 @@ def _contraction_steps(subs, out):
             i for i in dict.fromkeys(itertools.chain(*taken)) if i in keep]
         steps.append((pos, taken, new))
         subs.append(new)
+    _STEPS[key] = steps
     return steps
 
 

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,6 +115,17 @@ def _symmetric_terms():
             _derivative_stack(4), gradient]
 
 
+def _searched(coeff, factors):
+    """``exprs._canonical_term_uncached`` with an empty term cache, so
+    that the search itself runs instead of a search remembered from an
+    earlier term."""
+    saved, ex._TERM_CACHE = ex._TERM_CACHE, {}
+    try:
+        return ex._canonical_term_uncached(coeff, factors)
+    finally:
+        ex._TERM_CACHE = saved
+
+
 def _differential_terms():
     """Raw terms of every builtin and of seeded generator draws, then the
     flattened skeleton of each canonical form found, paired with that
@@ -146,7 +158,7 @@ def test_search_matches_exhaustive_reference():
             want = ref.canonical_term(coeff, factors)
         except ref.TooManyCandidates:
             continue
-        assert ex._canonical_term_uncached(coeff, factors) == want, factors
+        assert _searched(coeff, factors) == want, factors
         compared += 1
         if skel is not None:
             assert want == (CRat(1), skel)
@@ -189,10 +201,10 @@ def test_gradient_terms_match_exhaustive_reference():
     compared = 0
     for coeff, factors in raw:
         want = ref.canonical_term(coeff, factors)
-        assert ex._canonical_term_uncached(coeff, factors) == want, factors
+        assert _searched(coeff, factors) == want, factors
         if want is not None:
             (c, fs), = ex._flatten(want[1])
-            assert ex._canonical_term_uncached(c, fs) == (CRat(1), want[1])
+            assert _searched(c, fs) == (CRat(1), want[1])
         compared += 1
     assert compared > 80
 
@@ -219,7 +231,7 @@ def _forms_under_relabeling(e):
         ren = dict(zip(labels, rng.sample(labels, len(labels))))
         shuffled = [ex._rename_in_factor(f, ren)[0] for f in factors]
         rng.shuffle(shuffled)
-        forms.add(ex._canonical_term_uncached(coeff, shuffled))
+        forms.add(_searched(coeff, shuffled))
     return forms
 
 
@@ -420,6 +432,49 @@ def test_flatten_multiplies_no_unit_coefficients(monkeypatch):
     assert coeff == CRat(1) and len(factors) == 3
 
 
+def test_flattening_a_long_product_is_linear():
+    """Each term's factor lists are joined once, in order, so a product
+    of n atoms flattens in O(n) (it was O(n^2): 0.77 s at 20 000)."""
+    phi, a, b, c = (ex.scalar_field(), ex.em_vector("m"),
+                    ex.weyl_vector("m"), ex.log_deriv("m"))
+    e = Product(ex._UNIT, (a,) + (phi,) * 40_000 + (ex.d("m", phi),))
+    t0 = time.perf_counter()
+    (_, factors), = ex._flatten(e)
+    elapsed = time.perf_counter() - t0
+    assert factors == [a] + [phi] * 40_000 + [ex.d("m", phi)]
+    assert elapsed < 0.5, elapsed
+    got = [fs for _, fs in ex._flatten((a + b) * phi * (b + c))]
+    assert got == [[a, phi, b], [a, phi, c], [b, phi, b], [b, phi, c]]
+
+
+@pytest.mark.parametrize("work", ["catalog", "yangmills-global"])
+def test_each_prepared_skeleton_is_searched_once(monkeypatch, work):
+    """A rescaled term Lam^w * X prepares to the skeleton of X, which
+    the search has already seen: the search is keyed on the prepared
+    factors and chain, without the scalars, so no skeleton is searched
+    twice."""
+    from weylcheck import oracle, scale
+    from weylcheck.report import Mode
+    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    monkeypatch.setattr(densities, "_CACHE", {})
+    monkeypatch.setattr(oracle, "_CATALOG", None)
+    searched = []
+    search = ex._least_candidate
+
+    def recording(factors, chain_items, dummies, free_labels):
+        searched.append((tuple(factors), tuple(chain_items)))
+        return search(factors, chain_items, dummies, free_labels)
+
+    monkeypatch.setattr(ex, "_least_candidate", recording)
+    if work == "catalog":
+        oracle.catalog()
+    else:
+        scale.check_invariance(densities.builtin("yangmills"), Mode.GLOBAL)
+    assert searched
+    repeats = len(searched) - len(set(searched))
+    assert repeats == 0
+
+
 def test_repeated_same_variance_rejected():
     bad = ex.metric("a", "b") * ex.metric("a", "c")
     with pytest.raises(MalformedIndex):
@@ -591,12 +646,11 @@ def test_canonical_term_ignores_dummy_names_on_generated():
             if not dummies:
                 continue
             with_dummies += 1
-            want = ex._canonical_term_uncached(coeff, factors)
+            want = _searched(coeff, factors)
             for first, second in (("a", "zz"), ("zz", "a")):
                 ren = {lab: f"{(first, second)[i % 2]}{i}"
                        for i, lab in enumerate(dummies)}
-                got = ex._canonical_term_uncached(
-                    *_renamed_term(coeff, factors, ren))
+                got = _searched(*_renamed_term(coeff, factors, ren))
                 if got != want:
                     failed.add(seed)
     assert with_dummies > 600

@@ -280,6 +280,42 @@ def test_catalog_sides_are_canonicalized_once(monkeypatch):
     assert r.passed, r.residual
 
 
+def test_contraction_is_planned_once_per_signature(monkeypatch):
+    """Over the catalog build `np.einsum_path` runs once per distinct
+    signature of three or more operands and never for fewer, whose one
+    step is the path it would plan; equal signatures share their
+    steps."""
+    monkeypatch.setattr(oracle, "_STEPS", {})
+    monkeypatch.setattr(oracle, "_CATALOG", None)
+    plan, planned = np.einsum_path, []
+
+    def counting(*args, **kwargs):
+        planned.append(len(args))
+        return plan(*args, **kwargs)
+
+    steps, signatures = oracle._contraction_steps, []
+
+    def recording(subs, out):
+        signatures.append((tuple(map(tuple, subs)), tuple(out)))
+        return steps(subs, out)
+
+    monkeypatch.setattr(np, "einsum_path", counting)
+    monkeypatch.setattr(oracle, "_contraction_steps", recording)
+    catalog()
+    wide = len({sig for sig in signatures if len(sig[0]) >= 3})
+    assert wide and len(planned) == wide
+    for subs, out in {sig for sig in signatures if len(sig[0]) < 3}:
+        shapes = [[oracle._BLOCK if i == oracle._TRIAL else 4 for i in s]
+                  for s in subs]
+        args = [x for sh, s in zip(shapes, subs)
+                for x in (np.broadcast_to(0.0, sh), list(s))]
+        path = plan(*args, list(out), optimize="greedy")[0][1:]
+        assert path == [tuple(range(len(subs)))], (subs, out)
+    subs, out = [[0, 1, 2], [0, 2, 3], [3, 1], [4]], [0, 4]
+    first = steps([list(s) for s in subs], list(out))
+    assert steps([list(s) for s in subs], list(out)) is first
+
+
 @pytest.mark.parametrize("key", _JET_KEYS)
 def test_inverse_jets_match_einsum_reference(key):
     a = Assignment(key)
