@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import densities, dsl, gauge, scale
 from .errors import ParseError, WeylcheckError
-from .report import Mode, OracleSummary, TraceStep, VerificationReport
+from .report import Mode, TraceStep, VerificationReport
 from .simplify import full_simplify
 
 _BUILTIN_PREFIX = "builtin:"
@@ -81,7 +81,6 @@ def _cmd_covariantize(args) -> tuple[VerificationReport, str]:
         passed=True,
         residual="0",
         trace=trace,
-        oracle=OracleSummary(),
     ), _nonscalar_step(L))
     return report, out
 

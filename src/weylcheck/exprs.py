@@ -18,13 +18,11 @@ sort class, slots, Weyl weight, derivative rule and spin.  Every module
 reads that row; there is no other atom class.
 
 Deterministic work is done once per process.  The term cache
-(``_TERM_CACHE``) has two kinds of key.  A raw term's factor tuple,
-scalars included, maps to its canonical skeleton and sign; a hit costs
-one lookup.  The canonical search is keyed on the pair (commuting
-factors, chain) a term prepares to, with its couplings and Lam power
-already split off: they carry no index, so they cannot change the
-search, and ``Lam^w * X`` for every rescaling weight w reuses the
-search of ``X``.
+(``_TERM_CACHE``) has one kind of key: a term's factors other than its
+couplings and Lam power, in the order given.  It maps them to their
+sign and canonical factors.  Couplings and Lam powers carry no index,
+so they cannot change the canonical search, and ``Lam^w * X`` for
+every rescaling weight w reuses the search of ``X``.
 
 Every engine function accepts any ``Expr`` and returns a canonical
 ``Sum``.  ``canonicalize`` marks the Sums it returns and hands a marked
@@ -769,21 +767,6 @@ def _derive_factor(ix: Index, f: Expr):
 # ---------------------------------------------------------------------------
 # per-term canonicalization
 
-def _collect_scalars(factors: list) -> tuple[list, Optional[Fraction],
-                                             dict[str, int]]:
-    kept = []
-    lam_exp: Optional[Fraction] = None
-    coup: dict[str, int] = {}
-    for f in factors:
-        if isinstance(f, FieldAtom) and f.kind == Kind.LAMBDA_POWER:
-            lam_exp = (lam_exp or Fraction(0)) + f.exponent
-        elif isinstance(f, Coupling):
-            coup[f.name] = coup.get(f.name, 0) + f.power
-        else:
-            kept.append(f)
-    return kept, lam_exp, coup
-
-
 def _validate_chain(items: list) -> None:
     """A spinor endpoint has one open axis: a conjugate spinor (open on
     the right) opens the block, a spinor (open on the left) closes it,
@@ -850,10 +833,7 @@ def _refined_groups(factors: list, chain_items: list,
         sigs = []
         for i in range(len(factors)):
             adj = []
-            for lab, occ in ends.items():
-                if len(occ) != 2:
-                    continue
-                (na, ca), (nb, cb) = occ
+            for (na, ca), (nb, cb) in ends.values():
                 if na == i:
                     adj.append((ca, node_color(nb), cb))
                 if nb == i:
@@ -926,10 +906,10 @@ def _least_candidate(factors: list, chain_items: list,
     search raises MalformedIndex after ``_SEARCH_CAP`` of them.
 
     The result depends only on ``factors`` and ``chain_items``: the
-    dummies and free labels are read off them.  So
-    ``_canonical_term_uncached`` searches each prepared pair once and
-    keeps the result in the term cache, under that pair and under the
-    result's own pair (with sign +1).
+    dummies and free labels are read off them.  So ``_canonical_term``
+    searches a term's non-scalar factors once and keeps the result in
+    the term cache, under those factors and under the result's own
+    (with sign +1).
     """
     slots = _term_slot_list(factors + chain_items)
     alphabet_of = {ix.label: ix.alphabet for ix in slots
@@ -1065,55 +1045,59 @@ _VANISHES = object()
 
 
 def _canonical_term(coeff: CRat, factors: list):
-    """Unique representative of one product term.  Returns (coeff, Product
-    skeleton) or None when the term vanishes.  Results are cached by the
-    raw factor tuple, and each skeleton found is cached as its own
-    representative; the coefficient passes through linearly.  A raw
-    miss prepares the term and looks up its search under the second
-    key, (commuting factors, chain) without the scalars, which
-    ``_canonical_term_uncached`` fills; so terms that differ only in
-    couplings or Lam powers share one search."""
+    """Unique representative of one product term: (coeff, canonical
+    factors), or None when the term vanishes.  The couplings, merged per
+    name, and the Lam power are split off; the other factors, in the
+    order given, key the term cache, which holds their sign and
+    canonical factors.  A canonical result is the least candidate of its
+    own search, reached with the sign it carries, so it is cached as its
+    own representative too.  Couplings and Lam key before every other
+    factor, so they lead the canonical factors without a sort."""
     if coeff.is_zero():
         return None
-    cache_key = tuple(factors)
-    hit = _TERM_CACHE.get(cache_key)
-    if hit is not None:
-        if hit is _VANISHES:
-            return None
-        sign_c, skel = hit
-        return (_times(coeff, sign_c), skel)
-    res = _canonical_term_uncached(coeff, factors)
-    if len(_TERM_CACHE) >= _TERM_CACHE_LIMIT:
-        _TERM_CACHE.clear()
-    if res is None:
-        _TERM_CACHE[cache_key] = _VANISHES
-    else:
-        c, skel = res
-        # c == coeff * sign with sign in {1, -1, i, -i} factored by walks;
-        # a sign of 1 is stored as _UNIT so that hits skip the product
-        sign_c = c / coeff
-        _TERM_CACHE[cache_key] = (_UNIT if sign_c == _UNIT else sign_c, skel)
-        # a canonical skeleton is the least candidate of its own search,
-        # reached with the sign it already carries
-        _TERM_CACHE[skel.factors] = (_UNIT, skel)
-    return res
+    coup: dict[str, int] = {}
+    lam_exp = 0
+    rest = []
+    for f in factors:
+        if isinstance(f, Coupling):
+            coup[f.name] = coup.get(f.name, 0) + f.power
+        elif isinstance(f, FieldAtom) and f.kind == Kind.LAMBDA_POWER:
+            lam_exp += f.exponent
+        else:
+            rest.append(f)
+    key = tuple(rest)
+    found = _TERM_CACHE.get(key)
+    if found is None:
+        if len(_TERM_CACHE) >= _TERM_CACHE_LIMIT:
+            _TERM_CACHE.clear()
+        found = _VANISHES
+        prep = _prepare_term(rest)
+        if prep is not None:
+            plain, chain_items, sign0, dummies, free_labels = prep
+            best = _least_candidate(plain, chain_items, dummies, free_labels)
+            if best is not None:
+                sign, out_plain, out_chain = best
+                found = (sign0 * sign, out_plain + out_chain)
+        _TERM_CACHE[key] = found
+        if found is not _VANISHES:
+            _TERM_CACHE[found[1]] = (1, found[1])
+    if found is _VANISHES:
+        return None
+    sign, out = found
+    scalars = tuple(Coupling(name, p) for name, p in sorted(coup.items())
+                    if p)
+    if lam_exp:
+        scalars += (FieldAtom(Kind.LAMBDA_POWER, (), lam_exp),)
+    return coeff if sign == 1 else -coeff, scalars + out
 
 
 def _prepare_term(factors: list):
-    """Everything a candidate search needs from one raw term: (scalar
-    factors, remaining commuting factors, chain items, sign, dummy
-    labels, free labels), or None when an atom vanishes identically."""
+    """Everything a candidate search needs from one term without
+    scalars: (commuting factors, chain items, sign, dummy labels, free
+    labels), or None when an atom vanishes identically."""
     factors, chain_items = _split_chain(factors)
     chain_items = _strip_identities(chain_items)
     _validate_chain(chain_items)
-
-    factors, lam_exp, coup = _collect_scalars(factors)
-    scalar_factors: list[Expr] = []
-    for name in sorted(coup):
-        if coup[name] != 0:
-            scalar_factors.append(Coupling(name, coup[name]))
-    if lam_exp is not None and lam_exp != 0:
-        scalar_factors.append(FieldAtom(Kind.LAMBDA_POWER, (), lam_exp))
 
     # pre-normalize atoms first: identically vanishing atoms (equal-label
     # sigma slots) zero the term before index pairing is judged
@@ -1138,32 +1122,7 @@ def _prepare_term(factors: list):
             dummies.add(lab)
         else:
             raise MalformedIndex(f"index {lab!r} appears {len(occ)} times")
-    return scalar_factors, factors, chain_items, sign0, dummies, free_labels
-
-
-def _canonical_term_uncached(coeff: CRat, factors: list):
-    prep = _prepare_term(factors)
-    if prep is None:
-        return None
-    scalar_factors, factors, chain_items, sign0, dummies, free_labels = prep
-    # the search key: a pair of tuples, never equal to a raw key (a tuple
-    # of nodes)
-    search_key = (tuple(factors), tuple(chain_items))
-    found = _TERM_CACHE.get(search_key)
-    if found is None:
-        found = _least_candidate(factors, chain_items, dummies, free_labels)
-        if found is None:
-            found = _VANISHES
-        else:
-            # a search's result is the least candidate of its own search
-            _TERM_CACHE[found[1:]] = (1,) + found[1:]
-        _TERM_CACHE[search_key] = found
-    if found is _VANISHES:
-        return None
-    sign, out_factors, out_chain = found
-    all_factors = sorted(scalar_factors + list(out_factors), key=_factor_key)
-    return (coeff * CRat(sign0 * sign),
-            Product(CRat(1), tuple(all_factors) + out_chain))
+    return factors, chain_items, sign0, dummies, free_labels
 
 
 def canonicalize(e: Expr) -> Sum:
@@ -1172,26 +1131,15 @@ def canonicalize(e: Expr) -> Sum:
     returned is marked canonical, and a marked Sum is returned as is."""
     if isinstance(e, Sum) and e._canonical:
         return e
-    raw = _flatten(_as_expr(e))
-    bucket: dict[tuple, tuple[CRat, Product]] = {}
-    for coeff, factors in raw:
+    bucket: dict[tuple, CRat] = {}
+    for coeff, factors in _flatten(_as_expr(e)):
         res = _canonical_term(coeff, factors)
-        if res is None:
-            continue
-        c, skel = res
-        k = term_key(skel)
-        if k in bucket:
-            c0, _ = bucket[k]
-            bucket[k] = (c0 + c, skel)
-        else:
-            bucket[k] = (c, skel)
-    terms = []
-    for k in sorted(bucket):
-        c, skel = bucket[k]
-        if c.is_zero():
-            continue
-        terms.append(Product(c, skel.factors))
-    out = Sum(tuple(terms))
+        if res is not None:
+            c, fs = res
+            old = bucket.get(fs)
+            bucket[fs] = c if old is None else old + c
+    out = Sum(tuple(sorted((Product(c, fs) for fs, c in bucket.items()
+                            if not c.is_zero()), key=term_key)))
     _check_sum_frees(out)
     object.__setattr__(out, "_canonical", True)
     return out

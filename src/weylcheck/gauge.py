@@ -25,7 +25,7 @@ from .exprs import (
     Sum,
     canonicalize,
 )
-from .report import Mode, OracleSummary, TraceStep, VerificationReport
+from .report import Mode, TraceStep, VerificationReport
 from .simplify import full_simplify
 from .tensor import contract_pairs
 
@@ -111,7 +111,6 @@ def verify_fermion_decoupling() -> VerificationReport:
         passed=not residual.terms and not combined.terms,
         residual=dsl.render_expr(residual),
         trace=trace,
-        oracle=OracleSummary(),
     )
 
 
@@ -134,7 +133,6 @@ def verify_gauge_decoupling() -> VerificationReport:
         passed=not residual.terms,
         residual=dsl.render_expr(residual),
         trace=tuple(trace),
-        oracle=OracleSummary(),
     )
 
 
@@ -177,7 +175,6 @@ def verify_scalar_coupling() -> VerificationReport:
         passed=passed,
         residual=dsl.render_expr(mismatch),
         trace=trace,
-        oracle=OracleSummary(),
     )
 
 
@@ -190,7 +187,7 @@ def verify_gamma_sigma() -> VerificationReport:
     reduced = full_simplify(lhs)
     residual = full_simplify(lhs - rhs)
     trace = (
-        TraceStep("gamma-sigma-reduction", dsl.render_expr(canonicalize(lhs)),
+        TraceStep("gamma-sigma-reduction", dsl.render_expr(lhs),
                   dsl.render_expr(reduced)),
     )
     return VerificationReport(
@@ -199,5 +196,4 @@ def verify_gamma_sigma() -> VerificationReport:
         passed=not residual.terms,
         residual=dsl.render_expr(residual),
         trace=trace,
-        oracle=OracleSummary(),
     )

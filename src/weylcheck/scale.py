@@ -26,7 +26,7 @@ from .exprs import (
     Sum,
     canonicalize,
 )
-from .report import Mode, OracleSummary, TraceStep, VerificationReport
+from .report import Mode, TraceStep, VerificationReport
 from .simplify import full_simplify
 
 
@@ -158,7 +158,6 @@ def check_invariance(L, mode: Mode) -> VerificationReport:
         passed=not residual.terms,
         residual=dsl.render_expr(residual),
         trace=trace,
-        oracle=OracleSummary(),
     )
 
 

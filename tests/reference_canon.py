@@ -7,15 +7,16 @@ every ordering of every tie group, times every orientation
 of every factor and of every chain item, each renamed and keyed in full.
 It is exponential in the tie-group sizes, so tests run it only on terms
 with at most ``PERM_CAP`` candidates (the quartic Yang-Mills term has
-4096) and compare the result with ``exprs._canonical_term_uncached``.
+4096) and compare the result with ``exprs._canonical_term``.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from weylcheck import exprs as ex
-from weylcheck.exprs import Alphabet, CRat, Index, Product
+from weylcheck.exprs import Alphabet, Coupling, CRat, FieldAtom, Index, Kind
 
 PERM_CAP = 5_000
 
@@ -151,15 +152,28 @@ def least_candidate(factors: list, chain_items: list,
 
 
 def canonical_term(coeff: CRat, factors: list):
-    """``exprs._canonical_term_uncached`` with the exhaustive search."""
-    prep = ex._prepare_term(factors)
+    """``exprs._canonical_term`` with the exhaustive search: (coeff,
+    canonical factors), or None when the term vanishes."""
+    lam_exp = Fraction(0)
+    coup: dict[str, int] = {}
+    rest = []
+    for f in factors:
+        if isinstance(f, Coupling):
+            coup[f.name] = coup.get(f.name, 0) + f.power
+        elif isinstance(f, FieldAtom) and f.kind == Kind.LAMBDA_POWER:
+            lam_exp += f.exponent
+        else:
+            rest.append(f)
+    scalar_factors = [Coupling(name, p) for name, p in coup.items() if p]
+    if lam_exp:
+        scalar_factors.append(FieldAtom(Kind.LAMBDA_POWER, (), lam_exp))
+    prep = ex._prepare_term(rest)
     if prep is None:
         return None
-    scalar_factors, factors, chain_items, sign0, dummies, free_labels = prep
+    factors, chain_items, sign0, dummies, free_labels = prep
     found = least_candidate(factors, chain_items, dummies, free_labels)
     if found is None:
         return None
     sign, out_factors, out_chain = found
     all_factors = sorted(scalar_factors + out_factors, key=ex._factor_key)
-    return (coeff * CRat(sign0 * sign),
-            Product(CRat(1), tuple(all_factors + out_chain)))
+    return coeff * CRat(sign0 * sign), tuple(all_factors + out_chain)

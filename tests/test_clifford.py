@@ -109,6 +109,16 @@ def test_free_gammas_get_ordered():
     assert got == ex.canonicalize(eta - direct)
 
 
+def test_five_free_gammas_stay_as_written():
+    # ordering stops at five distinct free gammas; four are sorted
+    five = _chain(CRat(1), BAR, *map(ex.gamma, "edcba"), PSI)
+    assert gamma_canonicalize(five).terms == (five,)
+    got = gamma_canonicalize(_chain(CRat(1), BAR, *map(ex.gamma, "dcba"),
+                                    PSI))
+    longest = [t for t in got.terms if len(t.factors) == 6]
+    assert longest == [_chain(CRat(1), BAR, *map(ex.gamma, "abcd"), PSI)]
+
+
 def test_pure_matrix_chain_supported():
     # chains without spinor endpoints reduce the same way
     e = Product(CRat(1), (ex.gamma("a"), ex.gamma("a", up=False)))

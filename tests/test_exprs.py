@@ -116,12 +116,12 @@ def _symmetric_terms():
 
 
 def _searched(coeff, factors):
-    """``exprs._canonical_term_uncached`` with an empty term cache, so
-    that the search itself runs instead of a search remembered from an
-    earlier term."""
+    """``exprs._canonical_term`` with an empty term cache, so that the
+    search itself runs instead of a search remembered from an earlier
+    term."""
     saved, ex._TERM_CACHE = ex._TERM_CACHE, {}
     try:
-        return ex._canonical_term_uncached(coeff, factors)
+        return ex._canonical_term(coeff, factors)
     finally:
         ex._TERM_CACHE = saved
 
@@ -129,7 +129,7 @@ def _searched(coeff, factors):
 def _differential_terms():
     """Raw terms of every builtin and of seeded generator draws, then the
     flattened skeleton of each canonical form found, paired with that
-    skeleton (None for raw terms)."""
+    skeleton's factors (None for raw terms)."""
     raw = []
     for build in densities._BUILDERS.values():
         raw.extend(ex._flatten(build()))
@@ -140,9 +140,10 @@ def _differential_terms():
         raw.extend(ex._flatten(gen.random_expr(seed)))
     out = [(t, None) for t in raw]
     for coeff, factors in raw:
-        res = ex._canonical_term_uncached(coeff, factors)
+        res = ex._canonical_term(coeff, factors)
         if res is not None:
-            out.extend((t, res[1]) for t in ex._flatten(res[1]))
+            out.extend((t, res[1])
+                       for t in ex._flatten(Product(CRat(1), res[1])))
     return out
 
 
@@ -203,7 +204,7 @@ def test_gradient_terms_match_exhaustive_reference():
         want = ref.canonical_term(coeff, factors)
         assert _searched(coeff, factors) == want, factors
         if want is not None:
-            (c, fs), = ex._flatten(want[1])
+            (c, fs), = ex._flatten(Product(CRat(1), want[1]))
             assert _searched(c, fs) == (CRat(1), want[1])
         compared += 1
     assert compared > 80
@@ -449,10 +450,9 @@ def test_flattening_a_long_product_is_linear():
 
 @pytest.mark.parametrize("work", ["catalog", "yangmills-global"])
 def test_each_prepared_skeleton_is_searched_once(monkeypatch, work):
-    """A rescaled term Lam^w * X prepares to the skeleton of X, which
-    the search has already seen: the search is keyed on the prepared
-    factors and chain, without the scalars, so no skeleton is searched
-    twice."""
+    """A rescaled term Lam^w * X holds the factors of X, which the
+    search has already seen: the term cache is keyed on a term's
+    factors without the scalars, so no skeleton is searched twice."""
     from weylcheck import oracle, scale
     from weylcheck.report import Mode
     monkeypatch.setattr(ex, "_TERM_CACHE", {})
@@ -473,6 +473,45 @@ def test_each_prepared_skeleton_is_searched_once(monkeypatch, work):
     assert searched
     repeats = len(searched) - len(set(searched))
     assert repeats == 0
+
+
+def test_scalars_reuse_the_search_of_their_skeleton(monkeypatch):
+    """Once X is canonical, f^2 * Lam^3 * X is a term-cache hit on the
+    factors of X: nothing is prepared again, and the scalars lead the
+    canonical factors of X."""
+    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    x = ex.inv_metric("m", "n") * ex.weyl_vector("m") \
+        * ex.d("n", ex.scalar_field())
+    (t,) = ex.canonicalize(x).terms
+    prepared = []
+    prepare = ex._prepare_term
+
+    def recording(factors):
+        prepared.append(factors)
+        return prepare(factors)
+
+    monkeypatch.setattr(ex, "_prepare_term", recording)
+    got = ex.canonicalize(ex.coupling("f", 2) * ex.lam(3) * x)
+    assert prepared == []
+    assert got.terms == (Product(t.coeff, (ex.coupling("f", 2), ex.lam(3))
+                                 + t.factors),)
+
+
+def test_term_cache_keys_hold_no_scalars(monkeypatch):
+    """After a catalog build every term-cache key is a tuple of factor
+    nodes without a coupling or a Lam power."""
+    from weylcheck import oracle
+    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    monkeypatch.setattr(densities, "_CACHE", {})
+    monkeypatch.setattr(oracle, "_CATALOG", None)
+    oracle.catalog()
+    assert ex._TERM_CACHE
+    for key in ex._TERM_CACHE:
+        assert isinstance(key, tuple), key
+        for f in key:
+            atom = ex._deriv_split(f)[1]
+            assert isinstance(atom, ex.FieldAtom), key
+            assert atom.kind != ex.Kind.LAMBDA_POWER, key
 
 
 def test_repeated_same_variance_rejected():

@@ -4,6 +4,7 @@ import pytest
 
 from weylcheck import exprs as ex
 from weylcheck.exprs import CRat, Product
+from weylcheck.oracle import TOL_FIELD, Assignment, evaluate
 from weylcheck.tensor import christoffel, contract_pairs
 
 
@@ -124,11 +125,26 @@ def test_eta_absorbs_into_clifford_slot():
 
 
 def test_eta_absorption_can_vanish_on_sigma():
-    # lowering one sigma slot onto the other's label kills the term
+    """Lowering one sigma slot onto the other's label kills the term.
+    eta_ab sigma^ab is already zero to the canonical search, which finds
+    that it equals its own negative; eta_ab delta^b_c sigma^ac is not,
+    and rule 5 zeroes it once the delta renames c to b.  The oracle finds
+    both raw sides numerically 0, while a component of the bare bilinear
+    is not."""
     bar, psi = ex.fermion_bar(), ex.fermion()
-    e = Product(CRat(1), (ex.minkowski("a", "b"), bar,
-                          ex.sigma("a", "b", up1=True, up2=True), psi))
-    assert contract_pairs(e) == ex.Sum(())
+    eta_sigma = Product(CRat(1), (ex.minkowski("a", "b"), bar,
+                                  ex.sigma("a", "b", up1=True, up2=True),
+                                  psi))
+    through_delta = Product(CRat(1), (
+        ex.minkowski("a", "b"), ex.delta("b", "c", ex.Alphabet.FRAME), bar,
+        ex.sigma("a", "c"), psi))
+    assert ex.canonicalize(through_delta).terms
+    a = Assignment((5, 0))
+    for e in (eta_sigma, through_delta):
+        assert contract_pairs(e) == ex.Sum(())
+        assert abs(evaluate(e, a)) < TOL_FIELD
+    bilinear = Product(CRat(1), (bar, ex.sigma("a", "b"), psi))
+    assert abs(evaluate(bilinear, a, {"a": 0, "b": 1})) > 0.1
 
 
 def test_contraction_chains_to_fixpoint():
