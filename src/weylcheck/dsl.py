@@ -500,9 +500,18 @@ def _factor_chunk(f: Expr) -> str:
     raise TypeError(f"cannot render {f!r}")
 
 
-def _term_chunks(t: Product) -> tuple[int, list[str]]:
-    items = t.factors
-    sign, chunks = _coeff_chunks(t.coeff, bool(items))
+# factor tuple -> its text; a memo emptied with the term cache
+_TEXTS: dict = {}
+ex._MEMOS.append(_TEXTS)
+
+
+def _factors_text(items: tuple) -> str:
+    """The factors of a term as rendered, joined by " * ", with a run of
+    an index-free field as one power; computed once per factor tuple."""
+    text = _TEXTS.get(items)
+    if text is not None:
+        return text
+    chunks = []
     i = 0
     while i < len(items):
         f = items[i]
@@ -517,7 +526,9 @@ def _term_chunks(t: Product) -> tuple[int, list[str]]:
             continue
         chunks.append(_factor_chunk(f))
         i += 1
-    return sign, chunks
+    ex._make_room()
+    text = _TEXTS[items] = " * ".join(chunks)
+    return text
 
 
 def render_expr(e: Expr) -> str:
@@ -526,7 +537,9 @@ def render_expr(e: Expr) -> str:
         return "0"
     parts = []
     for k, t in enumerate(s.terms):
-        sign, chunks = _term_chunks(t)
+        sign, chunks = _coeff_chunks(t.coeff, bool(t.factors))
+        if t.factors:
+            chunks.append(_factors_text(t.factors))
         txt = " * ".join(chunks)
         if k == 0:
             parts.append(("-" if sign < 0 else "") + txt)

@@ -25,11 +25,13 @@ so they cannot change the canonical search, and ``Lam^w * X`` for
 every rescaling weight w reuses the search of ``X``.
 
 Every engine function accepts any ``Expr`` and returns a canonical
-``Sum``.  ``canonicalize`` marks the Sums it returns and hands a marked
-Sum back unchanged, so canonicalizing an engine's output again costs
-nothing.  ``rewrite_terms`` is the one pass that maps the terms of a
-canonical form and canonicalizes the result; the engines supply only
-the per-term rewrite.
+``Sum``.  Only ``canonicalize``, on the Sums it returns, and
+``rewrite_terms``, on the terms a rewrite keeps, mark a Sum canonical.
+``canonicalize`` hands a marked Sum back unchanged and adds the terms
+of one inside a larger expression as they stand, so composing engine
+outputs puts no term in canonical form again.  ``rewrite_terms`` is the
+one pass that maps the terms of a canonical form and canonicalizes the
+result; the engines supply only the per-term rewrite.
 
 Slot symmetries are stated once, in the slot-symmetry rule
 (``_slot_groups``).  For any node it lists the groups of slot positions
@@ -75,11 +77,28 @@ class Variance(IntEnum):
     DOWN = 1
 
 
+class _KeptHash:
+    """Base of the nodes that hash the fields taking part in == once, on
+    first use, and keep the hash in a slot that no comparison, repr or
+    pickle sees, however often the node is used as a key."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(getattr(self, n) for n in self.__match_args__))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+
 @dataclass(frozen=True, slots=True)
-class Index:
+class Index(_KeptHash):
     label: str
     alphabet: Alphabet
     variance: Variance
+    __hash__ = _KeptHash.__hash__
 
     def key(self) -> tuple:
         return (int(self.alphabet), int(self.variance), self.label)
@@ -323,10 +342,11 @@ def _as_expr(v) -> Expr:
 
 
 @dataclass(frozen=True, slots=True)
-class FieldAtom(Expr):
+class FieldAtom(Expr, _KeptHash):
     kind: Kind | CliffordKind
     indices: tuple[Index, ...] = ()
     exponent: Optional[Fraction] = None  # LAMBDA_POWER only
+    __hash__ = _KeptHash.__hash__
 
     def __post_init__(self):
         pat = _KINDS[self.kind].slots
@@ -375,9 +395,10 @@ class Coupling(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Partial(Expr):
+class Partial(Expr, _KeptHash):
     index: Index
     operand: Expr
+    __hash__ = _KeptHash.__hash__
 
     def __post_init__(self):
         if self.index.alphabet != Alphabet.SPACETIME or \
@@ -399,7 +420,8 @@ class Product(Expr):
 @dataclass(frozen=True, slots=True)
 class Sum(Expr):
     terms: tuple[Expr, ...]
-    # set by ``canonicalize`` on the Sums it returns, and only there
+    # set only by ``canonicalize``, on the Sums it returns, and by
+    # ``rewrite_terms``, on the Sum of the canonical terms it keeps
     _canonical: bool = field(default=False, init=False, compare=False,
                              repr=False)
 
@@ -539,8 +561,15 @@ def _split_chain(factors: Iterable[Expr]) -> tuple[list, list]:
 
 
 def term_key(p: Product) -> tuple:
-    return tuple(tuple(map(_factor_key, part))
-                 for part in _split_chain(p.factors))
+    """Sort key of a term, computed once per factor tuple."""
+    key = _TERM_KEYS.get(p.factors)
+    if key is None:
+        _make_room()
+        key = _TERM_KEYS[p.factors] = tuple(
+            tuple(_FACTOR_KEYS.get(f) or _FACTOR_KEYS.setdefault(
+                f, _factor_key(f)) for f in part)
+            for part in _split_chain(p.factors))
+    return key
 
 
 def _deriv_split(f: Expr) -> tuple[tuple[Index, ...], Expr]:
@@ -693,10 +722,15 @@ def _rename_term(factors: list, ren: dict[str, str]):
 def _flatten(e: Expr) -> list[tuple[CRat, list]]:
     """Distribute sums and derivatives; returns raw (coeff, factors)
     pairs with derivatives applied to single atoms.  A raw term's chain
-    items keep their order, but need not come last."""
+    items keep their order, but need not come last.  A marked Sum's terms
+    and a Product of factors that flatten to themselves stand as they are."""
     if isinstance(e, Sum):
+        if e._canonical:
+            return [(t.coeff, list(t.factors)) for t in e.terms]
         return [t for u in e.terms for t in _flatten(u)]
     if isinstance(e, Product):
+        if all(map(_flattens_to_itself, e.factors)):
+            return [] if e.coeff.is_zero() else [(e.coeff, list(e.factors))]
         return [t for t in _distribute(e.coeff, e.factors)
                 if not t[0].is_zero()]
     if isinstance(e, (FieldAtom, Coupling)):
@@ -704,6 +738,16 @@ def _flatten(e: Expr) -> list[tuple[CRat, list]]:
     if isinstance(e, Partial):
         return _flatten_partial(e.index, e.operand)
     raise TypeError(f"cannot flatten {e!r}")
+
+
+def _flattens_to_itself(f: Expr) -> bool:
+    """Whether ``_flatten`` leaves a factor as it is: a coupling, an atom,
+    or derivatives of an atom that is not constant and not Lam."""
+    if isinstance(f, Partial):
+        atom = _deriv_split(f)[1]
+        return isinstance(atom, FieldAtom) and \
+            _KINDS[atom.kind].derivative not in ("constant", "chain")
+    return isinstance(f, (FieldAtom, Coupling))
 
 
 def _distribute(coeff: CRat, parts: Iterable[Expr]):
@@ -988,6 +1032,17 @@ def _least_candidate(factors: list, chain_items: list,
     for t, (is_chain, members, mult) in enumerate(steps):
         for st in states.values():
             st[0] = mult
+        if len(members) == 1 and not members[0][1] and not is_chain:
+            # equal factors without dummies name nothing and are in
+            # their slot order already: one block, the same in every state
+            key = _factor_key(members[0][0])
+            node_of[key] = members[0][0]
+            for st in states.values():
+                fkeys = st[2]
+                st[2] = fkeys + (key,) * mult[0]
+                if fkeys and key < fkeys[-1]:
+                    st[2] = tuple(sorted(st[2]))
+            continue
         for _ in range(sum(mult)):
             grown: dict = {}
             for left, ren, fkeys, ckeys, signs in states.values():
@@ -1042,6 +1097,18 @@ def _least_candidate(factors: list, chain_items: list,
 _TERM_CACHE: dict = {}
 _TERM_CACHE_LIMIT = 200_000
 _VANISHES = object()
+# memos of pure functions, emptied with the term cache: factor tuple ->
+# ``term_key``, factor -> ``_factor_key``
+_TERM_KEYS, _FACTOR_KEYS = {}, {}
+_MEMOS = [_TERM_KEYS, _FACTOR_KEYS]
+
+
+def _make_room() -> None:
+    """Empty the term cache and every memo once one of them is full."""
+    if max(map(len, _MEMOS + [_TERM_CACHE])) >= _TERM_CACHE_LIMIT:
+        _TERM_CACHE.clear()
+        for memo in _MEMOS:
+            memo.clear()
 
 
 def _canonical_term(coeff: CRat, factors: list):
@@ -1068,8 +1135,7 @@ def _canonical_term(coeff: CRat, factors: list):
     key = tuple(rest)
     found = _TERM_CACHE.get(key)
     if found is None:
-        if len(_TERM_CACHE) >= _TERM_CACHE_LIMIT:
-            _TERM_CACHE.clear()
+        _make_room()
         found = _VANISHES
         prep = _prepare_term(rest)
         if prep is not None:
@@ -1128,16 +1194,30 @@ def _prepare_term(factors: list):
 def canonicalize(e: Expr) -> Sum:
     """Normal form: a Sum of coefficient-carrying Products with sorted
     factors, canonical dummy labels and like terms collected.  The Sum
-    returned is marked canonical, and a marked Sum is returned as is."""
+    returned is marked canonical, and a marked Sum is returned as is.
+    The terms of a marked Sum in ``e``, bare or times a number, are
+    their own representatives (sign +1) and are added as they stand."""
     if isinstance(e, Sum) and e._canonical:
         return e
     bucket: dict[tuple, CRat] = {}
-    for coeff, factors in _flatten(_as_expr(e)):
-        res = _canonical_term(coeff, factors)
-        if res is not None:
-            c, fs = res
+
+    def collect(e: Expr, coeff: CRat) -> None:
+        while isinstance(e, Product) and len(e.factors) == 1:
+            coeff, e = _times(coeff, e.coeff), e.factors[0]
+        if isinstance(e, Sum) and not e._canonical:
+            for u in e.terms:
+                collect(u, coeff)
+            return
+        if isinstance(e, Sum):
+            terms = [(_times(coeff, t.coeff), t.factors) for t in e.terms]
+        else:
+            terms = filter(None, (_canonical_term(_times(coeff, c), fs)
+                                  for c, fs in _flatten(e)))
+        for c, fs in terms:
             old = bucket.get(fs)
             bucket[fs] = c if old is None else old + c
+
+    collect(_as_expr(e), _UNIT)
     out = Sum(tuple(sorted((Product(c, fs) for fs, c in bucket.items()
                             if not c.is_zero()), key=term_key)))
     _check_sum_frees(out)
@@ -1187,8 +1267,10 @@ def rewrite_terms(e: Expr, fn: Callable[[Product], Optional[Expr]]) -> Sum:
     mapped = [fn(t) for t in s.terms]
     if all(r is None for r in mapped):
         return s
-    return canonicalize(Sum(tuple(t if r is None else r
-                                  for t, r in zip(s.terms, mapped))))
+    kept = Sum(tuple(t for t, r in zip(s.terms, mapped) if r is None))
+    object.__setattr__(kept, "_canonical", True)
+    return canonicalize(Sum((kept,) + tuple(r for r in mapped
+                                            if r is not None)))
 
 
 def count_atoms(e: Expr, kind: Kind) -> int:

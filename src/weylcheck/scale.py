@@ -90,7 +90,9 @@ def _scaled_atom_local(f: FieldAtom, power: Fraction) -> Expr:
 
 
 def _transform_term(t: Product, power: Fraction, local: bool) -> Expr:
+    """One term rescaled; globally, by one Lam power for all its atoms."""
     pieces: list[Expr] = []
+    weight = 0
     for f in t.factors:
         if isinstance(f, Coupling):
             pieces.append(f)
@@ -102,10 +104,10 @@ def _transform_term(t: Product, power: Fraction, local: bool) -> Expr:
             inner = _scaled_atom_local(atom, power)
             pieces.append(ex._deriv_join(idxs, inner))
         else:
-            w = ex._KINDS[atom.kind].weight
-            if w != 0:
-                pieces.append(ex.lam(power * w))
+            weight += ex._KINDS[atom.kind].weight
             pieces.append(f)
+    if weight:
+        pieces.append(ex.lam(power * weight))
     return Product(t.coeff, tuple(pieces))
 
 
@@ -144,19 +146,18 @@ def check_invariance(L, mode: Mode) -> VerificationReport:
     rescaled = canonicalize(ex.lam(Fraction(4)) * transformed)
     difference = canonicalize(rescaled - expr)
     residual = full_simplify(difference)
+    texts = [dsl.render_expr(x)
+             for x in (expr, transformed, rescaled, difference, residual)]
     trace = (
-        TraceStep(f"apply-{mode.value}-scale", dsl.render_expr(expr),
-                  dsl.render_expr(transformed)),
-        TraceStep("rescale-by-Lam4", dsl.render_expr(transformed),
-                  dsl.render_expr(rescaled)),
-        TraceStep("residual", dsl.render_expr(difference),
-                  dsl.render_expr(residual)),
+        TraceStep(f"apply-{mode.value}-scale", texts[0], texts[1]),
+        TraceStep("rescale-by-Lam4", texts[1], texts[2]),
+        TraceStep("residual", texts[3], texts[4]),
     )
     return VerificationReport(
         claim=f"invariance:{name}:{mode.value}",
         mode=mode,
         passed=not residual.terms,
-        residual=dsl.render_expr(residual),
+        residual=texts[4],
         trace=trace,
     )
 

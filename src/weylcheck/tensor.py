@@ -50,15 +50,18 @@ _THROUGH_KINDS = {kind for row in _THROUGH_FRAME for kind in row[:2]}
 
 
 def _top_atoms(factors) -> list[tuple[int, FieldAtom]]:
+    # no rule acts on a derivative or an atom without indices
     return [(i, f) for i, f in enumerate(factors)
-            if isinstance(f, FieldAtom)]
+            if isinstance(f, FieldAtom) and f.indices]
 
 
 def _contract_step(coeff: CRat, factors: list):
     """Apply the highest-priority applicable rule once.  Returns the
     rewritten (coeff, factors) or None when no rule matches."""
-    slots = ex._label_census(factors)
     atoms = _top_atoms(factors)
+    if not atoms:
+        return None
+    slots = ex._label_census(factors)
 
     # 1: Kronecker delta elimination and traces
     for pos, a in atoms:

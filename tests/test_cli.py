@@ -358,3 +358,22 @@ def test_only_the_oracle_command_loads_numpy(tmp_path):
     assert oracle == 0
     assert after == [True, True]
 
+
+
+def test_long_power_of_one_field_gets_a_fast_verdict(tmp_path, capsys):
+    """phi^20000 is one term of 20 000 equal factors without indices:
+    the canonical search places them as one block, so the global verdict
+    comes in process in well under a second (2.1 s before), with the
+    residual it always had."""
+    import time
+    from weylcheck import cli
+
+    src = tmp_path / "power.wl"
+    src.write_text("fields phi ;\nname power ;\ndensity phi^20000 ;\n")
+    t0 = time.perf_counter()
+    rc = cli.main(["verify", str(src), "--mode=global"])
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "residual: Lam^-19996 * phi^20000 - phi^20000\n" in out
+    assert elapsed < 1.0, elapsed

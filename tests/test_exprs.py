@@ -16,7 +16,11 @@ import reference_canon as ref
 import strategies as gen
 from weylcheck import densities, dsl
 from weylcheck import exprs as ex
-from weylcheck.errors import IndexArityMismatch, MalformedIndex
+from weylcheck.errors import (
+    IndexArityMismatch,
+    MalformedIndex,
+    WeylcheckError,
+)
 from weylcheck.exprs import CRat, I_UNIT, Product, Sum
 from weylcheck.oracle import Assignment, _operand
 
@@ -448,6 +452,20 @@ def test_flattening_a_long_product_is_linear():
     assert got == [[a, phi, b], [a, phi, c], [b, phi, b], [b, phi, c]]
 
 
+def test_multiplying_out_a_long_product_is_linear():
+    """A product of plain atoms now flattens as it stands, so the linear
+    join of ``_distribute`` is timed on a product that must be
+    multiplied out: one sum among 40 000 atoms."""
+    phi, a, b = ex.scalar_field(), ex.em_vector("m"), ex.weyl_vector("m")
+    e = Product(ex._UNIT, (a + b,) + (phi,) * 40_000)
+    t0 = time.perf_counter()
+    got = ex._flatten(e)
+    elapsed = time.perf_counter() - t0
+    assert [fs for _, fs in got] == [[a] + [phi] * 40_000,
+                                     [b] + [phi] * 40_000]
+    assert elapsed < 0.5, elapsed
+
+
 @pytest.mark.parametrize("work", ["catalog", "yangmills-global"])
 def test_each_prepared_skeleton_is_searched_once(monkeypatch, work):
     """A rescaled term Lam^w * X holds the factors of X, which the
@@ -741,6 +759,129 @@ def test_rewrite_terms_keeps_splices_and_canonicalizes():
                            * ex.weyl_vector("n"))
     assert got == want and len(got.terms) == 3
     assert ex.canonicalize(got) is got
+
+
+def _outcome(build):
+    """The terms ``build()`` returns, or its error text."""
+    try:
+        return build().terms
+    except WeylcheckError as err:  # the error is part of the outcome
+        return f"{type(err).__name__}: {err}"
+
+
+def _double_odd_terms(t):
+    # a rewrite that keeps some terms and splices a raw sum for others
+    if len(t.factors) % 2:
+        return Sum((t, ex.lam(1) * t))
+    return None
+
+
+def test_marked_sums_pass_through_like_unmarked_copies():
+    """The terms of a marked Sum bypass the per-term canonical form in
+    ``canonicalize`` and ``rewrite_terms``.  On the digest seeds, every
+    composition of marked Sums gives the terms, in the order, that the
+    same composition of unmarked copies gives."""
+    errors = 0
+    for seed in range(300):
+        a, b = gen.random_expr(seed), gen.random_expr(seed + 300)
+        assert a._canonical and b._canonical
+        ua, ub = Sum(a.terms), Sum(b.terms)
+        c = CRat(Fraction(seed % 7 - 3, 2), seed % 3 - 1)
+        k = Fraction(seed % 5 - 2, 1 + seed % 2)
+        pairs = [
+            (lambda: ex.canonicalize(a - b), lambda: ex.canonicalize(ua - ub)),
+            (lambda: ex.canonicalize(Product(c, (a,))),
+             lambda: ex.canonicalize(Product(c, (ua,)))),
+            (lambda: ex.canonicalize(ex.lam(k) * a),
+             lambda: ex.canonicalize(ex.lam(k) * ua)),
+            (lambda: ex.rewrite_terms(a, _double_odd_terms),
+             lambda: ex.canonicalize(Sum(tuple(
+                 _double_odd_terms(t) or t for t in ua.terms)))),
+        ]
+        for marked, unmarked in pairs:
+            got = _outcome(marked)
+            assert got == _outcome(unmarked), seed
+            errors += isinstance(got, str)
+    # only a - b of sums with different free indices fails
+    assert 0 < errors < 300
+
+
+def test_composed_canonical_sums_are_not_canonicalized_again(monkeypatch):
+    """``canonicalize(a - b)`` and ``c * a`` on marked Sums put no term
+    in canonical form again, and ``rewrite_terms`` does so only for the
+    terms its rewrite returns."""
+    phi, s_m = ex.scalar_field(), ex.weyl_vector("m")
+    a = ex.canonicalize(phi ** 2 + ex.inv_metric("m", "n") * s_m
+                        * ex.d("n", phi))
+    b = ex.canonicalize(phi ** 4 - ex.coupling("f") * phi ** 2)
+    calls = []
+    canonical_term = ex._canonical_term
+
+    def counting(coeff, factors):
+        calls.append(tuple(factors))
+        return canonical_term(coeff, factors)
+
+    monkeypatch.setattr(ex, "_canonical_term", counting)
+    diff = ex.canonicalize(a - b)
+    assert calls == []
+    assert len(diff.terms) == 4 and not ex.canonicalize(b - a + diff).terms
+    assert ex.canonicalize(3 * a).terms and calls == []
+    # phi^2 is kept; the term with S is doubled
+    got = ex.rewrite_terms(a, lambda t: 2 * t if len(t.factors) > 2
+                           else None)
+    assert len(calls) == 1
+    assert got == ex.canonicalize(phi ** 2 + 2 * ex.inv_metric("m", "n")
+                                  * s_m * ex.d("n", phi))
+
+
+@pytest.mark.parametrize("kind", list(ex.Kind) + list(ex.CliffordKind),
+                         ids=lambda k: k.value)
+def test_flatten_keeps_a_product_as_multiplying_out_would(kind):
+    """A Product of atoms, couplings and derivatives of atoms flattens
+    to the raw terms that multiplying it out gives: as it stands, unless
+    a derivative vanishes on a constant or takes the chain rule on Lam."""
+    slots = tuple(ex.Index(f"i{k}", alph or ex.Alphabet.SPACETIME,
+                           var or ex.Variance.UP)
+                  for k, (alph, var) in enumerate(ex._KINDS[kind].slots))
+    exponent = Fraction(3) if kind == ex.Kind.LAMBDA_POWER else None
+    atom = ex.FieldAtom(kind, slots, exponent)
+    c = CRat(2, 1)
+    for factor in (atom, ex.d("m", atom), ex.d("n", ex.d("m", atom))):
+        factors = (ex.coupling("f"), factor, ex.scalar_field())
+        want = [t for t in ex._distribute(c, factors) if not t[0].is_zero()]
+        assert ex._flatten(Product(c, factors)) == want, factor
+
+
+def test_factors_without_dummies_are_placed_in_key_order():
+    """Equal factors without dummies are placed as one block, and still
+    in key order: A[a] goes before the A[mu0] placed before it."""
+    e = ex.em_vector("a") * ex.em_vector("m") * ex.inv_metric("m", "n") \
+        * ex.weyl_vector("n")
+    assert dsl.render_expr(e) == "ginv[mu0,mu1] * A[a] * A[mu0] * S[mu1]"
+
+
+def test_nodes_hash_once_by_value():
+    """Equal nodes built apart hash equal.  A node computes its hash on
+    first use from its compared fields and keeps it; the kept hash takes
+    no part in ==, repr or pickling."""
+    import pickle
+
+    def build():
+        return ex.d("m", ex.metric("a", "b"))
+
+    def kept(node):
+        return getattr(node, "_hash", None)
+
+    x, y = build(), build()
+    assert x is not y and kept(x) is None and kept(y) is None
+    h = hash(x)
+    assert hash(x) == h == hash((x.index, x.operand))
+    assert kept(x) == h and kept(x.operand) is not None
+    assert kept(x.index) is not None and kept(y) is None
+    assert x == y and repr(x) == repr(y) and "_hash" not in repr(x)
+    assert hash(y) == h
+    z = pickle.loads(pickle.dumps(x))
+    assert z == x and kept(z) is None and kept(z.operand) is None
 
 
 @pytest.mark.parametrize("kind", list(ex.Kind), ids=lambda k: k.value)

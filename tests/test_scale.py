@@ -205,3 +205,23 @@ def test_check_invariance_accepts_raw_expr():
     r = check_invariance(e, Mode.GLOBAL)
     assert r.passed
     assert r.claim == "invariance:expr:global"
+
+
+def test_invariance_report_renders_each_sum_once(builtins_all, monkeypatch):
+    """A report shows five sums (the density, its transform, the
+    rescaled transform, the difference and the residual), each rendered
+    once."""
+    from weylcheck import dsl
+    rendered = []
+    render = dsl.render_expr
+
+    def counting(e):
+        rendered.append(e)
+        return render(e)
+
+    monkeypatch.setattr(dsl, "render_expr", counting)
+    for mode in (Mode.GLOBAL, Mode.LOCAL):
+        rendered.clear()
+        r = check_invariance(builtins_all["scalar"], mode)
+        assert len(rendered) == 5, mode
+        assert r.residual == render(rendered[-1])
