@@ -8,21 +8,26 @@ A source file is a sequence of `;`-terminated statements:
     name scalar ;
     density 1/2 * ginv[mu,nu] * d[mu](phi) * d[nu](phi) - lambda * phi^4 ;
 
-Factors are joined with `*`.  Atoms take comma-separated index labels in
+A `#` comment runs to the end of its line.  Factors are joined with `*`.
+A number is a run of decimal digits with an optional `/denominator`; a
+sign is allowed only in a `(...)` exponent, in `^-k` and in a complex
+literal such as `(1/2-3*i)`.  Atoms take comma-separated index labels in
 brackets; the indices of `gamma` and `sigma` may carry a leading `-` for
 a lowered slot.  `gamma`, `sigma` and `one` are used undeclared.
 `d[mu](...)` is the partial derivative, nested at most `_MAX_NESTING`
-deep.  `lambda`, `f`, `e` and bare `g` are coupling constants;
-`g[mu,nu]` is the metric.  `Lam^k` is the formal scale factor with
-rational exponent k.  `phi^4` abbreviates a repeated index-free
-factor.  The Kronecker delta is internal to the contraction
-engine and is not accepted as input."""
+deep, and a term has at most `_MAX_FACTORS` factors.  `lambda`, `f`,
+`e` and bare `g` are coupling constants; `g[mu,nu]` is the metric.
+`Lam^k` is the formal scale factor with rational exponent k.  `phi^4`
+abbreviates a repeated index-free factor, and counts as 4 factors.  The
+Kronecker delta is internal to the contraction engine and is not
+accepted as input."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import exprs as ex
 from .errors import IndexArityMismatch, ParseError, UndeclaredField
@@ -46,6 +51,9 @@ _KIND_BY_NAME = {k.value: k for k in ex._KINDS}
 # Derivatives nested deeper than this are refused at the offending `d`:
 # every layer that walks an expression tree recurses once per level.
 _MAX_NESTING = 100
+# A term with more factors than this is refused at the atom that passes
+# it, before a repetition such as `phi^1000000000` is built.
+_MAX_FACTORS = 100_000
 
 
 @dataclass(frozen=True)
@@ -61,11 +69,19 @@ class LagrangianDef:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_SYMBOLS = set(";,[]()*+-^/")
+# One group per token kind.  `\w` is a character that `str.isalnum`
+# accepts, or `_`; `\d` is a decimal digit, which `int` reads.
+_TOKEN = re.compile(r"""
+    (?P<ident>[^\W\d]\w*)
+  | (?P<int>\d+)
+  | (?P<sym>[;,\[\]()*+\-^/])
+  | (?P<skip>[ \t\r]+|\#[^\n]*)
+  | (?P<newline>\n)
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # ident | int | sym | eof
     text: str
     line: int
@@ -74,46 +90,21 @@ class _Tok:
 
 def _tokenize(src: str) -> list[_Tok]:
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            toks.append(_Tok("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+    line, start = 1, 0  # start: offset of the current line
+    for m in _TOKEN.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind != "skip":
+            col = m.start() - start + 1
+            # a name starts with a letter or `_`, not with a numeric
+            # character that is no decimal digit, such as `²`
+            if kind == "other" or kind == "ident" and not (
+                    text[0].isalpha() or text[0] == "_"):
+                raise ParseError(f"unexpected character {text[0]!r}",
+                                 line, col)
+            toks.append(_Tok(kind, text, line, col))
+    toks.append(_Tok("eof", "", line, len(src) - start + 1))
     return toks
 
 
@@ -138,25 +129,27 @@ class _Parser:
         self.pos += 1
         return t
 
-    def fail(self, msg: str, tok: Optional[_Tok] = None):
+    def fail(self, msg: str, tok: Optional[_Tok] = None, exc=ParseError):
         t = tok or self.peek()
-        raise ParseError(msg, t.line, t.col)
+        raise exc(msg, t.line, t.col)
 
-    def expect_sym(self, s: str) -> _Tok:
-        t = self.peek()
-        if t.kind != "sym" or t.text != s:
-            self.fail(f"expected {s!r}", t)
-        return self.advance()
+    def accept(self, s: str) -> bool:
+        """Step over the symbol `s` if it comes next; no name or number
+        is spelled like a symbol."""
+        if self.toks[self.pos].text == s:
+            self.pos += 1
+            return True
+        return False
+
+    def expect_sym(self, s: str):
+        if not self.accept(s):
+            self.fail(f"expected {s!r}")
 
     def expect_ident(self) -> _Tok:
         t = self.peek()
         if t.kind != "ident":
             self.fail("expected a name", t)
         return self.advance()
-
-    def at_sym(self, s: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.text == s
 
     # -- statements ---------------------------------------------------------
 
@@ -173,8 +166,7 @@ class _Parser:
                     self.fail("duplicate name statement", head)
                 # hyphenated names: WORD (- WORD)*
                 parts = [t.text]
-                while self.at_sym("-"):
-                    self.advance()
+                while self.accept("-"):
                     parts.append(self.expect_ident().text)
                 self.name = "-".join(parts)
                 self.expect_sym(";")
@@ -192,15 +184,13 @@ class _Parser:
 
     def stmt_indices(self):
         alph_tok = self.expect_ident()
-        try:
-            alph = {"spacetime": Alphabet.SPACETIME,
-                    "frame": Alphabet.FRAME}[alph_tok.text]
-        except KeyError:
+        alph = {"spacetime": Alphabet.SPACETIME,
+                "frame": Alphabet.FRAME}.get(alph_tok.text)
+        if alph is None:
             self.fail("expected 'spacetime' or 'frame'", alph_tok)
         labels = []
-        while not self.at_sym(";"):
+        while not self.accept(";"):
             labels.append(self.expect_ident())
-        self.advance()
         if not labels:
             self.fail("empty indices statement", alph_tok)
         for t in labels:
@@ -209,57 +199,50 @@ class _Parser:
             self.index_alphabet[t.text] = alph
 
     def stmt_fields(self):
-        got = False
-        while not self.at_sym(";"):
+        if self.accept(";"):
+            self.fail("empty fields statement")
+        while not self.accept(";"):
             t = self.expect_ident()
-            got = True
             if t.text == "delta":
                 self.fail("delta is internal to the contraction engine", t)
             kind = _KIND_BY_NAME.get(t.text)
             if not isinstance(kind, Kind):
-                raise UndeclaredField(f"unknown field {t.text!r}",
-                                      t.line, t.col)
+                self.fail(f"unknown field {t.text!r}", t, UndeclaredField)
             self.fields.add(kind)
-        self.advance()
-        if not got:
-            self.fail("empty fields statement")
 
     # -- expressions --------------------------------------------------------
 
+    def sign(self) -> int:
+        """1 or -1 after stepping over a `+` or a `-`, 0 for neither."""
+        return 1 if self.accept("+") else -1 if self.accept("-") else 0
+
     def parse_expr(self) -> Expr:
-        terms = []
-        sign = 1
-        if self.at_sym("-"):
-            self.advance()
-            sign = -1
-        elif self.at_sym("+"):
-            self.advance()
-        terms.append(self.parse_term(sign))
-        while self.at_sym("+") or self.at_sym("-"):
-            op = self.advance()
-            terms.append(self.parse_term(1 if op.text == "+" else -1))
+        terms = [self.parse_term(self.sign() or 1)]
+        while sign := self.sign():
+            terms.append(self.parse_term(sign))
         return Sum(tuple(terms))
 
     def parse_term(self, sign: int) -> Expr:
         coeff = CRat(sign)
         factors: list[Expr] = []
         while True:
+            t = self.peek()
             piece = self.parse_factor()
             if isinstance(piece, CRat):
                 coeff = coeff * piece
             else:
                 factors.extend(piece if isinstance(piece, list) else [piece])
-            if self.at_sym("*"):
-                self.advance()
-                continue
-            break
-        return Product(coeff, tuple(factors))
+                if len(factors) > _MAX_FACTORS:
+                    self.fail(f"more than {_MAX_FACTORS} factors in one "
+                              f"term", t)
+            if not self.accept("*"):
+                return Product(coeff, tuple(factors))
 
     def parse_factor(self) -> Union[CRat, Expr, list]:
         t = self.peek()
         if t.kind == "int":
-            return self.parse_rational()
-        if t.kind == "sym" and t.text == "(":
+            return CRat(self.parse_number("a number"))
+        if self.accept("("):
             return self.parse_complex_literal()
         if t.kind == "ident":
             if t.text == "i":
@@ -270,42 +253,37 @@ class _Parser:
             return self.parse_atom()
         self.fail("expected a factor", t)
 
-    def parse_rational(self) -> CRat:
-        t = self.advance()
-        num = int(t.text)
-        if self.at_sym("/"):
-            self.advance()
+    def parse_number(self, what: str, signed: bool = False,
+                     slash: bool = True) -> Fraction:
+        """The one number rule, `[-] INT [/ INT]`, with the sign and the
+        slash only where the caller allows them; `what` names a missing
+        first INT in the message."""
+        neg = signed and self.accept("-")
+        num, den = self.integer(what), 1
+        if slash and self.accept("/"):
             den_t = self.peek()
-            if den_t.kind != "int":
-                self.fail("expected a denominator", den_t)
-            self.advance()
-            if int(den_t.text) == 0:
+            den = self.integer("a denominator")
+            if den == 0:
                 self.fail("zero denominator", den_t)
-            return CRat(Fraction(num, int(den_t.text)))
-        return CRat(Fraction(num))
-
-    def parse_signed_rational(self) -> Fraction:
-        neg = False
-        if self.at_sym("-"):
-            self.advance()
-            neg = True
-        t = self.peek()
-        if t.kind != "int":
-            self.fail("expected a number", t)
-        v = self.parse_rational().re
+        v = Fraction(num, den)
         return -v if neg else v
 
-    def parse_complex_literal(self) -> CRat:
-        self.expect_sym("(")
-        re = self.parse_signed_rational()
-        sign_t = self.peek()
-        if not (self.at_sym("+") or self.at_sym("-")):
-            self.fail("expected '+' or '-' in complex literal", sign_t)
-        s = 1 if self.advance().text == "+" else -1
-        t = self.peek()
+    def integer(self, what: str) -> int:
+        t = self.advance()
         if t.kind != "int":
-            self.fail("expected a number", t)
-        im = self.parse_rational().re
+            self.fail(f"expected {what}", t)
+        try:
+            return int(t.text)
+        except ValueError:  # more digits than `int` converts
+            self.fail("number too long", t)
+
+    def parse_complex_literal(self) -> CRat:
+        """`re + im*i)` or `re - im*i)`, the `(` taken."""
+        re = self.parse_number("a number", signed=True)
+        s = self.sign()
+        if not s:
+            self.fail("expected '+' or '-' in complex literal")
+        im = self.parse_number("a number")
         self.expect_sym("*")
         i_t = self.expect_ident()
         if i_t.text != "i":
@@ -334,102 +312,83 @@ class _Parser:
         return Partial(Index(lab_t.text, Alphabet.SPACETIME, Variance.DOWN),
                        inner)
 
-    def parse_index(self) -> tuple[str, Optional[_Tok], _Tok]:
-        """(label, the token of a leading `-` or None, label token)."""
-        minus = self.advance() if self.at_sym("-") else None
-        t = self.expect_ident()
-        return t.text, minus, t
-
-    def parse_bracket_list(self):
+    def parse_bracket_list(self) -> list[tuple[Optional[_Tok], _Tok]]:
+        """`[` labels `]` as (the token of a leading `-` or None, label
+        token) pairs."""
         out = []
         self.expect_sym("[")
         while True:
-            out.append(self.parse_index())
-            if self.at_sym(","):
-                self.advance()
-                continue
-            break
+            t = self.peek()
+            out.append((t if self.accept("-") else None, self.expect_ident()))
+            if not self.accept(","):
+                break
         self.expect_sym("]")
         return out
 
     def parse_exponent(self) -> Fraction:
-        self.expect_sym("^")
-        if self.at_sym("("):
-            self.advance()
-            v = self.parse_signed_rational()
+        """`k`, `-k` or a signed rational in `(...)`, the `^` taken."""
+        if self.accept("("):
+            v = self.parse_number("a number", signed=True)
             self.expect_sym(")")
             return v
-        neg = False
-        if self.at_sym("-"):
-            self.advance()
-            neg = True
-        t = self.peek()
-        if t.kind != "int":
-            self.fail("expected an exponent", t)
-        self.advance()
-        v = Fraction(int(t.text))
-        return -v if neg else v
+        return self.parse_number("an exponent", signed=True, slash=False)
 
     def parse_atom(self) -> Union[Expr, list, CRat]:
         name_t = self.advance()
         name = name_t.text
-        has_brackets = self.at_sym("[")
+        has_brackets = self.peek().text == "["
 
         if name == "delta":
             self.fail("delta is internal to the contraction engine", name_t)
 
         if name in ex._COUPLINGS and not (name == "g" and has_brackets):
-            power = 1
-            if self.at_sym("^"):
-                v = self.parse_exponent()
-                if v.denominator != 1:
-                    self.fail("coupling exponents are integers", name_t)
-                power = int(v)
-            return Coupling(name, power)
+            power = self.parse_exponent() if self.accept("^") else 1
+            if power.denominator != 1:
+                self.fail("coupling exponents are integers", name_t)
+            return Coupling(name, int(power))
 
         kind = _KIND_BY_NAME.get(name)
         if kind is None:
-            raise UndeclaredField(f"unknown field {name!r}",
-                                  name_t.line, name_t.col)
+            self.fail(f"unknown field {name!r}", name_t, UndeclaredField)
         if isinstance(kind, Kind) and kind not in self.fields:
-            raise UndeclaredField(f"field {name!r} used but not declared",
-                                  name_t.line, name_t.col)
+            self.fail(f"field {name!r} used but not declared", name_t,
+                      UndeclaredField)
 
         pattern = ex._KINDS[kind].slots
         raw = self.parse_bracket_list() if has_brackets else []
         if len(raw) != len(pattern):
-            raise IndexArityMismatch(
-                f"{name} takes {len(pattern)} indices, got {len(raw)}",
-                name_t.line, name_t.col)
+            self.fail(f"{name} takes {len(pattern)} indices, got "
+                      f"{len(raw)}", name_t, IndexArityMismatch)
         idxs = []
-        for (lab, minus, tok), (alph, var) in zip(raw, pattern):
+        for (minus, tok), (alph, var) in zip(raw, pattern):
             # a variance mark is valid where the slot takes either one
             if minus is not None and var is not None:
                 self.fail("explicit variance marks are only valid on "
                           "gamma and sigma", minus)
-            declared = self.index_alphabet.get(lab)
+            declared = self.index_alphabet.get(tok.text)
             if declared is None:
-                self.fail(f"undeclared index {lab!r}", tok)
+                self.fail(f"undeclared index {tok.text!r}", tok)
             if declared != alph:
-                self.fail(f"index {lab!r} has the wrong alphabet for "
+                self.fail(f"index {tok.text!r} has the wrong alphabet for "
                           f"{name}", tok)
             if var is None:
                 var = Variance.UP if minus is None else Variance.DOWN
-            idxs.append(Index(lab, alph, var))
+            idxs.append(Index(tok.text, alph, var))
 
         if kind == Kind.LAMBDA_POWER:
-            expo = Fraction(1)
-            if self.at_sym("^"):
-                expo = self.parse_exponent()
+            expo = self.parse_exponent() if self.accept("^") else Fraction(1)
             return FieldAtom(kind, (), expo)
 
         atom = FieldAtom(kind, tuple(idxs))
-        if self.at_sym("^") and isinstance(kind, Kind):
+        if isinstance(kind, Kind) and self.accept("^"):
             if idxs:
                 self.fail("exponent on an indexed atom", name_t)
             v = self.parse_exponent()
             if v.denominator != 1 or v <= 0:
                 self.fail("repetition exponents are positive integers",
+                          name_t)
+            if v > _MAX_FACTORS:
+                self.fail(f"more than {_MAX_FACTORS} factors in one term",
                           name_t)
             return [atom] * int(v)
         return atom

@@ -141,20 +141,30 @@ class CRat:
 
     @staticmethod
     def of(v) -> "CRat":
+        """v as a CRat, or NotImplemented for an Expr, so that an
+        operator hands over to the Expr's reflected one."""
         if isinstance(v, CRat):
             return v
+        if isinstance(v, Expr):
+            return NotImplemented
         return CRat(Fraction(v))
 
     def __add__(self, o):
         o = CRat.of(o)
+        if o is NotImplemented:
+            return o
         return CRat(self.re + o.re, self.im + o.im)
 
     def __sub__(self, o):
         o = CRat.of(o)
+        if o is NotImplemented:
+            return o
         return CRat(self.re - o.re, self.im - o.im)
 
     def __mul__(self, o):
         o = CRat.of(o)
+        if o is NotImplemented:
+            return o
         if not self.im and not o.im:
             return CRat(self.re * o.re)
         return CRat(self.re * o.re - self.im * o.im,
@@ -165,6 +175,8 @@ class CRat:
 
     def __truediv__(self, o):
         o = CRat.of(o)
+        if o is NotImplemented:
+            return o
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero coefficient")
@@ -185,6 +197,8 @@ class CRat:
 
     def __eq__(self, o):
         o = CRat.of(o)
+        if o is NotImplemented:
+            return o
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):

@@ -104,6 +104,21 @@ def test_parse_error_reports_location(tmp_path):
     assert "4:1" in p.stderr  # statement left open at end of input
 
 
+@pytest.mark.parametrize("density", ["phi^²", "²", "1/² * phi",
+                                     "phi^1000000000"])
+def test_hostile_density_is_a_parse_error(tmp_path, density):
+    """A digit `int` cannot read and a repetition past the factor bound
+    end in a one-line parse error, exit 2, without a traceback."""
+    f = tmp_path / "hostile.wl"
+    f.write_text(f"fields phi ;\nname t ;\ndensity {density} ;\n",
+                 encoding="utf-8")
+    p = run_cli("verify", str(f), "--mode=global")
+    assert p.returncode == 2, p.stderr[-500:]
+    lines = p.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "weylcheck: parse error: 3:"), lines
+
+
 def test_file_target_matches_builtin(tmp_path):
     doc = run_cli("covariantize", "builtin:scalar").stdout
     # reuse the rendered source of the builtin itself

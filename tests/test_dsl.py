@@ -1,5 +1,10 @@
 """Source format round-trips and parse diagnostics."""
 
+import random
+import string
+import time
+import tracemalloc
+
 import pytest
 
 import strategies as gen
@@ -11,6 +16,7 @@ from weylcheck.errors import (
     MalformedIndex,
     ParseError,
     UndeclaredField,
+    WeylcheckError,
 )
 
 
@@ -176,6 +182,90 @@ def test_derivative_nesting_bound():
     col = len("density ") + sum(len(f"d[m{k}](") for k in range(n)) + 1
     assert (e.line, e.col) == (4, col)
     assert "nested deeper than" in str(e)
+
+
+@pytest.mark.parametrize("density", ["phi^²", "²", "1/² * phi",
+                                     "3² * phi"])
+def test_digit_int_cannot_read_is_a_parse_error(density):
+    """A superscript digit is a digit to `str.isdigit` but not to `int`,
+    so it is refused where it stands."""
+    e = _err(f"fields phi ;\nname t ;\ndensity {density} ;", ParseError)
+    col = len("density ") + density.index("²") + 1
+    assert (e.line, e.col) == (3, col)
+    assert "unexpected character '²'" in str(e)
+
+
+def test_decimal_digits_and_names_of_any_script():
+    """A decimal digit of any script reads as its value, and a name may
+    be written in any letters."""
+    def src(mu, nu, three_quarters, two):
+        return (f"indices spacetime {mu} {nu} ;\nfields ginv phi ;\n"
+                f"name t ;\ndensity {three_quarters} * ginv[{mu},{nu}] "
+                f"* d[{mu}](phi) * d[{nu}](phi) * phi^{two} ;")
+
+    assert (dsl.parse(src("μ", "ν", "٣/٤", "٢")).parsed
+            == dsl.parse(src("mu", "nu", "3/4", "2")).parsed)
+
+
+def test_factor_bound():
+    """A term holds at most `_MAX_FACTORS` factors.  The atom that passes
+    the bound is refused, before a repetition is built, and so is a
+    product of repetitions that passes it together."""
+    n = dsl._MAX_FACTORS
+    head = "fields phi ;\nname t ;\ndensity "
+    _, density, _ = dsl._Parser(head + f"phi^{n // 2} * phi^{n // 2} ;").run()
+    assert len(density.terms[0].factors) == n
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    e = _err(head + "phi^1000000000 ;", ParseError)
+    elapsed = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 1 << 20, (elapsed, peak)
+    assert (e.line, e.col) == (3, 9)
+    assert f"more than {n} factors in one term" in str(e)
+    e = _err(head + f"phi^{n // 2} * phi^{n // 2 + 1} ;", ParseError)
+    assert (e.line, e.col) == (3, 9 + len(f"phi^{n // 2} * "))
+
+
+_HOSTILE = [
+    "fields phi ;\nname t ;\ndensity phi^² ;",
+    "fields phi ;\nname t ;\ndensity ٣ * ²٣ * ½ ;",
+    "fields phi ;\nname t ;\ndensity phi^1000000000 ;",
+    "indices spacetime m ;\nfields phi ;\nname t ;\ndensity "
+    + "d[m](" * 101 + "phi" + ")" * 101 + " ;",
+    "# only a comment",
+    "density (1+*i) ;",
+    "/",
+    "fields phi ;\nname t ;\ndensity \x00 * phi ;",
+    "fields\tphi ;\r\nname\tt ;\r\ndensity\tphi^2 ;\r\n",
+    "fields phi ;\nname t ;\ndensity 1" + "0" * 5000 + " * phi ;",
+]
+
+
+def test_parser_returns_or_raises_a_classified_error():
+    """Seeded character mutations of rendered sources, and hostile
+    inputs, either parse or raise a WeylcheckError: never a traceback of
+    another kind."""
+    rng = random.Random("dsl-robustness")
+    docs = [dsl.render(gen.random_def(seed)) for seed in range(40)]
+    chars = string.printable + "²٣½μ\x00"
+    inputs = list(_HOSTILE)
+    for _ in range(2000):
+        src = rng.choice(docs)
+        for _ in range(rng.randint(1, 3)):
+            # replace, insert or delete one character
+            i, op = rng.randrange(len(src) + 1), rng.randrange(3)
+            ch = rng.choice(chars) if op < 2 else ""
+            src = src[:i] + ch + src[i + (op != 1):]
+        inputs.append(src)
+    for src in inputs:
+        try:
+            dsl.parse(src)
+        except WeylcheckError:
+            pass
+        except Exception as e:
+            pytest.fail(f"{src!r} raised {e!r}")
 
 
 def test_make_def_canonicalizes():

@@ -420,6 +420,18 @@ def test_crat_matches_fraction_pairs(shapes, data):
     holds(ex._UNIT, (Fraction(1), Fraction(0)))
 
 
+def test_crat_hands_an_expr_operand_over():
+    """A CRat on the left of an Expr builds what a plain number there
+    builds, and never equals the Expr."""
+    phi = ex.scalar_field()
+    c = ex.canonicalize
+    assert c(CRat(3) * phi) == c(3 * phi)
+    assert c(I_UNIT * phi) == c(Product(I_UNIT, (phi,)))
+    assert c(CRat(1) + phi) == c(1 + phi)
+    assert c(CRat(1) - phi) == c(1 - phi)
+    assert (CRat(3) == phi) is False and (CRat(3) != phi) is True
+
+
 def test_flatten_multiplies_no_unit_coefficients(monkeypatch):
     """Bare atoms and plain derivatives flatten with the shared unit
     coefficient, and a unit coefficient is never multiplied."""
