@@ -405,10 +405,23 @@ def parse(src: str) -> LagrangianDef:
 # ---------------------------------------------------------------------------
 # renderer
 
+_DIGITS = 500  # below the least limit `sys.set_int_max_str_digits` takes
+_CHUNK = 10 ** _DIGITS
+
+
+def _int(n: int) -> str:
+    """Decimal text of any int, in chunks that `str` converts."""
+    head, chunks = abs(n), []
+    while head >= _CHUNK:
+        head, low = divmod(head, _CHUNK)
+        chunks.append(str(low).zfill(_DIGITS))
+    return ("-" if n < 0 else "") + str(head) + "".join(reversed(chunks))
+
+
 def _rat(fr: Fraction) -> str:
     if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
+        return _int(fr.numerator)
+    return f"{_int(fr.numerator)}/{_int(fr.denominator)}"
 
 
 def _coeff_chunks(c: CRat, has_other: bool) -> tuple[int, list[str]]:
@@ -431,7 +444,7 @@ def _exponent_text(expo: Fraction) -> str:
     if expo == 1:
         return ""
     if expo.denominator == 1:
-        return f"^{expo.numerator}"
+        return f"^{_int(expo.numerator)}"
     return f"^({_rat(expo)})"
 
 
@@ -444,7 +457,7 @@ def _index_text(ix: Index, slot) -> str:
 
 def _factor_chunk(f: Expr) -> str:
     if isinstance(f, Coupling):
-        return f.name if f.power == 1 else f"{f.name}^{f.power}"
+        return f.name if f.power == 1 else f"{f.name}^{_int(f.power)}"
     if isinstance(f, FieldAtom):
         if f.kind == Kind.LAMBDA_POWER:
             return "Lam" + _exponent_text(f.exponent)

@@ -11,19 +11,18 @@ checked in relative terms over many seeded trials.
 Each sum is compiled once, from the raw terms of `exprs._flatten` and
 without canonicalizing it, into per-term plans (operands, integer
 subscripts, a contraction path from `np.einsum_path`).  Values therefore
-also check the sign and renaming rules inside `canonicalize`.  A run
-draws every trial's `Assignment` from the trial's own generator, in the
-same order as before blocks existed, stacks the jets of `_BLOCK`
-consecutive trials on a leading axis, and evaluates each check once per
-block.
+also check the sign and renaming rules inside `canonicalize`.  Each
+trial's `Assignment` holds only its draws; a `_Block` of `_BLOCK`
+consecutive trials stacks them on a leading trial axis, computes every
+jet once for all of them, and each check is evaluated once per block.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,56 +70,50 @@ _COND_CAP = 1e3
 
 _UPPER = np.triu_indices(4)
 
-
-def _zeros(*shape) -> np.ndarray:
-    z = np.zeros(shape)
-    z.setflags(write=False)
-    return z
-
-
-# read-only zero jets shared by every Assignment: the derivatives of eta,
-# etainv and structf, and the second derivative of D (the gradient of a
-# quadratic)
-_ZERO3 = _zeros(4, 4, 4)
-_ZERO4 = _zeros(4, 4, 4, 4)
-_ZERO5 = _zeros(4, 4, 4, 4, 4)
+# the fields drawn after the tetrad, in order; LOG_DERIV's is ell (D = d ell)
+_FIELDS = ((Kind.SCALAR, (), False), (Kind.EM_VECTOR, (4,), False),
+           (Kind.YM_VECTOR, (4, 4), False), (Kind.WEYL_VECTOR, (4,), False),
+           (Kind.LOG_DERIV, (), False), (Kind.FERMION, (4,), True),
+           (Kind.FERMION_BAR, (4,), True))
 
 
-def _poly_jets(rng, x, shape=(), complex_=False):
-    """Draw degree <= 2 polynomials of the given array shape and return
-    their value, gradient and Hessian at x, derivative axes first.
+def _coefficients(rng, shape=(), complex_=False) -> np.ndarray:
+    """Draw degree <= 2 polynomials of the given array shape, 15
+    uniform(-1, 1) coefficients each in the order of the `Assignment`
+    docstring (a complex one: its 15 real parts, then the imaginary)."""
+    c = rng.uniform(-1.0, 1.0, shape + (2 if complex_ else 1, 15))
+    return c[..., 0, :] + 1j * c[..., 1, :] if complex_ else c[..., 0, :]
 
-    Each polynomial takes 15 uniform(-1, 1) coefficients in the order of
-    the `Assignment` docstring; a complex one draws its 15 real parts,
-    then its 15 imaginary parts.
-    """
-    parts = (2,) if complex_ else ()
-    coef = rng.uniform(-1.0, 1.0, shape + parts + (15,))
-    if complex_:
-        coef = coef[..., 0, :] + 1j * coef[..., 1, :]
+
+def _poly_jets(coef, x):
+    """Value, gradient and Hessian at x of polynomials with coefficients
+    `coef[..., 15]`, stacked over trials: `coef`, `x` (trials, 4) and the
+    jets lead with the trial axis, then come the derivative axes."""
     c, b = coef[..., 0], coef[..., 1:5]
-    hess = np.zeros(shape + (4, 4), dtype=coef.dtype)
+    hess = np.zeros(coef.shape[:-1] + (4, 4), dtype=coef.dtype)
     hess[..., _UPPER[0], _UPPER[1]] = coef[..., 5:]
     hess = hess + np.swapaxes(hess, -1, -2)
-    hx = hess @ x
-    val = c + (b + 0.5 * hx) @ x
-    return (np.asarray(val), np.moveaxis(b + hx, -1, 0),
-            np.moveaxis(hess, (-2, -1), (0, 1)))
+    hx = np.einsum("t...ij,tj->t...i", hess, x)
+    val = c + np.einsum("t...i,ti->t...", b + 0.5 * hx, x)
+    return (val, np.moveaxis(b + hx, -1, 1),
+            np.moveaxis(hess, (-2, -1), (1, 2)))
 
 
 def _inverse_jet(m, dm, ddm):
-    """Value, gradient and Hessian of inv(m) from those of a matrix m:
-    with P_k = inv dm_k, d_k = -P_k inv and
+    """Value, gradient and Hessian of inv(m) from those of a matrix m,
+    stacked over trials (trial axis, then derivative axes): with
+    P_k = inv dm_k, d_k = -P_k inv and
     dd_ks = -inv ddm_ks inv + (P_k P_s + P_s P_k) inv."""
     inv = np.linalg.inv(m)
-    P = inv @ dm
-    PP = P[:, None] @ P[None, :]
-    dd = -(inv @ ddm @ inv) + (PP + np.swapaxes(PP, 0, 1)) @ inv
-    return inv, -P @ inv, dd
+    inv1, inv2 = inv[:, None], inv[:, None, None]
+    P = inv1 @ dm
+    PP = P[:, :, None] @ P[:, None, :]
+    dd = -(inv2 @ ddm @ inv2) + (PP + np.swapaxes(PP, 1, 2)) @ inv2
+    return inv, -P @ inv1, dd
 
 
 class Assignment:
-    """One random evaluation context.
+    """One random evaluation context: the draws of one trial.
 
     Sampling order is fixed and part of the reproducibility contract:
     point, tetrad (resampled until well conditioned), phi, A, W, S,
@@ -132,42 +125,31 @@ class Assignment:
     polynomial draws all 15 real parts before its 15 imaginary parts.
     Each key seeds its own generator, so evaluating trials in blocks
     leaves every trial's draws unchanged.
+
+    It keeps only these draws.  Its jets (`tensor_jet`, `lam`, `E0`,
+    `G0`, `detg0`, `ell0`, `structf`) are read from a `_Block` of this
+    one trial, built on first use.
     """
 
     def __init__(self, key):
         self.key = tuple(int(k) for k in key)
         rng = np.random.default_rng(self.key)
 
-        x = rng.uniform(-1.0, 1.0, 4)
-        self.x = x
-
+        self.x = x = rng.uniform(-1.0, 1.0, 4)
         for _ in range(_MAX_RESAMPLE):
-            eps = _poly_jets(rng, x, (4, 4))
-            e0 = eps[0]
-            if abs(np.linalg.det(e0)) <= 0.1:
-                continue
-            g0 = e0.T @ _ETA @ e0
-            if np.linalg.cond(g0) < _COND_CAP:
+            tetrad = _coefficients(rng, (4, 4))
+            e0 = _poly_jets(tetrad[None], x[None])[0][0]
+            if abs(np.linalg.det(e0)) > 0.1 \
+                    and np.linalg.cond(e0.T @ _ETA @ e0) < _COND_CAP:
                 break
         else:
             raise SingularAssignment(
-                "no well-conditioned tetrad found for "
-                f"seed {self.key}")
+                f"no well-conditioned tetrad found for seed {self.key}")
 
-        phi = _poly_jets(rng, x)
-        A = _poly_jets(rng, x, (4,))
-        W = _poly_jets(rng, x, (4, 4))
-        S = _poly_jets(rng, x, (4,))
-        ell0, D0, dD = _poly_jets(rng, x)
-        psi = _poly_jets(rng, x, (4,), complex_=True)
-        psibar = _poly_jets(rng, x, (4,), complex_=True)
-
-        t = rng.uniform(-1.0, 1.0, (4, 4, 4))
-        f = np.zeros((4, 4, 4))
-        for perm in itertools.permutations(range(3)):
-            sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
-            f += sign * np.transpose(t, perm)
-        self.structf = f / 6.0
+        self._coef = {Kind.TETRAD: tetrad}
+        for kind, shape, complex_ in _FIELDS:
+            self._coef[kind] = _coefficients(rng, shape, complex_)
+        self._structure = rng.uniform(-1.0, 1.0, (4, 4, 4))
 
         self.couplings = {}
         for name in ex._COUPLINGS:
@@ -175,55 +157,21 @@ class Assignment:
             sign = 1.0 if rng.uniform() < 0.5 else -1.0
             self.couplings[name] = sign * mag
 
-        E0, dE, ddE = eps
-
-        G0 = np.einsum("ab,am,bn->mn", _ETA, E0, E0)
-        dG = (np.einsum("ab,ram,bn->rmn", _ETA, dE, E0)
-              + np.einsum("ab,am,rbn->rmn", _ETA, E0, dE))
-        ddG = (np.einsum("ab,rsam,bn->rsmn", _ETA, ddE, E0)
-               + np.einsum("ab,ram,sbn->rsmn", _ETA, dE, dE)
-               + np.einsum("ab,sam,rbn->rsmn", _ETA, dE, dE)
-               + np.einsum("ab,am,rsbn->rsmn", _ETA, E0, ddE))
-
-        Ginv, dGinv, ddGinv = _inverse_jet(G0, dG, ddG)
-        # inv(E0) is indexed [mu, a]; the inverse tetrad is [a, mu]
-        Einv, dEinv, ddEinv = (np.swapaxes(j, -1, -2)
-                               for j in _inverse_jet(E0, dE, ddE))
-
-        detg0 = math.sqrt(abs(np.linalg.det(G0)))
-        ddetg = 0.5 * detg0 * np.einsum("rs,mrs->m", Ginv, dG)
-
-        self.ell0 = float(ell0)
-
-        self._jets = {
-            Kind.METRIC: (G0, dG, ddG),
-            Kind.INV_METRIC: (Ginv, dGinv, ddGinv),
-            Kind.MINKOWSKI: (_ETA, _ZERO3, _ZERO4),
-            Kind.MINKOWSKI_UP: (_ETA, _ZERO3, _ZERO4),
-            Kind.TETRAD: (E0, dE, ddE),
-            Kind.INV_TETRAD: (Einv, dEinv, ddEinv),
-            Kind.DET_FACTOR: (np.array(detg0), ddetg, None),
-            Kind.SCALAR: phi,
-            Kind.EM_VECTOR: A,
-            Kind.YM_VECTOR: W,
-            Kind.WEYL_VECTOR: S,
-            Kind.LOG_DERIV: (D0, dD, _ZERO3),
-            Kind.STRUCTURE_CONST: (self.structf, _ZERO4, _ZERO5),
-            Kind.FERMION: psi,
-            Kind.FERMION_BAR: psibar,
-        }
-        self.E0, self.G0, self.detg0 = E0, G0, detg0
+    @cached_property
+    def _block(self) -> _Block:
+        return _Block([self])
 
     def lam(self, k: Fraction) -> float:
-        return math.exp(float(k) * self.ell0)
+        return float(self._block.stacked(("lam", k))[0])
 
     def tensor_jet(self, kind: Kind, order: int) -> np.ndarray:
-        jets = self._jets[kind]
-        if order >= len(jets) or jets[order] is None:
-            raise WeylcheckError(
-                f"derivative order {order} of {kind.value!r} is not "
-                f"supported by the numeric oracle")
-        return jets[order]
+        return self._block.stacked((kind, order))[0]
+
+    E0 = property(lambda a: a.tensor_jet(Kind.TETRAD, 0))
+    G0 = property(lambda a: a.tensor_jet(Kind.METRIC, 0))
+    detg0 = property(lambda a: float(a.tensor_jet(Kind.DET_FACTOR, 0)))
+    ell0 = property(lambda a: float(a._block.ell0[0]))
+    structf = property(lambda a: a.tensor_jet(Kind.STRUCTURE_CONST, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -238,29 +186,71 @@ _SPIN_STATES = {(False, False): "scalar", (False, True): "bra",
 
 
 class _Block:
-    """Assignments of consecutive trials.  A per-trial operand is stacked
-    over them, on a leading axis, the first time it is asked for."""
+    """Consecutive trials.  Their draws are stacked on a leading trial
+    axis and every jet is computed once for all of them; a handle's
+    stacked value is a lookup."""
 
     def __init__(self, assignments):
         self.assignments = list(assignments)
-        self._stacked: dict = {}
+        n = len(self.assignments)
+        x = np.stack([a.x for a in self.assignments])
+        jets = {kind: _poly_jets(
+                    np.stack([a._coef[kind] for a in self.assignments]), x)
+                for kind in self.assignments[0]._coef}
+
+        E0, dE, ddE = jets[Kind.TETRAD]
+        G0 = np.einsum("ab,tam,tbn->tmn", _ETA, E0, E0)
+        dG = np.einsum("ab,tram,tbn->trmn", _ETA, dE, E0)
+        dG = dG + np.swapaxes(dG, -1, -2)
+        ddG = (np.einsum("ab,trsam,tbn->trsmn", _ETA, ddE, E0)
+               + np.einsum("ab,tram,tsbn->trsmn", _ETA, dE, dE))
+        ddG = ddG + np.swapaxes(ddG, -1, -2)
+        ginv = _inverse_jet(G0, dG, ddG)
+        # the inverse tetrad, indexed [a, mu], is the inverse of E0^T
+        einv = _inverse_jet(*(np.swapaxes(j, -1, -2) for j in (E0, dE, ddE)))
+        detg0 = np.sqrt(np.abs(np.linalg.det(G0)))
+        ddetg = 0.5 * detg0[:, None] * np.einsum("trs,tmrs->tm", ginv[0], dG)
+
+        t = np.stack([a._structure for a in self.assignments])
+        f = np.zeros_like(t)
+        for perm in itertools.permutations((1, 2, 3)):
+            sign = 1 if perm in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
+            f += sign * np.transpose(t, (0,) + perm)
+        # read-only zero jets: derivatives of eta, etainv and structf, and
+        # the second derivative of D (the gradient of a quadratic)
+        z3, z4, z5 = (np.broadcast_to(0.0, (n,) + (4,) * r) for r in (3, 4, 5))
+        eta = (np.broadcast_to(_ETA, (n, 4, 4)), z3, z4)
+        self.ell0, D0, dD = jets[Kind.LOG_DERIV]
+        jets.update({
+            Kind.METRIC: (G0, dG, ddG),
+            Kind.INV_METRIC: ginv,
+            Kind.MINKOWSKI: eta,
+            Kind.MINKOWSKI_UP: eta,
+            Kind.INV_TETRAD: einv,
+            Kind.DET_FACTOR: (detg0, ddetg),
+            Kind.LOG_DERIV: (D0, dD, z3),
+            Kind.STRUCTURE_CONST: (f / 6.0, z4, z5),
+        })
+        self._stacked = {(kind, order): arr for kind, js in jets.items()
+                         for order, arr in enumerate(js)}
 
     def stacked(self, handle) -> np.ndarray:
+        """The block's value of a handle: a field's (Kind, derivative
+        order), ("lam", exponent) or ("coupling", name, power)."""
         arr = self._stacked.get(handle)
-        if arr is None:
-            arr = self._stacked[handle] = np.stack(
-                [_trial_value(a, handle) for a in self.assignments])
+        if arr is not None:
+            return arr
+        if handle[0] == "lam":
+            arr = np.exp(float(handle[1]) * self.ell0)
+        elif handle[0] == "coupling":
+            arr = np.array([a.couplings[handle[1]] ** handle[2]
+                            for a in self.assignments])
+        else:
+            raise WeylcheckError(
+                f"derivative order {handle[1]} of {handle[0].value!r} is "
+                f"not supported by the numeric oracle")
+        self._stacked[handle] = arr
         return arr
-
-
-def _trial_value(a: Assignment, handle):
-    """One trial's value of a handle: a field's (Kind, derivative order),
-    ("lam", exponent) or ("coupling", name, power)."""
-    if handle[0] == "lam":
-        return a.lam(handle[1])
-    if handle[0] == "coupling":
-        return a.couplings[handle[1]] ** handle[2]
-    return a.tensor_jet(*handle)
 
 
 def _clifford_value(atom: FieldAtom) -> np.ndarray:
@@ -428,7 +418,7 @@ def evaluate_components(e: Expr, a: Assignment):
     if the expression has an open chain, come last.
     """
     plan = _Plan(e)
-    return np.array(plan.value(_Block([a]))[0]), plan.free, plan.state
+    return np.array(plan.value(a._block)[0]), plan.free, plan.state
 
 
 def evaluate(e: Expr, a: Assignment, bind: Optional[dict] = None):
@@ -689,14 +679,9 @@ def _build_catalog() -> list:
 
     checks.append(OracleCheck("oracle/detg-rescale", detg_rescale))
 
-    ident = _Plan(ex.inv_metric("m", "r") * ex.metric("r", "n"))
-
-    def inverse_identity(block: _Block) -> np.ndarray:
-        arr = ident.value(block)
-        return _deviations(arr, np.broadcast_to(np.eye(4), arr.shape))
-
-    checks.append(OracleCheck("oracle/inverse-identity", inverse_identity,
-                              pure=True))
+    checks.append(_pair("oracle/inverse-identity",
+                        ex.inv_metric("m", "r") * ex.metric("r", "n"),
+                        dl("m", "n"), pure=True))
 
     return checks
 
@@ -722,6 +707,7 @@ def run_oracle(trials: int = 100, seed: int = 0) -> VerificationReport:
         stop = min(start + _BLOCK, trials)
         block = _Block(Assignment((seed, t)) for t in range(start, stop))
         devs = [c.fn(block) for c in checks]
+        del block  # its jets are freed before the next block is built
         for i, trial in enumerate(range(start, stop)):
             for c, d in zip(checks, devs):
                 dev = float(d[i])

@@ -119,6 +119,21 @@ def test_hostile_density_is_a_parse_error(tmp_path, density):
         "weylcheck: parse error: 3:"), lines
 
 
+def test_coefficient_past_the_int_digit_limit_is_rendered(tmp_path):
+    """Two 3001-digit factors multiply to a 6001-digit coefficient, past
+    the interpreter's limit on `str(int)`: every command that renders it
+    exits 0 and prints it whole, with no traceback."""
+    one = "1" + "0" * 3000
+    f = tmp_path / "long.wl"
+    f.write_text(f"fields phi ;\nname t ;\ndensity {one} * {one} * phi^4 ;\n")
+    for args in (("verify", "--mode=global"), ("verify", "--mode=local"),
+                 ("covariantize",)):
+        p = run_cli(args[0], str(f), *args[1:])
+        assert p.returncode == 0, p.stderr[-500:]
+        assert "Traceback" not in p.stderr
+        assert "1" + "0" * 6000 + " * phi^4" in p.stdout, args
+
+
 def test_file_target_matches_builtin(tmp_path):
     doc = run_cli("covariantize", "builtin:scalar").stdout
     # reuse the rendered source of the builtin itself

@@ -240,13 +240,17 @@ _HOSTILE = [
     "fields phi ;\nname t ;\ndensity \x00 * phi ;",
     "fields\tphi ;\r\nname\tt ;\r\ndensity\tphi^2 ;\r\n",
     "fields phi ;\nname t ;\ndensity 1" + "0" * 5000 + " * phi ;",
+    "fields phi ;\nname t ;\ndensity 1" + "0" * 3000 + " * 1" + "0" * 3000
+    + " * phi^4 ;",
+    "fields phi Lam ;\nname t ;\ndensity Lam^(1/1" + "0" * 4000
+    + ") * Lam^(1/3" + "0" * 4000 + "1) * phi ;",
 ]
 
 
 def test_parser_returns_or_raises_a_classified_error():
     """Seeded character mutations of rendered sources, and hostile
-    inputs, either parse or raise a WeylcheckError: never a traceback of
-    another kind."""
+    inputs, either parse and render or raise a WeylcheckError: never a
+    traceback of another kind."""
     rng = random.Random("dsl-robustness")
     docs = [dsl.render(gen.random_def(seed)) for seed in range(40)]
     chars = string.printable + "²٣½μ\x00"
@@ -261,7 +265,7 @@ def test_parser_returns_or_raises_a_classified_error():
         inputs.append(src)
     for src in inputs:
         try:
-            dsl.parse(src)
+            dsl.render(dsl.parse(src))
         except WeylcheckError:
             pass
         except Exception as e:

@@ -400,6 +400,68 @@ def test_block_deviations_match_single_trials(block_devs):
     assert diff[trial, j] < 1e-13, (checks[j].name, trial)
 
 
+# every handle a block answers: each field jet the oracle supports, Lam
+# at two exponents, each coupling at three powers
+_HANDLES = (
+    [(kind, order) for kind in ex.Kind for order in range(3)
+     if kind not in (ex.Kind.DELTA, ex.Kind.LAMBDA_POWER)
+     and (kind, order) != (ex.Kind.DET_FACTOR, 2)]
+    + [("lam", k) for k in (Fraction(4), Fraction(-2, 3))]
+    + [("coupling", name, p) for name in ex._COUPLINGS for p in (-1, 1, 2)])
+
+
+def _one_trial_value(a, handle):
+    if handle[0] == "lam":
+        return a.lam(handle[1])
+    if handle[0] == "coupling":
+        return a.couplings[handle[1]] ** handle[2]
+    return a.tensor_jet(*handle)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_block_jets_match_one_trial_values(seed):
+    """A block computes each jet once for all its trials, on the leading
+    trial axis; every member's slice is that trial's one-trial value."""
+    singles = [Assignment((seed, t)) for t in range(25)]
+    for size in (1, 7, 25):
+        block = oracle._Block(Assignment((seed, t)) for t in range(size))
+        for handle in _HANDLES:
+            got = block.stacked(handle)
+            assert got.shape[0] == size, handle
+            for t, a in enumerate(singles[:size]):
+                dev = relative_deviation(got[t], _one_trial_value(a, handle))
+                assert dev < 1e-13, (size, handle, t)
+
+
+@pytest.mark.parametrize("kind,order", [
+    (ex.Kind.DET_FACTOR, 2), (ex.Kind.SCALAR, 3), (ex.Kind.METRIC, 3),
+    (ex.Kind.STRUCTURE_CONST, 3), (ex.Kind.FERMION, 3), (ex.Kind.DELTA, 0)])
+def test_unsupported_jet_orders_raise(kind, order):
+    msg = (f"derivative order {order} of {kind.value!r} is not supported "
+           f"by the numeric oracle")
+    a = Assignment((0, 0))
+    with pytest.raises(WeylcheckError) as one:
+        a.tensor_jet(kind, order)
+    with pytest.raises(WeylcheckError) as block:
+        oracle._Block([a, Assignment((0, 1))]).stacked((kind, order))
+    assert str(one.value) == str(block.value) == msg
+
+
+def test_run_builds_each_blocks_jets_once(monkeypatch):
+    """`run_oracle(100)` inverts the metric and tetrad jets once per block
+    of 25 trials, not once per trial."""
+    calls, inverse = [], oracle._inverse_jet
+
+    def counting(m, dm, ddm):
+        calls.append(len(m))
+        return inverse(m, dm, ddm)
+
+    catalog()
+    monkeypatch.setattr(oracle, "_inverse_jet", counting)
+    assert run_oracle(trials=100, seed=0).passed
+    assert calls == [oracle._BLOCK] * 8
+
+
 def _failing_check(name, trials):
     def fn(block):
         return np.array([2e-9 if a.key[1] in trials else 0.0
