@@ -11,6 +11,7 @@ the exit code is still the verdict's.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Optional
@@ -21,6 +22,12 @@ from .report import Mode, TraceStep, VerificationReport
 from .simplify import full_simplify
 
 _BUILTIN_PREFIX = "builtin:"
+
+# one table per choice list: the names a command accepts and what each runs
+_DECOUPLING = {"fermion": gauge.verify_fermion_decoupling,
+               "gauge": gauge.verify_gauge_decoupling,
+               "scalar": gauge.verify_scalar_coupling}
+_IDENTITIES = {"gamma-sigma": gauge.verify_gamma_sigma}
 
 
 class _UsageError(Exception):
@@ -55,16 +62,14 @@ def _nonscalar_step(L: dsl.LagrangianDef) -> Optional[TraceStep]:
 
 def _with_step(r: VerificationReport,
                step: Optional[TraceStep]) -> VerificationReport:
-    if step is None:
-        return r
-    return VerificationReport(r.claim, r.mode, r.passed, r.residual,
-                              (step,) + r.trace, r.oracle)
+    return r if step is None else dataclasses.replace(
+        r, trace=(step,) + r.trace)
 
 
-def _cmd_verify(args) -> VerificationReport:
+def _cmd_verify(args) -> tuple[VerificationReport, None]:
     L = _load_target(args.target)
-    mode = Mode.GLOBAL if args.mode == "global" else Mode.LOCAL
-    return _with_step(scale.check_invariance(L, mode), _nonscalar_step(L))
+    return _with_step(scale.check_invariance(L, Mode(args.mode)),
+                      _nonscalar_step(L)), None
 
 
 def _cmd_covariantize(args) -> tuple[VerificationReport, str]:
@@ -75,32 +80,24 @@ def _cmd_covariantize(args) -> tuple[VerificationReport, str]:
     trace = (TraceStep("covariantize", dsl.render_expr(L.parsed),
                        dsl.render_expr(cov)),
              TraceStep("added-terms", "0", dsl.render_expr(diff)))
-    report = _with_step(VerificationReport(
-        claim=f"covariantize:{L.name}",
-        mode=Mode.COVARIANTIZE,
-        passed=True,
-        residual="0",
-        trace=trace,
-    ), _nonscalar_step(L))
-    return report, out
+    report = VerificationReport(claim=f"covariantize:{L.name}",
+                                mode=Mode.COVARIANTIZE, passed=True,
+                                residual="0", trace=trace)
+    return _with_step(report, _nonscalar_step(L)), out
 
 
-def _cmd_decoupling(args) -> VerificationReport:
-    if args.field == "fermion":
-        return gauge.verify_fermion_decoupling()
-    if args.field == "gauge":
-        return gauge.verify_gauge_decoupling()
-    return gauge.verify_scalar_coupling()
+def _cmd_decoupling(args) -> tuple[VerificationReport, None]:
+    return _DECOUPLING[args.field](), None
 
 
-def _cmd_identity(args) -> VerificationReport:
-    if args.name != "gamma-sigma":
+def _cmd_identity(args) -> tuple[VerificationReport, None]:
+    if args.name not in _IDENTITIES:
         raise _UsageError(f"unknown identity {args.name!r}; "
-                          f"available: gamma-sigma")
-    return gauge.verify_gamma_sigma()
+                          f"available: {', '.join(_IDENTITIES)}")
+    return _IDENTITIES[args.name](), None
 
 
-def _cmd_oracle(args) -> VerificationReport:
+def _cmd_oracle(args) -> tuple[VerificationReport, None]:
     seed = args.seed
     env = os.environ.get("WEYLCHECK_SEED")
     if env is not None:
@@ -114,7 +111,7 @@ def _cmd_oracle(args) -> VerificationReport:
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
     from . import oracle  # the only command that needs numpy
-    return oracle.run_oracle(trials=args.trials, seed=seed)
+    return oracle.run_oracle(trials=args.trials, seed=seed), None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,26 +128,30 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="check global or local scale invariance")
     v.add_argument("target", metavar="file|builtin:NAME")
     v.add_argument("--mode", choices=("global", "local"), required=True)
+    v.set_defaults(run=_cmd_verify)
 
     c = sub.add_parser("covariantize", parents=[common],
                        help="apply the scale-covariant derivative "
                             "replacements")
     c.add_argument("target", metavar="file|builtin:NAME")
+    c.set_defaults(run=_cmd_covariantize)
 
     d = sub.add_parser("decoupling", parents=[common],
                        help="verify which fields couple to the gauge "
                             "vector S")
-    d.add_argument("--field", choices=("fermion", "gauge", "scalar"),
-                   required=True)
+    d.add_argument("--field", choices=_DECOUPLING, required=True)
+    d.set_defaults(run=_cmd_decoupling)
 
     i = sub.add_parser("identity", parents=[common],
                        help="check a named Clifford identity")
     i.add_argument("name", metavar="IDENTITY")
+    i.set_defaults(run=_cmd_identity)
 
     o = sub.add_parser("oracle", parents=[common],
                        help="run the numeric rule-agreement oracle")
     o.add_argument("--trials", type=int, default=100)
     o.add_argument("--seed", type=int, default=0)
+    o.set_defaults(run=_cmd_oracle)
     return p
 
 
@@ -161,18 +162,8 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
 
-    extra_text: Optional[str] = None
     try:
-        if args.command == "verify":
-            report = _cmd_verify(args)
-        elif args.command == "covariantize":
-            report, extra_text = _cmd_covariantize(args)
-        elif args.command == "decoupling":
-            report = _cmd_decoupling(args)
-        elif args.command == "identity":
-            report = _cmd_identity(args)
-        else:
-            report = _cmd_oracle(args)
+        report, extra_text = args.run(args)
     except _UsageError as e:
         print(f"weylcheck: {e}", file=sys.stderr)
         return 2

@@ -764,13 +764,40 @@ def _flattens_to_itself(f: Expr) -> bool:
     return isinstance(f, (FieldAtom, Coupling))
 
 
-def _distribute(coeff: CRat, parts: Iterable[Expr]):
-    """Multiply out the flattened parts of a product, in order.  A term
-    grows as a chain of (earlier chain, factors of one part) pairs, which
-    is joined once at the end, so n parts cost O(n), not O(n^2)."""
+def _renamed_apart(sub: list, taken: set) -> list:
+    """The flattened terms of a marked Sum, each dummy that ``taken``
+    also holds renamed to a fresh label; a term without such a clash is
+    kept as it is."""
+    if not taken:
+        return sub
+    out = []
+    for c, fs in sub:
+        census = _label_census(fs)
+        clash = [lab for lab, occ in census.items()
+                 if len(occ) == 2 and lab in taken]
+        if clash:
+            used, ren = taken | census.keys(), {}
+            for lab in clash:
+                ren[lab] = _fresh_label(lab, used)
+                used.add(ren[lab])
+            fs, sign = _rename_term(fs, ren)
+            c = c if sign == 1 else -c
+        out.append((c, fs))
+    return out
+
+
+def _distribute(coeff: CRat, parts: tuple[Expr, ...]):
+    """Multiply out the flattened parts of a product, in order, a marked
+    Sum's clashing dummies renamed apart.  A term grows as (earlier chain,
+    factors of one part) pairs, joined once: n parts cost O(n), not O(n^2)."""
+    subs = [_flatten(part) for part in parts]
+    for k, part in enumerate(parts):
+        if isinstance(part, Sum) and part._canonical:
+            subs[k] = _renamed_apart(subs[k], {
+                ix.label for j, sub in enumerate(subs) if j != k
+                for _, fs in sub for ix in _term_slot_list(fs)})
     terms = [(coeff, None)]
-    for part in parts:
-        sub = _flatten(part)
+    for sub in subs:
         terms = [(_times(c1, c2), (head, fs2))
                  for c1, head in terms for c2, fs2 in sub]
     out = []
@@ -789,7 +816,10 @@ def _flatten_partial(ix: Index, operand: Expr):
     is differentiated, times their count; each chain item, whose place
     matters, is differentiated where it stands."""
     out = []
-    for coeff, factors in _flatten(operand):
+    terms = _flatten(operand)
+    if isinstance(operand, Sum) and operand._canonical:
+        terms = _renamed_apart(terms, {ix.label})
+    for coeff, factors in terms:
         plain, chain = _split_chain(factors)
         factors = plain + chain
         for pos, f in enumerate(factors):

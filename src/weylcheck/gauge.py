@@ -1,8 +1,10 @@
 """Covariantization of derivatives against the scale gauge vector S and
 the decoupling checks built on it.
 
-Each derivative of a weighted field is shifted by that field's weight:
-d_mu X -> (d_mu + w f S_mu) X.  The gauge potentials A and W are exempt.
+Each derivative of a weighted field is shifted by that field's weight,
+at every level, innermost first: d_m X -> (d_m + w f S_m) X, and
+d_m d_n X -> (d_m + w f S_m)(d_n X + w f S_n X).  The gauge potentials
+A and W are exempt; a derivative of S, D or detg is refused.
 Covariantizing the Maxwell, Yang-Mills, and Dirac densities returns them
 unchanged (the mesons and the fermion do not feel S), while the scalar
 picks up exactly the cross and quadratic S terms of its gauged form."""
@@ -38,21 +40,18 @@ COVARIANT_SHIFT = {kind: Fraction(row.weight)
 
 def _covariantize_partial(f: Partial) -> Expr:
     idxs, atom = ex._deriv_split(f)
-    kind = atom.kind
-    row = ex._KINDS[kind]
+    row = ex._KINDS[atom.kind]
     if row.derivative == "exempt":
         return f
     if row.derivative != "shift":
         raise UncoveredDerivative(
             f"no covariantization rule for a derivative of "
-            f"{kind.value!r}")
-    if len(idxs) > 1:
-        raise UncoveredDerivative(
-            f"nested derivative of {kind.value!r} has no single-shift rule")
-    ix = idxs[0]
-    shift = Product(CRat.of(row.weight),
-                    (Coupling("f"), ex.weyl_vector(ix.label), atom))
-    return Sum((f, shift))
+            f"{atom.kind.value!r}")
+    out = atom
+    for ix in reversed(idxs):
+        out = Sum((Partial(ix, out), Product(CRat.of(row.weight), (
+            Coupling("f"), ex.weyl_vector(ix.label), out))))
+    return out
 
 
 def _covariantize_term(t: Product) -> Optional[Product]:

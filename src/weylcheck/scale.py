@@ -1,9 +1,10 @@
 """Weight inference and global/local scale transformations.
 
-A global transformation multiplies each field by Lam to its weight.  A
-local one places the factor under any derivative acting on the field,
-so flattening's chain rule emits D (the gradient of ln Lam), and shifts
-the gauge vector S by -(1/f) D.  A density is invariant when Lam^4
+One rule per factor: the weights of a term's atoms go into one Lam
+power per term.  A local transformation does two things more: a
+weighted atom under derivatives keeps its Lam^(power*w) inside them, so
+flattening's chain rule emits D (the gradient of ln Lam), and the gauge
+vector S shifts by -(power/f) D.  A density is invariant when Lam^4
 times its transform equals the original."""
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .exprs import (
     Expr,
     FieldAtom,
     Kind,
-    Partial,
     Product,
     Sum,
     canonicalize,
@@ -78,34 +78,28 @@ def infer_weight(e: Expr, strict: bool = False
     return WeylWeight(values[0], homogeneous)
 
 
-def _scaled_atom_local(f: FieldAtom, power: Fraction) -> Expr:
-    row = ex._KINDS[f.kind]
-    if not row.homogeneous:
-        shift = Product(CRat.of(-power),
-                        (Coupling("f", -1), ex.log_deriv(f.indices[0].label)))
-        return Sum((f, shift))
-    if row.weight == 0:
-        return f
-    return Product(CRat(1), (ex.lam(power * row.weight), f))
-
-
 def _transform_term(t: Product, power: Fraction, local: bool) -> Expr:
-    """One term rescaled; globally, by one Lam power for all its atoms."""
+    """One term rescaled, one rule per factor: every atom's weight goes
+    into the term's one Lam power.  Locally, a weighted atom under
+    derivatives keeps its Lam^(power*w) inside them instead, and S
+    shifts by -(power/f) D."""
     pieces: list[Expr] = []
     weight = 0
     for f in t.factors:
         if isinstance(f, Coupling):
             pieces.append(f)
             continue
-        if not isinstance(f, (FieldAtom, Partial)):
-            raise TypeError(f"unexpected factor {f!r}")
         idxs, atom = ex._deriv_split(f)
-        if local:
-            inner = _scaled_atom_local(atom, power)
-            pieces.append(ex._deriv_join(idxs, inner))
+        row = ex._KINDS[atom.kind]
+        if local and not row.homogeneous:
+            shift = Product(CRat.of(-power), (
+                Coupling("f", -1), ex.log_deriv(atom.indices[0].label)))
+            f = ex._deriv_join(idxs, Sum((atom, shift)))
+        elif local and idxs and row.weight:
+            f = ex._deriv_join(idxs, ex.lam(power * row.weight) * atom)
         else:
-            weight += ex._KINDS[atom.kind].weight
-            pieces.append(f)
+            weight += row.weight
+        pieces.append(f)
     if weight:
         pieces.append(ex.lam(power * weight))
     return Product(t.coeff, tuple(pieces))
@@ -117,15 +111,15 @@ def _apply_scale(e: Expr, power, local: bool) -> Sum:
 
 
 def apply_global_scale(e: Expr, power=1) -> Sum:
-    """Multiply every weighted atom by Lam^(power * weight); constant
-    Lam, so derivatives pass through and S is untouched."""
+    """Rescale by a constant Lam: one Lam^(power * weight) per term;
+    derivatives pass through and S is untouched."""
     return _apply_scale(e, power, local=False)
 
 
 def apply_local_scale(e: Expr, power=1) -> Sum:
-    """Spacetime-dependent rescaling: weighted atoms pick up Lam^(pw)
-    inside derivatives (the chain rule emits D terms) and S shifts by
-    -(power/f) D."""
+    """Rescale by a spacetime-dependent Lam: a weighted atom under
+    derivatives keeps Lam^(power * w) inside them, S shifts by
+    -(power/f) D and the other atoms share one Lam power per term."""
     return _apply_scale(e, power, local=True)
 
 

@@ -105,6 +105,18 @@ def test_canonical_forms_do_not_depend_on_cache_history():
     assert got == {name: EXPECTED[name] for name in names}
 
 
+def test_canonical_forms_survive_emptying_the_full_caches(monkeypatch):
+    """With a cache limit of 7 the term cache and the memos are emptied
+    over and over mid-run.  The forms are still those pinned above, and
+    afterwards no cache holds more than 8 entries."""
+    monkeypatch.setattr(ex, "_TERM_CACHE_LIMIT", 7)
+    for cache in ex._MEMOS + [ex._TERM_CACHE]:
+        cache.clear()
+    names = ("canonicalize", "apply_global_scale", "check_invariance/local")
+    assert digests(names) == {name: EXPECTED[name] for name in names}
+    assert all(len(cache) <= 8 for cache in ex._MEMOS + [ex._TERM_CACHE])
+
+
 if __name__ == "__main__":
     for name, digest in digests().items():
         print(f"    \"{name}\": \"{digest}\",")

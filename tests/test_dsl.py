@@ -158,6 +158,50 @@ def test_clifford_input_rejected_with_location(density, exc, col):
     assert type(e) is exc and (e.line, e.col) == (5, col)
 
 
+# Diagnostics no other test reaches: source, error class and the
+# message with its line:col
+_STATEMENT_REJECTS = {
+    "duplicate-density": (
+        "fields phi ;\ndensity phi^2 ;\ndensity phi^4 ;", ParseError,
+        "3:1: duplicate density statement"),
+    "index-declared-twice": (
+        "indices spacetime mu mu ;", ParseError,
+        "1:22: index 'mu' declared twice"),
+    "delta-in-fields": (
+        "fields delta ;", ParseError,
+        "1:8: delta is internal to the contraction engine"),
+    "complex-without-sign": (
+        "fields phi ;\ndensity (1 2*i) * phi^4 ;", ParseError,
+        "2:12: expected '+' or '-' in complex literal"),
+    "complex-with-j": (
+        "fields phi ;\ndensity (1 + 2*j) * phi^4 ;", ParseError,
+        "2:16: expected 'i'"),
+    "frame-derivative": (
+        "indices frame a ;\nfields phi ;\ndensity d[a](phi) ;", ParseError,
+        "3:11: derivative index must be spacetime"),
+    "fractional-coupling-power": (
+        "fields phi ;\ndensity f^(1/2) * phi^4 ;", ParseError,
+        "2:9: coupling exponents are integers"),
+    "indexed-atom-power": (
+        "indices spacetime mu ;\nfields A ;\ndensity A[mu]^2 ;", ParseError,
+        "3:9: exponent on an indexed atom"),
+    "zero-power": (
+        "fields phi ;\ndensity phi^0 ;", ParseError,
+        "2:9: repetition exponents are positive integers"),
+    "fractional-power": (
+        "fields phi ;\ndensity phi^(1/2) ;", ParseError,
+        "2:9: repetition exponents are positive integers"),
+    "blank-source": (" \n\t\n", ParseError, "1:1: empty source"),
+}
+
+
+@pytest.mark.parametrize("src,exc,msg", _STATEMENT_REJECTS.values(),
+                         ids=_STATEMENT_REJECTS)
+def test_rejected_source_names_its_place(src, exc, msg):
+    e = _err(src, exc)
+    assert type(e) is exc and str(e) == msg
+
+
 def test_two_bilinears_in_one_term_rejected():
     e = _err("indices frame a ;\nfields Psi Psibar ;\nname t ;\n"
              "density Psibar*gamma[a]*Psi*Psibar*gamma[-a]*Psi ;",

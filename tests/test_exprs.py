@@ -846,6 +846,46 @@ def test_composed_canonical_sums_are_not_canonicalized_again(monkeypatch):
                                   * s_m * ex.d("n", phi))
 
 
+def test_composition_renames_canonical_dummies_apart_in_products():
+    """Two canonical forms both name their dummies mu0, mu1; their
+    product renames one side's apart instead of pairing them four ways."""
+    ginv, a_, s_ = ex.inv_metric, ex.em_vector, ex.weyl_vector
+    aa = ex.canonicalize(ginv("a", "b") * a_("a") * a_("b"))
+    ss = ex.canonicalize(ginv("c", "d") * s_("c") * s_("d"))
+    assert ex.equal(aa * ss, ginv("a", "b") * a_("a") * a_("b")
+                    * ginv("c", "d") * s_("c") * s_("d"))
+    # a dummy that another factor uses as a free label is renamed too
+    free = ginv("mu0", "x") * a_("x")
+    assert ex.equal(free * ss, ginv("mu0", "x") * a_("x") * ginv("c", "d")
+                    * s_("c") * s_("d"))
+
+
+def _connection(r, m, n, s):
+    return Fraction(1, 2) * ex.inv_metric(r, s) * (
+        ex.d(m, ex.metric(s, n)) + ex.d(n, ex.metric(s, m))
+        - ex.d(s, ex.metric(m, n)))
+
+
+def test_composition_of_christoffel_symbols():
+    """Gamma^r_rs Gamma^s_mn, the quadratic part of the Ricci tensor,
+    from two canonical expansions that share the dummy mu0."""
+    from weylcheck.tensor import christoffel
+    got = (christoffel("r", "r", "s").expansion
+           * christoffel("s", "m", "n").expansion)
+    assert ex.equal(got, _connection("r", "r", "s", "x")
+                    * _connection("s", "m", "n", "y"))
+
+
+def test_composition_derivative_renames_a_clashing_dummy():
+    """d[mu0] of a canonical form whose dummy is mu0 differentiates it
+    as if the dummy had another name."""
+    phi, ginv = ex.scalar_field(), ex.inv_metric
+    c = ex.canonicalize(ginv("a", "b") * ex.em_vector("b") * ex.d("a", phi))
+    assert "mu0" in {ix.label for ix in ex._term_slot_list(c.terms[0].factors)}
+    assert ex.equal(ex.d("mu0", c), ex.d("mu0", ginv("a", "b")
+                                         * ex.em_vector("b") * ex.d("a", phi)))
+
+
 @pytest.mark.parametrize("kind", list(ex.Kind) + list(ex.CliffordKind),
                          ids=lambda k: k.value)
 def test_flatten_keeps_a_product_as_multiplying_out_would(kind):

@@ -116,6 +116,22 @@ def test_local_scale_shifts_gauge_vector():
     assert got == want
 
 
+def test_local_scale_builds_one_lam_power_per_term(monkeypatch):
+    """The bare atoms of a term share one Lam power; a weighted atom
+    under derivatives keeps its own inside them."""
+    phi, ginv = ex.scalar_field(), ex.inv_metric("m", "n")
+    e = phi ** 50 * ginv * ex.d("m", phi) * ex.d("n", phi)
+    want = ex.canonicalize(ex.lam(-52) * phi ** 50 * ginv
+                           * ex.d("m", ex.lam(-1) * phi)
+                           * ex.d("n", ex.lam(-1) * phi))
+    calls = []
+    lam = ex.lam
+    monkeypatch.setattr(ex, "lam", lambda k: calls.append(k) or lam(k))
+    got = apply_local_scale(e)
+    assert len(calls) == 3
+    assert got == want
+
+
 def test_lambda_powers_multiply_pointwise():
     e = ex.lam(Fraction(2)) * ex.lam(Fraction(3)) * ex.scalar_field()
     got = ex.canonicalize(e)
