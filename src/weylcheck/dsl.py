@@ -46,7 +46,7 @@ from .exprs import (
     canonicalize,
 )
 
-_KIND_BY_NAME = {k.value: k for k in ex._KINDS}
+_KIND_BY_NAME = {k.value: k for k in (*Kind, *ex.CliffordKind)}
 
 # Derivatives nested deeper than this are refused at the offending `d`:
 # every layer that walks an expression tree recurses once per level.
@@ -354,7 +354,7 @@ class _Parser:
             self.fail(f"field {name!r} used but not declared", name_t,
                       UndeclaredField)
 
-        pattern = ex._KINDS[kind].slots
+        pattern = kind.row.slots
         raw = self.parse_bracket_list() if has_brackets else []
         if len(raw) != len(pattern):
             self.fail(f"{name} takes {len(pattern)} indices, got "
@@ -464,7 +464,7 @@ def _factor_chunk(f: Expr) -> str:
         base = f.kind.value
         if f.indices:
             labs = ",".join(map(_index_text, f.indices,
-                                ex._KINDS[f.kind].slots))
+                                f.kind.row.slots))
             return f"{base}[{labs}]"
         return base
     if isinstance(f, Partial):

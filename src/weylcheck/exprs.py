@@ -13,9 +13,10 @@ dummy indices renamed to a canonical sequence.  Structural equality of
 canonical forms is the engine's notion of equality.
 
 What the engine knows about an atom's kind, a declared field or one of
-the Clifford matrices, is one row of the kind table (``_KINDS``): its
-sort class, slots, Weyl weight, derivative rule and spin.  Every module
-reads that row; there is no other atom class.
+the Clifford matrices, is one row declared with the kind (``kind.row``):
+its sort class, slots, Weyl weight, derivative rule, spin and slot
+symmetries.  Every module and builder reads that row; there is no other
+atom class and no table of kinds.
 
 Deterministic work is done once per process.  The term cache
 (``_TERM_CACHE``) has one kind of key: a term's factors other than its
@@ -33,16 +34,16 @@ outputs puts no term in canonical form again.  ``rewrite_terms`` is the
 one pass that maps the terms of a canonical form and canonicalizes the
 result; the engines supply only the per-term rewrite.
 
-Slot symmetries are stated once, in the slot-symmetry rule
+Slot symmetries are stated once, in the rows and the slot-symmetry rule
 (``_slot_groups``).  For any node it lists the groups of slot positions
 that may be permuted, and the sign an odd permutation of a group gives:
 
-- the two slots of ``g``, ``ginv``, ``eta`` and ``etainv`` (+1) and of
-  ``sigma`` (-1, so equal labels make it vanish);
+- a row's slot groups: the two slots of ``g``, ``ginv``, ``eta`` and
+  ``etainv`` (+1) and of ``sigma`` (-1, so equal labels make it vanish);
 - the indices of nested derivatives (+1);
-- in ``d[...](D[n])`` the derivative indices together with ``D``'s own
-  index (+1): ``D`` is the gradient of ln Lam, so its derivatives are
-  symmetric.
+- over a gradient, ``d[...](D[n])``, the derivative indices together
+  with ``D``'s own index (+1): ``D`` is the gradient of ln Lam, so its
+  derivatives are symmetric.
 
 Everything else reads that rule: the one slot order of a node
 (``_rename_in_factor`` sorts each group by ``Index.key``), the orders in
@@ -54,6 +55,7 @@ names of the dummies it started from.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -102,10 +104,6 @@ class Index(_KeptHash):
 
     def key(self) -> tuple:
         return (int(self.alphabet), int(self.variance), self.label)
-
-
-def st_up(label: str) -> Index:
-    return Index(label, Alphabet.SPACETIME, Variance.UP)
 
 
 def st_lo(label: str) -> Index:
@@ -223,33 +221,6 @@ def _times(a: CRat, b: CRat) -> CRat:
     return b if a is _UNIT else a if b is _UNIT else a * b
 
 
-class Kind(Enum):
-    METRIC = "g"
-    INV_METRIC = "ginv"
-    MINKOWSKI = "eta"
-    MINKOWSKI_UP = "etainv"
-    DELTA = "delta"
-    DET_FACTOR = "detg"
-    TETRAD = "eps"
-    INV_TETRAD = "epsinv"
-    SCALAR = "phi"
-    EM_VECTOR = "A"
-    YM_VECTOR = "W"
-    WEYL_VECTOR = "S"
-    LOG_DERIV = "D"
-    STRUCTURE_CONST = "structf"
-    LAMBDA_POWER = "Lam"
-    FERMION = "Psi"
-    FERMION_BAR = "Psibar"
-
-
-class CliffordKind(Enum):
-    """The constant spinor matrices; a density uses them undeclared."""
-    IDENTITY = "one"
-    GAMMA = "gamma"
-    SIGMA = "sigma"
-
-
 # (alphabet, variance) of a slot; None is free: delta's slots take any
 # one alphabet, a Clifford slot either variance
 _SD = (Alphabet.SPACETIME, Variance.DOWN)
@@ -258,23 +229,28 @@ _FD = (Alphabet.FRAME, Variance.DOWN)
 _FU = (Alphabet.FRAME, Variance.UP)
 _ANY_UP, _ANY_DN = (None, Variance.UP), (None, Variance.DOWN)
 _F = (Alphabet.FRAME, None)
+# slot groups of a symmetric and of an antisymmetric pair
+_SYM, _ANTI = (((0, 1), 1),), (((0, 1), -1),)
 
 
 class _KindRow(NamedTuple):
-    """Everything the engine knows about one atom kind.
+    """Everything the engine knows about one atom kind (``kind.row``).
 
     ``sort_class`` orders atoms (Lambda powers < det factor < metric-like
     < tetrad-like < fields < Clifford matrices), and within a class atoms
     follow the declaration order of ``Kind``, then of ``CliffordKind``
-    (``rank``, filled in below).  ``slots`` is the (alphabet, variance)
-    pattern of the indices.  A field rescales as Lam^weight, except an
-    inhomogeneous one, which shifts instead (S by -(1/f) D).
-    ``derivative`` says what a derivative does to the kind: it vanishes
-    on a "constant", takes the "chain" rule on Lam, and under
+    (``rank``, filled in as the kinds are declared).  ``slots`` is the
+    (alphabet, variance) pattern of the indices.  A field rescales as
+    Lam^weight, except an inhomogeneous one, which shifts instead (S by
+    -(1/f) D).  ``derivative`` says what a derivative does to the kind:
+    it vanishes on a "constant", takes the "chain" rule on Lam, and under
     covariantization is shifted by the weight ("shift"), passes
     unchanged ("exempt") or is "refused".  ``spin`` is the pair of open
     (left, right) spinor axes: a kind with one is a spinor chain item,
-    and the matrices have both.
+    and the matrices have both.  ``slot_groups`` are the groups of slots
+    that may be permuted, with the sign an odd permutation gives, and a
+    ``gradient`` (D) has its own index join the derivative indices over
+    it: the entries of the slot-symmetry rule (``_slot_groups``).
     """
     sort_class: int
     slots: tuple
@@ -282,35 +258,56 @@ class _KindRow(NamedTuple):
     derivative: str
     spin: tuple[bool, bool] = (False, False)
     homogeneous: bool = True
+    slot_groups: tuple = ()
+    gradient: bool = False
     rank: int = 0
 
 
-_KINDS = {
-    Kind.METRIC: _KindRow(3, (_SD, _SD), 2, "shift"),
-    Kind.INV_METRIC: _KindRow(3, (_SU, _SU), -2, "shift"),
-    Kind.MINKOWSKI: _KindRow(3, (_FD, _FD), 0, "constant"),
-    Kind.MINKOWSKI_UP: _KindRow(3, (_FU, _FU), 0, "constant"),
-    Kind.DELTA: _KindRow(3, (_ANY_UP, _ANY_DN), 0, "constant"),
-    Kind.DET_FACTOR: _KindRow(2, (), 4, "refused"),
-    Kind.TETRAD: _KindRow(4, (_FU, _SD), 1, "shift"),
-    Kind.INV_TETRAD: _KindRow(4, (_FD, _SU), -1, "shift"),
-    Kind.SCALAR: _KindRow(5, (), -1, "shift"),
-    Kind.EM_VECTOR: _KindRow(5, (_SD,), 0, "exempt"),
-    Kind.YM_VECTOR: _KindRow(5, (_FU, _SD), 0, "exempt"),
-    Kind.WEYL_VECTOR: _KindRow(5, (_SD,), 0, "refused", homogeneous=False),
-    Kind.LOG_DERIV: _KindRow(5, (_SD,), 0, "refused"),
-    Kind.STRUCTURE_CONST: _KindRow(5, (_FU, _FU, _FU), 0, "constant"),
-    Kind.LAMBDA_POWER: _KindRow(1, (), 0, "chain"),
-    Kind.FERMION: _KindRow(5, (), Fraction(-3, 2), "shift", (True, False)),
-    Kind.FERMION_BAR: _KindRow(5, (), Fraction(-3, 2), "shift",
-                               (False, True)),
-    CliffordKind.IDENTITY: _KindRow(6, (), 0, "constant", (True, True)),
-    CliffordKind.GAMMA: _KindRow(6, (_F,), 0, "constant", (True, True)),
-    CliffordKind.SIGMA: _KindRow(6, (_F, _F), 0, "constant", (True, True)),
-}
-# a kind without a row fails here, at import
-_KINDS = {kind: _KINDS[kind]._replace(rank=rank)
-          for rank, kind in enumerate(itertools.chain(Kind, CliffordKind))}
+# declaration order over Kind, then CliffordKind
+_RANKS = itertools.count()
+
+
+class _AtomKind(Enum):
+    """An atom kind: its value is its source name, and it carries its
+    row, so reading the row hashes nothing."""
+
+    def __new__(cls, name: str, row: _KindRow):
+        kind = object.__new__(cls)
+        kind._value_ = name
+        kind.row = row._replace(rank=next(_RANKS))
+        return kind
+
+
+class Kind(_AtomKind):
+    METRIC = "g", _KindRow(3, (_SD, _SD), 2, "shift", slot_groups=_SYM)
+    INV_METRIC = "ginv", _KindRow(3, (_SU, _SU), -2, "shift",
+                                  slot_groups=_SYM)
+    MINKOWSKI = "eta", _KindRow(3, (_FD, _FD), 0, "constant",
+                                slot_groups=_SYM)
+    MINKOWSKI_UP = "etainv", _KindRow(3, (_FU, _FU), 0, "constant",
+                                      slot_groups=_SYM)
+    DELTA = "delta", _KindRow(3, (_ANY_UP, _ANY_DN), 0, "constant")
+    DET_FACTOR = "detg", _KindRow(2, (), 4, "refused")
+    TETRAD = "eps", _KindRow(4, (_FU, _SD), 1, "shift")
+    INV_TETRAD = "epsinv", _KindRow(4, (_FD, _SU), -1, "shift")
+    SCALAR = "phi", _KindRow(5, (), -1, "shift")
+    EM_VECTOR = "A", _KindRow(5, (_SD,), 0, "exempt")
+    YM_VECTOR = "W", _KindRow(5, (_FU, _SD), 0, "exempt")
+    WEYL_VECTOR = "S", _KindRow(5, (_SD,), 0, "refused", homogeneous=False)
+    LOG_DERIV = "D", _KindRow(5, (_SD,), 0, "refused", gradient=True)
+    STRUCTURE_CONST = "structf", _KindRow(5, (_FU, _FU, _FU), 0, "constant")
+    LAMBDA_POWER = "Lam", _KindRow(1, (), 0, "chain")
+    FERMION = "Psi", _KindRow(5, (), Fraction(-3, 2), "shift", (True, False))
+    FERMION_BAR = "Psibar", _KindRow(5, (), Fraction(-3, 2), "shift",
+                                     (False, True))
+
+
+class CliffordKind(_AtomKind):
+    """The constant spinor matrices; a density uses them undeclared."""
+    IDENTITY = "one", _KindRow(6, (), 0, "constant", (True, True))
+    GAMMA = "gamma", _KindRow(6, (_F,), 0, "constant", (True, True))
+    SIGMA = "sigma", _KindRow(6, (_F, _F), 0, "constant", (True, True),
+                              slot_groups=_ANTI)
 
 
 class Expr:
@@ -363,7 +360,7 @@ class FieldAtom(Expr, _KeptHash):
     __hash__ = _KeptHash.__hash__
 
     def __post_init__(self):
-        pat = _KINDS[self.kind].slots
+        pat = self.kind.row.slots
         if len(pat) != len(self.indices):
             raise MalformedIndex(
                 f"{self.kind.value} takes {len(pat)} indices, "
@@ -381,17 +378,6 @@ class FieldAtom(Expr, _KeptHash):
         elif self.exponent is not None:
             raise MalformedIndex("exponent only valid on Lambda powers")
 
-
-# Entries of the slot-symmetry rule (``_slot_groups``): per atom kind,
-# the groups of its slots that may be permuted, with the sign an odd
-# permutation gives; and the kinds whose own index joins the derivative
-# indices over them, because they are gradients.
-_ATOM_SLOT_GROUPS = {Kind.METRIC: (((0, 1), 1),),
-                     Kind.INV_METRIC: (((0, 1), 1),),
-                     Kind.MINKOWSKI: (((0, 1), 1),),
-                     Kind.MINKOWSKI_UP: (((0, 1), 1),),
-                     CliffordKind.SIGMA: (((0, 1), -1),)}
-_GRADIENT_KINDS = {Kind.LOG_DERIV}
 
 # The coupling constants, in the order the numeric oracle draws their
 # values: reordering them changes every seeded assignment.
@@ -445,22 +431,34 @@ ONE = Product(_UNIT, ())
 
 
 # ---------------------------------------------------------------------------
-# atom builders (fixed variance patterns; callers pass labels)
+# atom builders (callers pass labels)
 
-def metric(a: str, b: str) -> Expr:
-    return FieldAtom(Kind.METRIC, (st_lo(a), st_lo(b)))
-
-
-def inv_metric(a: str, b: str) -> Expr:
-    return FieldAtom(Kind.INV_METRIC, (st_up(a), st_up(b)))
-
-
-def minkowski(a: str, b: str) -> Expr:
-    return FieldAtom(Kind.MINKOWSKI, (fr_lo(a), fr_lo(b)))
+def _atom(kind: Kind | CliffordKind, *labels: str) -> Expr:
+    """An atom whose row fixes every slot, its labels in slot order."""
+    slots = kind.row.slots
+    if len(labels) != len(slots):
+        raise MalformedIndex(f"{kind.value} takes {len(slots)} indices, "
+                             f"got {len(labels)}")
+    return FieldAtom(kind, tuple(Index(lab, *slot)
+                                 for lab, slot in zip(labels, slots)))
 
 
-def minkowski_up(a: str, b: str) -> Expr:
-    return FieldAtom(Kind.MINKOWSKI_UP, (fr_up(a), fr_up(b)))
+metric = functools.partial(_atom, Kind.METRIC)
+inv_metric = functools.partial(_atom, Kind.INV_METRIC)
+minkowski = functools.partial(_atom, Kind.MINKOWSKI)
+minkowski_up = functools.partial(_atom, Kind.MINKOWSKI_UP)
+det_factor = functools.partial(_atom, Kind.DET_FACTOR)
+tetrad = functools.partial(_atom, Kind.TETRAD)
+inv_tetrad = functools.partial(_atom, Kind.INV_TETRAD)
+scalar_field = functools.partial(_atom, Kind.SCALAR)
+em_vector = functools.partial(_atom, Kind.EM_VECTOR)
+ym_vector = functools.partial(_atom, Kind.YM_VECTOR)
+weyl_vector = functools.partial(_atom, Kind.WEYL_VECTOR)
+log_deriv = functools.partial(_atom, Kind.LOG_DERIV)
+structure_const = functools.partial(_atom, Kind.STRUCTURE_CONST)
+fermion = functools.partial(_atom, Kind.FERMION)
+fermion_bar = functools.partial(_atom, Kind.FERMION_BAR)
+identity_spinor = functools.partial(_atom, CliffordKind.IDENTITY)
 
 
 def delta(up_label: str, down_label: str,
@@ -471,56 +469,12 @@ def delta(up_label: str, down_label: str,
                       Index(down_label, alphabet, Variance.DOWN)))
 
 
-def det_factor() -> Expr:
-    return FieldAtom(Kind.DET_FACTOR)
-
-
-def tetrad(a: str, mu: str) -> Expr:
-    return FieldAtom(Kind.TETRAD, (fr_up(a), st_lo(mu)))
-
-
-def inv_tetrad(a: str, mu: str) -> Expr:
-    return FieldAtom(Kind.INV_TETRAD, (fr_lo(a), st_up(mu)))
-
-
-def scalar_field() -> Expr:
-    return FieldAtom(Kind.SCALAR)
-
-
-def em_vector(mu: str) -> Expr:
-    return FieldAtom(Kind.EM_VECTOR, (st_lo(mu),))
-
-
-def ym_vector(a: str, mu: str) -> Expr:
-    return FieldAtom(Kind.YM_VECTOR, (fr_up(a), st_lo(mu)))
-
-
-def weyl_vector(mu: str) -> Expr:
-    return FieldAtom(Kind.WEYL_VECTOR, (st_lo(mu),))
-
-
-def log_deriv(mu: str) -> Expr:
-    return FieldAtom(Kind.LOG_DERIV, (st_lo(mu),))
-
-
-def structure_const(a: str, b: str, c: str) -> Expr:
-    return FieldAtom(Kind.STRUCTURE_CONST, (fr_up(a), fr_up(b), fr_up(c)))
-
-
 def lam(k) -> Expr:
     return FieldAtom(Kind.LAMBDA_POWER, (), Fraction(k))
 
 
 def coupling(name: str, power: int = 1) -> Expr:
     return Coupling(name, power)
-
-
-def fermion() -> Expr:
-    return FieldAtom(Kind.FERMION)
-
-
-def fermion_bar() -> Expr:
-    return FieldAtom(Kind.FERMION_BAR)
 
 
 def gamma(label: str, up: bool = True) -> Expr:
@@ -532,10 +486,6 @@ def sigma(l1: str, l2: str, up1: bool = True, up2: bool = True) -> Expr:
     i1 = fr_up(l1) if up1 else fr_lo(l1)
     i2 = fr_up(l2) if up2 else fr_lo(l2)
     return FieldAtom(CliffordKind.SIGMA, (i1, i2))
-
-
-def identity_spinor() -> Expr:
-    return FieldAtom(CliffordKind.IDENTITY)
 
 
 def d(label: str, operand: Expr) -> Expr:
@@ -552,7 +502,7 @@ def _factor_key(f: Expr) -> tuple:
     if isinstance(f, FieldAtom):
         exp = (0, 0) if f.exponent is None else \
             (f.exponent.numerator, f.exponent.denominator)
-        row = _KINDS[f.kind]
+        row = f.kind.row
         return (2, row.sort_class, row.rank, exp,
                 tuple(ix.key() for ix in f.indices))
     if isinstance(f, Partial):
@@ -569,7 +519,7 @@ def _split_chain(factors: Iterable[Expr]) -> tuple[list, list]:
     plain, chain = [], []
     for f in factors:
         atom = _deriv_split(f)[1]
-        spins = isinstance(atom, FieldAtom) and any(_KINDS[atom.kind].spin)
+        spins = isinstance(atom, FieldAtom) and any(atom.kind.row.spin)
         (chain if spins else plain).append(f)
     return plain, chain
 
@@ -650,20 +600,22 @@ def _slot_groups(f: Expr) -> tuple[tuple[tuple[int, ...], int, str], ...]:
     permutation, class).  The class names the group for adjacency
     refinement: "s" for a group of an atom's slots, the position for a
     slot of its own, "d" for the derivative indices and "a" + the atom's
-    class under a derivative.  Built once per (kind, derivative count)."""
+    class under a derivative.  Built once per (kind, derivative count)
+    from the kind's row; a coupling has none."""
     idxs, atom = _deriv_split(f)
-    kind = atom.kind if isinstance(atom, FieldAtom) else None
-    key = (kind, len(idxs))
+    if not isinstance(atom, FieldAtom):
+        return ()
+    row = atom.kind.row
+    key = (row.rank, len(idxs))
     groups = _GROUPS.get(key)
     if groups is not None:
         return groups
-    n, n_atom = len(idxs), len(_slots_of_factor(atom))
-    listed = _ATOM_SLOT_GROUPS.get(kind, ())
-    grouped = {p for pos, _ in listed for p in pos}
+    n, n_atom = len(idxs), len(row.slots)
+    grouped = {p for pos, _ in row.slot_groups for p in pos}
     groups = tuple(sorted(
-        [(pos, sign, "s") for pos, sign in listed]
+        [(pos, sign, "s") for pos, sign in row.slot_groups]
         + [((p,), 1, str(p)) for p in range(n_atom) if p not in grouped]))
-    if n and kind in _GRADIENT_KINDS:
+    if n and row.gradient:
         groups = ((tuple(range(n + n_atom)), 1, "d"),)
     elif n:
         groups = ((tuple(range(n)), 1, "d"),) + tuple(
@@ -760,14 +712,23 @@ def _flattens_to_itself(f: Expr) -> bool:
     if isinstance(f, Partial):
         atom = _deriv_split(f)[1]
         return isinstance(atom, FieldAtom) and \
-            _KINDS[atom.kind].derivative not in ("constant", "chain")
+            atom.kind.row.derivative not in ("constant", "chain")
     return isinstance(f, (FieldAtom, Coupling))
 
 
+def _holds_canonical(e: Expr) -> bool:
+    """Whether a marked Sum stands anywhere in ``e``."""
+    if isinstance(e, Sum):
+        return e._canonical or any(map(_holds_canonical, e.terms))
+    if isinstance(e, Product):
+        return any(map(_holds_canonical, e.factors))
+    return isinstance(e, Partial) and _holds_canonical(e.operand)
+
+
 def _renamed_apart(sub: list, taken: set) -> list:
-    """The flattened terms of a marked Sum, each dummy that ``taken``
-    also holds renamed to a fresh label; a term without such a clash is
-    kept as it is."""
+    """The flattened terms of an expression that holds a marked Sum,
+    each dummy that ``taken`` also holds renamed to a fresh label; a term
+    without such a clash is kept as it is."""
     if not taken:
         return sub
     out = []
@@ -787,12 +748,12 @@ def _renamed_apart(sub: list, taken: set) -> list:
 
 
 def _distribute(coeff: CRat, parts: tuple[Expr, ...]):
-    """Multiply out the flattened parts of a product, in order, a marked
-    Sum's clashing dummies renamed apart.  A term grows as (earlier chain,
+    """Multiply out the flattened parts of a product, in order, the
+    clashing dummies of a part that holds a marked Sum renamed apart.  A term grows as (earlier chain,
     factors of one part) pairs, joined once: n parts cost O(n), not O(n^2)."""
     subs = [_flatten(part) for part in parts]
     for k, part in enumerate(parts):
-        if isinstance(part, Sum) and part._canonical:
+        if _holds_canonical(part):
             subs[k] = _renamed_apart(subs[k], {
                 ix.label for j, sub in enumerate(subs) if j != k
                 for _, fs in sub for ix in _term_slot_list(fs)})
@@ -817,7 +778,7 @@ def _flatten_partial(ix: Index, operand: Expr):
     matters, is differentiated where it stands."""
     out = []
     terms = _flatten(operand)
-    if isinstance(operand, Sum) and operand._canonical:
+    if _holds_canonical(operand):
         terms = _renamed_apart(terms, {ix.label})
     for coeff, factors in terms:
         plain, chain = _split_chain(factors)
@@ -840,7 +801,7 @@ def _derive_factor(ix: Index, f: Expr):
     if isinstance(f, Coupling):
         return ()
     if isinstance(f, FieldAtom):
-        rule = _KINDS[f.kind].derivative
+        rule = f.kind.row.derivative
         if rule == "constant" or rule == "chain" and f.exponent == 0:
             return ()
         if rule == "chain":
@@ -859,7 +820,7 @@ def _validate_chain(items: list) -> None:
     """A spinor endpoint has one open axis: a conjugate spinor (open on
     the right) opens the block, a spinor (open on the left) closes it,
     and a term holds one bilinear at most."""
-    spins = [_KINDS[_deriv_split(it)[1].kind].spin for it in items]
+    spins = [_deriv_split(it)[1].kind.row.spin for it in items]
     n_bar = spins.count((False, True))
     n_psi = spins.count((True, False))
     if n_bar > 1 or n_psi > 1:

@@ -31,16 +31,9 @@ from .report import Mode, TraceStep, VerificationReport
 from .simplify import full_simplify
 from .tensor import contract_pairs
 
-# The weight w in d + w f S for each kind whose covariant derivative
-# shifts: a view of the kind table, which covariantization reads.
-COVARIANT_SHIFT = {kind: Fraction(row.weight)
-                   for kind, row in ex._KINDS.items()
-                   if row.derivative == "shift"}
-
-
 def _covariantize_partial(f: Partial) -> Expr:
     idxs, atom = ex._deriv_split(f)
-    row = ex._KINDS[atom.kind]
+    row = atom.kind.row
     if row.derivative == "exempt":
         return f
     if row.derivative != "shift":

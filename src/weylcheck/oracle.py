@@ -276,7 +276,7 @@ def _operand(f: Expr):
     idxs, atom = ex._deriv_split(f)
     if not isinstance(atom, FieldAtom):
         raise WeylcheckError(f"cannot evaluate factor {f!r}")
-    spin = ex._KINDS[atom.kind].spin
+    spin = atom.kind.row.spin
     labels = [ix.label for ix in idxs + atom.indices]
     constant = atom.kind in (Kind.DELTA, Kind.LAMBDA_POWER) or \
         isinstance(atom.kind, CliffordKind)

@@ -46,9 +46,8 @@ INHOMOGENEOUS = SpecialWeight.INHOMOGENEOUS
 
 
 def default_weight_table() -> dict[Kind, WeylWeight]:
-    """The Weyl weight of every field kind, as the kind table states it."""
-    return {kind: WeylWeight(Fraction(ex._KINDS[kind].weight),
-                             ex._KINDS[kind].homogeneous)
+    """The Weyl weight of every field kind, as its row states it."""
+    return {kind: WeylWeight(Fraction(kind.row.weight), kind.row.homogeneous)
             for kind in Kind}
 
 
@@ -67,7 +66,7 @@ def infer_weight(e: Expr, strict: bool = False
         for f in t.factors:
             atom = ex._deriv_split(f)[1]
             if isinstance(atom, FieldAtom):
-                row = ex._KINDS[atom.kind]
+                row = atom.kind.row
                 total += row.weight
                 homogeneous = homogeneous and row.homogeneous
         values.append(total)
@@ -90,7 +89,7 @@ def _transform_term(t: Product, power: Fraction, local: bool) -> Expr:
             pieces.append(f)
             continue
         idxs, atom = ex._deriv_split(f)
-        row = ex._KINDS[atom.kind]
+        row = atom.kind.row
         if local and not row.homogeneous:
             shift = Product(CRat.of(-power), (
                 Coupling("f", -1), ex.log_deriv(atom.indices[0].label)))

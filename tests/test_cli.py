@@ -162,6 +162,18 @@ def test_frame_label_named_like_an_internal_one(tmp_path):
     assert re.sub(r"\bb\b", "ctr0", out["b"]) == out["ctr0"]
 
 
+def test_label_repeated_by_the_source_is_refused(tmp_path):
+    """A source label that appears three times, once outside a
+    derivative and twice inside it, is an index error (exit 1), not a
+    contraction the engine renames apart."""
+    f = tmp_path / "rep.lag"
+    f.write_text("indices spacetime m n k ;\nfields ginv A ;\nname t ;\n"
+                 "density A[n] * d[m](ginv[n,k] * A[k] * A[n]) ;\n")
+    p = run_cli("verify", str(f), "--mode=global")
+    assert p.returncode == 1, p.stderr
+    assert "index 'n' appears 3 times" in p.stderr
+
+
 def test_non_scalar_density_is_flagged(tmp_path):
     f = tmp_path / "vec.lag"
     f.write_text("indices spacetime mu ;\nfields A ;\nname vec ;\n"

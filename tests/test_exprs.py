@@ -18,6 +18,7 @@ from weylcheck import densities, dsl
 from weylcheck import exprs as ex
 from weylcheck.errors import (
     IndexArityMismatch,
+    MalformedChain,
     MalformedIndex,
     WeylcheckError,
 )
@@ -562,6 +563,83 @@ def test_mixed_free_indices_rejected():
         ex.canonicalize(ex.em_vector("m") + ex.weyl_vector("n"))
 
 
+_ST, _FR = ex.Alphabet.SPACETIME, ex.Alphabet.FRAME
+_UP, _DN = ex.Variance.UP, ex.Variance.DOWN
+
+
+_FIXED_BUILDERS = [
+    (ex.metric, ex.Kind.METRIC, [(_ST, _DN), (_ST, _DN)]),
+    (ex.inv_metric, ex.Kind.INV_METRIC, [(_ST, _UP), (_ST, _UP)]),
+    (ex.minkowski, ex.Kind.MINKOWSKI, [(_FR, _DN), (_FR, _DN)]),
+    (ex.minkowski_up, ex.Kind.MINKOWSKI_UP, [(_FR, _UP), (_FR, _UP)]),
+    (ex.det_factor, ex.Kind.DET_FACTOR, []),
+    (ex.tetrad, ex.Kind.TETRAD, [(_FR, _UP), (_ST, _DN)]),
+    (ex.inv_tetrad, ex.Kind.INV_TETRAD, [(_FR, _DN), (_ST, _UP)]),
+    (ex.scalar_field, ex.Kind.SCALAR, []),
+    (ex.em_vector, ex.Kind.EM_VECTOR, [(_ST, _DN)]),
+    (ex.ym_vector, ex.Kind.YM_VECTOR, [(_FR, _UP), (_ST, _DN)]),
+    (ex.weyl_vector, ex.Kind.WEYL_VECTOR, [(_ST, _DN)]),
+    (ex.log_deriv, ex.Kind.LOG_DERIV, [(_ST, _DN)]),
+    (ex.structure_const, ex.Kind.STRUCTURE_CONST,
+     [(_FR, _UP), (_FR, _UP), (_FR, _UP)]),
+    (ex.fermion, ex.Kind.FERMION, []),
+    (ex.fermion_bar, ex.Kind.FERMION_BAR, []),
+    (ex.identity_spinor, ex.CliffordKind.IDENTITY, []),
+]
+
+
+@pytest.mark.parametrize("builder, kind, slots", _FIXED_BUILDERS,
+                         ids=[kind.value for _, kind, _ in _FIXED_BUILDERS])
+def test_builder_makes_the_indices_written_out(builder, kind, slots):
+    """Each builder of a kind with fixed slots takes its labels in slot
+    order and gives them the alphabet and variance written out here."""
+    labels = [f"i{k}" for k in range(len(slots))]
+    want = tuple(ex.Index(lab, alph, var)
+                 for lab, (alph, var) in zip(labels, slots))
+    assert builder(*labels) == ex.FieldAtom(kind, want)
+
+
+def _set_re():
+    ex.CRat(1).re = Fraction(2)
+
+
+_PSI, _PSIBAR, _PHI = ex.fermion(), ex.fermion_bar(), ex.scalar_field()
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ex.canonicalize(ex.gamma("a") * _PSIBAR * _PSI),
+     MalformedChain, "conjugate spinor must open its block"),
+    (lambda: ex.canonicalize(_PSIBAR * _PSI * ex.gamma("a")),
+     MalformedChain, "spinor must close its block"),
+    (lambda: ex.canonicalize(_PSIBAR), MalformedChain,
+     "spinor blocks must be closed bilinears"),
+    (lambda: ex.FieldAtom(ex.Kind.METRIC, (ex.st_lo("a"),)), MalformedIndex,
+     "g takes 2 indices, got 1"),
+    (lambda: ex.metric("a", "b", "c"), MalformedIndex,
+     "g takes 2 indices, got 3"),
+    (lambda: ex.scalar_field("x"), MalformedIndex,
+     "phi takes 0 indices, got 1"),
+    (lambda: ex.FieldAtom(ex.Kind.EM_VECTOR, (ex.Index("a", _ST, _UP),)),
+     MalformedIndex, "bad slot a on A"),
+    (lambda: ex.FieldAtom(ex.Kind.LAMBDA_POWER), MalformedIndex,
+     "Lambda power needs an exponent"),
+    (lambda: ex.FieldAtom(ex.Kind.SCALAR, (), Fraction(2)), MalformedIndex,
+     "exponent only valid on Lambda powers"),
+    (lambda: ex.coupling("h"), MalformedIndex, "unknown coupling 'h'"),
+    (lambda: ex.Partial(ex.fr_lo("a"), _PHI), MalformedIndex,
+     "derivative index must be spacetime-lower"),
+    (lambda: _PHI ** 0, TypeError, "positive integers"),
+    (lambda: _PHI + "x", TypeError, "cannot coerce 'x' to Expr"),
+    (_set_re, AttributeError, "CRat is immutable"),
+], ids=["bar-inside", "psi-inside", "open-bilinear", "arity",
+        "builder-extra-label", "builder-label-on-scalar", "slot",
+        "lam-exponent", "stray-exponent", "coupling", "derivative-index",
+        "power", "coerce", "crat-immutable"])
+def test_expression_api_checks_its_input(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
+
+
 def test_free_indices():
     e = ex.inv_metric("m", "n") * ex.d("m", ex.scalar_field())
     frees = ex.free_indices(e)
@@ -860,6 +938,29 @@ def test_composition_renames_canonical_dummies_apart_in_products():
                     * s_("c") * s_("d"))
 
 
+@pytest.mark.parametrize("inner", ["nested-product", "times-a-number",
+                                   "derivative-of-a-multiple"])
+def test_composition_renames_canonical_dummies_apart_at_any_depth(inner):
+    """A canonical form's dummies are renamed apart wherever it stands in
+    a product or under a derivative, not only as a factor or operand of
+    its own: each composition equals the same expression written with
+    distinct labels."""
+    ginv, a_, s_ = ex.inv_metric, ex.em_vector, ex.weyl_vector
+    raw_ss = ginv("c", "d") * s_("c") * s_("d")
+    raw_aa = ginv("a", "b") * a_("a") * a_("b")
+    ss, aa = ex.canonicalize(raw_ss), ex.canonicalize(raw_aa)
+    got, want = {
+        "nested-product": (ginv("mu0", "x") * (a_("x") * ss),
+                           ginv("mu0", "x") * a_("x") * raw_ss),
+        "times-a-number": (ginv("mu0", "x") * a_("x") * (2 * ss),
+                           2 * ginv("mu0", "x") * a_("x") * raw_ss),
+        "derivative-of-a-multiple": (ex.d("mu0", 3 * aa),
+                                     ex.d("mu0", 3 * raw_aa)),
+    }[inner]
+    assert ex.canonicalize(got).terms
+    assert ex.equal(got, want)
+
+
 def _connection(r, m, n, s):
     return Fraction(1, 2) * ex.inv_metric(r, s) * (
         ex.d(m, ex.metric(s, n)) + ex.d(n, ex.metric(s, m))
@@ -894,7 +995,7 @@ def test_flatten_keeps_a_product_as_multiplying_out_would(kind):
     a derivative vanishes on a constant or takes the chain rule on Lam."""
     slots = tuple(ex.Index(f"i{k}", alph or ex.Alphabet.SPACETIME,
                            var or ex.Variance.UP)
-                  for k, (alph, var) in enumerate(ex._KINDS[kind].slots))
+                  for k, (alph, var) in enumerate(kind.row.slots))
     exponent = Fraction(3) if kind == ex.Kind.LAMBDA_POWER else None
     atom = ex.FieldAtom(kind, slots, exponent)
     c = CRat(2, 1)
@@ -942,7 +1043,7 @@ def test_kind_table_agrees_with_its_readers(kind):
     jets (one axis per slot, one more for a spinor, one more per
     derivative) and the DSL's arity check.  The oracle builds delta and
     Lam itself, and the DSL does not accept delta."""
-    row = ex._KINDS[kind]
+    row = kind.row
     if kind not in (ex.Kind.DELTA, ex.Kind.LAMBDA_POWER):
         a = Assignment((0, 0))
         axes = len(row.slots) + any(row.spin)
@@ -963,7 +1064,7 @@ def test_clifford_rows_agree_with_their_readers(kind):
     atom in the spinor chain, gives the oracle's matrix one axis per
     slot plus two spin axes, and makes a chain of such atoms constant
     under a derivative."""
-    n = len(ex._KINDS[kind].slots)
+    n = len(kind.row.slots)
     labels = ",".join(f"a{k}" for k in range(n + 1))
     with pytest.raises(IndexArityMismatch):
         dsl.parse(f"indices frame a0 a1 a2 ;\nname t ;\n"

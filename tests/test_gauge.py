@@ -8,7 +8,6 @@ from weylcheck import densities, oracle
 from weylcheck import exprs as ex
 from weylcheck.errors import UncoveredDerivative
 from weylcheck.gauge import (
-    COVARIANT_SHIFT,
     expected_scalar_coupling,
     gauge_covariantize,
     verify_fermion_decoupling,
@@ -23,6 +22,8 @@ from weylcheck.tensor import christoffel
 
 
 def test_shift_constants_match_weights():
+    """The kinds whose covariant derivative shifts, d + w f S, and the
+    weight w their rows give."""
     want = {
         ex.Kind.METRIC: Fraction(2),
         ex.Kind.INV_METRIC: Fraction(-2),
@@ -32,7 +33,8 @@ def test_shift_constants_match_weights():
         ex.Kind.FERMION: Fraction(-3, 2),
         ex.Kind.FERMION_BAR: Fraction(-3, 2),
     }
-    assert dict(COVARIANT_SHIFT) == want
+    assert {kind: Fraction(kind.row.weight) for kind in ex.Kind
+            if kind.row.derivative == "shift"} == want
 
 
 def test_gauge_fields_pass_through_unchanged(builtins_all):
