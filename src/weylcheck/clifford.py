@@ -27,12 +27,12 @@ from .exprs import (
 )
 
 
-def _is_gamma(it) -> bool:
-    return getattr(it, "kind", None) == CliffordKind.GAMMA
+def _is_gamma(it: FieldAtom) -> bool:
+    return it.kind is CliffordKind.GAMMA
 
 
-def _is_sigma(it) -> bool:
-    return getattr(it, "kind", None) == CliffordKind.SIGMA
+def _is_sigma(it: FieldAtom) -> bool:
+    return it.kind is CliffordKind.SIGMA
 
 
 def _expand_sigma_term(t: Product) -> Optional[Sum]:

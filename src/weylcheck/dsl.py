@@ -33,7 +33,6 @@ from . import exprs as ex
 from .errors import IndexArityMismatch, ParseError, UndeclaredField
 from .exprs import (
     Alphabet,
-    Coupling,
     CRat,
     Expr,
     FieldAtom,
@@ -345,7 +344,7 @@ class _Parser:
             power = self.parse_exponent() if self.accept("^") else 1
             if power.denominator != 1:
                 self.fail("coupling exponents are integers", name_t)
-            return Coupling(name, int(power))
+            return ex.coupling(name, int(power))
 
         kind = _KIND_BY_NAME.get(name)
         if kind is None:
@@ -455,21 +454,16 @@ def _index_text(ix: Index, slot) -> str:
     return ix.label
 
 
-def _factor_chunk(f: Expr) -> str:
-    if isinstance(f, Coupling):
-        return f.name if f.power == 1 else f"{f.name}^{_int(f.power)}"
-    if isinstance(f, FieldAtom):
-        if f.kind == Kind.LAMBDA_POWER:
-            return "Lam" + _exponent_text(f.exponent)
-        base = f.kind.value
-        if f.indices:
-            labs = ",".join(map(_index_text, f.indices,
-                                f.kind.row.slots))
-            return f"{base}[{labs}]"
-        return base
-    if isinstance(f, Partial):
-        return f"d[{f.index.label}]({_factor_chunk(f.operand)})"
-    raise TypeError(f"cannot render {f!r}")
+def _factor_chunk(f: FieldAtom) -> str:
+    text = f.kind.value
+    if f.exponent is not None:
+        text += _exponent_text(f.exponent)
+    elif f.indices:
+        labs = map(_index_text, f.indices, f.kind.row.slots)
+        text += "[" + ",".join(labs) + "]"
+    for ix in reversed(f.derivs):
+        text = f"d[{ix.label}]({text})"
+    return text
 
 
 # factor tuple -> its text; a memo emptied with the term cache
@@ -487,8 +481,7 @@ def _factors_text(items: tuple) -> str:
     i = 0
     while i < len(items):
         f = items[i]
-        if isinstance(f, FieldAtom) and not f.indices \
-                and f.kind != Kind.LAMBDA_POWER:
+        if f.exponent is None and not f.indices and not f.derivs:
             j = i
             while j < len(items) and items[j] == f:
                 j += 1
@@ -539,18 +532,8 @@ def render(L: LagrangianDef) -> str:
 
 
 def used_kinds(e: Expr) -> tuple[Kind, ...]:
-    kinds: set[Kind] = set()
-
-    def visit(f):
-        if isinstance(f, FieldAtom) and isinstance(f.kind, Kind):
-            kinds.add(f.kind)
-        elif isinstance(f, Partial):
-            visit(f.operand)
-
-    s = canonicalize(e)
-    for t in s.terms:
-        for f in t.factors:
-            visit(f)
+    kinds = {f.kind for t in canonicalize(e).terms for f in t.factors
+             if isinstance(f.kind, Kind)}
     return tuple(sorted(kinds, key=lambda k: k.value))
 
 

@@ -1,29 +1,35 @@
 """Expression core for indexed field densities.
 
-Expressions are immutable trees built from atoms (indexed fields and the
-constant spinor matrices gamma, sigma and one), coupling constants,
-partial derivatives, products and sums.  A term has one shape,
-``Product(coeff, factors)``: the factors whose kind opens a spin axis
-are its spinor chain, in the order given, and the rest commute.
-Coefficients are exact Gaussian rationals; no floats enter the symbolic
-layer.  ``canonicalize`` maps every expression to a unique normal form:
-sums flattened and sorted, products flattened with commuting factors in a
-fixed class order and the chain after them, like terms collected, and
-dummy indices renamed to a canonical sequence.  Structural equality of
-canonical forms is the engine's notion of equality.
+Expressions are immutable trees built from atoms, partial derivatives,
+products and sums.  A flattened or canonical term has one shape,
+``Product(coeff, factors)``: a coefficient times atoms.  Every factor is
+a ``FieldAtom``: an indexed field, a constant spinor matrix (gamma,
+sigma, one), Lam or a coupling constant, whose kind is a
+``CouplingKind`` and whose ``exponent`` is its power, as Lam's is.  A
+derivative of an atom is the atom with its derivative indices
+(``derivs``); ``Partial`` is only the input node that ``d`` and the
+parser build, and flattening moves its index onto the atoms.  The
+factors whose kind opens a spin axis are the term's spinor chain, in the
+order given, and the rest commute.  Coefficients are exact Gaussian
+rationals; no floats enter the symbolic layer.  ``canonicalize`` maps
+every expression to a unique normal form: sums flattened and sorted,
+products flattened with commuting factors in a fixed class order and the
+chain after them, like terms collected, and dummy indices renamed to a
+canonical sequence.  Structural equality of canonical forms is the
+engine's notion of equality.
 
-What the engine knows about an atom's kind, a declared field or one of
-the Clifford matrices, is one row declared with the kind (``kind.row``):
-its sort class, slots, Weyl weight, derivative rule, spin and slot
-symmetries.  Every module and builder reads that row; there is no other
-atom class and no table of kinds.
+What the engine knows about an atom's kind, a declared field, one of the
+Clifford matrices or a coupling, is one row declared with the kind
+(``kind.row``): its sort class, slots, Weyl weight, derivative rule, spin
+and slot symmetries.  Every module and builder reads that row; there is
+no other atom class and no table of kinds.
 
 Deterministic work is done once per process.  The term cache
 (``_TERM_CACHE``) has one kind of key: a term's factors other than its
-couplings and Lam power, in the order given.  It maps them to their
-sign and canonical factors.  Couplings and Lam powers carry no index,
-so they cannot change the canonical search, and ``Lam^w * X`` for
-every rescaling weight w reuses the search of ``X``.
+scalars (the couplings and Lam, the atoms with an exponent), in the
+order given.  It maps them to their sign and canonical factors.  Scalars
+carry no index, so they cannot change the canonical search, and
+``Lam^w * X`` for every rescaling weight w reuses the search of ``X``.
 
 Every engine function accepts any ``Expr`` and returns a canonical
 ``Sum``.  Only ``canonicalize``, on the Sums it returns, and
@@ -236,11 +242,13 @@ _SYM, _ANTI = (((0, 1), 1),), (((0, 1), -1),)
 class _KindRow(NamedTuple):
     """Everything the engine knows about one atom kind (``kind.row``).
 
-    ``sort_class`` orders atoms (Lambda powers < det factor < metric-like
-    < tetrad-like < fields < Clifford matrices), and within a class atoms
-    follow the declaration order of ``Kind``, then of ``CliffordKind``
-    (``rank``, filled in as the kinds are declared).  ``slots`` is the
-    (alphabet, variance) pattern of the indices.  A field rescales as
+    ``sort_class`` orders atoms (couplings < Lambda powers < det factor <
+    metric-like < tetrad-like < fields < Clifford matrices), and within a
+    class atoms follow the declaration order of ``Kind``, ``CliffordKind``
+    and ``CouplingKind`` (``rank``, filled in as the kinds are declared).
+    Classes 0 and 1 are the scalars, whose atoms carry a power
+    (``exponent``).  ``slots`` is the (alphabet, variance) pattern of the
+    indices.  A field rescales as
     Lam^weight, except an inhomogeneous one, which shifts instead (S by
     -(1/f) D).  ``derivative`` says what a derivative does to the kind:
     it vanishes on a "constant", takes the "chain" rule on Lam, and under
@@ -269,7 +277,10 @@ _RANKS = itertools.count()
 
 class _AtomKind(Enum):
     """An atom kind: its value is its source name, and it carries its
-    row, so reading the row hashes nothing."""
+    row, so reading the row hashes nothing; a kind, a singleton, hashes
+    by identity, in C."""
+
+    __hash__ = object.__hash__
 
     def __new__(cls, name: str, row: _KindRow):
         kind = object.__new__(cls)
@@ -308,6 +319,14 @@ class CliffordKind(_AtomKind):
     GAMMA = "gamma", _KindRow(6, (_F,), 0, "constant", (True, True))
     SIGMA = "sigma", _KindRow(6, (_F, _F), 0, "constant", (True, True),
                               slot_groups=_ANTI)
+
+
+class CouplingKind(_AtomKind):
+    """The coupling constants, in the order their atoms sort."""
+    E = "e", _KindRow(0, (), 0, "constant")
+    F = "f", _KindRow(0, (), 0, "constant")
+    G = "g", _KindRow(0, (), 0, "constant")
+    LAMBDA = "lambda", _KindRow(0, (), 0, "constant")
 
 
 class Expr:
@@ -354,13 +373,19 @@ def _as_expr(v) -> Expr:
 
 @dataclass(frozen=True, slots=True)
 class FieldAtom(Expr, _KeptHash):
-    kind: Kind | CliffordKind
+    """The one factor of a flattened term: an atom with its slot indices,
+    its power if it is a scalar (a Fraction for Lam, an int for a
+    coupling) and the indices of the derivatives over it, outermost
+    first, which a constant or Lam does not take."""
+    kind: _AtomKind
     indices: tuple[Index, ...] = ()
-    exponent: Optional[Fraction] = None  # LAMBDA_POWER only
+    exponent: Optional[int | Fraction] = None
+    derivs: tuple[Index, ...] = ()
     __hash__ = _KeptHash.__hash__
 
     def __post_init__(self):
-        pat = self.kind.row.slots
+        row = self.kind.row
+        pat = row.slots
         if len(pat) != len(self.indices):
             raise MalformedIndex(
                 f"{self.kind.value} takes {len(pat)} indices, "
@@ -372,11 +397,20 @@ class FieldAtom(Expr, _KeptHash):
                     var is not None and ix.variance != var:
                 raise MalformedIndex(
                     f"bad slot {ix.label} on {self.kind.value}")
-        if self.kind == Kind.LAMBDA_POWER:
-            if self.exponent is None:
-                raise MalformedIndex("Lambda power needs an exponent")
-        elif self.exponent is not None:
-            raise MalformedIndex("exponent only valid on Lambda powers")
+        if row.sort_class > 1:
+            if self.exponent is not None:
+                raise MalformedIndex(
+                    "exponent only valid on Lambda powers and couplings")
+        elif self.exponent is None:
+            raise MalformedIndex(("Lambda power" if row.sort_class else
+                                  "coupling") + " needs an exponent")
+        if self.derivs:
+            if row.derivative in ("constant", "chain"):
+                raise MalformedIndex(
+                    f"{self.kind.value} takes no derivative indices")
+            if any((ix.alphabet, ix.variance) != _SD for ix in self.derivs):
+                raise MalformedIndex(
+                    "derivative index must be spacetime-lower")
 
 
 # The coupling constants, in the order the numeric oracle draws their
@@ -385,31 +419,22 @@ _COUPLINGS = ("lambda", "f", "e", "g")
 
 
 @dataclass(frozen=True, slots=True)
-class Coupling(Expr):
-    name: str
-    power: int = 1
-
-    def __post_init__(self):
-        if self.name not in _COUPLINGS:
-            raise MalformedIndex(f"unknown coupling {self.name!r}")
-
-
-@dataclass(frozen=True, slots=True)
 class Partial(Expr, _KeptHash):
+    """The input node of a derivative, built by ``d`` and the parser;
+    flattening moves its index onto the atoms under it."""
     index: Index
     operand: Expr
     __hash__ = _KeptHash.__hash__
 
     def __post_init__(self):
-        if self.index.alphabet != Alphabet.SPACETIME or \
-                self.index.variance != Variance.DOWN:
+        if (self.index.alphabet, self.index.variance) != _SD:
             raise MalformedIndex("derivative index must be spacetime-lower")
 
 
 @dataclass(frozen=True, slots=True)
 class Product(Expr):
     """coeff times the factors, in order.  The factors whose kind row
-    opens a spin axis, bare or under derivatives, are the term's spinor
+    opens a spin axis, with or without derivatives, are the term's spinor
     chain, multiplied in the order given (optional Psibar, Clifford
     matrices, optional Psi); every other factor commutes.  A canonical
     Product lists its sorted commuting factors, then its chain."""
@@ -474,7 +499,9 @@ def lam(k) -> Expr:
 
 
 def coupling(name: str, power: int = 1) -> Expr:
-    return Coupling(name, power)
+    if name not in _COUPLINGS:
+        raise MalformedIndex(f"unknown coupling {name!r}")
+    return FieldAtom(CouplingKind(name), (), power)
 
 
 def gamma(label: str, up: bool = True) -> Expr:
@@ -495,32 +522,27 @@ def d(label: str, operand: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # structural keys
 
-def _factor_key(f: Expr) -> tuple:
+def _factor_key(f: FieldAtom) -> tuple:
     """Sort key of any factor or chain item; the class number leads, so
-    couplings < atoms < derivatives, and atoms, the Clifford matrices
-    among them, sort by the class and rank of their kind's row."""
-    if isinstance(f, FieldAtom):
-        exp = (0, 0) if f.exponent is None else \
-            (f.exponent.numerator, f.exponent.denominator)
-        row = f.kind.row
-        return (2, row.sort_class, row.rank, exp,
-                tuple(ix.key() for ix in f.indices))
-    if isinstance(f, Partial):
-        idxs, atom = _deriv_split(f)
-        return (6, _factor_key(atom), tuple(ix.key() for ix in idxs))
-    if isinstance(f, Coupling):
-        return (0, 0, f.name, f.power)
-    raise TypeError(f"unexpected node {f!r}")
+    atoms < derivatives, atoms sort by the class and rank of their
+    kind's row, then power and indices, and a derivative by its atom's
+    key, then its derivative indices."""
+    exp = (0, 0) if f.exponent is None else \
+        (f.exponent.numerator, f.exponent.denominator)
+    row = f.kind.row
+    key = (2, row.sort_class, row.rank, exp,
+           tuple(ix.key() for ix in f.indices))
+    if f.derivs:
+        return (6, key, tuple(ix.key() for ix in f.derivs))
+    return key
 
 
-def _split_chain(factors: Iterable[Expr]) -> tuple[list, list]:
+def _split_chain(factors: Iterable[FieldAtom]) -> tuple[list, list]:
     """(commuting factors, spinor chain) of a term: the chain is the
     items whose kind row opens a spin axis, in the order given."""
     plain, chain = [], []
     for f in factors:
-        atom = _deriv_split(f)[1]
-        spins = isinstance(atom, FieldAtom) and any(atom.kind.row.spin)
-        (chain if spins else plain).append(f)
+        (chain if any(f.kind.row.spin) else plain).append(f)
     return plain, chain
 
 
@@ -536,39 +558,26 @@ def term_key(p: Product) -> tuple:
     return key
 
 
-def _deriv_split(f: Expr) -> tuple[tuple[Index, ...], Expr]:
-    """The derivative indices over a factor, outermost first, and the
-    node under them; a bare atom has none."""
-    idxs = []
-    node = f
-    while isinstance(node, Partial):
-        idxs.append(node.index)
-        node = node.operand
-    return tuple(idxs), node
+def _bare(f: FieldAtom) -> FieldAtom:
+    return FieldAtom(f.kind, f.indices, f.exponent)
 
 
-def _deriv_join(idxs: Iterable[Index], atom: Expr) -> Expr:
-    out = atom
-    for ix in reversed(list(idxs)):
-        out = Partial(ix, out)
-    return out
+def _deriv_join(idxs: tuple[Index, ...], operand: Expr) -> Expr:
+    """``operand`` under input derivatives, ``idxs`` outermost first."""
+    for ix in reversed(idxs):
+        operand = Partial(ix, operand)
+    return operand
 
 
 # ---------------------------------------------------------------------------
 # slot traversal
 
-def _slots_of_factor(f: Expr) -> list[Index]:
-    if isinstance(f, Coupling):
-        return []
-    if isinstance(f, FieldAtom):
-        return list(f.indices)
-    if isinstance(f, Partial):
-        idxs, atom = _deriv_split(f)
-        return list(idxs) + _slots_of_factor(atom)
-    raise TypeError(f"unexpected factor {f!r}")
+def _slots_of_factor(f: FieldAtom) -> tuple[Index, ...]:
+    """The derivative indices of a factor, then its atom's."""
+    return f.derivs + f.indices
 
 
-def _term_slot_list(factors: Iterable[Expr]) -> list[Index]:
+def _term_slot_list(factors: Iterable[FieldAtom]) -> list[Index]:
     return [ix for f in factors for ix in _slots_of_factor(f)]
 
 
@@ -593,7 +602,7 @@ def _fresh_label(prefix: str, taken) -> str:
 _GROUPS: dict[tuple, tuple] = {}
 
 
-def _slot_groups(f: Expr) -> tuple[tuple[tuple[int, ...], int, str], ...]:
+def _slot_groups(f: FieldAtom) -> tuple:
     """The slot-symmetry rule for one node: its slot positions (in
     ``_slots_of_factor`` order) partitioned into groups of
     interchangeable slots, each as (positions, sign of an odd
@@ -601,16 +610,13 @@ def _slot_groups(f: Expr) -> tuple[tuple[tuple[int, ...], int, str], ...]:
     refinement: "s" for a group of an atom's slots, the position for a
     slot of its own, "d" for the derivative indices and "a" + the atom's
     class under a derivative.  Built once per (kind, derivative count)
-    from the kind's row; a coupling has none."""
-    idxs, atom = _deriv_split(f)
-    if not isinstance(atom, FieldAtom):
-        return ()
-    row = atom.kind.row
-    key = (row.rank, len(idxs))
+    from the kind's row."""
+    row = f.kind.row
+    key = (row.rank, len(f.derivs))
     groups = _GROUPS.get(key)
     if groups is not None:
         return groups
-    n, n_atom = len(idxs), len(row.slots)
+    n, n_atom = len(f.derivs), len(row.slots)
     grouped = {p for pos, _ in row.slot_groups for p in pos}
     groups = tuple(sorted(
         [(pos, sign, "s") for pos, sign in row.slot_groups]
@@ -631,16 +637,14 @@ def _odd(order) -> bool:
     return sum(a > b for a, b in itertools.combinations(order, 2)) % 2 == 1
 
 
-def _with_slots(f: Expr, slots: list[Index]) -> Expr:
+def _with_slots(f: FieldAtom, slots: list[Index]) -> FieldAtom:
     """The node ``f`` with its slots, in ``_slots_of_factor`` order,
     replaced by ``slots``."""
-    idxs, atom = _deriv_split(f)
-    n = len(idxs)
-    atom = FieldAtom(atom.kind, tuple(slots[n:]), atom.exponent)
-    return _deriv_join(slots[:n], atom)
+    n = len(f.derivs)
+    return FieldAtom(f.kind, tuple(slots[n:]), f.exponent, tuple(slots[:n]))
 
 
-def _rename_in_factor(f: Expr, ren: dict[str, str]):
+def _rename_in_factor(f: FieldAtom, ren: dict[str, str]):
     """Relabel one node by ``ren`` and put it in its one slot order: each
     group of ``_slot_groups`` sorted by ``Index.key``.  Returns (node,
     sign), the sign the sorting permutations give, or (None, 0) when the
@@ -686,34 +690,24 @@ def _rename_term(factors: list, ren: dict[str, str]):
 # flattening
 
 def _flatten(e: Expr) -> list[tuple[CRat, list]]:
-    """Distribute sums and derivatives; returns raw (coeff, factors)
-    pairs with derivatives applied to single atoms.  A raw term's chain
-    items keep their order, but need not come last.  A marked Sum's terms
-    and a Product of factors that flatten to themselves stand as they are."""
+    """Distribute sums and derivatives; returns raw (coeff, atoms) pairs,
+    each derivative moved onto a single atom.  A raw term's chain items
+    keep their order, but need not come last.  A marked Sum's terms and a
+    Product of atoms stand as they are."""
     if isinstance(e, Sum):
         if e._canonical:
             return [(t.coeff, list(t.factors)) for t in e.terms]
         return [t for u in e.terms for t in _flatten(u)]
     if isinstance(e, Product):
-        if all(map(_flattens_to_itself, e.factors)):
+        if all(isinstance(f, FieldAtom) for f in e.factors):
             return [] if e.coeff.is_zero() else [(e.coeff, list(e.factors))]
         return [t for t in _distribute(e.coeff, e.factors)
                 if not t[0].is_zero()]
-    if isinstance(e, (FieldAtom, Coupling)):
+    if isinstance(e, FieldAtom):
         return [(_UNIT, [e])]
     if isinstance(e, Partial):
         return _flatten_partial(e.index, e.operand)
     raise TypeError(f"cannot flatten {e!r}")
-
-
-def _flattens_to_itself(f: Expr) -> bool:
-    """Whether ``_flatten`` leaves a factor as it is: a coupling, an atom,
-    or derivatives of an atom that is not constant and not Lam."""
-    if isinstance(f, Partial):
-        atom = _deriv_split(f)[1]
-        return isinstance(atom, FieldAtom) and \
-            atom.kind.row.derivative not in ("constant", "chain")
-    return isinstance(f, (FieldAtom, Coupling))
 
 
 def _holds_canonical(e: Expr) -> bool:
@@ -725,17 +719,31 @@ def _holds_canonical(e: Expr) -> bool:
     return isinstance(e, Partial) and _holds_canonical(e.operand)
 
 
-def _renamed_apart(sub: list, taken: set) -> list:
-    """The flattened terms of an expression that holds a marked Sum,
-    each dummy that ``taken`` also holds renamed to a fresh label; a term
-    without such a clash is kept as it is."""
-    if not taken:
+def _canonical_dummies(e: Expr) -> set[str]:
+    """The dummy labels of the terms of the marked Sums in ``e``."""
+    if isinstance(e, Sum) and e._canonical:
+        return {lab for t in e.terms
+                for lab, occ in _label_census(t.factors).items()
+                if len(occ) == 2}
+    if isinstance(e, (Sum, Product)):
+        parts = e.terms if isinstance(e, Sum) else e.factors
+        return set().union(*map(_canonical_dummies, parts))
+    return _canonical_dummies(e.operand) if isinstance(e, Partial) else set()
+
+
+def _renamed_apart(sub: list, taken: set, part: Expr) -> list:
+    """The flattened terms ``sub`` of ``part``, which holds a marked Sum,
+    each dummy of a marked Sum's term that ``taken`` also holds renamed
+    to a fresh label.  The part's own labels are kept, so a label the
+    caller repeats stays repeated; a term without a clash is kept whole."""
+    clashing = taken and taken & _canonical_dummies(part)
+    if not clashing:
         return sub
     out = []
     for c, fs in sub:
         census = _label_census(fs)
         clash = [lab for lab, occ in census.items()
-                 if len(occ) == 2 and lab in taken]
+                 if len(occ) == 2 and lab in clashing]
         if clash:
             used, ren = taken | census.keys(), {}
             for lab in clash:
@@ -749,14 +757,15 @@ def _renamed_apart(sub: list, taken: set) -> list:
 
 def _distribute(coeff: CRat, parts: tuple[Expr, ...]):
     """Multiply out the flattened parts of a product, in order, the
-    clashing dummies of a part that holds a marked Sum renamed apart.  A term grows as (earlier chain,
-    factors of one part) pairs, joined once: n parts cost O(n), not O(n^2)."""
+    clashing canonical dummies of a part that holds a marked Sum renamed
+    apart.  A term grows as (earlier chain, factors of one part) pairs,
+    joined once: n parts cost O(n), not O(n^2)."""
     subs = [_flatten(part) for part in parts]
     for k, part in enumerate(parts):
         if _holds_canonical(part):
             subs[k] = _renamed_apart(subs[k], {
                 ix.label for j, sub in enumerate(subs) if j != k
-                for _, fs in sub for ix in _term_slot_list(fs)})
+                for _, fs in sub for ix in _term_slot_list(fs)}, part)
     terms = [(coeff, None)]
     for sub in subs:
         terms = [(_times(c1, c2), (head, fs2))
@@ -779,7 +788,7 @@ def _flatten_partial(ix: Index, operand: Expr):
     out = []
     terms = _flatten(operand)
     if _holds_canonical(operand):
-        terms = _renamed_apart(terms, {ix.label})
+        terms = _renamed_apart(terms, {ix.label}, operand)
     for coeff, factors in terms:
         plain, chain = _split_chain(factors)
         factors = plain + chain
@@ -795,22 +804,17 @@ def _flatten_partial(ix: Index, operand: Expr):
     return out
 
 
-def _derive_factor(ix: Index, f: Expr):
-    """The derivative of one factor or chain item: (coefficient, nodes
+def _derive_factor(ix: Index, f: FieldAtom):
+    """The derivative of one factor or chain item: (coefficient, atoms
     in its place) pairs, none when it is constant."""
-    if isinstance(f, Coupling):
+    rule = f.kind.row.derivative
+    if rule == "constant" or rule == "chain" and f.exponent == 0:
         return ()
-    if isinstance(f, FieldAtom):
-        rule = f.kind.row.derivative
-        if rule == "constant" or rule == "chain" and f.exponent == 0:
-            return ()
-        if rule == "chain":
-            # chain rule: the log derivative atom carries d ln(Lambda)
-            return ((CRat(f.exponent),
-                     [f, FieldAtom(Kind.LOG_DERIV, (ix,))]),)
-    elif not isinstance(f, Partial):
-        raise TypeError(f"cannot differentiate {f!r}")
-    return ((_UNIT, [Partial(ix, f)]),)
+    if rule == "chain":
+        # chain rule: the log derivative atom carries d ln(Lambda)
+        return ((CRat(f.exponent), [f, FieldAtom(Kind.LOG_DERIV, (ix,))]),)
+    return ((_UNIT, [FieldAtom(f.kind, f.indices, f.exponent,
+                               (ix,) + f.derivs)]),)
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +824,7 @@ def _validate_chain(items: list) -> None:
     """A spinor endpoint has one open axis: a conjugate spinor (open on
     the right) opens the block, a spinor (open on the left) closes it,
     and a term holds one bilinear at most."""
-    spins = [_deriv_split(it)[1].kind.row.spin for it in items]
+    spins = [it.kind.row.spin for it in items]
     n_bar = spins.count((False, True))
     n_psi = spins.count((True, False))
     if n_bar > 1 or n_psi > 1:
@@ -837,12 +841,11 @@ def _validate_chain(items: list) -> None:
 def _strip_identities(items: list) -> list:
     """The chain without its identity matrices, or one of them when
     nothing else is left."""
-    kept = [it for it in items
-            if getattr(it, "kind", None) != CliffordKind.IDENTITY]
+    kept = [it for it in items if it.kind is not CliffordKind.IDENTITY]
     return kept or items[:1]
 
 
-def _slot_classes(f: Expr) -> list[str]:
+def _slot_classes(f: FieldAtom) -> list[str]:
     """Equivalence class per slot: slots of one group of
     ``_slot_groups``, whose dummies the search may name in any order,
     share a class, so adjacency refinement cannot depend on which slot
@@ -1118,25 +1121,22 @@ def _make_room() -> None:
 
 def _canonical_term(coeff: CRat, factors: list):
     """Unique representative of one product term: (coeff, canonical
-    factors), or None when the term vanishes.  The couplings, merged per
-    name, and the Lam power are split off; the other factors, in the
-    order given, key the term cache, which holds their sign and
-    canonical factors.  A canonical result is the least candidate of its
-    own search, reached with the sign it carries, so it is cached as its
-    own representative too.  Couplings and Lam key before every other
-    factor, so they lead the canonical factors without a sort."""
+    factors), or None when the term vanishes.  The scalars are split off
+    and merged per kind; the other factors, in the order given, key the
+    term cache, which holds their sign and canonical factors.  A
+    canonical result is the least candidate of its own search, reached
+    with the sign it carries, so it is cached as its own representative
+    too.  Scalars key before every other factor, so, sorted among
+    themselves, they lead the canonical factors."""
     if coeff.is_zero():
         return None
-    coup: dict[str, int] = {}
-    lam_exp = 0
+    powers: dict = {}
     rest = []
     for f in factors:
-        if isinstance(f, Coupling):
-            coup[f.name] = coup.get(f.name, 0) + f.power
-        elif isinstance(f, FieldAtom) and f.kind == Kind.LAMBDA_POWER:
-            lam_exp += f.exponent
-        else:
+        if f.exponent is None:
             rest.append(f)
+        else:
+            powers[f.kind] = powers.get(f.kind, 0) + f.exponent
     key = tuple(rest)
     found = _TERM_CACHE.get(key)
     if found is None:
@@ -1155,11 +1155,10 @@ def _canonical_term(coeff: CRat, factors: list):
     if found is _VANISHES:
         return None
     sign, out = found
-    scalars = tuple(Coupling(name, p) for name, p in sorted(coup.items())
-                    if p)
-    if lam_exp:
-        scalars += (FieldAtom(Kind.LAMBDA_POWER, (), lam_exp),)
-    return coeff if sign == 1 else -coeff, scalars + out
+    if powers:
+        out = tuple(sorted((FieldAtom(kind, (), p) for kind, p in
+                            powers.items() if p), key=_factor_key)) + out
+    return coeff if sign == 1 else -coeff, out
 
 
 def _prepare_term(factors: list):
@@ -1225,7 +1224,8 @@ def canonicalize(e: Expr) -> Sum:
     collect(_as_expr(e), _UNIT)
     out = Sum(tuple(sorted((Product(c, fs) for fs, c in bucket.items()
                             if not c.is_zero()), key=term_key)))
-    _check_sum_frees(out)
+    if len({_term_free_indices(t) for t in out.terms}) > 1:
+        raise MalformedIndex("terms of a sum carry different free indices")
     object.__setattr__(out, "_canonical", True)
     return out
 
@@ -1233,17 +1233,6 @@ def canonicalize(e: Expr) -> Sum:
 def _term_free_indices(p: Product):
     census = _label_census(p.factors)
     return frozenset(occ[0] for occ in census.values() if len(occ) == 1)
-
-
-def _check_sum_frees(s: Sum) -> None:
-    frees = None
-    for t in s.terms:
-        f = _term_free_indices(t)
-        if frees is None:
-            frees = f
-        elif frees != f:
-            raise MalformedIndex(
-                "terms of a sum carry different free indices")
 
 
 def free_indices(e: Expr) -> frozenset[Index]:
@@ -1280,9 +1269,8 @@ def rewrite_terms(e: Expr, fn: Callable[[Product], Optional[Expr]]) -> Sum:
 
 def count_atoms(e: Expr, kind: Kind) -> int:
     """Total occurrences of an atom kind across all canonical terms."""
-    atoms = (_deriv_split(f)[1] for t in canonicalize(e).terms
-             for f in t.factors)
-    return sum(isinstance(a, FieldAtom) and a.kind == kind for a in atoms)
+    return sum(f.kind is kind for t in canonicalize(e).terms
+               for f in t.factors)
 
 
 def set_coupling(e: Expr, name: str, value) -> Sum:
@@ -1291,16 +1279,18 @@ def set_coupling(e: Expr, name: str, value) -> Sum:
     value may be an int, Fraction, or CRat.  A zero value against a
     negative power is rejected."""
     val = value if isinstance(value, CRat) else CRat.of(Fraction(value))
+    kind = CouplingKind(name) if name in _COUPLINGS else None
 
     def fold(t: Product) -> Optional[Expr]:
         coeff = t.coeff
         kept = []
         for f in t.factors:
-            if isinstance(f, Coupling) and f.name == name:
-                if f.power < 0 and val.is_zero():
+            if f.kind is kind:
+                if f.exponent < 0 and val.is_zero():
                     raise ZeroDivisionError(
-                        f"coupling {name!r} at power {f.power} set to zero")
-                coeff = coeff * val ** f.power
+                        f"coupling {name!r} at power {f.exponent} set to "
+                        f"zero")
+                coeff = coeff * val ** f.exponent
             else:
                 kept.append(f)
         if len(kept) == len(t.factors):

@@ -19,9 +19,9 @@ from . import exprs as ex
 from .errors import UncoveredDerivative
 from .exprs import (
     CliffordKind,
-    Coupling,
     CRat,
     Expr,
+    FieldAtom,
     Partial,
     Product,
     Sum,
@@ -31,28 +31,25 @@ from .report import Mode, TraceStep, VerificationReport
 from .simplify import full_simplify
 from .tensor import contract_pairs
 
-def _covariantize_partial(f: Partial) -> Expr:
-    idxs, atom = ex._deriv_split(f)
-    row = atom.kind.row
-    if row.derivative == "exempt":
+def _covariantize_factor(f: FieldAtom) -> Expr:
+    row = f.kind.row
+    if not f.derivs or row.derivative == "exempt":
         return f
     if row.derivative != "shift":
         raise UncoveredDerivative(
             f"no covariantization rule for a derivative of "
-            f"{atom.kind.value!r}")
-    out = atom
-    for ix in reversed(idxs):
+            f"{f.kind.value!r}")
+    out = ex._bare(f)
+    for ix in reversed(f.derivs):
         out = Sum((Partial(ix, out), Product(CRat.of(row.weight), (
-            Coupling("f"), ex.weyl_vector(ix.label), out))))
+            ex.coupling("f"), ex.weyl_vector(ix.label), out))))
     return out
 
 
 def _covariantize_term(t: Product) -> Optional[Product]:
-    if not any(isinstance(f, Partial) for f in t.factors):
+    if not any(f.derivs for f in t.factors):
         return None
-    return Product(t.coeff, tuple(
-        _covariantize_partial(f) if isinstance(f, Partial) else f
-        for f in t.factors))
+    return Product(t.coeff, tuple(map(_covariantize_factor, t.factors)))
 
 
 def gauge_covariantize(L: Union[Expr, "dsl.LagrangianDef"]) -> Sum:
@@ -76,12 +73,11 @@ def verify_fermion_decoupling() -> VerificationReport:
     cov = gauge_covariantize(L)
     residual = full_simplify(cov - L)
 
-    sig = _chain_terms(L, lambda it: getattr(it, "kind", None)
-                       == CliffordKind.SIGMA)
+    sig = _chain_terms(L, lambda it: it.kind is CliffordKind.SIGMA)
     sig_extra = contract_pairs(gauge_covariantize(sig) - sig)
     sig_reduced = full_simplify(sig_extra)
 
-    kin = _chain_terms(L, lambda it: isinstance(it, Partial))
+    kin = _chain_terms(L, lambda it: it.derivs)
     kin_extra = full_simplify(gauge_covariantize(kin) - kin)
 
     combined = full_simplify(sig_reduced + kin_extra)
@@ -132,11 +128,11 @@ def expected_scalar_coupling() -> Sum:
     """The S terms the paper's gauged scalar density adds: the
     symmetrized cross term and the quadratic term."""
     cross = Product(CRat(-1),
-                    (Coupling("f"), ex.inv_metric("mu", "nu"),
+                    (ex.coupling("f"), ex.inv_metric("mu", "nu"),
                      ex.weyl_vector("mu"), ex.scalar_field(),
                      ex.d("nu", ex.scalar_field())))
     quad = Product(CRat(Fraction(1, 2)),
-                   (Coupling("f", 2), ex.inv_metric("mu", "nu"),
+                   (ex.coupling("f", 2), ex.inv_metric("mu", "nu"),
                     ex.weyl_vector("mu"), ex.weyl_vector("nu"),
                     ex.scalar_field(), ex.scalar_field()))
     return canonicalize(cross + quad)

@@ -31,7 +31,7 @@ from . import exprs as ex
 from .errors import SingularAssignment, UnboundIndex, WeylcheckError
 from .exprs import (
     CliffordKind,
-    Coupling,
+    CouplingKind,
     CRat,
     Expr,
     FieldAtom,
@@ -268,28 +268,21 @@ def _clifford_value(atom: FieldAtom) -> np.ndarray:
     return arr
 
 
-def _operand(f: Expr):
+def _operand(f: FieldAtom):
     """(constant array or per-trial handle, slot labels, open spin axes
-    (left, right)) of a tensor factor or a spinor chain item."""
-    if isinstance(f, Coupling):
-        return ("coupling", f.name, f.power), [], (False, False)
-    idxs, atom = ex._deriv_split(f)
-    if not isinstance(atom, FieldAtom):
-        raise WeylcheckError(f"cannot evaluate factor {f!r}")
-    spin = atom.kind.row.spin
-    labels = [ix.label for ix in idxs + atom.indices]
-    constant = atom.kind in (Kind.DELTA, Kind.LAMBDA_POWER) or \
-        isinstance(atom.kind, CliffordKind)
-    if constant and idxs:
-        raise WeylcheckError(f"derivative of {atom.kind.value} is not "
-                             f"evaluated by the numeric oracle")
-    if atom.kind == Kind.DELTA:
+    (left, right)) of a tensor factor or a spinor chain item.  No
+    constant and no scalar has derivatives."""
+    spin = f.kind.row.spin
+    labels = [ix.label for ix in ex._slots_of_factor(f)]
+    if f.kind is Kind.DELTA:
         return np.eye(4), labels, spin
-    if isinstance(atom.kind, CliffordKind):
-        return _clifford_value(atom), labels, spin
-    if atom.kind == Kind.LAMBDA_POWER:
-        return ("lam", atom.exponent), [], spin
-    return (atom.kind, len(idxs)), labels, spin
+    if isinstance(f.kind, CliffordKind):
+        return _clifford_value(f), labels, spin
+    if isinstance(f.kind, CouplingKind):
+        return ("coupling", f.kind.value, f.exponent), [], spin
+    if f.kind is Kind.LAMBDA_POWER:
+        return ("lam", f.exponent), [], spin
+    return (f.kind, len(f.derivs)), labels, spin
 
 
 _STEPS: dict = {}
@@ -623,7 +616,7 @@ def _build_catalog() -> list:
         scale.apply_global_scale(phi2), ex.lam(Fraction(-2)) * phi2))
 
     # gauge shifts: engine output vs hand-built covariant replacement
-    fS = lambda m: Coupling("f") * ex.weyl_vector(m)
+    fS = lambda m: ex.coupling("f") * ex.weyl_vector(m)
 
     def shift_pair(name, part, shifted):
         checks.append(_pair(f"gauge/shift-{name}",
@@ -647,7 +640,8 @@ def _build_catalog() -> list:
     psi_kin = ex.fermion_bar() * ex.d("m", ex.fermion())
     psi_shift = psi_kin + Product(
         CRat(Fraction(-3, 2)),
-        (Coupling("f"), ex.weyl_vector("m"), ex.fermion_bar(), ex.fermion()))
+        (ex.coupling("f"), ex.weyl_vector("m"), ex.fermion_bar(),
+         ex.fermion()))
     shift_pair("fermion", psi_kin, psi_shift)
 
     # decoupling as numeric statements

@@ -16,16 +16,7 @@ from typing import Optional, Union
 
 from . import dsl
 from . import exprs as ex
-from .exprs import (
-    Coupling,
-    CRat,
-    Expr,
-    FieldAtom,
-    Kind,
-    Product,
-    Sum,
-    canonicalize,
-)
+from .exprs import CRat, Expr, Kind, Product, Sum, canonicalize
 from .report import Mode, TraceStep, VerificationReport
 from .simplify import full_simplify
 
@@ -64,11 +55,9 @@ def infer_weight(e: Expr, strict: bool = False
     for t in s.terms:
         total = Fraction(0)
         for f in t.factors:
-            atom = ex._deriv_split(f)[1]
-            if isinstance(atom, FieldAtom):
-                row = atom.kind.row
-                total += row.weight
-                homogeneous = homogeneous and row.homogeneous
+            row = f.kind.row
+            total += row.weight
+            homogeneous = homogeneous and row.homogeneous
         values.append(total)
     if strict and not homogeneous:
         return INHOMOGENEOUS
@@ -85,17 +74,14 @@ def _transform_term(t: Product, power: Fraction, local: bool) -> Expr:
     pieces: list[Expr] = []
     weight = 0
     for f in t.factors:
-        if isinstance(f, Coupling):
-            pieces.append(f)
-            continue
-        idxs, atom = ex._deriv_split(f)
-        row = atom.kind.row
+        row = f.kind.row
         if local and not row.homogeneous:
             shift = Product(CRat.of(-power), (
-                Coupling("f", -1), ex.log_deriv(atom.indices[0].label)))
-            f = ex._deriv_join(idxs, Sum((atom, shift)))
-        elif local and idxs and row.weight:
-            f = ex._deriv_join(idxs, ex.lam(power * row.weight) * atom)
+                ex.coupling("f", -1), ex.log_deriv(f.indices[0].label)))
+            f = ex._deriv_join(f.derivs, Sum((ex._bare(f), shift)))
+        elif local and f.derivs and row.weight:
+            f = ex._deriv_join(f.derivs,
+                               ex.lam(power * row.weight) * ex._bare(f))
         else:
             weight += row.weight
         pieces.append(f)
@@ -160,10 +146,8 @@ def drop_log_derivative(e) -> Sum:
     A term holding D, bare or under derivatives, vanishes."""
 
     def drop(t: Product) -> Optional[Expr]:
-        for f in t.factors:
-            atom = ex._deriv_split(f)[1]
-            if isinstance(atom, FieldAtom) and atom.kind == Kind.LOG_DERIV:
-                return ex.ZERO
+        if any(f.kind is Kind.LOG_DERIV for f in t.factors):
+            return ex.ZERO
         return None
 
     return ex.rewrite_terms(e, drop)

@@ -52,7 +52,7 @@ _THROUGH_KINDS = {kind for row in _THROUGH_FRAME for kind in row[:2]}
 def _top_atoms(factors) -> list[tuple[int, FieldAtom]]:
     # no rule acts on a derivative or an atom without indices
     return [(i, f) for i, f in enumerate(factors)
-            if isinstance(f, FieldAtom) and f.indices]
+            if f.indices and not f.derivs]
 
 
 def _contract_step(coeff: CRat, factors: list):

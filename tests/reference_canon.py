@@ -13,10 +13,9 @@ with at most ``PERM_CAP`` candidates (the quartic Yang-Mills term has
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from weylcheck import exprs as ex
-from weylcheck.exprs import Alphabet, Coupling, CRat, FieldAtom, Index, Kind
+from weylcheck.exprs import Alphabet, CRat, FieldAtom, Index
 
 PERM_CAP = 5_000
 
@@ -154,19 +153,15 @@ def least_candidate(factors: list, chain_items: list,
 def canonical_term(coeff: CRat, factors: list):
     """``exprs._canonical_term`` with the exhaustive search: (coeff,
     canonical factors), or None when the term vanishes."""
-    lam_exp = Fraction(0)
-    coup: dict[str, int] = {}
+    powers: dict = {}
     rest = []
     for f in factors:
-        if isinstance(f, Coupling):
-            coup[f.name] = coup.get(f.name, 0) + f.power
-        elif isinstance(f, FieldAtom) and f.kind == Kind.LAMBDA_POWER:
-            lam_exp += f.exponent
-        else:
+        if f.exponent is None:
             rest.append(f)
-    scalar_factors = [Coupling(name, p) for name, p in coup.items() if p]
-    if lam_exp:
-        scalar_factors.append(FieldAtom(Kind.LAMBDA_POWER, (), lam_exp))
+        else:
+            powers[f.kind] = powers.get(f.kind, 0) + f.exponent
+    scalar_factors = [FieldAtom(kind, (), p) for kind, p in powers.items()
+                      if p]
     prep = ex._prepare_term(rest)
     if prep is None:
         return None

@@ -18,11 +18,10 @@ from weylcheck import exprs as ex
 from weylcheck.errors import WeylcheckError
 from weylcheck.exprs import (
     CliffordKind,
-    Coupling,
+    CouplingKind,
     Expr,
     FieldAtom,
     Kind,
-    Partial,
     Product,
     Sum,
     Variance,
@@ -64,37 +63,20 @@ def _atom_value(a, atom: FieldAtom, order: int, dlabels):
 
 def _factor_value(a, f: Expr):
     """(array, slot labels) for one tensor factor."""
-    if isinstance(f, Coupling):
-        return np.asarray(a.couplings[f.name] ** f.power), []
-    if isinstance(f, FieldAtom):
-        return _atom_value(a, f, 0, [])
-    if isinstance(f, Partial):
-        idxs, atom = ex._deriv_split(f)
-        dlabels = [ix.label for ix in idxs]
-        if not isinstance(atom, FieldAtom):
-            raise WeylcheckError("derivative of a non-atom reached the "
-                                 "numeric oracle")
-        return _atom_value(a, atom, len(idxs), dlabels)
-    raise WeylcheckError(f"cannot evaluate factor {f!r}")
+    if isinstance(f.kind, CouplingKind):
+        return np.asarray(a.couplings[f.kind.value] ** f.exponent), []
+    return _atom_value(a, f, len(f.derivs), [ix.label for ix in f.derivs])
 
 
 def _chain_item_value(a, item: Expr):
     """(array, labels, spin kind); spin axes last."""
-    if isinstance(item, FieldAtom) and isinstance(item.kind, CliffordKind):
+    if isinstance(item.kind, CliffordKind):
         arr, labels = _clifford_value(item)
         return arr, labels, "mat"
-    if isinstance(item, FieldAtom):
-        if item.kind == Kind.FERMION:
-            return a.tensor_jet(Kind.FERMION, 0), [], "ket"
-        if item.kind == Kind.FERMION_BAR:
-            return a.tensor_jet(Kind.FERMION_BAR, 0), [], "bra"
-    if isinstance(item, Partial):
-        idxs, atom = ex._deriv_split(item)
-        if isinstance(atom, FieldAtom) and atom.kind in (
-                Kind.FERMION, Kind.FERMION_BAR):
-            arr = a.tensor_jet(atom.kind, len(idxs))
-            kind = "ket" if atom.kind == Kind.FERMION else "bra"
-            return arr, [ix.label for ix in idxs], kind
+    if item.kind in (Kind.FERMION, Kind.FERMION_BAR):
+        arr = a.tensor_jet(item.kind, len(item.derivs))
+        kind = "ket" if item.kind == Kind.FERMION else "bra"
+        return arr, [ix.label for ix in item.derivs], kind
     raise WeylcheckError(f"cannot evaluate chain item {item!r}")
 
 

@@ -1,5 +1,6 @@
 """Canonical forms, arithmetic, and term rewriting in the expression core."""
 
+import enum
 import os
 import random
 import re
@@ -192,9 +193,8 @@ def test_gradient_terms_match_exhaustive_reference():
         raw.extend(ex._flatten(e))
 
     def to_gradient(f):
-        idxs, atom = ex._deriv_split(f)
-        if idxs and atom.kind == ex.Kind.WEYL_VECTOR:
-            return ex._deriv_join(idxs, D(atom.indices[0].label))
+        if f.derivs and f.kind == ex.Kind.WEYL_VECTOR:
+            return ex.FieldAtom(ex.Kind.LOG_DERIV, f.indices, None, f.derivs)
         return f
 
     # generated terms with every derivative of S made one of D
@@ -456,10 +456,11 @@ def test_flattening_a_long_product_is_linear():
     phi, a, b, c = (ex.scalar_field(), ex.em_vector("m"),
                     ex.weyl_vector("m"), ex.log_deriv("m"))
     e = Product(ex._UNIT, (a,) + (phi,) * 40_000 + (ex.d("m", phi),))
+    (_, dphi), = ex._flatten(ex.d("m", phi))
     t0 = time.perf_counter()
     (_, factors), = ex._flatten(e)
     elapsed = time.perf_counter() - t0
-    assert factors == [a] + [phi] * 40_000 + [ex.d("m", phi)]
+    assert factors == [a] + [phi] * 40_000 + dphi
     assert elapsed < 0.5, elapsed
     got = [fs for _, fs in ex._flatten((a + b) * phi * (b + c))]
     assert got == [[a, phi, b], [a, phi, c], [b, phi, b], [b, phi, c]]
@@ -540,9 +541,8 @@ def test_term_cache_keys_hold_no_scalars(monkeypatch):
     for key in ex._TERM_CACHE:
         assert isinstance(key, tuple), key
         for f in key:
-            atom = ex._deriv_split(f)[1]
-            assert isinstance(atom, ex.FieldAtom), key
-            assert atom.kind != ex.Kind.LAMBDA_POWER, key
+            assert isinstance(f, ex.FieldAtom), key
+            assert f.exponent is None, key
 
 
 def test_repeated_same_variance_rejected():
@@ -745,9 +745,10 @@ def test_orientations_agree_with_normal_form():
     """Every slot order ``ref.orientations`` offers for a node denotes the
     node times its sign: both normalize to one node, and the signs of
     the normalizations differ by exactly that sign."""
-    nodes = [ex.d("a", ex.log_deriv("b")),
-             ex.d("a", ex.d("b", ex.metric("c", "e"))),
-             ex.sigma("a", "b")]
+    nodes = [f for e in (ex.d("a", ex.log_deriv("b")),
+                         ex.d("a", ex.d("b", ex.metric("c", "e"))),
+                         ex.sigma("a", "b"))
+             for _, fs in ex._flatten(e) for f in fs]
     for seed in range(500):
         for _, factors in ex._flatten(
                 gen.random_term(random.Random(seed))):
@@ -961,6 +962,20 @@ def test_composition_renames_canonical_dummies_apart_at_any_depth(inner):
     assert ex.equal(got, want)
 
 
+def test_composition_keeps_a_label_the_caller_repeats():
+    """Only the dummies of a canonical form are renamed apart: a label
+    the caller writes three times around one is refused, as it is
+    without the canonical form under the derivative."""
+    ginv, a_, s_ = ex.inv_metric, ex.em_vector, ex.weyl_vector
+    ss = ex.canonicalize(ginv("c", "d") * s_("c") * s_("d"))
+    inner = ginv("n", "k") * a_("k") * a_("n")
+    for e in (a_("n") * ex.d("m", inner * ss),
+              a_("n") * ex.d("m", inner) * ss):
+        with pytest.raises(MalformedIndex,
+                           match="index 'n' appears 3 times"):
+            ex.canonicalize(e)
+
+
 def _connection(r, m, n, s):
     return Fraction(1, 2) * ex.inv_metric(r, s) * (
         ex.d(m, ex.metric(s, n)) + ex.d(n, ex.metric(s, m))
@@ -1035,6 +1050,69 @@ def test_nodes_hash_once_by_value():
     assert hash(y) == h
     z = pickle.loads(pickle.dumps(x))
     assert z == x and kept(z) is None and kept(z.operand) is None
+
+
+def test_factor_node_is_the_only_factor():
+    """Every factor of a flattened or canonical term is a FieldAtom, on
+    the draws of the digest seeds: a coupling is an atom of a
+    CouplingKind with its power as exponent, and a derivative is the
+    atom with its derivative indices.  No input node remains."""
+    seen = set()
+    for seed in range(300):
+        t, e = gen.random_term(random.Random(seed)), gen.random_expr(seed)
+        terms = ex._flatten(t) + ex._flatten(e) + [
+            (u.coeff, u.factors) for s in (ex.canonicalize(t), e)
+            for u in s.terms]
+        for _, factors in terms:
+            for f in factors:
+                assert type(f) is ex.FieldAtom, (seed, f)
+                seen.add(isinstance(f.kind, ex.CouplingKind))
+                seen.add("derivative" if f.derivs else "atom")
+    assert seen == {True, False, "derivative", "atom"}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ex.FieldAtom(ex.Kind.SCALAR, (), None, (ex.fr_lo("a"),)),
+     "derivative index must be spacetime-lower"),
+    (lambda: ex.FieldAtom(ex.Kind.DELTA, ex.delta("a", "b").indices, None,
+                          (ex.st_lo("m"),)),
+     "delta takes no derivative indices"),
+    (lambda: ex.FieldAtom(ex.Kind.LAMBDA_POWER, (), Fraction(2),
+                          (ex.st_lo("m"),)),
+     "Lam takes no derivative indices"),
+    (lambda: ex.FieldAtom(ex.CouplingKind.F), "coupling needs an exponent"),
+], ids=["derivative-index", "constant", "lam", "coupling-power"])
+def test_factor_node_checks_its_fields(build, message):
+    """A derivative index is spacetime-lower, a constant or Lam takes
+    none (flattening drops or rewrites its derivative), and a coupling
+    carries its power."""
+    with pytest.raises(MalformedIndex, match=re.escape(message)):
+        build()
+
+
+def test_kinds_hash_by_identity(monkeypatch):
+    """A kind is a singleton and hashes in C: parsing, canonicalizing,
+    rescaling and rendering generated densities with an empty term cache
+    never runs the Python-level ``Enum.__hash__``."""
+    from weylcheck import scale
+    from weylcheck.report import Mode
+    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    code = enum.Enum.__hash__.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for seed in range(5):
+            doc = dsl.render(dsl.make_def("gen", gen.random_expr(seed)))
+            scale.check_invariance(dsl.parse(doc), Mode.LOCAL)
+            dsl.render_expr(gen.random_term(random.Random(seed)))
+    finally:
+        sys.setprofile(None)
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", list(ex.Kind), ids=lambda k: k.value)

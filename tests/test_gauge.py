@@ -67,8 +67,8 @@ def test_scalar_gains_exactly_one_quadratic_term(builtins_all):
     assert len(quads) == 1
     (t,) = quads
     assert t.coeff == ex.CRat(Fraction(1, 2))
-    assert any(isinstance(f, ex.Coupling) and f.name == "f"
-               and f.power == 2 for f in t.factors)
+    assert any(f.kind is ex.CouplingKind.F and f.exponent == 2
+               for f in t.factors)
 
 
 def test_zero_coupling_is_identity_on_all_builtins(builtins_all):

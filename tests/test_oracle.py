@@ -2,6 +2,7 @@
 catalog that pins every rewrite rule to floating-point agreement."""
 
 import random
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +18,12 @@ from reference_jets import inverse_jet, reference_fields
 from weylcheck import cli, dsl
 from weylcheck import exprs as ex
 from weylcheck import oracle
-from weylcheck.errors import SingularAssignment, UnboundIndex, WeylcheckError
+from weylcheck.errors import (
+    MalformedIndex,
+    SingularAssignment,
+    UnboundIndex,
+    WeylcheckError,
+)
 from weylcheck.oracle import (
     Assignment,
     catalog,
@@ -445,6 +451,30 @@ def test_unsupported_jet_orders_raise(kind, order):
     with pytest.raises(WeylcheckError) as block:
         oracle._Block([a, Assignment((0, 1))]).stacked((kind, order))
     assert str(one.value) == str(block.value) == msg
+
+
+_A_M, _A_N = ex.em_vector("m"), ex.em_vector("n")
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ex.canonicalize(ex.metric("a", "b") * ex.tetrad("a", "m")),
+     MalformedIndex, "repeated index 'a' mixes alphabets"),
+    (lambda: oracle._Plan(_A_M + _A_N), WeylcheckError,
+     "terms disagree in free structure"),
+    (lambda: oracle._Plan(ex.fermion() * ex.fermion_bar()), WeylcheckError,
+     "malformed spinor chain: ket then bra"),
+    (lambda: oracle._Plan(_A_M * _A_M * _A_M), WeylcheckError,
+     "index repeated more than twice"),
+    (lambda: oracle._pair("x", _A_M, _A_N), WeylcheckError,
+     "x: free structure mismatch"),
+    (lambda: relative_deviation(np.zeros(2), np.zeros(3)), WeylcheckError,
+     "shape mismatch"),
+], ids=["mixed-alphabets", "plan-frees", "ket-then-bra", "thrice",
+        "pair-frees", "shapes"])
+def test_input_checks_raise_their_class_and_message(build, error, message):
+    with pytest.raises(error, match=re.escape(message)) as caught:
+        build()
+    assert type(caught.value) is error
 
 
 def test_run_builds_each_blocks_jets_once(monkeypatch):
