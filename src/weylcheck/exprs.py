@@ -52,9 +52,10 @@ that may be permuted, and the sign an odd permutation of a group gives:
   derivatives are symmetric.
 
 Everything else reads that rule: the one slot order of a node
-(``_rename_in_factor`` sorts each group by ``Index.key``), the orders in
-which the canonical search may meet a node's unnamed dummies (any order
-within each group) and the slots it cannot tell apart
+(``_rename_in_factor`` sorts each group by ``Index.key``), how the
+canonical search names a node's new dummies (those of a group of sign +1
+as a set of the next names, which later nodes choose from; those of an
+antisymmetric group in every order) and the slots it cannot tell apart
 (``_slot_classes``).  A canonical form therefore cannot depend on the
 names of the dummies it started from.
 """
@@ -644,13 +645,13 @@ def _with_slots(f: FieldAtom, slots: list[Index]) -> FieldAtom:
     return FieldAtom(f.kind, tuple(slots[n:]), f.exponent, tuple(slots[:n]))
 
 
-def _rename_in_factor(f: FieldAtom, ren: dict[str, str]):
+def _rename_in_factor(f: FieldAtom, ren: dict[str, str], vanish=True):
     """Relabel one node by ``ren`` and put it in its one slot order: each
     group of ``_slot_groups`` sorted by ``Index.key``.  Returns (node,
     sign), the sign the sorting permutations give, or (None, 0) when the
-    node vanishes: a label repeated in an antisymmetric group (equal
-    variance: antisymmetry; mixed: the trace of an antisymmetric object).
-    With ``ren`` empty it only normalizes."""
+    node vanishes, unless ``vanish`` is false: a label repeated in an
+    antisymmetric group (equal variance: antisymmetry; mixed: the trace
+    of an antisymmetric object).  With ``ren`` empty it only normalizes."""
     slots = [ix if ix.label not in ren else
              Index(ren[ix.label], ix.alphabet, ix.variance)
              for ix in _slots_of_factor(f)]
@@ -663,7 +664,7 @@ def _rename_in_factor(f: FieldAtom, ren: dict[str, str]):
         members = [slots[p] for p in pos]
         order = sorted(range(len(pos)), key=lambda k: members[k].key())
         if group_sign < 0:
-            if len({ix.label for ix in members}) < len(members):
+            if vanish and len({ix.label for ix in members}) < len(members):
                 return None, 0
             if _odd(order):
                 sign = -sign
@@ -905,8 +906,8 @@ def _refined_groups(factors: list, chain_items: list,
 
 
 # Partial candidates a search may extend before the term is refused: the
-# quartic Yang-Mills term needs 1798 and a closed 6-cycle of g and ginv
-# 39332; a 7-cycle, whose partial namings are mostly inequivalent, is not.
+# quartic Yang-Mills term needs 47 and a closed 6-cycle of g and ginv 912
+# in either spelling; a 9-cycle, its namings mostly inequivalent, is not.
 _SEARCH_CAP = 50_000
 
 
@@ -934,6 +935,14 @@ def _orders(groups: list[list[str]]) -> Iterable[tuple[str, ...]]:
             for tail in _orders(groups[1:]))
 
 
+def _sorted_within(values: list, groups: list, key=None) -> list:
+    """``values``, sorted within each list of places in ``groups``."""
+    for places in groups:
+        for p, v in zip(places, sorted([values[p] for p in places], key=key)):
+            values[p] = v
+    return values
+
+
 def _least_candidate(factors: list, chain_items: list,
                      dummies: set[str], free_labels: set[str]):
     """Least key over the candidates of one prepared term.
@@ -946,16 +955,32 @@ def _least_candidate(factors: list, chain_items: list,
     key, or None when two least candidates differ in sign (the term
     equals its own negative).
 
-    Candidates grow one factor at a time.  Two partial candidates with
-    the same residual (what is left to name, up to a relabeling of the
+    Candidates grow one node at a time.  Two partial candidates with the
+    same residual (what is left to name, up to a relabeling of the
     dummies not yet named) have the same continuations, and adding equal
     factors to two sorted multisets keeps their order, so only the one
     whose renamed factors sort least is kept; equal ones pool their
     signs.  Identical factors of a group are one choice with a
-    multiplicity, and a factor whose dummies are all named already names
-    nothing wherever it goes, so it is taken at once instead of at every
-    position.  Each order tried for a factor is one extension, and the
-    search raises MalformedIndex after ``_SEARCH_CAP`` of them.
+    multiplicity.  Three rules keep the partial candidates few:
+
+    1. A slot group of sign +1 is sorted, so its new dummies, if two or
+       more and each met once in the node, take the next names of their
+       alphabet as a set.  ``ren`` maps such a pending dummy to the names
+       its set has left, which a later node holding it branches over,
+       and a named dummy to its one name.  ``sigma``'s antisymmetric
+       group and a group with a dummy met twice in its node are named in
+       every order.
+    2. A node whose dummies are all named or pending names nothing new
+       wherever it goes, so one such node is placed at once: the one
+       whose least possible key is least.
+    3. After a placement that leaves several states, a state whose lower
+       bound is above another's upper bound cannot win and is dropped.
+       A bound keys each unplaced node with the least (greatest) name
+       each dummy can still get and sorts these keys in with the placed
+       ones; sorting is monotone, so every completion lies within.
+
+    Each combination of names and orders tried for a node is one
+    extension; the search raises MalformedIndex after ``_SEARCH_CAP``.
 
     The result depends only on ``factors`` and ``chain_items``: the
     dummies and free labels are read off them.  So ``_canonical_term``
@@ -970,26 +995,30 @@ def _least_candidate(factors: list, chain_items: list,
         a, sum(1 for b in alphabet_of.values() if b == a), free_labels)
         for a in Alphabet}
 
+    def used(ren, a):  # the names of alphabet a given or held by sets
+        return sum(1 for x in ren if alphabet_of[x] == a)
+
     def member(f):
         # members of one group differ only in their dummies, since the
         # tie key they share keeps free labels
         slots = _slots_of_factor(f)
-        labels = tuple(ix.label for ix in slots if ix.label in dummies)
-        seen, groups, sorted_len = set(), [], 0
-        for pos, _, cls in _slot_groups(f):
-            labs = [slots[p].label for p in pos]
-            if cls == "d":
-                sorted_len = sum(1 for lab in labs if lab in dummies)
-            labs = [lab for lab in dict.fromkeys(labs)
+        at = [p for p, ix in enumerate(slots) if ix.label in dummies]
+        labels = tuple(slots[p].label for p in at)
+        seen, groups, sym = {}, [], []
+        for pos, sign, _ in _slot_groups(f):
+            if sign > 0 and sum(p in pos for p in at) > 1:
+                sym.append([k for k, p in enumerate(at) if p in pos])
+            labs = [lab for lab in dict.fromkeys(slots[p].label for p in pos)
                     if lab in dummies and lab not in seen]
-            seen.update(labs)
-            groups.append(labs)
-        return f, seen, labels, sorted_len, groups
+            seen.update(dict.fromkeys(labs))
+            groups.append((labs, sign > 0 and all(
+                labels.count(lab) == 1 for lab in labs)))
+        return f, seen, labels, sym, groups
 
     # one step per tie group, then one per chain item: (is_chain,
     # members, multiplicities).  A member is a distinct factor, its dummy
-    # labels as a set and in slot order, how many lead in its derivative
-    # group, and per slot group those not met in an earlier one.
+    # labels in first-sight and slot order, the places in the latter of
+    # each +1 group, and per group its new labels and if they form a set.
     steps = []
     for g in _refined_groups(factors, chain_items, dummies):
         mult: dict[Expr, int] = {}
@@ -999,38 +1028,77 @@ def _least_candidate(factors: list, chain_items: list,
     for it in chain_items:
         steps.append((True, [member(it)], (1,)))
 
+    def unplaced(t, left):
+        """(step, member, count) of each node not placed in step t on."""
+        for t2 in range(t, len(steps)):
+            for i, n in enumerate(left if t2 == t else steps[t2][2]):
+                if n:
+                    yield t2, steps[t2][1][i], n
+
     def residual(t, left, ren):
         """What is left to name from step t on, up to a relabeling of the
         unnamed dummies: equal residuals have equal continuations.  Rows
-        are (step, multiplicity, then one entry per dummy slot: its name,
-        or the order of first sight of a still unnamed dummy).  The
-        entries of a derivative-index group, symmetric and tried in every
-        order at placement, form a sorted multiset, names first."""
-        named = ren.get
-        place: dict[str, int] = {}
-        out = []
-        for t2 in range(t, len(steps)):
-            members = steps[t2][1]
-            rows = []
-            for i, n in enumerate(left if t2 == t else steps[t2][2]):
-                if n:
-                    _, _, labels, k, _ = members[i]
-                    partial = [named(lab, "") for lab in labels]
-                    if k > 1:
-                        partial[:k] = sorted(partial[:k])
-                    rows.append((partial, n, i))
-            rows.sort()
-            for partial, n, i in rows:
-                _, _, labels, k, _ = members[i]
-                out.append(t2)
-                out.append(n)
-                entries = [named(lab) or place.setdefault(lab, len(place))
-                           for lab in labels]
-                if k > 1:
-                    entries[:k] = sorted(
-                        entries[:k], key=lambda e: (e.__class__ is int, e))
-                out.extend(entries)
+        are (step, multiplicity, then one entry per dummy slot: its names
+        in ``ren``, or the order of first sight of an unnamed dummy), each
+        slot group of sign +1 a sorted multiset, sorted by step, names
+        and multiplicity, and then by the numbers already given."""
+        named, place, out, rows = ren.get, {}, [], []
+        for t2, (_, _, labels, sym, _), n in unplaced(t, left):
+            partial = _sorted_within([named(lab, ()) for lab in labels], sym)
+            rows.append((t2, partial, n, labels, sym))
+        rows.sort(key=lambda row: row[:3])
+        for _, tied in itertools.groupby(rows, key=lambda row: row[:3]):
+            tied = list(tied)
+            if len(tied) > 1:
+                tied.sort(key=lambda row: [place.get(lab, len(place))
+                                           for lab in row[3]
+                                           if lab not in ren])
+            for t2, _, n, labels, sym in tied:
+                out += (t2, n)
+                out.extend(_sorted_within(
+                    [named(lab) or place.setdefault(lab, len(place))
+                     for lab in labels], sym,
+                    lambda e: (e.__class__ is int, e)))
         return tuple(out)
+
+    def extend(ren, waiting, picks, order):
+        """(renaming, names the node shows) once a node gives ``picks`` to
+        its pending dummies ``waiting`` and sets in ``order`` to new ones."""
+        ren2, shown = dict(ren), dict(zip(waiting, picks))
+        if picks:
+            for lab, names in ren.items():
+                if len(names) > 1:
+                    ren2[lab] = (shown[lab],) if lab in shown else tuple(
+                        x for x in names if x not in picks)
+        for item in order:
+            a = alphabet_of[item[0]]
+            k = used(ren2, a)
+            names = tuple(pools[a][k:k + len(item)])
+            ren2.update(dict.fromkeys(item, names))
+            shown.update(zip(item, names))
+        return ren2, shown
+
+    bound_keys: dict = {}
+
+    def bound_key(f, labels, ren, pick, spare=None):
+        """Key of node f, each dummy named ``pick`` of its possible names."""
+        names = tuple(pick(ren[lab]) if lab in ren else
+                      spare[alphabet_of[lab]] for lab in labels)
+        key = bound_keys.get((f, names))
+        if key is None:
+            key = bound_keys[f, names] = _factor_key(_rename_in_factor(
+                f, dict(zip(labels, names)), vanish=False)[0])
+        return key
+
+    def bound(pick, t, left, ren, fkeys, ckeys):
+        """Rule 3's lower (``pick`` min) or upper (max) bound of a state."""
+        spare = {a: pick(pool[k:]) for a, pool in pools.items()
+                 if (k := used(ren, a)) < len(pool)}
+        plain, chain = list(fkeys), list(ckeys)
+        for t2, (f, seen, _, _, _), n in unplaced(t, left):
+            key = bound_key(f, seen, ren, pick, spare)
+            (chain if steps[t2][0] else plain).extend((key,) * n)
+        return tuple(sorted(plain)), tuple(chain)
 
     node_of: dict[tuple, Expr] = {}
     # residual -> [remaining multiplicities, renaming, sorted factor keys,
@@ -1055,22 +1123,30 @@ def _least_candidate(factors: list, chain_items: list,
             grown: dict = {}
             for left, ren, fkeys, ckeys, signs in states.values():
                 open_ = [i for i, n in enumerate(left) if n]
-                closed = [i for i in open_ if members[i][1] <= ren.keys()]
-                for i in closed[:1] or open_:
-                    f, _, _, _, groups = members[i]
+                closed = [(bound_key(*members[i][:2], ren, min), i)
+                          for i in open_ if members[i][1].keys() <= ren.keys()]
+                for i in [min(closed)[1]] if closed else open_:
+                    f, labelset, labels, _, groups = members[i]
                     rest = left[:i] + (left[i] - 1,) + left[i + 1:]
-                    for order in _orders([[lab for lab in g if lab not in ren]
-                                          for g in groups]):
+                    waiting = [lab for lab in labelset
+                               if len(ren.get(lab, ())) > 1]
+                    picks = (p for p in itertools.product(
+                        *map(ren.get, waiting)) if len(set(p)) == len(p))
+                    fresh = []
+                    for labs, as_set in groups:
+                        new = tuple(lab for lab in labs if lab not in ren)
+                        fresh.append([new] if as_set and len(new) > 1
+                                     else [(lab,) for lab in new])
+                    for pick, order in ((p, o) for p in picks
+                                        for o in _orders(fresh)):
                         visited += 1
                         if visited > _SEARCH_CAP:
                             raise MalformedIndex(
                                 "term too symmetric to canonicalize")
-                        ren2 = dict(ren) if order else ren
-                        for lab in order:
-                            a = alphabet_of[lab]
-                            ren2[lab] = pools[a][sum(
-                                1 for x in ren2 if alphabet_of[x] == a)]
-                        node, s = _rename_in_factor(f, ren2)
+                        ren2, shown = extend(ren, waiting, pick, order)
+                        node, s = _rename_in_factor(f, {
+                            lab: shown.get(lab) or ren2[lab][0]
+                            for lab in labelset})
                         if node is None:
                             continue
                         key = _factor_key(node)
@@ -1090,6 +1166,10 @@ def _least_candidate(factors: list, chain_items: list,
                         elif (fk2, ck2) == (old[2], old[3]):
                             old[4] |= sg
             states = grown
+            if len(states) > 1:
+                low = {k: bound(min, t, *st[:4]) for k, st in states.items()}
+                high = bound(max, t, *states[min(low, key=low.get)][:4])
+                states = {k: st for k, st in states.items() if low[k] <= high}
 
     # complete candidates leave an empty residual: one state at most
     if not states:
@@ -1276,10 +1356,10 @@ def count_atoms(e: Expr, kind: Kind) -> int:
 def set_coupling(e: Expr, name: str, value) -> Sum:
     """Fold a named coupling into the numeric coefficients.
 
-    value may be an int, Fraction, or CRat.  A zero value against a
-    negative power is rejected."""
+    value may be an int, Fraction, or CRat.  An unknown coupling name,
+    and a zero value against a negative power, are rejected."""
     val = value if isinstance(value, CRat) else CRat.of(Fraction(value))
-    kind = CouplingKind(name) if name in _COUPLINGS else None
+    kind = coupling(name).kind
 
     def fold(t: Product) -> Optional[Expr]:
         coeff = t.coeff
