@@ -56,8 +56,9 @@ Everything else reads that rule: the one slot order of a node
 canonical search names a node's new dummies (those of a group of sign +1
 as a set of the next names, which later nodes choose from; those of an
 antisymmetric group in every order) and the slots it cannot tell apart
-(``_slot_classes``).  A canonical form therefore cannot depend on the
-names of the dummies it started from.
+(the slots of one group, which ``_refined_groups`` gives one class).  A
+canonical form therefore cannot depend on the names of the dummies it
+started from.
 """
 
 from __future__ import annotations
@@ -846,17 +847,6 @@ def _strip_identities(items: list) -> list:
     return kept or items[:1]
 
 
-def _slot_classes(f: FieldAtom) -> list[str]:
-    """Equivalence class per slot: slots of one group of
-    ``_slot_groups``, whose dummies the search may name in any order,
-    share a class, so adjacency refinement cannot depend on which slot
-    of the group the input happened to use."""
-    classes = {}
-    for pos, _, cls in _slot_groups(f):
-        classes.update(dict.fromkeys(pos, cls))
-    return [classes[p] for p in range(len(classes))]
-
-
 def _refined_groups(factors: list, chain_items: list,
                     dummies: set[str]) -> list[list[Expr]]:
     """Partition factors into permutable tie groups: start from the key
@@ -871,27 +861,32 @@ def _refined_groups(factors: list, chain_items: list,
     rank_of = {k: r for r, k in enumerate(sorted(set(keys)))}
     color = [rank_of[k] for k in keys]
 
-    # adjacency over dummy labels; chain nodes have fixed negative colors
+    # the two ends of each dummy as (node, class of its slot group), chain
+    # item j as node -(j + 1); the slots of one group share a class, so
+    # refinement cannot depend on which slot of it the input used
     ends: dict[str, list[tuple[int, str]]] = {}
     for i, f in itertools.chain(enumerate(factors), (
             (-(j + 1), it) for j, it in enumerate(chain_items))):
-        for ix, cls in zip(_slots_of_factor(f), _slot_classes(f)):
-            if ix.label in dummies:
-                ends.setdefault(ix.label, []).append((i, cls))
+        slots = _slots_of_factor(f)
+        for pos, _, cls in _slot_groups(f):
+            for p in pos:
+                if slots[p].label in dummies:
+                    ends.setdefault(slots[p].label, []).append((i, cls))
+    # each factor's contractions: (its class, other node, other class)
+    adj: list[list] = [[] for _ in factors]
+    for (na, ca), (nb, cb) in ends.values():
+        if na >= 0:
+            adj[na].append((ca, nb, cb))
+        if nb >= 0:
+            adj[nb].append((cb, na, ca))
 
-    def node_color(n: int) -> int:
+    def node_color(n: int) -> int:  # chain nodes have fixed negative colors
         return color[n] if n >= 0 else n - len(factors)
 
     for _ in range(len(factors) + 1):
-        sigs = []
-        for i in range(len(factors)):
-            adj = []
-            for (na, ca), (nb, cb) in ends.values():
-                if na == i:
-                    adj.append((ca, node_color(nb), cb))
-                if nb == i:
-                    adj.append((cb, node_color(na), ca))
-            sigs.append((color[i], tuple(sorted(adj))))
+        sigs = [(color[i], tuple(sorted((ca, node_color(n), cb)
+                                        for ca, n, cb in adj[i])))
+                for i in range(len(factors))]
         new_rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
         new_color = [new_rank[s] for s in sigs]
         if len(set(new_color)) == len(set(color)):
@@ -907,7 +902,9 @@ def _refined_groups(factors: list, chain_items: list,
 
 # Partial candidates a search may extend before the term is refused: the
 # quartic Yang-Mills term needs 47 and a closed 6-cycle of g and ginv 912
-# in either spelling; a 9-cycle, its namings mostly inequivalent, is not.
+# in either spelling.  An 8-cycle needs 37 788 as written but is refused
+# under some relabelings, and a 9-cycle, its namings mostly inequivalent,
+# is refused as written.
 _SEARCH_CAP = 50_000
 
 
@@ -950,18 +947,21 @@ def _least_candidate(factors: list, chain_items: list,
     A candidate orders each tie group of ``_refined_groups`` (groups in
     color order) and, for every factor and chain item, its still unnamed
     dummies within each group of ``_slot_groups``; they are named per
-    alphabet in that order.  Its key is the sorted renamed factor keys,
-    then the chain key.  Returns (sign, factors, chain) for the least
-    key, or None when two least candidates differ in sign (the term
-    equals its own negative).
+    alphabet in that order.  Its key is the sorted tuple of its renamed
+    node keys, the k-th chain item keyed ``(7, k, key)``, which sorts
+    after every factor key.  Returns (sign, nodes) for the least key, or
+    None when two least candidates differ in sign (the term equals its
+    own negative).
 
     Candidates grow one node at a time.  Two partial candidates with the
     same residual (what is left to name, up to a relabeling of the
     dummies not yet named) have the same continuations, and adding equal
-    factors to two sorted multisets keeps their order, so only the one
-    whose renamed factors sort least is kept; equal ones pool their
-    signs.  Identical factors of a group are one choice with a
-    multiplicity.  Three rules keep the partial candidates few:
+    keys to two sorted tuples keeps their order, so only the one whose
+    keys sort least is kept; equal ones pool their signs.  So a factor
+    without dummies, which names nothing and has one key wherever it
+    goes, is left out of the search and sorted in at the end; a factor
+    with one never repeats (a copy's dummy would meet its partner in the
+    same variance).  Three rules keep the partial candidates few:
 
     1. A slot group of sign +1 is sorted, so its new dummies, if two or
        more and each met once in the node, take the next names of their
@@ -994,6 +994,7 @@ def _least_candidate(factors: list, chain_items: list,
     pools = {a: _dummy_name_pool(
         a, sum(1 for b in alphabet_of.values() if b == a), free_labels)
         for a in Alphabet}
+    chain_at = {it: k for k, it in enumerate(chain_items)}
 
     def used(ren, a):  # the names of alphabet a given or held by sets
         return sum(1 for x in ren if alphabet_of[x] == a)
@@ -1015,46 +1016,46 @@ def _least_candidate(factors: list, chain_items: list,
                 labels.count(lab) == 1 for lab in labs)))
         return f, seen, labels, sym, groups
 
-    # one step per tie group, then one per chain item: (is_chain,
-    # members, multiplicities).  A member is a distinct factor, its dummy
-    # labels in first-sight and slot order, the places in the latter of
-    # each +1 group, and per group its new labels and if they form a set.
-    steps = []
+    # one step per tie group holding dummies, then one per chain item.  A
+    # step is its members: a member is a node, its dummy labels in
+    # first-sight and slot order, the places in the latter of each +1
+    # group, and per group its new labels and if they form a set.
+    steps, blocks = [], []
     for g in _refined_groups(factors, chain_items, dummies):
-        mult: dict[Expr, int] = {}
-        for f in g:
-            mult[f] = mult.get(f, 0) + 1
-        steps.append((False, [member(f) for f in mult], tuple(mult.values())))
-    for it in chain_items:
-        steps.append((True, [member(it)], (1,)))
+        members = tuple(map(member, g))
+        if members[0][1]:
+            steps.append(members)
+        else:
+            blocks += g
+    steps += [(member(it),) for it in chain_items]
+    node_of = {_factor_key(f): f for f in blocks}
 
     def unplaced(t, left):
-        """(step, member, count) of each node not placed in step t on."""
+        """(step, member) of each node not placed in step t on."""
         for t2 in range(t, len(steps)):
-            for i, n in enumerate(left if t2 == t else steps[t2][2]):
-                if n:
-                    yield t2, steps[t2][1][i], n
+            for m in left if t2 == t else steps[t2]:
+                yield t2, m
 
     def residual(t, left, ren):
         """What is left to name from step t on, up to a relabeling of the
         unnamed dummies: equal residuals have equal continuations.  Rows
-        are (step, multiplicity, then one entry per dummy slot: its names
-        in ``ren``, or the order of first sight of an unnamed dummy), each
-        slot group of sign +1 a sorted multiset, sorted by step, names
-        and multiplicity, and then by the numbers already given."""
+        are (step, then one entry per dummy slot: its names in ``ren``, or
+        the order of first sight of an unnamed dummy), each slot group of
+        sign +1 a sorted multiset, sorted by step and names, and then by
+        the numbers already given."""
         named, place, out, rows = ren.get, {}, [], []
-        for t2, (_, _, labels, sym, _), n in unplaced(t, left):
+        for t2, (_, _, labels, sym, _) in unplaced(t, left):
             partial = _sorted_within([named(lab, ()) for lab in labels], sym)
-            rows.append((t2, partial, n, labels, sym))
-        rows.sort(key=lambda row: row[:3])
-        for _, tied in itertools.groupby(rows, key=lambda row: row[:3]):
+            rows.append((t2, partial, labels, sym))
+        rows.sort(key=lambda row: row[:2])
+        for _, tied in itertools.groupby(rows, key=lambda row: row[:2]):
             tied = list(tied)
             if len(tied) > 1:
                 tied.sort(key=lambda row: [place.get(lab, len(place))
-                                           for lab in row[3]
+                                           for lab in row[2]
                                            if lab not in ren])
-            for t2, _, n, labels, sym in tied:
-                out += (t2, n)
+            for t2, _, labels, sym in tied:
+                out.append(t2)
                 out.extend(_sorted_within(
                     [named(lab) or place.setdefault(lab, len(place))
                      for lab in labels], sym,
@@ -1078,57 +1079,48 @@ def _least_candidate(factors: list, chain_items: list,
             shown.update(zip(item, names))
         return ren2, shown
 
-    bound_keys: dict = {}
+    keyings: dict = {}
 
-    def bound_key(f, labels, ren, pick, spare=None):
-        """Key of node f, each dummy named ``pick`` of its possible names."""
-        names = tuple(pick(ren[lab]) if lab in ren else
-                      spare[alphabet_of[lab]] for lab in labels)
-        key = bound_keys.get((f, names))
-        if key is None:
-            key = bound_keys[f, names] = _factor_key(_rename_in_factor(
-                f, dict(zip(labels, names)), vanish=False)[0])
-        return key
+    def keyed(m, names):
+        """(key, node, sign) of member m with its dummies, in first-sight
+        order, named ``names``.  A bound may give two dummies one name, so
+        the node's groups are sorted without the vanishing test."""
+        f, seen = m[:2]
+        got = keyings.get((f, names))
+        if got is None:
+            node, sign = _rename_in_factor(f, dict(zip(seen, names)),
+                                           vanish=False)
+            key = _factor_key(node)
+            got = keyings[f, names] = (
+                key if f not in chain_at else (7, chain_at[f], key),
+                node, sign)
+        return got
 
-    def bound(pick, t, left, ren, fkeys, ckeys):
+    def bound(pick, t, left, ren, keys):
         """Rule 3's lower (``pick`` min) or upper (max) bound of a state."""
         spare = {a: pick(pool[k:]) for a, pool in pools.items()
                  if (k := used(ren, a)) < len(pool)}
-        plain, chain = list(fkeys), list(ckeys)
-        for t2, (f, seen, _, _, _), n in unplaced(t, left):
-            key = bound_key(f, seen, ren, pick, spare)
-            (chain if steps[t2][0] else plain).extend((key,) * n)
-        return tuple(sorted(plain)), tuple(chain)
+        return sorted(keys + tuple(keyed(m, tuple(
+            pick(ren[lab]) if lab in ren else spare[alphabet_of[lab]]
+            for lab in m[1]))[0] for _, m in unplaced(t, left)))
 
-    node_of: dict[tuple, Expr] = {}
-    # residual -> [remaining multiplicities, renaming, sorted factor keys,
-    # chain keys, signs]
-    states: dict = {(): [(), {}, (), (), {1}]}
+    # residual -> [unplaced members of the step, renaming, sorted keys,
+    # signs]
+    states: dict = {(): [(), {}, (), {1}]}
     visited = 0
-    for t, (is_chain, members, mult) in enumerate(steps):
+    for t, members in enumerate(steps):
         for st in states.values():
-            st[0] = mult
-        if len(members) == 1 and not members[0][1] and not is_chain:
-            # equal factors without dummies name nothing and are in
-            # their slot order already: one block, the same in every state
-            key = _factor_key(members[0][0])
-            node_of[key] = members[0][0]
-            for st in states.values():
-                fkeys = st[2]
-                st[2] = fkeys + (key,) * mult[0]
-                if fkeys and key < fkeys[-1]:
-                    st[2] = tuple(sorted(st[2]))
-            continue
-        for _ in range(sum(mult)):
+            st[0] = members
+        for _ in members:
             grown: dict = {}
-            for left, ren, fkeys, ckeys, signs in states.values():
-                open_ = [i for i, n in enumerate(left) if n]
-                closed = [(bound_key(*members[i][:2], ren, min), i)
-                          for i in open_ if members[i][1].keys() <= ren.keys()]
-                for i in [min(closed)[1]] if closed else open_:
-                    f, labelset, labels, _, groups = members[i]
-                    rest = left[:i] + (left[i] - 1,) + left[i + 1:]
-                    waiting = [lab for lab in labelset
+            for left, ren, keys, signs in states.values():
+                closed = [(keyed(m, tuple(min(ren[lab]) for lab in m[1]))[0],
+                           i) for i, m in enumerate(left)
+                          if m[1].keys() <= ren.keys()]
+                for i in [min(closed)[1]] if closed else range(len(left)):
+                    _, seen, _, _, groups = m = left[i]
+                    rest = left[:i] + left[i + 1:]
+                    waiting = [lab for lab in seen
                                if len(ren.get(lab, ())) > 1]
                     picks = (p for p in itertools.product(
                         *map(ren.get, waiting)) if len(set(p)) == len(p))
@@ -1144,42 +1136,33 @@ def _least_candidate(factors: list, chain_items: list,
                             raise MalformedIndex(
                                 "term too symmetric to canonicalize")
                         ren2, shown = extend(ren, waiting, pick, order)
-                        node, s = _rename_in_factor(f, {
-                            lab: shown.get(lab) or ren2[lab][0]
-                            for lab in labelset})
-                        if node is None:
-                            continue
-                        key = _factor_key(node)
+                        key, node, s = keyed(m, tuple(
+                            shown.get(lab) or ren2[lab][0] for lab in seen))
                         node_of[key] = node
-                        if is_chain:
-                            fk2, ck2 = fkeys, ckeys + (key,)
-                        else:
-                            fk2 = fkeys + (key,)
-                            if fkeys and key < fkeys[-1]:
-                                fk2 = tuple(sorted(fk2))
-                            ck2 = ckeys
+                        keys2 = keys + (key,)
+                        if keys and key < keys[-1]:
+                            keys2 = tuple(sorted(keys2))
                         sg = {x * s for x in signs}
                         k = residual(t, rest, ren2)
                         old = grown.get(k)
-                        if old is None or (fk2, ck2) < (old[2], old[3]):
-                            grown[k] = [rest, ren2, fk2, ck2, sg]
-                        elif (fk2, ck2) == (old[2], old[3]):
-                            old[4] |= sg
+                        if old is None or keys2 < old[2]:
+                            grown[k] = [rest, ren2, keys2, sg]
+                        elif keys2 == old[2]:
+                            old[3] |= sg
             states = grown
             if len(states) > 1:
-                low = {k: bound(min, t, *st[:4]) for k, st in states.items()}
-                high = bound(max, t, *states[min(low, key=low.get)][:4])
+                low = {k: bound(min, t, *st[:3]) for k, st in states.items()}
+                high = bound(max, t, *states[min(low, key=low.get)][:3])
                 states = {k: st for k, st in states.items() if low[k] <= high}
 
-    # complete candidates leave an empty residual: one state at most
-    if not states:
-        return None
-    (_, _, fkeys, ckeys, signs), = states.values()
+    # complete candidates leave an empty residual, and the state with the
+    # least lower bound is never dropped: one state
+    (_, _, keys, signs), = states.values()
     if len(signs) != 1:
         return None
     sign, = signs
-    return (sign, tuple(node_of[k] for k in fkeys),
-            tuple(node_of[k] for k in ckeys))
+    return sign, tuple(node_of[k] for k in sorted(
+        keys + tuple(map(_factor_key, blocks))))
 
 
 _TERM_CACHE: dict = {}
@@ -1227,8 +1210,7 @@ def _canonical_term(coeff: CRat, factors: list):
             plain, chain_items, sign0, dummies, free_labels = prep
             best = _least_candidate(plain, chain_items, dummies, free_labels)
             if best is not None:
-                sign, out_plain, out_chain = best
-                found = (sign0 * sign, out_plain + out_chain)
+                found = (sign0 * best[0], best[1])
         _TERM_CACHE[key] = found
         if found is not _VANISHES:
             _TERM_CACHE[found[1]] = (1, found[1])

@@ -20,6 +20,7 @@ jet once for all of them, and each check is evaluated once per block.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -417,7 +418,8 @@ def evaluate_components(e: Expr, a: Assignment):
 def evaluate(e: Expr, a: Assignment, bind: Optional[dict] = None):
     """Evaluate to a number (closed chain) or spinor array.
 
-    Free indices must be bound to concrete values 0..3 through `bind`.
+    Free indices must be bound to integers 0..3 through `bind`; any other
+    value raises UnboundIndex.
     """
     arr, labels, state = evaluate_components(e, a)
     if labels:
@@ -427,9 +429,13 @@ def evaluate(e: Expr, a: Assignment, bind: Optional[dict] = None):
             raise UnboundIndex(f"unbound free indices: {missing}")
         sel = []
         for lab in labels:
-            v = int(bind[lab])
-            if not 0 <= v <= 3:
-                raise UnboundIndex(f"index value out of range: {lab}={v}")
+            try:
+                v = operator.index(bind[lab])
+            except TypeError:
+                v = None
+            if v is None or not 0 <= v <= 3:
+                raise UnboundIndex(f"index value is not an integer 0..3: "
+                                   f"{lab}={bind[lab]!r}")
             sel.append(v)
         arr = arr[tuple(sel)]
     if state == "scalar":

@@ -328,6 +328,42 @@ def test_search_refuses_past_its_cap(monkeypatch):
         ex.canonicalize(_metric_cycle(3))
 
 
+class _CountingCap(int):
+    """A search cap that counts the extensions tested against it: the
+    search tests ``visited > _SEARCH_CAP`` once per extension, and Python
+    hands that test to this subclass's ``__lt__``."""
+
+    def __new__(cls, value):
+        cap = super().__new__(cls, value)
+        cap.tested = 0
+        return cap
+
+    def __lt__(self, visited):
+        self.tested += 1
+        return int(self) < visited
+
+
+@pytest.mark.parametrize("build, largest, total", [
+    (lambda: densities.builtin("yangmills").parsed, 47, 167),
+    (lambda: _metric_cycle(6), 912, 912),
+    (lambda: _index_cycle(6), 912, 912),
+    (lambda: _metric_cycle(7), 5422, 5422),
+    (lambda: _index_cycle(7), 5422, 5422),
+    (lambda: _copies(16), 184, 184),
+], ids=["yangmills", "6-cycle", "6-cycle-i", "7-cycle", "7-cycle-i",
+        "16-copies"])
+def test_search_cost_cannot_grow(monkeypatch, build, largest, total):
+    """Searched afresh, each input gets its form with the cap lowered to
+    its largest search, and all its searches together extend at most
+    ``total`` partial candidates: the counts the search needs today."""
+    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    monkeypatch.setattr(densities, "_CACHE", {})
+    cap = _CountingCap(largest)
+    monkeypatch.setattr(ex, "_SEARCH_CAP", cap)
+    assert ex.canonicalize(build()).terms
+    assert 0 < cap.tested <= total, cap.tested
+
+
 def _dp_searched(coeff, factors):
     """``_canonical_term`` by the search ``exprs`` used before it named a
     symmetric group's dummies as a set and bounded its states."""
@@ -490,9 +526,11 @@ def test_crat_matches_fraction_pairs(shapes, data):
 
 def test_crat_hands_an_expr_operand_over():
     """A CRat on the left of an Expr builds what a plain number there
-    builds, and never equals the Expr."""
+    builds, and never equals the Expr; negating an Expr builds -1 times
+    it."""
     phi = ex.scalar_field()
     c = ex.canonicalize
+    assert c(-phi) == Sum((Product(CRat(-1), (phi,)),))
     assert c(CRat(3) * phi) == c(3 * phi)
     assert c(I_UNIT * phi) == c(Product(I_UNIT, (phi,)))
     assert c(CRat(1) + phi) == c(1 + phi)
@@ -697,11 +735,16 @@ _PSI, _PSIBAR, _PHI = ex.fermion(), ex.fermion_bar(), ex.scalar_field()
      "derivative index must be spacetime-lower"),
     (lambda: _PHI ** 0, TypeError, "positive integers"),
     (lambda: _PHI + "x", TypeError, "cannot coerce 'x' to Expr"),
+    (lambda: "x" * _PHI, TypeError, "cannot coerce 'x' to Expr"),
+    (lambda: CRat(1) / _PHI, TypeError, "unsupported operand type(s) for /"),
+    (lambda: ex.canonicalize(Product(CRat(1), (_PHI, 3))), TypeError,
+     "cannot flatten 3"),
     (_set_re, AttributeError, "CRat is immutable"),
 ], ids=["bar-inside", "psi-inside", "open-bilinear", "arity",
         "builder-extra-label", "builder-label-on-scalar", "slot",
         "lam-exponent", "stray-exponent", "coupling", "derivative-index",
-        "power", "coerce", "crat-immutable"])
+        "power", "coerce", "coerce-left", "divide-by-expr",
+        "product-of-non-expr", "crat-immutable"])
 def test_expression_api_checks_its_input(build, error, message):
     with pytest.raises(error, match=re.escape(message)):
         build()
@@ -712,6 +755,8 @@ def test_free_indices():
     frees = ex.free_indices(e)
     assert {ix.label for ix in frees} == {"n"}
     assert ex.free_indices(ex.scalar_field() ** 2) == frozenset()
+    assert ex.free_indices(ex.scalar_field() - ex.scalar_field()) == \
+        frozenset()
 
 
 def test_set_coupling_folds_value():

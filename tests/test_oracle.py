@@ -136,11 +136,16 @@ def test_full_metric_trace_is_dimension():
 
 
 def test_unbound_index_raises():
+    """A free index takes an integer 0..3 and nothing else: a float is
+    not truncated to a component, and a string is refused as unbound."""
     a = Assignment((4, 2))
     with pytest.raises(UnboundIndex):
         evaluate(ex.em_vector("m"), a, {})
-    with pytest.raises(UnboundIndex):
-        evaluate(ex.em_vector("m"), a, {"m": 7})
+    for value in (7, -1, 2.7, 2.0, "x", "2", None):
+        with pytest.raises(UnboundIndex):
+            evaluate(ex.em_vector("m"), a, {"m": value})
+    assert evaluate(ex.em_vector("m"), a, {"m": np.int64(2)}) == \
+        evaluate(ex.em_vector("m"), a, {"m": 2})
 
 
 def test_lambda_powers_compose_pointwise():
@@ -209,6 +214,14 @@ def test_chain_evaluation_matches_direct_matrices():
         want = bar @ oracle.GAMMA_LO[i] @ psi
         got = evaluate(e, a, {"a": i})
         assert relative_deviation(got, want) < 1e-12
+    # an open chain evaluates to its spinor array
+    open_bar = evaluate(ex.fermion_bar() * ex.gamma("a", up=False), a,
+                        {"a": 0})
+    assert open_bar.shape == (4,)
+    assert relative_deviation(open_bar, bar @ oracle.GAMMA_LO[0]) < 1e-12
+    matrix = evaluate(ex.gamma("a", up=False), a, {"a": 0})
+    assert matrix.shape == (4, 4)
+    assert relative_deviation(matrix, oracle.GAMMA_LO[0]) < 1e-12
 
 
 _JET_KEYS = [(0, 0), (0, 12), (3, 17), (7, 3)]

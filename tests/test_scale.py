@@ -65,6 +65,8 @@ def test_infer_weight_simple_cases():
     assert infer_weight(ex.metric("z0", "z1")).value == Fraction(2)
     # derivatives do not change the weight of the derived atom
     assert infer_weight(ex.d("z0", phi)).value == Fraction(-1)
+    # a density that cancels to zero has weight 0
+    assert infer_weight(phi - phi) == WeylWeight(Fraction(0))
 
 
 def test_infer_weight_mixed():
@@ -221,6 +223,8 @@ def test_check_invariance_accepts_raw_expr():
     r = check_invariance(e, Mode.GLOBAL)
     assert r.passed
     assert r.claim == "invariance:expr:global"
+    with pytest.raises(ValueError, match="expects Global or Local"):
+        check_invariance(e, Mode.COVARIANTIZE)
 
 
 def test_invariance_report_renders_each_sum_once(builtins_all, monkeypatch):
