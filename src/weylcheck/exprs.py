@@ -958,10 +958,11 @@ def _least_candidate(factors: list, chain_items: list,
     dummies not yet named) have the same continuations, and adding equal
     keys to two sorted tuples keeps their order, so only the one whose
     keys sort least is kept; equal ones pool their signs.  So a factor
-    without dummies, which names nothing and has one key wherever it
-    goes, is left out of the search and sorted in at the end; a factor
-    with one never repeats (a copy's dummy would meet its partner in the
-    same variance).  Three rules keep the partial candidates few:
+    or chain item without dummies, which names nothing and has one key
+    wherever it goes, is left out of the search and sorted in at the
+    end; a factor with one never repeats (a copy's dummy would meet its
+    partner in the same variance).  Three rules keep the partial
+    candidates few:
 
     1. A slot group of sign +1 is sorted, so its new dummies, if two or
        more and each met once in the node, take the next names of their
@@ -1016,19 +1017,25 @@ def _least_candidate(factors: list, chain_items: list,
                 labels.count(lab) == 1 for lab in labs)))
         return f, seen, labels, sym, groups
 
-    # one step per tie group holding dummies, then one per chain item.  A
-    # step is its members: a member is a node, its dummy labels in
-    # first-sight and slot order, the places in the latter of each +1
-    # group, and per group its new labels and if they form a set.
+    # one step per tie group holding dummies, then one per chain item
+    # holding one.  A step is its members: a member is a node, its dummy
+    # labels in first-sight and slot order, the places in the latter of
+    # each +1 group, and per group its new labels and if they form a set.
+    # The nodes without dummies are keyed once and sorted in at the end.
     steps, blocks = [], []
     for g in _refined_groups(factors, chain_items, dummies):
         members = tuple(map(member, g))
         if members[0][1]:
             steps.append(members)
         else:
-            blocks += g
-    steps += [(member(it),) for it in chain_items]
-    node_of = {_factor_key(f): f for f in blocks}
+            blocks += [(_factor_key(f), f) for f in g]
+    for k, it in enumerate(chain_items):
+        m = member(it)
+        if m[1]:
+            steps.append((m,))
+        else:
+            blocks.append(((7, k, _factor_key(it)), it))
+    node_of = dict(blocks)
 
     def unplaced(t, left):
         """(step, member) of each node not placed in step t on."""
@@ -1162,16 +1169,17 @@ def _least_candidate(factors: list, chain_items: list,
         return None
     sign, = signs
     return sign, tuple(node_of[k] for k in sorted(
-        keys + tuple(map(_factor_key, blocks))))
+        keys + tuple(key for key, _ in blocks)))
 
 
 _TERM_CACHE: dict = {}
 _TERM_CACHE_LIMIT = 200_000
 _VANISHES = object()
 # memos of pure functions, emptied with the term cache: factor tuple ->
-# ``term_key``, factor -> ``_factor_key``
-_TERM_KEYS, _FACTOR_KEYS = {}, {}
-_MEMOS = [_TERM_KEYS, _FACTOR_KEYS]
+# ``term_key``, factor -> ``_factor_key``, factor tuple -> its free
+# indices
+_TERM_KEYS, _FACTOR_KEYS, _TERM_FREES = {}, {}, {}
+_MEMOS = [_TERM_KEYS, _FACTOR_KEYS, _TERM_FREES]
 
 
 def _make_room() -> None:
@@ -1293,8 +1301,13 @@ def canonicalize(e: Expr) -> Sum:
 
 
 def _term_free_indices(p: Product):
-    census = _label_census(p.factors)
-    return frozenset(occ[0] for occ in census.values() if len(occ) == 1)
+    frees = _TERM_FREES.get(p.factors)
+    if frees is None:
+        _make_room()
+        frees = _TERM_FREES[p.factors] = frozenset(
+            occ[0] for occ in _label_census(p.factors).values()
+            if len(occ) == 1)
+    return frees
 
 
 def free_indices(e: Expr) -> frozenset[Index]:

@@ -364,6 +364,25 @@ def test_search_cost_cannot_grow(monkeypatch, build, largest, total):
     assert 0 < cap.tested <= total, cap.tested
 
 
+@pytest.mark.parametrize("build, total", [
+    (lambda: ex.fermion_bar() * ex.fermion() * ex.scalar_field(), 0),
+    (lambda: ex.fermion_bar() * ex.gamma("b") * ex.fermion()
+     * ex.scalar_field(), 0),
+    (lambda: ex.fermion_bar() * ex.gamma("a") * ex.fermion()
+     * ex.minkowski("a", "b"), 2),
+], ids=["bilinear", "free-gamma", "contracted-gamma"])
+def test_dummy_free_chain_items_cost_no_search(monkeypatch, build, total):
+    """A chain item without dummies (Psibar, Psi, a gamma with a free
+    index) names nothing and has one key in every candidate, so, like a
+    factor without dummies, it takes no extension: only the contracted
+    gamma and eta are searched."""
+    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    cap = _CountingCap(total)
+    monkeypatch.setattr(ex, "_SEARCH_CAP", cap)
+    assert ex.canonicalize(build()).terms
+    assert cap.tested == total
+
+
 def _dp_searched(coeff, factors):
     """``_canonical_term`` by the search ``exprs`` used before it named a
     symmetric group's dummies as a set and bounded its states."""

@@ -1,9 +1,12 @@
 """Weight inference and global/local rescaling behavior."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import reference_scale as ref
 import strategies as gen
 from weylcheck import exprs as ex
 from weylcheck.report import Mode
@@ -19,6 +22,8 @@ from weylcheck.scale import (
     infer_weight,
 )
 from weylcheck.simplify import full_simplify
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EXPECTED_WEIGHTS = {
     ex.Kind.METRIC: Fraction(2),
@@ -230,7 +235,7 @@ def test_check_invariance_accepts_raw_expr():
 def test_invariance_report_renders_each_sum_once(builtins_all, monkeypatch):
     """A report shows five sums (the density, its transform, the
     rescaled transform, the difference and the residual), each rendered
-    once."""
+    once, on the first read of its trace."""
     from weylcheck import dsl
     rendered = []
     render = dsl.render_expr
@@ -243,5 +248,52 @@ def test_invariance_report_renders_each_sum_once(builtins_all, monkeypatch):
     for mode in (Mode.GLOBAL, Mode.LOCAL):
         rendered.clear()
         r = check_invariance(builtins_all["scalar"], mode)
+        assert rendered == [], mode
+        assert len(r.trace) == 3
         assert len(rendered) == 5, mode
         assert r.residual == render(rendered[-1])
+        r.to_json()
+        assert len(rendered) == 5, mode
+
+
+def test_one_pass_invariance_matches_two_pass_reference(builtins_all):
+    """Lam^4 folded into each term's transform gives the verdict,
+    residual and trace texts of the two-pass check that multiplies the
+    canonical transform by Lam^4 and renders every text at once: on the
+    builtins, Weyl's vector meson and 300 generated expressions, in both
+    modes."""
+    from weylcheck import dsl
+    meson = dsl.parse((ROOT / "examples" / "weyl-meson.wl").read_text())
+    verdicts = set()
+    for L in [*builtins_all.values(), meson,
+              *(gen.random_expr(seed) for seed in range(300))]:
+        for mode in (Mode.GLOBAL, Mode.LOCAL):
+            got = check_invariance(L, mode)
+            want = ref.check_invariance(L, mode)
+            assert got.passed is want.passed, (want.claim, want.residual)
+            assert got.residual == want.residual, want.claim
+            assert got.trace == want.trace, want.claim
+            assert got == want and got.to_dict() == want.to_dict()
+            verdicts.add((mode, want.passed))
+    assert len(verdicts) == 4
+
+
+def test_invariance_verdict_renders_nothing(builtins_all, monkeypatch):
+    """Reading a check's verdict renders no text; its residual, trace and
+    JSON, read afterwards, are the golden bytes of the CLI's verdict."""
+    from weylcheck import dsl
+
+    def refuse(e):
+        raise AssertionError("rendered before a text was read")
+
+    render = dsl.render_expr
+    monkeypatch.setattr(dsl, "render_expr", refuse)
+    reports = {mode: check_invariance(builtins_all["scalar"], Mode(mode))
+               for mode in ("global", "local")}
+    assert reports["global"].passed and not reports["local"].passed
+    monkeypatch.setattr(dsl, "render_expr", render)
+    for mode, r in reports.items():
+        golden = (ROOT / "goldens" / f"verify-scalar-{mode}.json").read_text()
+        assert r.residual == json.loads(golden)["residual"]
+        assert r.trace[-1].after == r.residual
+        assert r.to_json() == golden
