@@ -91,9 +91,6 @@ def _cmd_decoupling(args) -> tuple[VerificationReport, None]:
 
 
 def _cmd_identity(args) -> tuple[VerificationReport, None]:
-    if args.name not in _IDENTITIES:
-        raise _UsageError(f"unknown identity {args.name!r}; "
-                          f"available: {', '.join(_IDENTITIES)}")
     return _IDENTITIES[args.name](), None
 
 
@@ -144,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     i = sub.add_parser("identity", parents=[common],
                        help="check a named Clifford identity")
-    i.add_argument("name", metavar="IDENTITY")
+    i.add_argument("name", choices=_IDENTITIES)
     i.set_defaults(run=_cmd_identity)
 
     o = sub.add_parser("oracle", parents=[common],

@@ -548,16 +548,18 @@ def _split_chain(factors: Iterable[FieldAtom]) -> tuple[list, list]:
     return plain, chain
 
 
-def term_key(p: Product) -> tuple:
-    """Sort key of a term, computed once per factor tuple."""
-    key = _TERM_KEYS.get(p.factors)
-    if key is None:
+def _term_facts(factors: tuple) -> tuple:
+    """(sort key, free indices) of a term, computed once per factor tuple."""
+    facts = _TERM_FACTS.get(factors)
+    if facts is None:
         _make_room()
-        key = _TERM_KEYS[p.factors] = tuple(
-            tuple(_FACTOR_KEYS.get(f) or _FACTOR_KEYS.setdefault(
-                f, _factor_key(f)) for f in part)
-            for part in _split_chain(p.factors))
-    return key
+        key = tuple(tuple(_FACTOR_KEYS.get(f) or _FACTOR_KEYS.setdefault(
+            f, _factor_key(f)) for f in part)
+            for part in _split_chain(factors))
+        frees = frozenset(occ[0] for occ in _label_census(factors).values()
+                          if len(occ) == 1)
+        facts = _TERM_FACTS[factors] = key, frees
+    return facts
 
 
 def _bare(f: FieldAtom) -> FieldAtom:
@@ -712,35 +714,30 @@ def _flatten(e: Expr) -> list[tuple[CRat, list]]:
     raise TypeError(f"cannot flatten {e!r}")
 
 
-def _holds_canonical(e: Expr) -> bool:
-    """Whether a marked Sum stands anywhere in ``e``."""
-    if isinstance(e, Sum):
-        return e._canonical or any(map(_holds_canonical, e.terms))
-    if isinstance(e, Product):
-        return any(map(_holds_canonical, e.factors))
-    return isinstance(e, Partial) and _holds_canonical(e.operand)
-
-
 def _canonical_dummies(e: Expr) -> set[str]:
     """The dummy labels of the terms of the marked Sums in ``e``."""
-    if isinstance(e, Sum) and e._canonical:
-        return {lab for t in e.terms
-                for lab, occ in _label_census(t.factors).items()
-                if len(occ) == 2}
-    if isinstance(e, (Sum, Product)):
-        parts = e.terms if isinstance(e, Sum) else e.factors
-        return set().union(*map(_canonical_dummies, parts))
-    return _canonical_dummies(e.operand) if isinstance(e, Partial) else set()
+    out, todo = set(), [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Sum):
+            if e._canonical:
+                out.update(lab for t in e.terms
+                           for lab, occ in _label_census(t.factors).items()
+                           if len(occ) == 2)
+            else:
+                todo.extend(e.terms)
+        elif isinstance(e, Product):
+            todo.extend(e.factors)
+        elif isinstance(e, Partial):
+            todo.append(e.operand)
+    return out
 
 
-def _renamed_apart(sub: list, taken: set, part: Expr) -> list:
-    """The flattened terms ``sub`` of ``part``, which holds a marked Sum,
-    each dummy of a marked Sum's term that ``taken`` also holds renamed
-    to a fresh label.  The part's own labels are kept, so a label the
+def _renamed_apart(sub: list, taken: set, clashing: set) -> list:
+    """The flattened terms ``sub`` of a part that holds a marked Sum, each
+    canonical dummy in ``clashing`` renamed to a label neither ``taken``
+    nor the term holds.  The part's other labels are kept, so a label the
     caller repeats stays repeated; a term without a clash is kept whole."""
-    clashing = taken and taken & _canonical_dummies(part)
-    if not clashing:
-        return sub
     out = []
     for c, fs in sub:
         census = _label_census(fs)
@@ -764,10 +761,12 @@ def _distribute(coeff: CRat, parts: tuple[Expr, ...]):
     joined once: n parts cost O(n), not O(n^2)."""
     subs = [_flatten(part) for part in parts]
     for k, part in enumerate(parts):
-        if _holds_canonical(part):
-            subs[k] = _renamed_apart(subs[k], {
-                ix.label for j, sub in enumerate(subs) if j != k
-                for _, fs in sub for ix in _term_slot_list(fs)}, part)
+        dummies = _canonical_dummies(part)
+        if dummies:
+            taken = {ix.label for j, sub in enumerate(subs) if j != k
+                     for _, fs in sub for ix in _term_slot_list(fs)}
+            if clashing := taken & dummies:
+                subs[k] = _renamed_apart(subs[k], taken, clashing)
     terms = [(coeff, None)]
     for sub in subs:
         terms = [(_times(c1, c2), (head, fs2))
@@ -789,8 +788,8 @@ def _flatten_partial(ix: Index, operand: Expr):
     matters, is differentiated where it stands."""
     out = []
     terms = _flatten(operand)
-    if _holds_canonical(operand):
-        terms = _renamed_apart(terms, {ix.label}, operand)
+    if ix.label in _canonical_dummies(operand):
+        terms = _renamed_apart(terms, {ix.label}, {ix.label})
     for coeff, factors in terms:
         plain, chain = _split_chain(factors)
         factors = plain + chain
@@ -1176,10 +1175,9 @@ _TERM_CACHE: dict = {}
 _TERM_CACHE_LIMIT = 200_000
 _VANISHES = object()
 # memos of pure functions, emptied with the term cache: factor tuple ->
-# ``term_key``, factor -> ``_factor_key``, factor tuple -> its free
-# indices
-_TERM_KEYS, _FACTOR_KEYS, _TERM_FREES = {}, {}, {}
-_MEMOS = [_TERM_KEYS, _FACTOR_KEYS, _TERM_FREES]
+# ``_term_facts``, factor -> ``_factor_key``
+_TERM_FACTS, _FACTOR_KEYS = {}, {}
+_MEMOS = [_TERM_FACTS, _FACTOR_KEYS]
 
 
 def _make_room() -> None:
@@ -1292,29 +1290,21 @@ def canonicalize(e: Expr) -> Sum:
             bucket[fs] = c if old is None else old + c
 
     collect(_as_expr(e), _UNIT)
-    out = Sum(tuple(sorted((Product(c, fs) for fs, c in bucket.items()
-                            if not c.is_zero()), key=term_key)))
-    if len({_term_free_indices(t) for t in out.terms}) > 1:
+    terms = [(_term_facts(fs), c, fs) for fs, c in bucket.items()
+             if not c.is_zero()]
+    if len({frees for (_, frees), _, _ in terms}) > 1:
         raise MalformedIndex("terms of a sum carry different free indices")
+    terms.sort(key=lambda t: t[0][0])
+    out = Sum(tuple(Product(c, fs) for _, c, fs in terms))
     object.__setattr__(out, "_canonical", True)
     return out
-
-
-def _term_free_indices(p: Product):
-    frees = _TERM_FREES.get(p.factors)
-    if frees is None:
-        _make_room()
-        frees = _TERM_FREES[p.factors] = frozenset(
-            occ[0] for occ in _label_census(p.factors).values()
-            if len(occ) == 1)
-    return frees
 
 
 def free_indices(e: Expr) -> frozenset[Index]:
     s = canonicalize(e)
     if not s.terms:
         return frozenset()
-    return _term_free_indices(s.terms[0])
+    return _term_facts(s.terms[0].factors)[1]
 
 
 def is_zero(e: Expr) -> bool:

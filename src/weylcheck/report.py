@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -33,49 +33,37 @@ class OracleSummary:
     seed: Optional[int] = None
 
 
-class _RenderedOnRead:
-    """A text field of a report.  A report built by ``__init__`` holds
-    the value itself, and Python reads it there without calling this
-    descriptor.  A deferred report holds none until the first read of
-    its residual or trace: then its ``_render()`` gives both, and they
-    are stored as if ``__init__`` had set them."""
-
-    def __init__(self, default=MISSING):
-        self.default = default
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, report, owner=None):
-        if report is None:  # a dataclass reads the field's default here
-            if self.default is MISSING:
-                raise AttributeError(self.name)
-            return self.default
-        residual, trace = report.__dict__.pop("_render")()
-        object.__setattr__(report, "residual", residual)
-        object.__setattr__(report, "trace", trace)
-        return report.__dict__[self.name]
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     claim: str
     mode: Mode
     passed: bool
-    residual: str = _RenderedOnRead()
-    trace: tuple[TraceStep, ...] = _RenderedOnRead(())
+    residual: str
+    trace: tuple[TraceStep, ...] = field(default_factory=tuple)
     oracle: OracleSummary = field(default_factory=OracleSummary)
 
     @classmethod
     def deferred(cls, render, **fields) -> "VerificationReport":
         """A report whose residual and trace are rendered on first read:
         ``render()`` returns (residual, trace).  The other fields are
-        given as to ``__init__``."""
+        given as to ``__init__``.  The report lacks both texts until
+        then, so their first read reaches ``__getattr__``, which renders
+        and stores them."""
         report = cls.__new__(cls)
         for name, value in {"oracle": OracleSummary(), **fields,
                             "_render": render}.items():
             object.__setattr__(report, name, value)
         return report
+
+    def __getattr__(self, name):
+        # reached only for an attribute the report lacks: the texts of a
+        # deferred report before their first read
+        if name not in ("residual", "trace"):
+            raise AttributeError(name)
+        residual, trace = self.__dict__.pop("_render")()
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "trace", trace)
+        return self.__dict__[name]
 
     def to_dict(self) -> dict:
         # key order is part of the golden-file contract

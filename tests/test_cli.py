@@ -203,7 +203,9 @@ def test_identity_command():
     p = run_cli("identity", "gamma-sigma", "--json")
     assert p.returncode == 0
     assert json.loads(p.stdout)["claim"] == "identity:gamma-sigma"
-    assert run_cli("identity", "nosuch").returncode == 2
+    p = run_cli("identity", "nosuch")
+    assert p.returncode == 2
+    assert "gamma-sigma" in p.stderr
 
 
 def test_covariantize_prints_document():

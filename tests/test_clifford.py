@@ -62,6 +62,25 @@ def test_sigma_expansion_leaves_plain_chains(builtins_all):
     assert full_simplify(expanded - L) == ex.Sum(())
 
 
+def test_five_free_gammas_stay_as_written_and_four_are_sorted():
+    """Five distinct free gammas out of label order are left as written;
+    four are bubble-sorted by label.  The oracle finds both results
+    equal to their input."""
+    from weylcheck import oracle
+    labels = ("e", "d", "c", "b", "a")
+    five = _chain(CRat(1), BAR, *map(ex.gamma, labels), PSI)
+    four = _chain(CRat(1), BAR, *map(ex.gamma, labels[1:]), PSI)
+    kept, ordered = gamma_canonicalize(five), gamma_canonicalize(four)
+    assert kept == ex.canonicalize(five) and len(kept.terms) == 1
+    assert len(ordered.terms) == 10
+    a = oracle.Assignment((0, 0))
+    for e, got in ((five, kept), (four, ordered)):
+        want, free, state = oracle.evaluate_components(e, a)
+        have, free_got, state_got = oracle.evaluate_components(got, a)
+        assert (free_got, state_got) == (free, state)
+        assert oracle.relative_deviation(have, want) < 1e-12
+
+
 def test_gamma_canonicalize_idempotent():
     e = _chain(CRat(1), BAR, ex.gamma("a"), ex.sigma("a", "b", up1=False),
                PSI)

@@ -4,8 +4,8 @@ Each entry renders one engine's output on a fixed family of generated
 inputs and hashes the rendered texts, error texts included.  A change
 that keeps every canonical form keeps every digest; a change that moves
 one term of one output changes its digest.  The digests must also not
-depend on string hashing, so CI runs this file under two values of
-PYTHONHASHSEED.
+depend on string hashing, so the whole file is marked ``hashseed``: CI
+runs the tests with that mark under two values of PYTHONHASHSEED.
 
 Print the current digests with ``PYTHONPATH=src python
 tests/test_digests.py``.
@@ -16,12 +16,16 @@ from __future__ import annotations
 import hashlib
 import random
 
+import pytest
+
 import strategies as gen
 
 from weylcheck import clifford, dsl, gauge, scale, tensor
 from weylcheck import exprs as ex
 from weylcheck.report import Mode
 from weylcheck.simplify import full_simplify
+
+pytestmark = pytest.mark.hashseed
 
 SEEDS = range(300)
 

@@ -172,6 +172,7 @@ def _differential_terms():
     return out
 
 
+@pytest.mark.hashseed
 def test_search_matches_exhaustive_reference():
     """The pruned search returns the same coefficient and skeleton as the
     exhaustive enumeration, or both find that the term vanishes.  A
@@ -196,6 +197,7 @@ def test_search_matches_exhaustive_reference():
     assert outcomes == {"vanishes", "negated", "kept"}
 
 
+@pytest.mark.hashseed
 def test_gradient_terms_match_exhaustive_reference():
     """Terms holding derivatives of D, whose indices the search may
     permute together with D's own, get the reference's canonical form,
@@ -279,6 +281,7 @@ def _in_limited_child(code):
     return p.returncode, p.stdout, p.stderr[-500:]
 
 
+@pytest.mark.hashseed
 def test_symmetric_terms_one_form_under_relabeling():
     """Terms past the reference's reach (147456 candidates each for the
     cycles, 8! orders of the stack's indices) get one canonical form
@@ -352,6 +355,7 @@ class _CountingCap(int):
     (lambda: _copies(16), 184, 184),
 ], ids=["yangmills", "6-cycle", "6-cycle-i", "7-cycle", "7-cycle-i",
         "16-copies"])
+@pytest.mark.hashseed
 def test_search_cost_cannot_grow(monkeypatch, build, largest, total):
     """Searched afresh, each input gets its form with the cap lowered to
     its largest search, and all its searches together extend at most
@@ -371,6 +375,7 @@ def test_search_cost_cannot_grow(monkeypatch, build, largest, total):
     (lambda: ex.fermion_bar() * ex.gamma("a") * ex.fermion()
      * ex.minkowski("a", "b"), 2),
 ], ids=["bilinear", "free-gamma", "contracted-gamma"])
+@pytest.mark.hashseed
 def test_dummy_free_chain_items_cost_no_search(monkeypatch, build, total):
     """A chain item without dummies (Psibar, Psi, a gamma with a free
     index) names nothing and has one key in every candidate, so, like a
@@ -389,6 +394,7 @@ def _dp_searched(coeff, factors):
     return ref.canonical_term(coeff, factors, ref.dp_least_candidate)
 
 
+@pytest.mark.hashseed
 def test_search_matches_dp_reference():
     """The search gets the sign and factors of the one it replaced, or
     finds the term vanishes when that one does: on every differential
@@ -415,6 +421,7 @@ def test_search_matches_dp_reference():
                 assert _searched(*_relabeled(e, seed)) == want, (e, seed)
 
 
+@pytest.mark.hashseed
 def test_search_reaches_past_the_old_cap():
     """Inputs the search it replaced refused after 50 000 extensions get
     one canonical form: 12 copies of A S ginv as written and relabeled,
@@ -605,6 +612,7 @@ def test_multiplying_out_a_long_product_is_linear():
 
 
 @pytest.mark.parametrize("work", ["catalog", "yangmills-global"])
+@pytest.mark.hashseed
 def test_each_prepared_skeleton_is_searched_once(monkeypatch, work):
     """A rescaled term Lam^w * X holds the factors of X, which the
     search has already seen: the term cache is keyed on a term's
@@ -631,6 +639,7 @@ def test_each_prepared_skeleton_is_searched_once(monkeypatch, work):
     assert repeats == 0
 
 
+@pytest.mark.hashseed
 def test_scalars_reuse_the_search_of_their_skeleton(monkeypatch):
     """Once X is canonical, f^2 * Lam^3 * X is a term-cache hit on the
     factors of X: nothing is prepared again, and the scalars lead the
@@ -653,6 +662,7 @@ def test_scalars_reuse_the_search_of_their_skeleton(monkeypatch):
                                  + t.factors),)
 
 
+@pytest.mark.hashseed
 def test_term_cache_keys_hold_no_scalars(monkeypatch):
     """After a catalog build every term-cache key is a tuple of factor
     nodes without a coupling or a Lam power."""
@@ -847,6 +857,7 @@ def _density(body, labels):
                      f"name t ;\ndensity {body} ;\n").parsed
 
 
+@pytest.mark.hashseed
 def test_symmetric_pair_orientation_ignores_dummy_names():
     """Which way round a metric holds a dummy and a free label cannot
     depend on the dummy's name, or tie groups would order differently."""
@@ -922,6 +933,7 @@ def _renamed_term(coeff, factors, ren):
     return coeff * CRat(sign), renamed
 
 
+@pytest.mark.hashseed
 def test_canonical_term_ignores_dummy_names_on_generated():
     """Renaming dummies so that they sort before and after the free
     labels z0.. leaves every generated term's canonical form alone."""
@@ -1007,6 +1019,7 @@ def _double_odd_terms(t):
     return None
 
 
+@pytest.mark.hashseed
 def test_marked_sums_pass_through_like_unmarked_copies():
     """The terms of a marked Sum bypass the per-term canonical form in
     ``canonicalize`` and ``rewrite_terms``.  On the digest seeds, every
@@ -1065,6 +1078,7 @@ def test_composed_canonical_sums_are_not_canonicalized_again(monkeypatch):
                                   * s_m * ex.d("n", phi))
 
 
+@pytest.mark.hashseed
 def test_composition_renames_canonical_dummies_apart_in_products():
     """Two canonical forms both name their dummies mu0, mu1; their
     product renames one side's apart instead of pairing them four ways."""
@@ -1079,8 +1093,27 @@ def test_composition_renames_canonical_dummies_apart_in_products():
                     * s_("c") * s_("d"))
 
 
+@pytest.mark.hashseed
+def test_composition_renames_only_what_clashes():
+    """A factor that shares no label with a canonical form leaves the
+    form's term whole, its own atoms, so the term cache keys it as it
+    stands; a factor that names one of its dummies renames that one."""
+    ginv, s_ = ex.inv_metric, ex.weyl_vector
+    c = ex.canonicalize(ginv("c", "d") * s_("c") * s_("d"))
+    (term,) = c.terms
+    (_, fs), = ex._flatten(ex.scalar_field() * c)
+    assert all(f is g for f, g in zip(fs[1:], term.factors))
+    assert len(fs) == 1 + len(term.factors)
+    (_, fs), = ex._flatten(ex.em_vector("mu0") * c)
+    labels = [ix.label for ix in ex._term_slot_list(term.factors)]
+    assert "mu0" in labels and "mu1" in labels
+    assert [ix.label for ix in ex._term_slot_list(fs)] == ["mu0"] + [
+        "mu00" if lab == "mu0" else lab for lab in labels]
+
+
 @pytest.mark.parametrize("inner", ["nested-product", "times-a-number",
                                    "derivative-of-a-multiple"])
+@pytest.mark.hashseed
 def test_composition_renames_canonical_dummies_apart_at_any_depth(inner):
     """A canonical form's dummies are renamed apart wherever it stands in
     a product or under a derivative, not only as a factor or operand of
@@ -1102,6 +1135,7 @@ def test_composition_renames_canonical_dummies_apart_at_any_depth(inner):
     assert ex.equal(got, want)
 
 
+@pytest.mark.hashseed
 def test_composition_keeps_a_label_the_caller_repeats():
     """Only the dummies of a canonical form are renamed apart: a label
     the caller writes three times around one is refused, as it is
@@ -1122,6 +1156,7 @@ def _connection(r, m, n, s):
         - ex.d(s, ex.metric(m, n)))
 
 
+@pytest.mark.hashseed
 def test_composition_of_christoffel_symbols():
     """Gamma^r_rs Gamma^s_mn, the quadratic part of the Ricci tensor,
     from two canonical expansions that share the dummy mu0."""
@@ -1132,6 +1167,7 @@ def test_composition_of_christoffel_symbols():
                     * _connection("s", "m", "n", "y"))
 
 
+@pytest.mark.hashseed
 def test_composition_derivative_renames_a_clashing_dummy():
     """d[mu0] of a canonical form whose dummy is mu0 differentiates it
     as if the dummy had another name."""
@@ -1192,6 +1228,7 @@ def test_nodes_hash_once_by_value():
     assert z == x and kept(z) is None and kept(z.operand) is None
 
 
+@pytest.mark.hashseed
 def test_factor_node_is_the_only_factor():
     """Every factor of a flattened or canonical term is a FieldAtom, on
     the draws of the digest seeds: a coupling is an atom of a
@@ -1222,6 +1259,7 @@ def test_factor_node_is_the_only_factor():
      "Lam takes no derivative indices"),
     (lambda: ex.FieldAtom(ex.CouplingKind.F), "coupling needs an exponent"),
 ], ids=["derivative-index", "constant", "lam", "coupling-power"])
+@pytest.mark.hashseed
 def test_factor_node_checks_its_fields(build, message):
     """A derivative index is spacetime-lower, a constant or Lam takes
     none (flattening drops or rewrites its derivative), and a coupling

@@ -143,6 +143,7 @@ def _ricci_density():
                            * ricci)
 
 
+@pytest.mark.hashseed
 def test_curvature_density_is_only_globally_invariant():
     L = _ricci_density()
     assert len(L.terms) == 9
@@ -150,12 +151,14 @@ def test_curvature_density_is_only_globally_invariant():
     assert not check_invariance(L, Mode.LOCAL).passed
 
 
+@pytest.mark.hashseed
 def test_curvature_density_covariantized_is_locally_invariant():
     cov = gauge_covariantize(_ricci_density())
     assert len(cov.terms) == 25
     assert check_invariance(cov, Mode.LOCAL).passed
 
 
+@pytest.mark.hashseed
 def test_curvature_coupling_to_s_agrees_with_the_oracle():
     """Covariantizing phi^2 R adds -6 f phi^2 (nabla_m S^m + f S_m S^m).
     Compared numerically: ``full_simplify`` does not yet bring the

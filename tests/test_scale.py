@@ -256,6 +256,36 @@ def test_invariance_report_renders_each_sum_once(builtins_all, monkeypatch):
         assert len(rendered) == 5, mode
 
 
+def test_report_fields_given_or_deferred(builtins_all, monkeypatch):
+    """A report built from its fields has an empty trace by default.  A
+    deferred report gives the golden bytes after ``copy.copy`` and after
+    ``dataclasses.replace``; an attribute no report has raises
+    AttributeError and renders nothing."""
+    import copy
+    import dataclasses
+
+    from weylcheck import dsl
+    from weylcheck.report import VerificationReport
+    r = VerificationReport("invariance:t:global", Mode.GLOBAL, True, "0")
+    assert r.trace == ()
+    golden = (ROOT / "goldens" / "verify-scalar-global.json").read_text()
+    for clone in (copy.copy, dataclasses.replace):
+        r = clone(check_invariance(builtins_all["scalar"], Mode.GLOBAL))
+        assert r.to_json() == golden, clone
+    r = check_invariance(builtins_all["scalar"], Mode.GLOBAL)
+
+    def refuse(e):
+        raise AssertionError("rendered for a missing attribute")
+
+    render = dsl.render_expr
+    monkeypatch.setattr(dsl, "render_expr", refuse)
+    with pytest.raises(AttributeError):
+        r.nosuch
+    monkeypatch.setattr(dsl, "render_expr", render)
+    assert r.to_json() == golden
+
+
+@pytest.mark.hashseed
 def test_one_pass_invariance_matches_two_pass_reference(builtins_all):
     """Lam^4 folded into each term's transform gives the verdict,
     residual and trace texts of the two-pass check that multiplies the
@@ -278,6 +308,7 @@ def test_one_pass_invariance_matches_two_pass_reference(builtins_all):
     assert len(verdicts) == 4
 
 
+@pytest.mark.hashseed
 def test_invariance_verdict_renders_nothing(builtins_all, monkeypatch):
     """Reading a check's verdict renders no text; its residual, trace and
     JSON, read afterwards, are the golden bytes of the CLI's verdict."""
