@@ -24,10 +24,11 @@ accepted as input."""
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from . import exprs as ex
 from .errors import IndexArityMismatch, ParseError, UndeclaredField
@@ -68,43 +69,46 @@ class LagrangianDef:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-# One group per token kind.  `\w` is a character that `str.isalnum`
-# accepts, or `_`; `\d` is a decimal digit, which `int` reads.
+# Blanks and comments, then one token: a name, a number, a symbol or any
+# other character, which no rule accepts, or the empty token at the end.
+# `\w` is a character that `str.isalnum` accepts, or `_`; `\d` is a
+# decimal digit, which `int` reads.  After the skipped text the token
+# pattern always matches, so the skip never gives back a comment.
 _TOKEN = re.compile(r"""
-    (?P<ident>[^\W\d]\w*)
-  | (?P<int>\d+)
-  | (?P<sym>[;,\[\]()*+\-^/])
-  | (?P<skip>[ \t\r]+|\#[^\n]*)
-  | (?P<newline>\n)
-  | (?P<other>.)
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    ([^\W\d]\w*|\d+|[;,\[\]()*+\-^/]|.|\Z)
 """, re.VERBOSE | re.DOTALL)
+_SYMBOLS = frozenset(";,[]()*+-^/")
 
 
-class _Tok(NamedTuple):
-    kind: str  # ident | int | sym | eof
-    text: str
-    line: int
-    col: int
+def _is_name(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
 
 
-def _tokenize(src: str) -> list[_Tok]:
-    toks = []
-    line, start = 1, 0  # start: offset of the current line
-    for m in _TOKEN.finditer(src):
-        kind, text = m.lastgroup, m.group()
-        if kind == "newline":
-            line, start = line + 1, m.end()
-        elif kind != "skip":
-            col = m.start() - start + 1
-            # a name starts with a letter or `_`, not with a numeric
-            # character that is no decimal digit, such as `²`
-            if kind == "other" or kind == "ident" and not (
-                    text[0].isalpha() or text[0] == "_"):
-                raise ParseError(f"unexpected character {text[0]!r}",
-                                 line, col)
-            toks.append(_Tok(kind, text, line, col))
-    toks.append(_Tok("eof", "", line, len(src) - start + 1))
+def _starts_token(c: str) -> bool:
+    """Whether a token may start with c: a letter or `_` (a name), a
+    decimal digit (a number) or a symbol, not a numeric character that
+    is no decimal digit, such as `²`, nor any other."""
+    return _is_name(c) or c.isdecimal() or c in _SYMBOLS
+
+
+def _tokenize(src: str) -> list[str]:
+    """The tokens of a source, ending with the empty token.  The parser
+    names a token by its place in the list; ``_position`` finds its line
+    and column when an error needs them."""
+    toks = _TOKEN.findall(src)
+    bad = {tok[0] for tok in set(toks) if tok and not _starts_token(tok[0])}
+    if bad:
+        k = next(k for k, tok in enumerate(toks) if tok[:1] in bad)
+        raise ParseError(f"unexpected character {toks[k][0]!r}",
+                         *_position(src, k))
     return toks
+
+
+def _position(src: str, k: int) -> tuple[int, int]:
+    """(line, column) of the k-th token of a source."""
+    at = next(itertools.islice(_TOKEN.finditer(src), k, None)).start(1)
+    return src.count("\n", 0, at) + 1, at - src.rfind("\n", 0, at)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +116,7 @@ def _tokenize(src: str) -> list[_Tok]:
 
 class _Parser:
     def __init__(self, src: str):
+        self.src = src
         self.toks = _tokenize(src)
         self.pos = 0
         self.index_alphabet: dict[str, Alphabet] = {}
@@ -120,22 +125,22 @@ class _Parser:
         self.density: Optional[Expr] = None
         self.nesting = 0
 
-    def peek(self) -> _Tok:
+    def peek(self) -> str:
         return self.toks[self.pos]
 
-    def advance(self) -> _Tok:
-        t = self.toks[self.pos]
+    def advance(self) -> int:
+        """The place of the next token, stepped over."""
         self.pos += 1
-        return t
+        return self.pos - 1
 
-    def fail(self, msg: str, tok: Optional[_Tok] = None, exc=ParseError):
-        t = tok or self.peek()
-        raise exc(msg, t.line, t.col)
+    def fail(self, msg: str, at: Optional[int] = None, exc=ParseError):
+        """Raise at the token in place ``at``, by default the next one."""
+        raise exc(msg, *_position(self.src, self.pos if at is None else at))
 
     def accept(self, s: str) -> bool:
         """Step over the symbol `s` if it comes next; no name or number
         is spelled like a symbol."""
-        if self.toks[self.pos].text == s:
+        if self.toks[self.pos] == s:
             self.pos += 1
             return True
         return False
@@ -144,38 +149,38 @@ class _Parser:
         if not self.accept(s):
             self.fail(f"expected {s!r}")
 
-    def expect_ident(self) -> _Tok:
-        t = self.peek()
-        if t.kind != "ident":
-            self.fail("expected a name", t)
+    def expect_ident(self) -> int:
+        if not _is_name(self.peek()):
+            self.fail("expected a name")
         return self.advance()
 
     # -- statements ---------------------------------------------------------
 
     def run(self) -> tuple[str, Expr, tuple[Kind, ...]]:
-        while self.peek().kind != "eof":
+        toks = self.toks
+        while self.peek():
             head = self.expect_ident()
-            if head.text == "indices":
+            if toks[head] == "indices":
                 self.stmt_indices()
-            elif head.text == "fields":
+            elif toks[head] == "fields":
                 self.stmt_fields()
-            elif head.text == "name":
+            elif toks[head] == "name":
                 t = self.expect_ident()
                 if self.name is not None:
                     self.fail("duplicate name statement", head)
                 # hyphenated names: WORD (- WORD)*
-                parts = [t.text]
+                parts = [toks[t]]
                 while self.accept("-"):
-                    parts.append(self.expect_ident().text)
+                    parts.append(toks[self.expect_ident()])
                 self.name = "-".join(parts)
                 self.expect_sym(";")
-            elif head.text == "density":
+            elif toks[head] == "density":
                 if self.density is not None:
                     self.fail("duplicate density statement", head)
                 self.density = self.parse_expr()
                 self.expect_sym(";")
             else:
-                self.fail(f"unknown statement {head.text!r}", head)
+                self.fail(f"unknown statement {toks[head]!r}", head)
         if self.density is None:
             self.fail("missing density statement")
         declared = tuple(sorted(self.fields, key=lambda k: k.value))
@@ -184,7 +189,7 @@ class _Parser:
     def stmt_indices(self):
         alph_tok = self.expect_ident()
         alph = {"spacetime": Alphabet.SPACETIME,
-                "frame": Alphabet.FRAME}.get(alph_tok.text)
+                "frame": Alphabet.FRAME}.get(self.toks[alph_tok])
         if alph is None:
             self.fail("expected 'spacetime' or 'frame'", alph_tok)
         labels = []
@@ -193,20 +198,22 @@ class _Parser:
         if not labels:
             self.fail("empty indices statement", alph_tok)
         for t in labels:
-            if t.text in self.index_alphabet:
-                self.fail(f"index {t.text!r} declared twice", t)
-            self.index_alphabet[t.text] = alph
+            label = self.toks[t]
+            if label in self.index_alphabet:
+                self.fail(f"index {label!r} declared twice", t)
+            self.index_alphabet[label] = alph
 
     def stmt_fields(self):
         if self.accept(";"):
             self.fail("empty fields statement")
         while not self.accept(";"):
             t = self.expect_ident()
-            if t.text == "delta":
+            name = self.toks[t]
+            if name == "delta":
                 self.fail("delta is internal to the contraction engine", t)
-            kind = _KIND_BY_NAME.get(t.text)
+            kind = _KIND_BY_NAME.get(name)
             if not isinstance(kind, Kind):
-                self.fail(f"unknown field {t.text!r}", t, UndeclaredField)
+                self.fail(f"unknown field {name!r}", t, UndeclaredField)
             self.fields.add(kind)
 
     # -- expressions --------------------------------------------------------
@@ -225,7 +232,7 @@ class _Parser:
         coeff = CRat(sign)
         factors: list[Expr] = []
         while True:
-            t = self.peek()
+            t = self.pos
             piece = self.parse_factor()
             if isinstance(piece, CRat):
                 coeff = coeff * piece
@@ -239,18 +246,18 @@ class _Parser:
 
     def parse_factor(self) -> Union[CRat, Expr, list]:
         t = self.peek()
-        if t.kind == "int":
+        if t[:1].isdecimal():
             return CRat(self.parse_number("a number"))
         if self.accept("("):
             return self.parse_complex_literal()
-        if t.kind == "ident":
-            if t.text == "i":
+        if _is_name(t):
+            if t == "i":
                 self.advance()
                 return ex.I_UNIT
-            if t.text == "d" and self.toks[self.pos + 1].text == "[":
+            if t == "d" and self.toks[self.pos + 1] == "[":
                 return self.parse_derivative()
             return self.parse_atom()
-        self.fail("expected a factor", t)
+        self.fail("expected a factor")
 
     def parse_number(self, what: str, signed: bool = False,
                      slash: bool = True) -> Fraction:
@@ -260,7 +267,7 @@ class _Parser:
         neg = signed and self.accept("-")
         num, den = self.integer(what), 1
         if slash and self.accept("/"):
-            den_t = self.peek()
+            den_t = self.pos
             den = self.integer("a denominator")
             if den == 0:
                 self.fail("zero denominator", den_t)
@@ -269,10 +276,10 @@ class _Parser:
 
     def integer(self, what: str) -> int:
         t = self.advance()
-        if t.kind != "int":
+        if not self.toks[t][:1].isdecimal():
             self.fail(f"expected {what}", t)
         try:
-            return int(t.text)
+            return int(self.toks[t])
         except ValueError:  # more digits than `int` converts
             self.fail("number too long", t)
 
@@ -285,7 +292,7 @@ class _Parser:
         im = self.parse_number("a number")
         self.expect_sym("*")
         i_t = self.expect_ident()
-        if i_t.text != "i":
+        if self.toks[i_t] != "i":
             self.fail("expected 'i'", i_t)
         self.expect_sym(")")
         return CRat(re, s * im)
@@ -298,9 +305,10 @@ class _Parser:
         self.expect_sym("[")
         lab_t = self.expect_ident()
         self.expect_sym("]")
-        alph = self.index_alphabet.get(lab_t.text)
+        label = self.toks[lab_t]
+        alph = self.index_alphabet.get(label)
         if alph is None:
-            self.fail(f"undeclared index {lab_t.text!r}", lab_t)
+            self.fail(f"undeclared index {label!r}", lab_t)
         if alph != Alphabet.SPACETIME:
             self.fail("derivative index must be spacetime", lab_t)
         self.expect_sym("(")
@@ -308,16 +316,15 @@ class _Parser:
         inner = self.parse_expr()
         self.nesting -= 1
         self.expect_sym(")")
-        return Partial(Index(lab_t.text, Alphabet.SPACETIME, Variance.DOWN),
-                       inner)
+        return Partial(Index(label, Alphabet.SPACETIME, Variance.DOWN), inner)
 
-    def parse_bracket_list(self) -> list[tuple[Optional[_Tok], _Tok]]:
-        """`[` labels `]` as (the token of a leading `-` or None, label
-        token) pairs."""
+    def parse_bracket_list(self) -> list[tuple[Optional[int], int]]:
+        """`[` labels `]` as (the place of a leading `-` or None, the
+        label's place) pairs."""
         out = []
         self.expect_sym("[")
         while True:
-            t = self.peek()
+            t = self.pos
             out.append((t if self.accept("-") else None, self.expect_ident()))
             if not self.accept(","):
                 break
@@ -334,8 +341,8 @@ class _Parser:
 
     def parse_atom(self) -> Union[Expr, list, CRat]:
         name_t = self.advance()
-        name = name_t.text
-        has_brackets = self.peek().text == "["
+        name = self.toks[name_t]
+        has_brackets = self.peek() == "["
 
         if name == "delta":
             self.fail("delta is internal to the contraction engine", name_t)
@@ -364,15 +371,16 @@ class _Parser:
             if minus is not None and var is not None:
                 self.fail("explicit variance marks are only valid on "
                           "gamma and sigma", minus)
-            declared = self.index_alphabet.get(tok.text)
+            label = self.toks[tok]
+            declared = self.index_alphabet.get(label)
             if declared is None:
-                self.fail(f"undeclared index {tok.text!r}", tok)
+                self.fail(f"undeclared index {label!r}", tok)
             if declared != alph:
-                self.fail(f"index {tok.text!r} has the wrong alphabet for "
+                self.fail(f"index {label!r} has the wrong alphabet for "
                           f"{name}", tok)
             if var is None:
                 var = Variance.UP if minus is None else Variance.DOWN
-            idxs.append(Index(tok.text, alph, var))
+            idxs.append(Index(label, alph, var))
 
         if kind == Kind.LAMBDA_POWER:
             expo = self.parse_exponent() if self.accept("^") else Fraction(1)

@@ -30,15 +30,23 @@ scalars (the couplings and Lam, the atoms with an exponent), in the
 order given.  It maps them to their sign and canonical factors.  Scalars
 carry no index, so they cannot change the canonical search, and
 ``Lam^w * X`` for every rescaling weight w reuses the search of ``X``.
+For the same reason a term map sees only a term's skeleton: its factors
+after the scalars, with coefficient 1.  The canonical terms of the
+map's image are kept under (map, ``SPACETIME_DIM``, skeleton), so each
+skeleton is mapped and searched once per map object.
 
 Every engine function accepts any ``Expr`` and returns a canonical
 ``Sum``.  Only ``canonicalize``, on the Sums it returns, and
-``rewrite_terms``, on the terms a rewrite keeps, mark a Sum canonical.
-``canonicalize`` hands a marked Sum back unchanged and adds the terms
-of one inside a larger expression as they stand, so composing engine
-outputs puts no term in canonical form again.  ``rewrite_terms`` is the
-one pass that maps the terms of a canonical form and canonicalizes the
-result; the engines supply only the per-term rewrite.
+``rewrite_terms``, on the terms it keeps and the images it builds, mark
+a Sum canonical.  ``canonicalize`` hands a marked Sum back unchanged
+and adds the terms of one inside a larger expression as they stand, so
+composing engine outputs puts no term in canonical form again.
+``rewrite_terms`` is the one pass that maps the terms of a canonical
+form: the term's coefficient multiplies each term of its skeleton's
+image, and its scalars join each one's own.  The engines supply only
+the map, a module-level function or one object per parameter set, so
+that a later call finds its images again.  ``set_coupling``, the one
+map that reads a scalar, is a direct pass of its own.
 
 Slot symmetries are stated once, in the rows and the slot-symmetry rule
 (``_slot_groups``).  For any node it lists the groups of slot positions
@@ -202,13 +210,17 @@ class CRat:
         return out
 
     def __eq__(self, o):
-        o = CRat.of(o)
-        if o is NotImplemented:
-            return o
-        return self.re == o.re and self.im == o.im
+        """Equal to a CRat of the same parts and, when real, to an int or
+        Fraction of its value; NotImplemented for anything else."""
+        if isinstance(o, CRat):
+            return self.re == o.re and self.im == o.im
+        if isinstance(o, (int, Fraction)):
+            return not self.im and self.re == o
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real CRat equals its value, so it hashes as that value does
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -448,7 +460,8 @@ class Product(Expr):
 class Sum(Expr):
     terms: tuple[Expr, ...]
     # set only by ``canonicalize``, on the Sums it returns, and by
-    # ``rewrite_terms``, on the Sum of the canonical terms it keeps
+    # ``rewrite_terms``, on the Sum of the canonical terms it keeps and
+    # builds
     _canonical: bool = field(default=False, init=False, compare=False,
                              repr=False)
 
@@ -1175,9 +1188,11 @@ _TERM_CACHE: dict = {}
 _TERM_CACHE_LIMIT = 200_000
 _VANISHES = object()
 # memos of pure functions, emptied with the term cache: factor tuple ->
-# ``_term_facts``, factor -> ``_factor_key``
-_TERM_FACTS, _FACTOR_KEYS = {}, {}
-_MEMOS = [_TERM_FACTS, _FACTOR_KEYS]
+# ``_term_facts``, factor -> ``_factor_key``, (map, SPACETIME_DIM,
+# skeleton) -> the canonical terms of the map's image of the skeleton,
+# or None when the map keeps it (``rewrite_terms``)
+_TERM_FACTS, _FACTOR_KEYS, _IMAGES = {}, {}, {}
+_MEMOS = [_TERM_FACTS, _FACTOR_KEYS, _IMAGES]
 
 
 def _make_room() -> None:
@@ -1224,9 +1239,15 @@ def _canonical_term(coeff: CRat, factors: list):
         return None
     sign, out = found
     if powers:
-        out = tuple(sorted((FieldAtom(kind, (), p) for kind, p in
-                            powers.items() if p), key=_factor_key)) + out
+        out = _scalar_atoms(powers) + out
     return coeff if sign == 1 else -coeff, out
+
+
+def _scalar_atoms(powers: dict) -> tuple:
+    """The scalars of a canonical term, one atom per kind with a nonzero
+    power: kind -> power, sorted by ``_factor_key``."""
+    return tuple(sorted((FieldAtom(kind, (), p) for kind, p in
+                         powers.items() if p), key=_factor_key))
 
 
 def _prepare_term(factors: list):
@@ -1319,17 +1340,73 @@ def equal(a: Expr, b: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # term rewriting
 
+def _split_scalars(factors: tuple) -> tuple[tuple, tuple]:
+    """(scalars, skeleton) of a canonical term's factors: the scalars
+    lead, so the skeleton is what follows the last atom with a power."""
+    k = 0
+    while k < len(factors) and factors[k].exponent is not None:
+        k += 1
+    return factors[:k], factors[k:]
+
+
+def _with_scalars(scalars: tuple, factors: tuple) -> tuple:
+    """The canonical factors ``factors`` times the scalar atoms
+    ``scalars``: powers of one kind add and zero powers drop."""
+    if not scalars:
+        return factors
+    own, skeleton = _split_scalars(factors)
+    powers = {f.kind: f.exponent for f in own}
+    for f in scalars:
+        powers[f.kind] = powers.get(f.kind, 0) + f.exponent
+    return _scalar_atoms(powers) + skeleton
+
+
+_MISSING = object()
+
+
 def rewrite_terms(e: Expr, fn: Callable[[Product], Optional[Expr]]) -> Sum:
-    """The one term-map pass: canonicalize, map each canonical term
-    through fn (None keeps the term), canonicalize the result."""
+    """The one term-map pass: canonicalize, map each canonical term's
+    skeleton (its factors after the scalars, with coefficient 1) through
+    fn (None keeps the term), canonicalize the result.
+
+    fn must not read a term's coefficient or scalars, which carry no
+    index: the term's coefficient multiplies each term of the image and
+    its scalars join each term's own.  So the canonical terms of an
+    image are kept in ``_IMAGES`` under (fn, ``SPACETIME_DIM``,
+    skeleton), and a skeleton met again, in this call or a later one
+    with the same fn object, is neither mapped nor searched again.  A
+    call that changes no term returns the canonical form itself."""
     s = canonicalize(e)
-    mapped = [fn(t) for t in s.terms]
-    if all(r is None for r in mapped):
+    split = [_split_scalars(t.factors) for t in s.terms]
+    keys = [(fn, SPACETIME_DIM, skeleton) for _, skeleton in split]
+    images = [_IMAGES.get(key, _MISSING) for key in keys]
+    # every new skeleton is mapped before any image is canonicalized,
+    # so a map's error comes first, as when whole terms were mapped
+    mapped = {}
+    for key, image in zip(keys, images):
+        if image is _MISSING and key not in mapped:
+            mapped[key] = fn(Product(_UNIT, key[2]))
+    for key, r in mapped.items():
+        image = None if r is None else canonicalize(r).terms
+        _make_room()
+        mapped[key] = _IMAGES[key] = image
+    if mapped:
+        images = [mapped.get(key, image) for key, image in zip(keys, images)]
+    if all(image is None for image in images):
         return s
-    kept = Sum(tuple(t for t, r in zip(s.terms, mapped) if r is None))
-    object.__setattr__(kept, "_canonical", True)
-    return canonicalize(Sum((kept,) + tuple(r for r in mapped
-                                            if r is not None)))
+    out = []
+    for t, (scalars, _), image in zip(s.terms, split, images):
+        if image is None:
+            out.append(t)
+        else:
+            out += [Product(_times(t.coeff, u.coeff),
+                            _with_scalars(scalars, u.factors))
+                    for u in image]
+    # canonical terms, marked so that canonicalize adds them as they
+    # stand; it collects like terms and puts them in order
+    done = Sum(tuple(out))
+    object.__setattr__(done, "_canonical", True)
+    return canonicalize(Sum((done,)))
 
 
 def count_atoms(e: Expr, kind: Kind) -> int:
@@ -1342,13 +1419,19 @@ def set_coupling(e: Expr, name: str, value) -> Sum:
     """Fold a named coupling into the numeric coefficients.
 
     value may be an int, Fraction, or CRat.  An unknown coupling name,
-    and a zero value against a negative power, are rejected."""
+    and a zero value against a negative power, are rejected.  This is
+    the one map that reads a scalar, so it is a pass of its own: each
+    canonical term loses its coupling atom, whose value joins the
+    coefficient, and the rest, canonical already, is found in the term
+    cache."""
     val = value if isinstance(value, CRat) else CRat.of(Fraction(value))
     kind = coupling(name).kind
-
-    def fold(t: Product) -> Optional[Expr]:
+    s = canonicalize(e)
+    if not any(f.kind is kind for t in s.terms for f in t.factors):
+        return s
+    terms = []
+    for t in s.terms:
         coeff = t.coeff
-        kept = []
         for f in t.factors:
             if f.kind is kind:
                 if f.exponent < 0 and val.is_zero():
@@ -1356,10 +1439,6 @@ def set_coupling(e: Expr, name: str, value) -> Sum:
                         f"coupling {name!r} at power {f.exponent} set to "
                         f"zero")
                 coeff = coeff * val ** f.exponent
-            else:
-                kept.append(f)
-        if len(kept) == len(t.factors):
-            return None
-        return Product(coeff, tuple(kept))
-
-    return rewrite_terms(e, fold)
+        terms.append(Product(coeff, tuple(f for f in t.factors
+                                          if f.kind is not kind)))
+    return canonicalize(Sum(tuple(terms)))

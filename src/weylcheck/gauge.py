@@ -58,10 +58,18 @@ def gauge_covariantize(L: Union[Expr, "dsl.LagrangianDef"]) -> Sum:
     return ex.rewrite_terms(e, _covariantize_term)
 
 
-def _chain_terms(L: Sum, item_test) -> Sum:
-    """The terms of L with a chain item that passes item_test."""
-    return ex.rewrite_terms(L, lambda t: None if any(
-        map(item_test, ex._split_chain(t.factors)[1])) else ex.ZERO)
+def _spin_connection_term(t: Product) -> Optional[Expr]:
+    """Keeps a term whose spinor chain holds a sigma; drops the others."""
+    chain = ex._split_chain(t.factors)[1]
+    return None if any(it.kind is CliffordKind.SIGMA for it in chain) \
+        else ex.ZERO
+
+
+def _kinetic_term(t: Product) -> Optional[Expr]:
+    """Keeps a term whose spinor chain holds a derivative; drops the
+    others."""
+    chain = ex._split_chain(t.factors)[1]
+    return None if any(it.derivs for it in chain) else ex.ZERO
 
 
 def verify_fermion_decoupling() -> VerificationReport:
@@ -73,11 +81,11 @@ def verify_fermion_decoupling() -> VerificationReport:
     cov = gauge_covariantize(L)
     residual = full_simplify(cov - L)
 
-    sig = _chain_terms(L, lambda it: it.kind is CliffordKind.SIGMA)
+    sig = ex.rewrite_terms(L, _spin_connection_term)
     sig_extra = contract_pairs(gauge_covariantize(sig) - sig)
     sig_reduced = full_simplify(sig_extra)
 
-    kin = _chain_terms(L, lambda it: it.derivs)
+    kin = ex.rewrite_terms(L, _kinetic_term)
     kin_extra = full_simplify(gauge_covariantize(kin) - kin)
 
     combined = full_simplify(sig_reduced + kin_extra)

@@ -9,6 +9,7 @@ times its transform equals the original."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -98,10 +99,16 @@ def _transform_term(t: Product, power: Fraction, local: bool,
     return Product(t.coeff, tuple(pieces))
 
 
+@functools.cache
+def _scale_map(power: Fraction, local: bool, lam_power):
+    """The term map of one transform, one object per parameter set, so
+    ``rewrite_terms`` finds the images it mapped before."""
+    return functools.partial(_transform_term, power=power, local=local,
+                             lam_power=lam_power)
+
+
 def _apply_scale(e: Expr, power, local: bool, lam_power=0) -> Sum:
-    power = Fraction(power)
-    return ex.rewrite_terms(
-        e, lambda t: _transform_term(t, power, local, lam_power))
+    return ex.rewrite_terms(e, _scale_map(Fraction(power), local, lam_power))
 
 
 def apply_global_scale(e: Expr, power=1) -> Sum:
@@ -153,13 +160,13 @@ def check_invariance(L, mode: Mode) -> VerificationReport:
     )
 
 
+def _drop_log_derivative_term(t: Product) -> Optional[Expr]:
+    if any(f.kind is Kind.LOG_DERIV for f in t.factors):
+        return ex.ZERO
+    return None
+
+
 def drop_log_derivative(e) -> Sum:
     """Set D_mu to zero: the constant-Lambda limit of a local transform.
     A term holding D, bare or under derivatives, vanishes."""
-
-    def drop(t: Product) -> Optional[Expr]:
-        if any(f.kind is Kind.LOG_DERIV for f in t.factors):
-            return ex.ZERO
-        return None
-
-    return ex.rewrite_terms(e, drop)
+    return ex.rewrite_terms(e, _drop_log_derivative_term)

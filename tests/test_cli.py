@@ -359,6 +359,38 @@ def test_oracle_json_validates_against_schema():
     jsonschema.validate(json.loads(p.stdout), SCHEMA)
 
 
+_GOLDENS_IN_ONE_PROCESS = """
+import io, json, sys
+from contextlib import redirect_stdout
+from weylcheck import cli
+
+out = []
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()) as buf:
+        cli.main(argv)
+    out.append(buf.getvalue())
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.hashseed
+def test_goldens_in_one_process_in_both_orders():
+    """The 15 golden commands share one interpreter, in order and then
+    reversed, and each prints its golden byte for byte: what one command
+    leaves in the caches and memos changes no later output."""
+    names = sorted(GOLDEN_ARGS)
+    names += names[::-1]
+    env = dict(os.environ)
+    env.pop("WEYLCHECK_SEED", None)
+    p = subprocess.run(
+        [sys.executable, "-c", _GOLDENS_IN_ONE_PROCESS,
+         json.dumps([GOLDEN_ARGS[n] + ["--json"] for n in names])],
+        capture_output=True, text=True, env=env)
+    assert p.returncode == 0, p.stderr
+    for name, text in zip(names, json.loads(p.stdout), strict=True):
+        assert text == (GOLDENS / name).read_text(), name
+
+
 _LOADS_NUMPY = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout

@@ -788,6 +788,25 @@ def test_free_indices():
         frozenset()
 
 
+def test_crat_equality_keeps_the_hash_contract():
+    """A real CRat equals its int or Fraction value and hashes as it
+    does, so a set holds them once; against any other operand ``==``
+    answers False instead of raising."""
+    for c, v in ((CRat(2), 2), (CRat(-3), -3), (CRat(0), 0),
+                 (CRat(Fraction(1, 2)), Fraction(1, 2))):
+        assert c == v and v == c and hash(c) == hash(v)
+        assert len({c, v}) == 1
+    z = CRat(Fraction(1, 2), 3)
+    assert z == CRat(Fraction(1, 2), 3) and hash(z) == hash(
+        CRat(Fraction(1, 2), 3))
+    assert z != Fraction(1, 2) and Fraction(1, 2) != z
+    assert I_UNIT != 0 and I_UNIT != 1
+    for c in (CRat(1), I_UNIT):
+        for other in (None, "x", "1", 1j, 1 + 0j):
+            assert (c == other) is False and (other == c) is False
+            assert c != other
+
+
 def test_set_coupling_folds_value():
     phi = ex.scalar_field()
     e = Product(CRat(2), (ex.coupling("f", 2), phi))
@@ -1019,6 +1038,14 @@ def _double_odd_terms(t):
     return None
 
 
+def _on_skeleton(fn, t):
+    """t with fn applied as ``rewrite_terms`` applies it: to the factors
+    after the scalars, with coefficient 1; None keeps t."""
+    scalars, skeleton = ex._split_scalars(t.factors)
+    r = fn(Product(CRat(1), skeleton))
+    return t if r is None else Product(t.coeff, scalars + (r,))
+
+
 @pytest.mark.hashseed
 def test_marked_sums_pass_through_like_unmarked_copies():
     """The terms of a marked Sum bypass the per-term canonical form in
@@ -1040,7 +1067,7 @@ def test_marked_sums_pass_through_like_unmarked_copies():
              lambda: ex.canonicalize(ex.lam(k) * ua)),
             (lambda: ex.rewrite_terms(a, _double_odd_terms),
              lambda: ex.canonicalize(Sum(tuple(
-                 _double_odd_terms(t) or t for t in ua.terms)))),
+                 _on_skeleton(_double_odd_terms, t) for t in ua.terms)))),
         ]
         for marked, unmarked in pairs:
             got = _outcome(marked)
