@@ -48,6 +48,21 @@ the map, a module-level function or one object per parameter set, so
 that a later call finds its images again.  ``set_coupling``, the one
 map that reads a scalar, is a direct pass of its own.
 
+Atoms and indices are hash-consed: there is one ``FieldAtom`` and one
+``Index`` object per distinct value.  Building one with the fields of a
+live one returns that one, so == is identity and both hash by identity,
+in C, and a dict keyed by a tuple of atoms (the ``canonicalize`` bucket,
+the term cache, the memos) runs no Python code to hash or compare them.
+Each class keeps its intern table with weak values: a node that nothing
+else references leaves it, so the table stays as small as what is in
+use.  A table is never emptied while its nodes are alive: a second live
+object of one value would compare unequal to the first, and like terms
+would no longer collect.  For the same reason two threads must not
+build atoms at once: the intern step, like the caches, takes no lock.
+``Partial``, an input node, keeps value equality.  A set of atoms
+iterates in the order of their addresses, which moves from run to run,
+so no output reads such an order.
+
 Slot symmetries are stated once, in the rows and the slot-symmetry rule
 (``_slot_groups``).  For any node it lists the groups of slot positions
 that may be permuted, and the sign an odd permutation of a group gives:
@@ -72,8 +87,10 @@ started from.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -95,28 +112,53 @@ class Variance(IntEnum):
     DOWN = 1
 
 
-class _KeptHash:
-    """Base of the nodes that hash the fields taking part in == once, on
-    first use, and keep the hash in a slot that no comparison, repr or
-    pickle sees, however often the node is used as a key."""
+class _HashConsed(type):
+    """Metaclass of the nodes that exist once per value, ``Index`` and
+    ``FieldAtom``.  A call returns the live node whose fields, with the
+    defaults filled in, equal its arguments, so == between two nodes of
+    one class is identity.  Only a miss builds, and so validates, a node;
+    one that raises leaves nothing behind."""
 
-    __slots__ = ("_hash",)
+    def __call__(cls, *args, **kwargs):
+        if kwargs:  # keywords become positions, checked as __init__ would
+            bound = inspect.signature(cls.__init__).bind(None, *args,
+                                                         **kwargs)
+            bound.apply_defaults()
+            args = tuple(bound.arguments.values())[1:]
+        key = args + cls._defaults[len(args):]
+        node = cls._live.get(key)
+        if node is None:
+            node = cls._live[key] = super().__call__(*args)
+        return node
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(tuple(getattr(self, n) for n in self.__match_args__))
-            object.__setattr__(self, "_hash", h)
-            return h
+
+class _Interned(metaclass=_HashConsed):
+    """Base of the hash-consed nodes: the slot a weak reference needs,
+    and pickling and copying through the constructor, which hands back
+    the live node."""
+
+    __slots__ = ("__weakref__",)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
 
-@dataclass(frozen=True, slots=True)
-class Index(_KeptHash):
+def _hash_consed(cls):
+    """``cls`` as a frozen slotted dataclass whose nodes ``_HashConsed``
+    interns.  Hash and == are object's, by identity, in C.  The table
+    holds its nodes weakly: it keeps no node that nothing else
+    references, and drops none that is alive."""
+    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
+    cls._defaults = tuple(f.default for f in fields(cls))
+    cls._live = weakref.WeakValueDictionary()
+    return cls
+
+
+@_hash_consed
+class Index(_Interned):
     label: str
     alphabet: Alphabet
     variance: Variance
-    __hash__ = _KeptHash.__hash__
 
     def key(self) -> tuple:
         return (int(self.alphabet), int(self.variance), self.label)
@@ -385,17 +427,17 @@ def _as_expr(v) -> Expr:
     raise TypeError(f"cannot coerce {v!r} to Expr")
 
 
-@dataclass(frozen=True, slots=True)
-class FieldAtom(Expr, _KeptHash):
+@_hash_consed
+class FieldAtom(Expr, _Interned):
     """The one factor of a flattened term: an atom with its slot indices,
-    its power if it is a scalar (a Fraction for Lam, an int for a
-    coupling) and the indices of the derivatives over it, outermost
-    first, which a constant or Lam does not take."""
+    its power if it is a scalar (a rational for Lam, an integer for a
+    coupling; an int and the equal Fraction give one atom) and the
+    indices of the derivatives over it, outermost first, which a
+    constant or Lam does not take."""
     kind: _AtomKind
     indices: tuple[Index, ...] = ()
     exponent: Optional[int | Fraction] = None
     derivs: tuple[Index, ...] = ()
-    __hash__ = _KeptHash.__hash__
 
     def __post_init__(self):
         row = self.kind.row
@@ -418,6 +460,8 @@ class FieldAtom(Expr, _KeptHash):
         elif self.exponent is None:
             raise MalformedIndex(("Lambda power" if row.sort_class else
                                   "coupling") + " needs an exponent")
+        elif not row.sort_class and self.exponent.denominator != 1:
+            raise MalformedIndex("coupling exponents are integers")
         if self.derivs:
             if row.derivative in ("constant", "chain"):
                 raise MalformedIndex(
@@ -433,12 +477,11 @@ _COUPLINGS = ("lambda", "f", "e", "g")
 
 
 @dataclass(frozen=True, slots=True)
-class Partial(Expr, _KeptHash):
+class Partial(Expr):
     """The input node of a derivative, built by ``d`` and the parser;
     flattening moves its index onto the atoms under it."""
     index: Index
     operand: Expr
-    __hash__ = _KeptHash.__hash__
 
     def __post_init__(self):
         if (self.index.alphabet, self.index.variance) != _SD:
@@ -1438,7 +1481,8 @@ def set_coupling(e: Expr, name: str, value) -> Sum:
                     raise ZeroDivisionError(
                         f"coupling {name!r} at power {f.exponent} set to "
                         f"zero")
-                coeff = coeff * val ** f.exponent
+                # the live atom of an int power may hold the equal Fraction
+                coeff = coeff * val ** int(f.exponent)
         terms.append(Product(coeff, tuple(f for f in t.factors
                                           if f.kind is not kind)))
     return canonicalize(Sum(tuple(terms)))

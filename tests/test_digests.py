@@ -14,7 +14,12 @@ tests/test_digests.py``.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +33,7 @@ from weylcheck.simplify import full_simplify
 pytestmark = pytest.mark.hashseed
 
 SEEDS = range(300)
+ROOT = Path(__file__).resolve().parent.parent
 
 _EXPR_ENGINES = {
     "canonicalize": ex.canonicalize,
@@ -119,6 +125,80 @@ def test_canonical_forms_survive_emptying_the_full_caches(monkeypatch):
     names = ("canonicalize", "apply_global_scale", "check_invariance/local")
     assert digests(names) == {name: EXPECTED[name] for name in names}
     assert all(len(cache) <= 8 for cache in ex._MEMOS + [ex._TERM_CACHE])
+
+
+_DECOYS_FIRST = """
+import io, json, random, sys
+from contextlib import redirect_stdout
+from fractions import Fraction
+
+from weylcheck import exprs as ex
+
+rng = random.Random(int(sys.argv[1]))
+labels = ([f"mu{k}" for k in range(12)] + [f"fa{k}" for k in range(8)]
+          + ["mu", "nu", "rho", "sig", "a", "b", "c", "m", "n"])
+
+
+def atom():
+    kind = rng.choice([*ex.Kind, *ex.CliffordKind, *ex.CouplingKind])
+    row, first = kind.row, rng.choice(list(ex.Alphabet))
+    indices = tuple(ex.Index(rng.choice(labels), first if a is None else a,
+                             rng.choice(list(ex.Variance)) if v is None else v)
+                    for a, v in row.slots)
+    exponent = None
+    if row.sort_class == 0:
+        exponent = rng.randint(-3, 3)
+    elif row.sort_class == 1:  # Lam: an int power is the equal Fraction's
+        exponent = rng.choice([rng.randint(-4, 4),
+                               Fraction(rng.randint(-8, 8), 2)])
+    derivs = ()
+    if row.derivative not in ("constant", "chain"):
+        derivs = tuple(ex.st_lo(rng.choice(labels))
+                       for _ in range(rng.randint(0, 2)))
+    return ex.FieldAtom(kind, indices, exponent, derivs)
+
+
+fields = [(lab, a, v) for lab in labels for a in ex.Alphabet
+          for v in ex.Variance]
+rng.shuffle(fields)
+decoys = [ex.Index(*f) for f in fields] + [atom() for _ in range(3000)]
+
+sys.path.insert(0, sys.argv[2])
+from make_goldens import CASES
+from weylcheck.cli import main
+
+goldens = {}
+for fname, argv in CASES.items():
+    with redirect_stdout(io.StringIO()) as buf:
+        main(argv)
+    goldens[fname] = buf.getvalue()
+
+import test_digests
+print(json.dumps({"goldens": goldens, "digests": test_digests.digests()}))
+"""
+
+
+@pytest.mark.parametrize("decoy_seed", [0, 1])
+def test_outputs_do_not_depend_on_atom_addresses(decoy_seed):
+    """Atoms and indices hash by identity, so a set of them iterates in
+    the order of their addresses, which move from run to run.  With a
+    seeded, shuffled set of decoy atoms and indices interned first and
+    kept alive, which moves every later address and hands some builders
+    the decoy with an int Lam power, the 15 golden commands print their
+    goldens and the draws above give the recorded digests."""
+    env = dict(os.environ)
+    env.pop("WEYLCHECK_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "tests"), str(ROOT / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    p = subprocess.run(
+        [sys.executable, "-c", _DECOYS_FIRST, str(decoy_seed),
+         str(ROOT / "scripts")], capture_output=True, text=True, env=env)
+    assert p.returncode == 0, p.stderr
+    got = json.loads(p.stdout)
+    goldens = {g.name: g.read_text() for g in (ROOT / "goldens").glob("*")}
+    assert got["goldens"] == goldens
+    assert got["digests"] == EXPECTED
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Canonical forms, arithmetic, and term rewriting in the expression core."""
 
+import collections
 import enum
 import os
 import random
@@ -814,6 +815,18 @@ def test_set_coupling_folds_value():
     assert got == ex.canonicalize(Product(CRat(Fraction(1, 2)), (phi,)))
 
 
+def test_coupling_powers_are_integers_of_either_type():
+    """A coupling's power is an integer.  An integral Fraction is the
+    equal int's atom, so a live one is what ``coupling`` hands out, and
+    set_coupling folds it all the same."""
+    keep = ex.FieldAtom(ex.CouplingKind.F, (), Fraction(2))
+    assert ex.coupling("f", 2) is keep
+    e = ex.coupling("f", 2) * ex.scalar_field()
+    assert ex.set_coupling(e, "f", 3) == ex.canonicalize(9 * ex.scalar_field())
+    with pytest.raises(MalformedIndex, match="coupling exponents"):
+        ex.coupling("f", Fraction(1, 2))
+
+
 def test_set_coupling_zero_kills_terms():
     phi = ex.scalar_field()
     e = ex.coupling("f") * phi + phi * phi
@@ -1231,28 +1244,127 @@ def test_factors_without_dummies_are_placed_in_key_order():
     assert dsl.render_expr(e) == "ginv[mu0,mu1] * A[a] * A[mu0] * S[mu1]"
 
 
-def test_nodes_hash_once_by_value():
-    """Equal nodes built apart hash equal.  A node computes its hash on
-    first use from its compared fields and keeps it; the kept hash takes
-    no part in ==, repr or pickling."""
+def test_equal_atoms_are_one_object():
+    """FieldAtom and Index are hash-consed: equal ones built apart, by
+    the builders, the parser, renaming, pickling or copying, are one
+    object, and they hash and compare by identity, in C.  A construction
+    that raises leaves the tables as they were.  Partial, the input
+    node, keeps its value equality."""
+    import copy
+    import dataclasses
+    import gc
     import pickle
 
-    def build():
-        return ex.d("m", ex.metric("a", "b"))
+    g = ex.metric("a", "b")
+    ix = g.indices[0]
+    assert ex.metric("a", "b") is g and ex.st_lo("a") is ix
+    parsed = dsl.parse("indices spacetime a b ;\nfields g ;\nname t ;\n"
+                       "density g[a,b] ;\n").parsed
+    assert parsed.terms[0].factors[0] is g
+    assert ex._rename_in_factor(ex.metric("b", "a"), {})[0] is g
+    assert ex._rename_in_factor(ex.metric("c", "b"), {"c": "a"})[0] is g
+    for node in (g, ix, ex.canonicalize(ex.d("m", g)).terms[0].factors[0]):
+        assert pickle.loads(pickle.dumps(node)) is node
+        assert copy.copy(node) is node and copy.deepcopy(node) is node
+    assert ex.FieldAtom(kind=ex.Kind.METRIC, indices=g.indices) is g
+    assert dataclasses.replace(g) is g
+    assert ex.FieldAtom(ex.Kind.METRIC, g.indices, None, ()) is g
+    for cls in (ex.FieldAtom, ex.Index):
+        assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__
+    assert hash(g) == object.__hash__(g) and hash(ix) == object.__hash__(ix)
+    assert ex.FieldAtom(ex.Kind.LAMBDA_POWER, (), 1) is ex.lam(Fraction(1))
+    assert ex.FieldAtom(ex.Kind.LAMBDA_POWER, (), 1) is ex.lam(1)
 
-    def kept(node):
-        return getattr(node, "_hash", None)
+    gc.collect()
+    sizes = len(ex.FieldAtom._live), len(ex.Index._live)
+    with pytest.raises(MalformedIndex):
+        ex.metric("a", "b", "c")
+    with pytest.raises(MalformedIndex):
+        ex.FieldAtom(ex.Kind.METRIC, (ix, ix, ix))
+    with pytest.raises(TypeError):
+        ex.FieldAtom(ex.Kind.METRIC, g.indices, nosuch=1)
+    assert (len(ex.FieldAtom._live), len(ex.Index._live)) == sizes
 
-    x, y = build(), build()
-    assert x is not y and kept(x) is None and kept(y) is None
-    h = hash(x)
-    assert hash(x) == h == hash((x.index, x.operand))
-    assert kept(x) == h and kept(x.operand) is not None
-    assert kept(x.index) is not None and kept(y) is None
-    assert x == y and repr(x) == repr(y) and "_hash" not in repr(x)
-    assert hash(y) == h
-    z = pickle.loads(pickle.dumps(x))
-    assert z == x and kept(z) is None and kept(z.operand) is None
+    p, q = ex.d("m", g * g), ex.d("m", g * g)
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert type(ex.Partial) is type
+
+
+def test_atom_tables_keep_no_unreferenced_atom(monkeypatch):
+    """The intern tables hold their atoms weakly.  Emptying the caches
+    drops no atom that is still referenced, and 2000 atoms built,
+    canonicalized and dropped leave both tables at their earlier sizes
+    once the caches that held them are emptied."""
+    import gc
+
+    def empty_caches():
+        with monkeypatch.context() as m:
+            m.setattr(ex, "_TERM_CACHE_LIMIT", 1)
+            ex._make_room()
+        gc.collect()
+
+    def sizes():
+        return len(ex.FieldAtom._live), len(ex.Index._live)
+
+    empty_caches()
+    before = sizes()
+    atoms = [ex.metric(f"t{k}x", f"u{k}x") for k in range(2000)]
+    forms = [ex.canonicalize(a) for a in atoms]
+    assert sizes() == (before[0] + 2000, before[1] + 4000)
+    empty_caches()
+    assert sizes() == (before[0] + 2000, before[1] + 4000)
+    assert all(ex.metric(f"t{k}x", f"u{k}x") is a
+               for k, a in enumerate(atoms))
+    assert all(f.terms[0].factors[0] is a for f, a in zip(forms, atoms))
+    del atoms, forms
+    empty_caches()
+    assert sizes() == before
+
+
+def test_atoms_hash_and_compare_in_c():
+    """Parsing, checking and covariantizing the benchmark's seed-1 draw
+    of generated densities calls no Python-level __hash__ or __eq__ on a
+    FieldAtom or an Index."""
+    import importlib.util
+
+    from weylcheck import gauge, scale
+    from weylcheck.errors import UncoveredDerivative
+    from weylcheck.report import Mode
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    perfgen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = perfgen
+    try:
+        spec.loader.exec_module(perfgen)
+        sources = [case["source"] for case in perfgen.draw(1)]
+    finally:
+        del sys.modules[spec.name]
+
+    calls = []
+
+    def watch(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in ("__hash__", "__eq__") and \
+                isinstance(frame.f_locals.get(code.co_varnames[0]),
+                           (ex.FieldAtom, ex.Index)):
+            calls.append(code.co_name)
+
+    sys.setprofile(watch)
+    try:
+        for src in sources:
+            L = dsl.parse(src)
+            for mode in (Mode.GLOBAL, Mode.LOCAL):
+                scale.check_invariance(L, mode)
+            try:
+                cov = gauge.gauge_covariantize(L)
+            except UncoveredDerivative:
+                continue
+            dsl.render(dsl.make_def(L.name + "-cov", cov))
+            dsl.render(L)
+    finally:
+        sys.setprofile(None)
+    assert not calls, collections.Counter(calls)
 
 
 @pytest.mark.hashseed
