@@ -20,7 +20,16 @@ deep, and a term has at most `_MAX_FACTORS` factors.  `lambda`, `f`,
 `Lam^k` is the formal scale factor with rational exponent k.  `phi^4`
 abbreviates a repeated index-free factor, and counts as 4 factors.  The
 Kronecker delta is internal to the contraction engine and is not
-accepted as input."""
+accepted as input.
+
+The parser builds the terms the engine consumes: a `Sum` of
+`Product(coeff, factors)`, a coefficient of 1 being the shared unit.
+The derivative of a lone atom is the factor the engine's derivative
+rule (`exprs._derive_factor`) makes of it, when that is one atom with
+coefficient 1: the atom with the index leading its `derivs`.  Every
+other operand stays under a `Partial` input node.  So the terms of a
+usual density are products of atoms, which `canonicalize` takes as
+they stand."""
 
 from __future__ import annotations
 
@@ -28,7 +37,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from . import exprs as ex
 from .errors import IndexArityMismatch, ParseError, UndeclaredField
@@ -43,6 +52,7 @@ from .exprs import (
     Product,
     Sum,
     Variance,
+    _UNIT,
     canonicalize,
 )
 
@@ -114,7 +124,14 @@ def _position(src: str, k: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # parser
 
+_SIGNS = {"+": 1, "-": -1}
+
+
 class _Parser:
+    """Recursive descent over the token list.  A term's coefficient
+    stays a plain number until `i` comes, and an index is built once per
+    parse for each (label, slot, mark) that passed its checks."""
+
     def __init__(self, src: str):
         self.src = src
         self.toks = _tokenize(src)
@@ -124,6 +141,7 @@ class _Parser:
         self.name: Optional[str] = None
         self.density: Optional[Expr] = None
         self.nesting = 0
+        self.indices: dict[tuple, Index] = {}
 
     def peek(self) -> str:
         return self.toks[self.pos]
@@ -218,60 +236,67 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def sign(self) -> int:
-        """1 or -1 after stepping over a `+` or a `-`, 0 for neither."""
-        return 1 if self.accept("+") else -1 if self.accept("-") else 0
-
-    def parse_expr(self) -> Expr:
-        terms = [self.parse_term(self.sign() or 1)]
-        while sign := self.sign():
+    def parse_expr(self) -> Sum:
+        toks = self.toks
+        sign = _SIGNS.get(toks[self.pos])
+        if sign:
+            self.pos += 1
+        terms = [self.parse_term(sign or 1)]
+        while sign := _SIGNS.get(toks[self.pos]):
+            self.pos += 1
             terms.append(self.parse_term(sign))
         return Sum(tuple(terms))
 
-    def parse_term(self, sign: int) -> Expr:
-        coeff = CRat(sign)
-        factors: list[Expr] = []
+    def parse_term(self, sign: int) -> Product:
+        toks = self.toks
+        coeff = sign
+        factors: list[FieldAtom | Partial] = []
         while True:
             t = self.pos
-            piece = self.parse_factor()
-            if isinstance(piece, CRat):
-                coeff = coeff * piece
+            tok = toks[t]
+            if tok[:1].isdecimal():
+                coeff = coeff * self.parse_number("a number")
+            elif tok == "(":
+                self.pos = t + 1
+                coeff = self.parse_complex_literal() * coeff
+            elif tok == "i":
+                self.pos = t + 1
+                coeff = ex.I_UNIT * coeff
             else:
-                factors.extend(piece if isinstance(piece, list) else [piece])
+                if tok == "d" and toks[t + 1] == "[":
+                    factors.append(self.parse_derivative())
+                elif tok and tok not in _SYMBOLS:
+                    # a name: numbers and symbols are the only other tokens
+                    atom = self.parse_atom()
+                    if type(atom) is list:
+                        factors += atom
+                    else:
+                        factors.append(atom)
+                else:
+                    self.fail("expected a factor")
                 if len(factors) > _MAX_FACTORS:
                     self.fail(f"more than {_MAX_FACTORS} factors in one "
                               f"term", t)
-            if not self.accept("*"):
-                return Product(coeff, tuple(factors))
-
-    def parse_factor(self) -> Union[CRat, Expr, list]:
-        t = self.peek()
-        if t[:1].isdecimal():
-            return CRat(self.parse_number("a number"))
-        if self.accept("("):
-            return self.parse_complex_literal()
-        if _is_name(t):
-            if t == "i":
-                self.advance()
-                return ex.I_UNIT
-            if t == "d" and self.toks[self.pos + 1] == "[":
-                return self.parse_derivative()
-            return self.parse_atom()
-        self.fail("expected a factor")
+            if toks[self.pos] != "*":
+                break
+            self.pos += 1
+        if type(coeff) is not CRat:
+            coeff = _UNIT if coeff == 1 else CRat(coeff)
+        return Product(coeff, tuple(factors))
 
     def parse_number(self, what: str, signed: bool = False,
-                     slash: bool = True) -> Fraction:
+                     slash: bool = True) -> int | Fraction:
         """The one number rule, `[-] INT [/ INT]`, with the sign and the
         slash only where the caller allows them; `what` names a missing
         first INT in the message."""
         neg = signed and self.accept("-")
-        num, den = self.integer(what), 1
+        v = self.integer(what)
         if slash and self.accept("/"):
             den_t = self.pos
             den = self.integer("a denominator")
             if den == 0:
                 self.fail("zero denominator", den_t)
-        v = Fraction(num, den)
+            v = Fraction(v, den)
         return -v if neg else v
 
     def integer(self, what: str) -> int:
@@ -286,9 +311,10 @@ class _Parser:
     def parse_complex_literal(self) -> CRat:
         """`re + im*i)` or `re - im*i)`, the `(` taken."""
         re = self.parse_number("a number", signed=True)
-        s = self.sign()
+        s = _SIGNS.get(self.peek())
         if not s:
             self.fail("expected '+' or '-' in complex literal")
+        self.pos += 1
         im = self.parse_number("a number")
         self.expect_sym("*")
         i_t = self.expect_ident()
@@ -297,41 +323,60 @@ class _Parser:
         self.expect_sym(")")
         return CRat(re, s * im)
 
-    def parse_derivative(self) -> Expr:
-        d_t = self.advance()
+    def parse_derivative(self) -> FieldAtom | Partial:
+        """`d[m](...)`, the `d` next and `[` after it: the one atom the
+        engine's rule makes of a lone atom, or a ``Partial``."""
+        d_t = self.pos
         if self.nesting == _MAX_NESTING:
             self.fail(f"derivatives nested deeper than "
                       f"{_MAX_NESTING}", d_t)
-        self.expect_sym("[")
+        self.pos = d_t + 2
         lab_t = self.expect_ident()
         self.expect_sym("]")
         label = self.toks[lab_t]
-        alph = self.index_alphabet.get(label)
-        if alph is None:
-            self.fail(f"undeclared index {label!r}", lab_t)
-        if alph != Alphabet.SPACETIME:
-            self.fail("derivative index must be spacetime", lab_t)
+        ix = self.indices.get((label, ex._SD, True))
+        if ix is None:
+            alph = self.index_alphabet.get(label)
+            if alph is None:
+                self.fail(f"undeclared index {label!r}", lab_t)
+            if alph != Alphabet.SPACETIME:
+                self.fail("derivative index must be spacetime", lab_t)
+            ix = self.indices[label, ex._SD, True] = ex.st_lo(label)
         self.expect_sym("(")
         self.nesting += 1
         inner = self.parse_expr()
         self.nesting -= 1
         self.expect_sym(")")
-        return Partial(Index(label, Alphabet.SPACETIME, Variance.DOWN), inner)
+        match inner.terms:
+            case (Product(coeff=c, factors=(FieldAtom() as atom,)),) \
+                    if c is _UNIT:
+                match ex._derive_factor(ix, atom):
+                    case ((c, [node]),) if c is _UNIT:
+                        return node
+        return Partial(ix, inner)
 
     def parse_bracket_list(self) -> list[tuple[Optional[int], int]]:
-        """`[` labels `]` as (the place of a leading `-` or None, the
-        label's place) pairs."""
+        """`[` labels `]`, the `[` next, as (the place of a leading `-`
+        or None, the label's place) pairs."""
+        toks = self.toks
+        pos = self.pos + 1
         out = []
-        self.expect_sym("[")
         while True:
-            t = self.pos
-            out.append((t if self.accept("-") else None, self.expect_ident()))
-            if not self.accept(","):
+            minus = None
+            if toks[pos] == "-":
+                minus, pos = pos, pos + 1
+            if not _is_name(toks[pos]):
+                self.pos = pos
+                self.fail("expected a name")
+            out.append((minus, pos))
+            if toks[pos + 1] != ",":
                 break
+            pos += 2
+        self.pos = pos + 1
         self.expect_sym("]")
         return out
 
-    def parse_exponent(self) -> Fraction:
+    def parse_exponent(self) -> int | Fraction:
         """`k`, `-k` or a signed rational in `(...)`, the `^` taken."""
         if self.accept("("):
             v = self.parse_number("a number", signed=True)
@@ -339,10 +384,33 @@ class _Parser:
             return v
         return self.parse_number("an exponent", signed=True, slash=False)
 
-    def parse_atom(self) -> Union[Expr, list, CRat]:
-        name_t = self.advance()
-        name = self.toks[name_t]
-        has_brackets = self.peek() == "["
+    def slot_index(self, minus: Optional[int], tok: int, slot,
+                   name: str) -> Index:
+        """The index of one slot of atom ``name``, its checks passed."""
+        if minus is not None and slot[1] is not None:
+            # a variance mark is valid where the slot takes either one
+            self.fail("explicit variance marks are only valid on "
+                      "gamma and sigma", minus)
+        label = self.toks[tok]
+        declared = self.index_alphabet.get(label)
+        if declared is None:
+            self.fail(f"undeclared index {label!r}", tok)
+        alph, var = slot
+        if declared != alph:
+            self.fail(f"index {label!r} has the wrong alphabet for "
+                      f"{name}", tok)
+        if var is None:
+            var = Variance.UP if minus is None else Variance.DOWN
+        ix = Index(label, alph, var)
+        self.indices[label, slot, minus is None] = ix
+        return ix
+
+    def parse_atom(self) -> FieldAtom | list[FieldAtom]:
+        toks = self.toks
+        name_t = self.pos
+        name = toks[name_t]
+        self.pos = name_t + 1
+        has_brackets = toks[name_t + 1] == "["
 
         if name == "delta":
             self.fail("delta is internal to the contraction engine", name_t)
@@ -356,38 +424,27 @@ class _Parser:
         kind = _KIND_BY_NAME.get(name)
         if kind is None:
             self.fail(f"unknown field {name!r}", name_t, UndeclaredField)
-        if isinstance(kind, Kind) and kind not in self.fields:
+        field = type(kind) is Kind
+        if field and kind not in self.fields:
             self.fail(f"field {name!r} used but not declared", name_t,
                       UndeclaredField)
 
         pattern = kind.row.slots
-        raw = self.parse_bracket_list() if has_brackets else []
+        raw = self.parse_bracket_list() if has_brackets else ()
         if len(raw) != len(pattern):
             self.fail(f"{name} takes {len(pattern)} indices, got "
                       f"{len(raw)}", name_t, IndexArityMismatch)
-        idxs = []
-        for (minus, tok), (alph, var) in zip(raw, pattern):
-            # a variance mark is valid where the slot takes either one
-            if minus is not None and var is not None:
-                self.fail("explicit variance marks are only valid on "
-                          "gamma and sigma", minus)
-            label = self.toks[tok]
-            declared = self.index_alphabet.get(label)
-            if declared is None:
-                self.fail(f"undeclared index {label!r}", tok)
-            if declared != alph:
-                self.fail(f"index {label!r} has the wrong alphabet for "
-                          f"{name}", tok)
-            if var is None:
-                var = Variance.UP if minus is None else Variance.DOWN
-            idxs.append(Index(label, alph, var))
+        idxs = tuple([self.indices.get((toks[tok], slot, minus is None))
+                      or self.slot_index(minus, tok, slot, name)
+                      for (minus, tok), slot in zip(raw, pattern)])
 
-        if kind == Kind.LAMBDA_POWER:
-            expo = self.parse_exponent() if self.accept("^") else Fraction(1)
-            return FieldAtom(kind, (), expo)
+        if kind is Kind.LAMBDA_POWER:
+            expo = self.parse_exponent() if self.accept("^") else 1
+            return FieldAtom(kind, (), Fraction(expo))
 
-        atom = FieldAtom(kind, tuple(idxs))
-        if isinstance(kind, Kind) and self.accept("^"):
+        atom = FieldAtom(kind, idxs)
+        if field and toks[self.pos] == "^":
+            self.pos += 1
             if idxs:
                 self.fail("exponent on an indexed atom", name_t)
             v = self.parse_exponent()
@@ -404,8 +461,7 @@ class _Parser:
 def parse(src: str) -> LagrangianDef:
     if not src.strip():
         raise ParseError("empty source", 1, 1)
-    p = _Parser(src)
-    name, density, declared = p.run()
+    name, density, declared = _Parser(src).run()
     return LagrangianDef(name, canonicalize(density), declared)
 
 

@@ -7,16 +7,16 @@ a ``FieldAtom``: an indexed field, a constant spinor matrix (gamma,
 sigma, one), Lam or a coupling constant, whose kind is a
 ``CouplingKind`` and whose ``exponent`` is its power, as Lam's is.  A
 derivative of an atom is the atom with its derivative indices
-(``derivs``); ``Partial`` is only the input node that ``d`` and the
-parser build, and flattening moves its index onto the atoms.  The
-factors whose kind opens a spin axis are the term's spinor chain, in the
-order given, and the rest commute.  Coefficients are exact Gaussian
-rationals; no floats enter the symbolic layer.  ``canonicalize`` maps
-every expression to a unique normal form: sums flattened and sorted,
-products flattened with commuting factors in a fixed class order and the
-chain after them, like terms collected, and dummy indices renamed to a
-canonical sequence.  Structural equality of canonical forms is the
-engine's notion of equality.
+(``derivs``); ``Partial`` is only the input node that ``d``, and the
+parser for an operand other than a lone atom, build, and flattening
+moves its index onto the atoms.  The factors whose kind opens a spin axis
+are the term's spinor chain, in the order given, and the rest commute.
+Coefficients are exact Gaussian rationals; no floats enter the symbolic
+layer.  ``canonicalize`` maps every expression to a unique normal form:
+sums flattened and sorted, products flattened with commuting factors in
+a fixed class order and the chain after them, like terms collected, and
+dummy indices renamed to a canonical sequence.  Structural equality of
+canonical forms is the engine's notion of equality.
 
 What the engine knows about an atom's kind, a declared field, one of the
 Clifford matrices or a coupling, is one row declared with the kind
@@ -176,21 +176,27 @@ def fr_lo(label: str) -> Index:
     return Index(label, Alphabet.FRAME, Variance.DOWN)
 
 
+def _part(v) -> int | Fraction:
+    """A coefficient part in its one form: an int when it is integral,
+    otherwise a Fraction."""
+    v = v if isinstance(v, Fraction) else Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 class CRat:
     """Gaussian rational coefficient (exact real and imaginary parts).
 
-    A CRat is immutable, so one instance may be shared: the flattener
-    hands out the one unit ``_UNIT`` for every bare atom and plain
-    derivative, and ``_times`` compares with it by ``is`` to skip the
-    product."""
+    Each part is an int when it is integral and a Fraction otherwise, so
+    the common coefficients compute in C.  A CRat is immutable, so one
+    instance may be shared: the flattener and the parser hand out the one
+    unit ``_UNIT`` for every bare atom and plain derivative, and
+    ``_times`` compares with it by ``is`` to skip the product."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(
-            self, "re", re if isinstance(re, Fraction) else Fraction(re))
-        object.__setattr__(
-            self, "im", im if isinstance(im, Fraction) else Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is int else _part(re))
+        object.__setattr__(self, "im", im if type(im) is int else _part(im))
 
     def __setattr__(self, *a):
         raise AttributeError("CRat is immutable")
@@ -203,7 +209,7 @@ class CRat:
             return v
         if isinstance(v, Expr):
             return NotImplemented
-        return CRat(Fraction(v))
+        return CRat(v)
 
     def __add__(self, o):
         o = CRat.of(o)
@@ -236,8 +242,8 @@ class CRat:
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero coefficient")
-        return CRat((self.re * o.re + self.im * o.im) / n,
-                    (self.im * o.re - self.re * o.im) / n)
+        return CRat(Fraction(self.re * o.re + self.im * o.im, n),
+                    Fraction(self.im * o.re - self.re * o.im, n))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -265,7 +271,7 @@ class CRat:
         return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -478,8 +484,9 @@ _COUPLINGS = ("lambda", "f", "e", "g")
 
 @dataclass(frozen=True, slots=True)
 class Partial(Expr):
-    """The input node of a derivative, built by ``d`` and the parser;
-    flattening moves its index onto the atoms under it."""
+    """The input node of a derivative, built by ``d`` and by the parser
+    for an operand other than a lone atom; flattening moves its index
+    onto the atoms under it."""
     index: Index
     operand: Expr
 

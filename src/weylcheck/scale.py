@@ -5,7 +5,13 @@ power per term.  A local transformation does two things more: a
 weighted atom under derivatives keeps its Lam^(power*w) inside them, so
 flattening's chain rule emits D (the gradient of ln Lam), and the gauge
 vector S shifts by -(power/f) D.  A density is invariant when Lam^4
-times its transform equals the original."""
+times its transform equals the original.
+
+The transform, the contraction and the gamma reduction are term maps,
+and the canonical form is linear, so the fully simplified residual of a
+density is the sum of its terms' own.  A check is therefore one
+``rewrite_terms`` pass of one residual map per mode, which keeps each
+skeleton's simplified residual: a term met again is looked up."""
 
 from __future__ import annotations
 
@@ -124,11 +130,25 @@ def apply_local_scale(e: Expr, power=1) -> Sum:
     return _apply_scale(e, power, local=True)
 
 
+def _residual_term(t: Product, local: bool) -> Sum:
+    """One skeleton's residual: Lam^4 * transform(t) - t, fully
+    simplified."""
+    return full_simplify(_apply_scale(t, 1, local, lam_power=4) - t)
+
+
+@functools.cache
+def _residual_map(local: bool):
+    """The term map of a check's residual, one object per mode, so that
+    ``rewrite_terms`` keeps each skeleton's simplified residual."""
+    return functools.partial(_residual_term, local=local)
+
+
 def check_invariance(L, mode: Mode) -> VerificationReport:
-    """Residual of Lam^4 * transform(L) - L, fully simplified.  Passes
-    iff the residual is exactly zero.  Lam^4 joins each term's own Lam
-    power in the one transform pass; the residual and the trace are
-    rendered on first read, with the plain transform the trace shows."""
+    """Residual of Lam^4 * transform(L) - L, fully simplified, in one
+    residual pass.  Passes iff the residual is exactly zero.  The
+    residual and the trace are rendered on first read, with the
+    transform (Lam^4 joining each term's Lam power) and the difference
+    the trace shows."""
     if isinstance(L, dsl.LagrangianDef):
         name, expr = L.name, L.parsed
     else:
@@ -136,11 +156,12 @@ def check_invariance(L, mode: Mode) -> VerificationReport:
     if mode not in (Mode.GLOBAL, Mode.LOCAL):
         raise ValueError(f"check_invariance expects Global or Local, "
                          f"got {mode}")
-    rescaled = _apply_scale(expr, 1, mode == Mode.LOCAL, lam_power=4)
-    difference = canonicalize(rescaled - expr)
-    residual = full_simplify(difference)
+    local = mode == Mode.LOCAL
+    residual = ex.rewrite_terms(expr, _residual_map(local))
 
     def render():
+        rescaled = _apply_scale(expr, 1, local, lam_power=4)
+        difference = canonicalize(rescaled - expr)
         # Lam^-4 only moves each term's Lam power back: its other
         # factors are canonical already, so no term is searched again
         transformed = canonicalize(ex.lam(-4) * rescaled)

@@ -4,9 +4,11 @@ import random
 import string
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import reference_parse as ref
 import strategies as gen
 from weylcheck import densities, dsl
 from weylcheck import exprs as ex
@@ -314,6 +316,61 @@ def test_parser_returns_or_raises_a_classified_error():
             pass
         except Exception as e:
             pytest.fail(f"{src!r} raised {e!r}")
+
+
+# derivative operands beside a lone atom: a product, a number, a sign, a
+# sum, a constant, Lam under the chain rule, nesting and a repeated label
+_DERIVATIVE_OPERANDS = [
+    "d[m](phi * phi) * phi^2", "d[m](2 * phi) * phi^3", "d[m](-phi) * phi^3",
+    "d[m](phi + phi^2) * phi^2", "d[m](i * phi) * phi^3",
+    "d[m](Lam) * ginv[m,n] * S[n]", "d[m](Lam^(1/2)) * ginv[m,n] * S[n]",
+    "d[m](Lam^0) * ginv[m,n] * S[n]", "d[m](f) * ginv[m,n] * S[n]",
+    "d[m](gamma[a]) * ginv[m,n] * S[n]", "d[m](d[n](phi)) * ginv[m,n]",
+    "d[m](ginv[m,n]) * S[n]", "d[m](S[n]) * d[n](S[m])",
+    "d[m](detg) * ginv[m,n] * d[n](phi)", "d[m](1 * phi) * d[m](phi)",
+]
+
+
+def _outcome(parse, src):
+    """The parsed density, or the class, message and place of its error."""
+    try:
+        return parse(src)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "col",
+                                                                   None)
+
+
+@pytest.mark.hashseed
+def test_parser_matches_reference_parser():
+    """The parser that builds atom terms gives the canonical form of the
+    parser that built a ``Partial`` per derivative, or the same error at
+    the same place: on rendered generated densities, the seeded
+    mutations and hostile sources of the robustness test, Weyl's vector
+    meson and derivatives of every kind of operand."""
+    rng = random.Random("dsl-robustness")
+    docs = [dsl.render(gen.random_def(seed)) for seed in range(40)]
+    chars = string.printable + "²٣½μ\x00"
+    mutated = []
+    for _ in range(2000):
+        src = rng.choice(docs)
+        for _ in range(rng.randint(1, 3)):
+            i, op = rng.randrange(len(src) + 1), rng.randrange(3)
+            ch = rng.choice(chars) if op < 2 else ""
+            src = src[:i] + ch + src[i + (op != 1):]
+        mutated.append(src)
+    head = ("indices spacetime m n ;\nindices frame a ;\n"
+            "fields ginv phi S detg Lam ;\nname t ;\ndensity ")
+    sources = [*(dsl.render(gen.random_def(seed)) for seed in range(300)),
+               *mutated, *_HOSTILE,
+               (Path(__file__).resolve().parent.parent / "examples"
+                / "weyl-meson.wl").read_text(),
+               *(head + body + " ;" for body in _DERIVATIVE_OPERANDS)]
+    kinds = set()
+    for src in sources:
+        got, want = _outcome(dsl.parse, src), _outcome(ref.parse, src)
+        assert got == want, src
+        kinds.add(type(want) is dsl.LagrangianDef)
+    assert kinds == {True, False}
 
 
 def test_make_def_canonicalizes():

@@ -529,7 +529,9 @@ def test_crat_matches_fraction_pairs(shapes, data):
     k = data.draw(st.integers(-3, 3))
 
     def holds(c, pair):
-        assert type(c.re) is Fraction and type(c.im) is Fraction
+        # a part is an int exactly when it is integral, else a Fraction
+        for part in (c.re, c.im):
+            assert type(part) is (int if part.denominator == 1 else Fraction)
         assert (c.re, c.im) == pair
 
     holds(x + y, (p[0] + q[0], p[1] + q[1]))

@@ -328,3 +328,58 @@ def test_invariance_verdict_renders_nothing(builtins_all, monkeypatch):
         assert r.residual == json.loads(golden)["residual"]
         assert r.trace[-1].after == r.residual
         assert r.to_json() == golden
+
+
+@pytest.mark.hashseed
+def test_one_pass_invariance_matches_two_pass_reference_in_seven_dimensions(
+        builtins_all, monkeypatch):
+    """The same comparison with ``SPACETIME_DIM`` 7, where a trace gives
+    other coefficients: each skeleton's residual is kept per dimension,
+    so residuals checked in four dimensions first are not served."""
+    checks = [(gen.random_expr(seed), mode) for seed in range(300)
+              for mode in (Mode.GLOBAL, Mode.LOCAL)]
+    four = [check_invariance(L, mode).residual for L, mode in checks]
+    monkeypatch.setattr(ex, "SPACETIME_DIM", 7)
+    test_one_pass_invariance_matches_two_pass_reference(builtins_all)
+    assert [check_invariance(L, mode).residual for L, mode in checks] != four
+
+
+def test_warm_verdict_simplifies_nothing(builtins_all, monkeypatch):
+    """Checking a density again finds each skeleton's residual in the
+    memo: no ``full_simplify`` call and no new memo entry."""
+    from weylcheck import scale
+    dens = [builtins_all["scalar-gauged"], builtins_all["dirac"],
+            *(gen.random_expr(seed) for seed in range(20))]
+    modes = (Mode.GLOBAL, Mode.LOCAL)
+    first = [check_invariance(L, mode) for L in dens for mode in modes]
+    before = len(ex._IMAGES)
+    calls = []
+    monkeypatch.setattr(scale, "full_simplify",
+                        lambda e: calls.append(e) or full_simplify(e))
+    again = [check_invariance(L, mode) for L in dens for mode in modes]
+    assert calls == [] and len(ex._IMAGES) == before
+    assert again == first
+
+
+def test_small_cache_limit_empties_residuals(builtins_all, monkeypatch):
+    """With a small limit the residual images are emptied with the term
+    cache, again and again, and every verdict and residual is the
+    two-pass check's."""
+    from weylcheck import scale
+    dens = [builtins_all["scalar"], builtins_all["scalar-gauged"],
+            *(gen.random_expr(seed) for seed in range(40))]
+    modes = (Mode.GLOBAL, Mode.LOCAL)
+    want = [(r.passed, r.residual) for L in dens for mode in modes
+            for r in [ref.check_invariance(L, mode)]]
+    monkeypatch.setattr(ex, "_TERM_CACHE_LIMIT", 7)
+    ex._make_room()
+    assert not ex._IMAGES
+    maps = {scale._residual_map(False), scale._residual_map(True)}
+    got, kept = [], []
+    for L in dens:
+        for mode in modes:
+            r = check_invariance(L, mode)
+            got.append((r.passed, r.residual))
+            kept.append(sum(key[0] in maps for key in ex._IMAGES))
+    assert got == want
+    assert max(kept) <= 8 and any(b < a for a, b in zip(kept, kept[1:]))
