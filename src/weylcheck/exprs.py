@@ -33,7 +33,13 @@ carry no index, so they cannot change the canonical search, and
 For the same reason a term map sees only a term's skeleton: its factors
 after the scalars, with coefficient 1.  The canonical terms of the
 map's image are kept under (map, ``SPACETIME_DIM``, skeleton), so each
-skeleton is mapped and searched once per map object.
+skeleton is mapped and searched once per map object.  Index-free atoms
+(``phi``, ``detg``, without derivatives) carry no index either and do not
+steer the search: on a miss, the form of ``phi^k * X`` is the form of
+``X``, found in or added to the same cache, with the ``phi`` sorted in,
+so every power of ``phi`` reuses one search.  Unlike scalars they stay
+in the key, and the merged form is kept under it, so a hit is still one
+lookup.
 
 Every engine function accepts any ``Expr`` and returns a canonical
 ``Sum``.  Only ``canonicalize``, on the Sums it returns, and
@@ -1046,10 +1052,13 @@ def _least_candidate(factors: list, chain_items: list,
     extension; the search raises MalformedIndex after ``_SEARCH_CAP``.
 
     The result depends only on ``factors`` and ``chain_items``: the
-    dummies and free labels are read off them.  So ``_canonical_term``
+    dummies and free labels are read off them.  So ``_term_form``
     searches a term's non-scalar factors once and keeps the result in
     the term cache, under those factors and under the result's own
-    (with sign +1).
+    (with sign +1).  A bare atom (no slot, no spin axis) adds no label
+    and leaves the rank order of the other factors in ``_refined_groups``
+    as it is, so it only joins ``blocks``: ``_term_form`` searches a term
+    without its bare atoms and sorts them in.
     """
     slots = _term_slot_list(factors + chain_items)
     alphabet_of = {ix.label: ix.alphabet for ix in slots
@@ -1257,11 +1266,10 @@ def _canonical_term(coeff: CRat, factors: list):
     """Unique representative of one product term: (coeff, canonical
     factors), or None when the term vanishes.  The scalars are split off
     and merged per kind; the other factors, in the order given, key the
-    term cache, which holds their sign and canonical factors.  A
-    canonical result is the least candidate of its own search, reached
-    with the sign it carries, so it is cached as its own representative
-    too.  Scalars key before every other factor, so, sorted among
-    themselves, they lead the canonical factors."""
+    term cache, which holds their sign and canonical factors
+    (``_term_form`` fills it on a miss).  Scalars key before every other
+    factor, so, sorted among themselves, they lead the canonical
+    factors."""
     if coeff.is_zero():
         return None
     powers: dict = {}
@@ -1272,25 +1280,52 @@ def _canonical_term(coeff: CRat, factors: list):
         else:
             powers[f.kind] = powers.get(f.kind, 0) + f.exponent
     key = tuple(rest)
-    found = _TERM_CACHE.get(key)
-    if found is None:
-        _make_room()
-        found = _VANISHES
-        prep = _prepare_term(rest)
-        if prep is not None:
-            plain, chain_items, sign0, dummies, free_labels = prep
-            best = _least_candidate(plain, chain_items, dummies, free_labels)
-            if best is not None:
-                found = (sign0 * best[0], best[1])
-        _TERM_CACHE[key] = found
-        if found is not _VANISHES:
-            _TERM_CACHE[found[1]] = (1, found[1])
+    found = _TERM_CACHE.get(key) or _term_form(key)
     if found is _VANISHES:
         return None
     sign, out = found
     if powers:
         out = _scalar_atoms(powers) + out
     return coeff if sign == 1 else -coeff, out
+
+
+def _term_form(rest: tuple):
+    """The term-cache entry of ``rest``, a term's factors without
+    scalars, on a miss: (sign, canonical factors), or ``_VANISHES``.
+
+    A bare atom (no indices, no derivatives, no spin axis: ``phi``,
+    ``detg``) names nothing and is never in the chain, so when ``rest``
+    holds bare atoms among other factors, its form is the form of the
+    others, found in or added to the term cache, with the bare atoms
+    sorted into its commuting part by ``_factor_key``; the sign is the
+    others', and they vanish together.  Otherwise ``rest`` is searched.
+    A canonical result is the least candidate of its own search, reached
+    with the sign it carries, so it is cached as its own representative
+    too."""
+    _make_room()
+    core, bare = [], []
+    for f in rest:
+        (core if f.indices or f.derivs or any(f.kind.row.spin)
+         else bare).append(f)
+    found = _VANISHES
+    if core and bare:
+        key = tuple(core)
+        found = _TERM_CACHE.get(key) or _term_form(key)
+        if found is not _VANISHES:
+            plain, chain = _split_chain(found[1])
+            found = (found[0],
+                     tuple(sorted(plain + bare, key=_factor_key) + chain))
+    else:
+        prep = _prepare_term(rest)
+        if prep is not None:
+            plain, chain_items, sign0, dummies, free_labels = prep
+            best = _least_candidate(plain, chain_items, dummies, free_labels)
+            if best is not None:
+                found = (sign0 * best[0], best[1])
+    _TERM_CACHE[rest] = found
+    if found is not _VANISHES:
+        _TERM_CACHE[found[1]] = (1, found[1])
+    return found
 
 
 def _scalar_atoms(powers: dict) -> tuple:
@@ -1405,6 +1440,8 @@ def _with_scalars(scalars: tuple, factors: tuple) -> tuple:
     if not scalars:
         return factors
     own, skeleton = _split_scalars(factors)
+    if not own:  # canonical scalars lead canonical factors as they stand
+        return scalars + factors
     powers = {f.kind: f.exponent for f in own}
     for f in scalars:
         powers[f.kind] = powers.get(f.kind, 0) + f.exponent

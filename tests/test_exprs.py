@@ -682,6 +682,105 @@ def test_term_cache_keys_hold_no_scalars(monkeypatch):
             assert f.exponent is None, key
 
 
+def _recorded(monkeypatch, name):
+    """Record the arguments of each call of ``exprs.<name>``."""
+    calls, fn = [], getattr(ex, name)
+
+    def recording(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(ex, name, recording)
+    return calls
+
+
+def _is_bare(f):
+    return not (f.indices or f.derivs or any(f.kind.row.spin))
+
+
+@pytest.mark.hashseed
+def test_bare_atoms_reuse_the_search_of_the_rest(monkeypatch):
+    """phi and detg carry no index, so, like scalars, they do not steer
+    the search: phi^k * ginv A A for k = 0..9, detg^k * ginv A A and a
+    spinor term times phi take one search per distinct non-bare part,
+    and every term-cache key stays a tuple of atoms without scalars."""
+    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    searched = _recorded(monkeypatch, "_least_candidate")
+    phi, detg = ex.scalar_field(), ex.det_factor()
+    core = ex.inv_metric("m", "n") * ex.em_vector("m") * ex.em_vector("n")
+    (want,) = ex.canonicalize(core).terms
+    for bare in (phi, detg):
+        for k in range(10):
+            e = core if k == 0 else bare ** k * core
+            assert ex.canonicalize(e).terms == (
+                Product(want.coeff, tuple(sorted(
+                    (bare,) * k + want.factors, key=ex._factor_key))),)
+    spinor = ex.inv_tetrad("a", "m") * ex.em_vector("m") * ex.fermion_bar() \
+        * ex.gamma("a") * ex.fermion()
+    (t,) = ex.canonicalize(phi * spinor).terms
+    assert t.factors[-3:] == (ex.fermion_bar(), ex.gamma("fa0"), ex.fermion())
+    nodes = [tuple(factors) + tuple(chain) for factors, chain, *_ in searched]
+    assert len(nodes) == 2 == len(set(nodes))
+    assert not any(_is_bare(f) for fs in nodes for f in fs)
+    for key in ex._TERM_CACHE:
+        assert all(isinstance(f, ex.FieldAtom) and f.exponent is None
+                   for f in key), key
+
+
+@pytest.mark.hashseed
+def test_bare_atoms_vanish_with_the_rest(monkeypatch):
+    """sigma contracted with eta vanishes, and so does phi^k times it."""
+    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    vanishing = ex.minkowski("a", "b") * ex.fermion_bar() \
+        * ex.sigma("a", "b") * ex.fermion()
+    for k in range(4):
+        e = vanishing if k == 0 else ex.scalar_field() ** k * vanishing
+        assert ex.canonicalize(e) == ex.ZERO
+
+
+@pytest.mark.hashseed
+def test_warm_bare_atom_term_is_one_lookup(monkeypatch):
+    """Once phi^3 * detg * X is canonical, canonicalizing it again finds
+    it in the term cache: nothing is prepared, keyed or sorted."""
+    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    e = ex.scalar_field() ** 3 * ex.inv_metric("m", "n") * ex.det_factor() \
+        * ex.weyl_vector("m") * ex.fermion_bar() * ex.fermion() \
+        * ex.d("n", ex.scalar_field())
+    first = ex.canonicalize(e)
+    prepared = _recorded(monkeypatch, "_prepare_term")
+    keyed = _recorded(monkeypatch, "_factor_key")
+    assert ex.canonicalize(e) == first
+    assert prepared == keyed == []
+
+
+@pytest.mark.hashseed
+def test_bare_atoms_match_the_whole_term_search(monkeypatch):
+    """Generated terms with one to four phi or detg atoms inserted at
+    seeded places, between chain items too, get the sign, factors and
+    vanishing of the reference's search over the whole term, the bare
+    atoms in it, whether the rest is searched afresh or found."""
+    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    bare = (ex.scalar_field(), ex.det_factor())
+    outcomes = collections.Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        for coeff, factors in ex._flatten(gen.random_term(rng)):
+            for _ in range(rng.randint(1, 4)):
+                factors.insert(rng.randint(0, len(factors)),
+                               rng.choice(bare))
+            try:
+                want = ref.canonical_term(coeff, factors)
+            except ref.TooManyCandidates:
+                want = _dp_searched(coeff, factors)
+            assert ex._canonical_term(coeff, factors) == want, factors
+            outcomes["vanishes" if want is None else
+                     "negated" if want[0] == -coeff else "kept"] += 1
+            spin = [i for i, f in enumerate(factors) if any(f.kind.row.spin)]
+            outcomes["bare in chain"] += any(
+                map(_is_bare, factors[spin[0]:spin[-1]])) if spin else 0
+    assert min(outcomes.values()) > 0 and len(outcomes) == 4, outcomes
+
+
 def test_repeated_same_variance_rejected():
     bad = ex.metric("a", "b") * ex.metric("a", "c")
     with pytest.raises(MalformedIndex):
