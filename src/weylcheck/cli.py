@@ -42,7 +42,7 @@ def _load_target(target: str) -> dsl.LagrangianDef:
         except KeyError as e:
             raise _UsageError(str(e.args[0])) from e
     try:
-        with open(target, "r", encoding="utf-8") as fh:
+        with open(target, "r", encoding="utf-8-sig") as fh:
             src = fh.read()
     except OSError as e:
         raise _UsageError(f"cannot read {target}: {e.strerror}") from e

@@ -29,12 +29,25 @@ rule (`exprs._derive_factor`) makes of it, when that is one atom with
 coefficient 1: the atom with the index leading its `derivs`.  Every
 other operand stays under a `Partial` input node.  So the terms of a
 usual density are products of atoms, which `canonicalize` takes as
-they stand."""
+they stand.
+
+Deterministic work is done once per process.  A factor spelled without
+blanks (`ginv[mu,nu]`, `d[mu](phi)`, `phi^3`, `1/2`, `(1-2*i)`) and an
+`indices` or `fields` statement on one line are each parsed once: a
+memo, emptied with the term cache, keeps what the parser built and what
+that needed declared, so a later occurrence is one lookup and a check
+against the current declarations and `_MAX_NESTING`.  A first pass lexes
+each such spelling as one token; one that is not in the memo, or fails
+its check, is put back as its tokens and read by the rules above.  Any
+error sends the source to an exact pass over the plain tokens, without
+the memo, which reports it at its line and column.  The renderer keeps
+the text of each factor tuple the same way (`_TEXTS`)."""
 
 from __future__ import annotations
 
 import itertools
 import re
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -83,12 +96,26 @@ class LagrangianDef:
 # other character, which no rule accepts, or the empty token at the end.
 # `\w` is a character that `str.isalnum` accepts, or `_`; `\d` is a
 # decimal digit, which `int` reads.  After the skipped text the token
-# pattern always matches, so the skip never gives back a comment.
-_TOKEN = re.compile(r"""
-    (?:[ \t\r\n]+|\#[^\n]*)*
-    ([^\W\d]\w*|\d+|[;,\[\]()*+\-^/]|.|\Z)
-""", re.VERBOSE | re.DOTALL)
+# pattern always matches, so the skip never gives back a comment.  The
+# patterns compile on first use, which a run that parses nothing skips.
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
+_NAME = r"[^\W\d]\w*"
+_ALTS = rf"{_NAME}|\d+|[;,\[\]()*+\-^/]|.|\Z"
+_TOKEN = rf"(?s){_SKIP}({_ALTS})"
+# The first pass also takes as one token an `indices` or `fields`
+# statement on one line and a compact factor: a number with its
+# denominator, a complex literal, an atom with its brackets and exponent,
+# or `d[label]` of one, spelled without blanks.
+_RAT = r"\d+(?:/\d+)?"
+_ATOM = (rf"(?!d\[){_NAME}(?:\[-?{_NAME}(?:,-?{_NAME})*\])?"
+         rf"(?:\^(?:-?\d+|\(-?{_RAT}\)))?")
+_COMPACT = (
+    rf"(?s){_SKIP}((?:indices|fields)(?:[ \t]+{_NAME})+[ \t]*;|{_RAT}"
+    rf"|\(-?{_RAT}[+-]{_RAT}\*i\)|d\[{_NAME}\]\({_ATOM}\)|{_ATOM}|{_ALTS})")
 _SYMBOLS = frozenset(";,[]()*+-^/")
+# first characters that start a token, besides letters of other scripts
+_STARTS = frozenset(string.ascii_letters + string.digits + "_") | _SYMBOLS \
+    | {""}
 
 
 def _is_name(tok: str) -> bool:
@@ -106,8 +133,9 @@ def _tokenize(src: str) -> list[str]:
     """The tokens of a source, ending with the empty token.  The parser
     names a token by its place in the list; ``_position`` finds its line
     and column when an error needs them."""
-    toks = _TOKEN.findall(src)
-    bad = {tok[0] for tok in set(toks) if tok and not _starts_token(tok[0])}
+    toks = re.findall(_TOKEN, src)
+    bad = {tok[:1] for tok in set(toks)} - _STARTS
+    bad = {c for c in bad if not _starts_token(c)}
     if bad:
         k = next(k for k, tok in enumerate(toks) if tok[:1] in bad)
         raise ParseError(f"unexpected character {toks[k][0]!r}",
@@ -117,7 +145,7 @@ def _tokenize(src: str) -> list[str]:
 
 def _position(src: str, k: int) -> tuple[int, int]:
     """(line, column) of the k-th token of a source."""
-    at = next(itertools.islice(_TOKEN.finditer(src), k, None)).start(1)
+    at = next(itertools.islice(re.finditer(_TOKEN, src), k, None)).start(1)
     return src.count("\n", 0, at) + 1, at - src.rfind("\n", 0, at)
 
 
@@ -126,18 +154,43 @@ def _position(src: str, k: int) -> tuple[int, int]:
 
 _SIGNS = {"+": 1, "-": -1}
 
+# memos emptied with the term cache: factor spelling -> (a coefficient,
+# or an atom, its repeats (0 for a coefficient), the field kinds and the
+# (label, alphabet) pairs it needs declared, the deepest nesting it may
+# sit at); statement spelling -> (label -> alphabet, field kinds) that
+# it declares
+_FACTORS: dict = {}
+_STATEMENTS: dict = {}
+ex._MEMOS.extend((_FACTORS, _STATEMENTS))
+
+
+class _Retry(Exception):
+    """The first pass of ``parse`` met an error; the exact pass reports
+    it."""
+
 
 class _Parser:
     """Recursive descent over the token list.  A term's coefficient
     stays a plain number until `i` comes, and an index is built once per
-    parse for each (label, slot, mark) that passed its checks."""
+    parse for each (label, slot, mark) that passed its checks.
 
-    def __init__(self, src: str):
+    Given the memo, the parser is the first pass: it lexes compact
+    factors and one-line statements, takes a memoized one whose
+    declarations hold as one token, and puts the tokens of any other in
+    its place before it reads them.  It raises ``_Retry`` at the first
+    error.  Without the memo it is the exact pass: every error carries
+    its line and column."""
+
+    def __init__(self, src: str, memo: Optional[dict] = None):
         self.src = src
-        self.toks = _tokenize(src)
+        self.exact = memo is None
+        self.memo = {} if memo is None else memo
+        self.toks = _tokenize(src) if self.exact else re.findall(_COMPACT, src)
         self.pos = 0
         self.index_alphabet: dict[str, Alphabet] = {}
         self.fields: set[Kind] = set()
+        # the declared kinds and (label, alphabet) pairs
+        self.declared: set = set()
         self.name: Optional[str] = None
         self.density: Optional[Expr] = None
         self.nesting = 0
@@ -153,6 +206,8 @@ class _Parser:
 
     def fail(self, msg: str, at: Optional[int] = None, exc=ParseError):
         """Raise at the token in place ``at``, by default the next one."""
+        if not self.exact:
+            raise _Retry
         raise exc(msg, *_position(self.src, self.pos if at is None else at))
 
     def accept(self, s: str) -> bool:
@@ -167,8 +222,16 @@ class _Parser:
         if not self.accept(s):
             self.fail(f"expected {s!r}")
 
+    def split(self, t: int) -> str:
+        """Put the tokens of the compact token at place t in its place;
+        the first of them."""
+        self.toks[t:t + 1] = re.findall(_TOKEN, self.toks[t])[:-1]
+        return self.toks[t]
+
     def expect_ident(self) -> int:
-        if not _is_name(self.peek()):
+        tok = self.peek()
+        # a compact factor or statement of the first pass is no name
+        if not _is_name(tok) or "[" in tok or "^" in tok or ";" in tok:
             self.fail("expected a name")
         return self.advance()
 
@@ -177,11 +240,24 @@ class _Parser:
     def run(self) -> tuple[str, Expr, tuple[Kind, ...]]:
         toks = self.toks
         while self.peek():
+            t = self.pos
+            spelling = toks[t]
+            decl = _STATEMENTS.get(spelling)
+            if decl and self.index_alphabet.keys().isdisjoint(decl[0]):
+                self.declare(*decl)
+                self.pos = t + 1
+                continue
+            compact = len(spelling) > 1 and spelling[-1] == ";"
+            if compact:  # a statement on one line
+                self.split(t)
             head = self.expect_ident()
-            if toks[head] == "indices":
-                self.stmt_indices()
-            elif toks[head] == "fields":
-                self.stmt_fields()
+            if toks[head] in ("indices", "fields"):
+                decl = (self.stmt_indices() if toks[head] == "indices"
+                        else self.stmt_fields())
+                self.declare(*decl)
+                if compact:
+                    ex._make_room()
+                    _STATEMENTS[spelling] = decl
             elif toks[head] == "name":
                 t = self.expect_ident()
                 if self.name is not None:
@@ -204,7 +280,12 @@ class _Parser:
         declared = tuple(sorted(self.fields, key=lambda k: k.value))
         return self.name or "user", self.density, declared
 
-    def stmt_indices(self):
+    def declare(self, labels: dict, kinds):
+        self.index_alphabet.update(labels)
+        self.fields.update(kinds)
+        self.declared.update(labels.items(), kinds)
+
+    def stmt_indices(self) -> tuple[dict, tuple]:
         alph_tok = self.expect_ident()
         alph = {"spacetime": Alphabet.SPACETIME,
                 "frame": Alphabet.FRAME}.get(self.toks[alph_tok])
@@ -215,15 +296,18 @@ class _Parser:
             labels.append(self.expect_ident())
         if not labels:
             self.fail("empty indices statement", alph_tok)
+        new: dict[str, Alphabet] = {}
         for t in labels:
             label = self.toks[t]
-            if label in self.index_alphabet:
+            if label in self.index_alphabet or label in new:
                 self.fail(f"index {label!r} declared twice", t)
-            self.index_alphabet[label] = alph
+            new[label] = alph
+        return new, ()
 
-    def stmt_fields(self):
+    def stmt_fields(self) -> tuple[dict, frozenset]:
         if self.accept(";"):
             self.fail("empty fields statement")
+        kinds = set()
         while not self.accept(";"):
             t = self.expect_ident()
             name = self.toks[t]
@@ -232,7 +316,8 @@ class _Parser:
             kind = _KIND_BY_NAME.get(name)
             if not isinstance(kind, Kind):
                 self.fail(f"unknown field {name!r}", t, UndeclaredField)
-            self.fields.add(kind)
+            kinds.add(kind)
+        return {}, frozenset(kinds)
 
     # -- expressions --------------------------------------------------------
 
@@ -248,41 +333,80 @@ class _Parser:
         return Sum(tuple(terms))
 
     def parse_term(self, sign: int) -> Product:
-        toks = self.toks
+        toks, memo = self.toks, self.memo
         coeff = sign
         factors: list[FieldAtom | Partial] = []
         while True:
             t = self.pos
-            tok = toks[t]
-            if tok[:1].isdecimal():
-                coeff = coeff * self.parse_number("a number")
-            elif tok == "(":
+            tok = spelling = toks[t]
+            hit = memo.get(tok)
+            # a name followed by `[` or `^` is not the factor it spells
+            if hit and toks[t + 1] not in ("[", "^") \
+                    and hit[2] <= self.declared and self.nesting <= hit[3]:
                 self.pos = t + 1
-                coeff = self.parse_complex_literal() * coeff
-            elif tok == "i":
-                self.pos = t + 1
-                coeff = ex.I_UNIT * coeff
+                if hit[1]:
+                    factors += [hit[0]] * hit[1]
+                elif type(hit[0]) is CRat:  # a complex literal
+                    coeff = hit[0] * coeff
+                else:
+                    coeff = coeff * hit[0]
             else:
-                if tok == "d" and toks[t + 1] == "[":
-                    factors.append(self.parse_derivative())
-                elif tok and tok not in _SYMBOLS:
-                    # a name: numbers and symbols are the only other tokens
-                    atom = self.parse_atom()
+                if len(tok) > 1 and not tok.isalnum():  # a compact factor
+                    tok = self.split(t)
+                if tok[:1].isdecimal():
+                    v = self.parse_number("a number")
+                    coeff = coeff * v
+                    self.remember(spelling, t, v, 0)
+                elif tok == "(":
+                    self.pos = t + 1
+                    v = self.parse_complex_literal()
+                    coeff = v * coeff
+                    self.remember(spelling, t, v, 0)
+                elif tok == "i":
+                    self.pos = t + 1
+                    coeff = ex.I_UNIT * coeff
+                else:
+                    if tok == "d" and toks[t + 1] == "[":
+                        atom = self.parse_derivative()
+                    elif tok and tok not in _SYMBOLS:
+                        # a name: numbers and symbols are the only others
+                        atom = self.parse_atom()
+                    else:
+                        self.fail("expected a factor")
+                    n = 1
                     if type(atom) is list:
                         factors += atom
+                        atom, n = atom[0], len(atom)
                     else:
                         factors.append(atom)
-                else:
-                    self.fail("expected a factor")
-                if len(factors) > _MAX_FACTORS:
-                    self.fail(f"more than {_MAX_FACTORS} factors in one "
-                              f"term", t)
+                    self.remember(spelling, t, atom, n)
+            if len(factors) > _MAX_FACTORS:
+                self.fail(f"more than {_MAX_FACTORS} factors in one term", t)
             if toks[self.pos] != "*":
                 break
             self.pos += 1
         if type(coeff) is not CRat:
             coeff = _UNIT if coeff == 1 else CRat(coeff)
         return Product(coeff, tuple(factors))
+
+    def remember(self, spelling: str, t: int, value, n: int):
+        """Memoize the factor that its tokens, from place t on, spell
+        exactly: a coefficient (n = 0) or an atom repeated n times, with
+        what its parse found declared and how deep it nests derivatives.
+        """
+        if self.exact or "".join(self.toks[t:self.pos]) != spelling:
+            return
+        needs, room = set(), _MAX_NESTING
+        if n:
+            if type(value) is not FieldAtom:
+                return
+            needs = {(ix.label, ix.alphabet)
+                     for ix in value.indices + value.derivs}
+            if type(value.kind) is Kind:
+                needs.add(value.kind)
+            room -= len(value.derivs)
+        ex._make_room()
+        self.memo[spelling] = (value, n, frozenset(needs), room)
 
     def parse_number(self, what: str, signed: bool = False,
                      slash: bool = True) -> int | Fraction:
@@ -300,6 +424,8 @@ class _Parser:
         return -v if neg else v
 
     def integer(self, what: str) -> int:
+        if "/" in self.peek():  # a compact number
+            self.split(self.pos)
         t = self.advance()
         if not self.toks[t][:1].isdecimal():
             self.fail(f"expected {what}", t)
@@ -461,7 +587,10 @@ class _Parser:
 def parse(src: str) -> LagrangianDef:
     if not src.strip():
         raise ParseError("empty source", 1, 1)
-    name, density, declared = _Parser(src).run()
+    try:
+        name, density, declared = _Parser(src, _FACTORS).run()
+    except _Retry:
+        name, density, declared = _Parser(src).run()
     return LagrangianDef(name, canonicalize(density), declared)
 
 

@@ -39,7 +39,9 @@ steer the search: on a miss, the form of ``phi^k * X`` is the form of
 ``X``, found in or added to the same cache, with the ``phi`` sorted in,
 so every power of ``phi`` reuses one search.  Unlike scalars they stay
 in the key, and the merged form is kept under it, so a hit is still one
-lookup.
+lookup.  The memos of other layers (the renderer's texts, the parser's
+factor and statement spellings) join ``_MEMOS``, so ``_make_room``
+empties them with the term cache.
 
 Every engine function accepts any ``Expr`` and returns a canonical
 ``Sum``.  Only ``canonicalize``, on the Sums it returns, and
@@ -1269,23 +1271,28 @@ def _canonical_term(coeff: CRat, factors: list):
     term cache, which holds their sign and canonical factors
     (``_term_form`` fills it on a miss).  Scalars key before every other
     factor, so, sorted among themselves, they lead the canonical
-    factors."""
+    factors; given as one nonzero atom per kind in that order, as a
+    canonical term holds them, they are kept as they are."""
     if coeff.is_zero():
         return None
     powers: dict = {}
-    rest = []
+    rest, scalars = [], []
     for f in factors:
         if f.exponent is None:
             rest.append(f)
         else:
+            scalars.append(f)
             powers[f.kind] = powers.get(f.kind, 0) + f.exponent
     key = tuple(rest)
     found = _TERM_CACHE.get(key) or _term_form(key)
     if found is _VANISHES:
         return None
     sign, out = found
-    if powers:
-        out = _scalar_atoms(powers) + out
+    if scalars:
+        ranks = [(f.kind.row.sort_class, f.kind.row.rank) for f in scalars]
+        canonical = len(powers) == len(scalars) and all(powers.values()) \
+            and ranks == sorted(ranks)
+        out = (tuple(scalars) if canonical else _scalar_atoms(powers)) + out
     return coeff if sign == 1 else -coeff, out
 
 

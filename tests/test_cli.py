@@ -146,6 +146,18 @@ def test_file_target_matches_builtin(tmp_path):
     assert a.returncode == b.returncode == 0
 
 
+def test_byte_order_mark_is_read_as_no_text(tmp_path):
+    """A source saved with a UTF-8 byte-order mark, as some editors save
+    it, gets the report of the same source without one."""
+    example = ROOT / "examples" / "weyl-meson.wl"
+    f = tmp_path / "bom.wl"
+    f.write_bytes(b"\xef\xbb\xbf" + example.read_bytes())
+    a = run_cli("verify", str(f), "--mode=local", "--json")
+    b = run_cli("verify", str(example), "--mode=local", "--json")
+    assert a.returncode == b.returncode == 0, a.stderr
+    assert a.stdout == b.stdout and "Traceback" not in a.stderr
+
+
 def test_frame_label_named_like_an_internal_one(tmp_path):
     """A user label that looks like a contraction's internal frame label
     gets the same verdict as any other name."""

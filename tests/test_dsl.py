@@ -373,6 +373,118 @@ def test_parser_matches_reference_parser():
     assert kinds == {True, False}
 
 
+def _reference_sources() -> list[str]:
+    """The sources of ``test_parser_matches_reference_parser``."""
+    rng = random.Random("dsl-robustness")
+    docs = [dsl.render(gen.random_def(seed)) for seed in range(40)]
+    chars = string.printable + "²٣½μ\x00"
+    mutated = []
+    for _ in range(2000):
+        src = rng.choice(docs)
+        for _ in range(rng.randint(1, 3)):
+            i, op = rng.randrange(len(src) + 1), rng.randrange(3)
+            ch = rng.choice(chars) if op < 2 else ""
+            src = src[:i] + ch + src[i + (op != 1):]
+        mutated.append(src)
+    head = ("indices spacetime m n ;\nindices frame a ;\n"
+            "fields ginv phi S detg Lam ;\nname t ;\ndensity ")
+    return [*(dsl.render(gen.random_def(seed)) for seed in range(300)),
+            *mutated, *_HOSTILE,
+            (Path(__file__).resolve().parent.parent / "examples"
+             / "weyl-meson.wl").read_text(),
+            *(head + body + " ;" for body in _DERIVATIVE_OPERANDS)]
+
+
+# memoized spellings under declarations they no longer meet, each with
+# the outcome both parsers give: a label in the other alphabet, a dropped
+# field, an undeclared label, derivatives nested to the bound (its
+# repeated label is refused after the parse) and past it, repetitions
+# past the factor bound
+_MEMO_HEAD = "indices spacetime mu nu m ;\nindices frame a ;\n"
+_MEMO_FIELDS = "fields ginv phi S ;\nname t ;\ndensity "
+_MEMO_DENSITY = ("2/3 * ginv[mu,nu] * d[mu](phi) * d[nu](phi) * phi^3"
+                 " + (1-2*i) * f^2 * ginv[mu,nu] * S[mu] * S[nu]"
+                 " + gamma[a] * gamma[-a] * phi^4 ;")
+_NEST = dsl._MAX_NESTING
+_MEMO_REUSE = [
+    (_MEMO_HEAD + _MEMO_FIELDS + _MEMO_DENSITY, dsl.LagrangianDef),
+    ("indices frame mu ;\nindices spacetime nu ;\n" + _MEMO_FIELDS
+     + _MEMO_DENSITY, ParseError),
+    ("indices spacetime mu nu a ;\n" + _MEMO_FIELDS + _MEMO_DENSITY,
+     ParseError),
+    ("indices spacetime nu ;\nindices frame mu ;\n" + _MEMO_FIELDS
+     + "d[mu](phi) ;", ParseError),
+    (_MEMO_HEAD + "fields ginv S ;\nname t ;\ndensity " + _MEMO_DENSITY,
+     UndeclaredField),
+    ("indices spacetime mu ;\nindices frame a ;\n" + _MEMO_FIELDS
+     + _MEMO_DENSITY, ParseError),
+    (_MEMO_HEAD + _MEMO_FIELDS + "d[m](" * (_NEST - 1) + "d[mu](phi)"
+     + ")" * (_NEST - 1) + " ;", MalformedIndex),
+    (_MEMO_HEAD + _MEMO_FIELDS + "d[m](" * _NEST + "d[mu](phi)"
+     + ")" * _NEST + " ;", ParseError),
+    (_MEMO_HEAD + _MEMO_FIELDS + "phi^60000 ;", dsl.LagrangianDef),
+    (_MEMO_HEAD + _MEMO_FIELDS + "phi^60000 * phi^60000 ;", ParseError),
+    (_MEMO_HEAD + _MEMO_FIELDS + "phi^60000 * phi^40000 ;",
+     dsl.LagrangianDef),
+]
+
+
+@pytest.mark.hashseed
+def test_warm_memo_parses_as_the_reference_parser():
+    """A memoized factor spelling parses as the reference parser parses
+    it, or fails with its error at its place: over the sources of
+    ``test_parser_matches_reference_parser`` parsed forward and then
+    backward in one process, and on spellings memoized under
+    declarations that a later source no longer makes."""
+    dsl._FACTORS.clear()
+    dsl._STATEMENTS.clear()
+    sources = _reference_sources()
+    for src in [*sources, *reversed(sources)]:
+        assert _outcome(dsl.parse, src) == _outcome(ref.parse, src), src
+    for src, kind in _MEMO_REUSE:
+        got = _outcome(dsl.parse, src)
+        assert got == _outcome(ref.parse, src), src
+        assert (type(got) if kind is dsl.LagrangianDef else got[0]) is kind
+    assert {"d[mu](phi)", "ginv[mu,nu]", "phi^60000"} <= dsl._FACTORS.keys()
+
+
+def test_first_pass_reads_every_valid_source():
+    """A source that the exact pass reads, the first pass reads alone,
+    with a warm memo too, to the same result: blanks inside a spelling,
+    a name followed by `[` or `^` after its memoized bare use, and a
+    fraction inside a complex literal or an exponent never send it to
+    the exact pass."""
+    spaced = ("indices spacetime mu nu ;\nfields ginv phi Lam ;\nname t ;\n"
+              "density ( 1/2 - 3*i ) * g * Lam ^(1/2) * ginv [mu,nu] "
+              "* d[mu](phi) * d[nu](phi ^2) * g ^2 ;")
+    sources = [*_reference_sources(), *(src for src, _ in _MEMO_REUSE),
+               spaced]
+    read = 0
+    for src in sources * 2:
+        try:
+            want = dsl._Parser(src).run()
+        except WeylcheckError:
+            continue
+        assert dsl._Parser(src, dsl._FACTORS).run() == want, src
+        read += 1
+    assert read > 2 * 300
+
+
+def test_emptying_the_memos_empties_the_factor_memo(monkeypatch):
+    """``_make_room`` empties the factor memo with the term cache and the
+    other memos, and parses that fill it again and again under a small
+    limit give the same definitions."""
+    docs = [dsl.render(gen.random_def(seed)) for seed in range(30)]
+    want = [dsl.parse(doc) for doc in docs]
+    assert dsl._FACTORS in ex._MEMOS and dsl._FACTORS
+    monkeypatch.setattr(ex, "_TERM_CACHE_LIMIT", len(dsl._FACTORS))
+    ex._make_room()
+    assert not dsl._FACTORS and not ex._TERM_CACHE and not any(ex._MEMOS)
+    monkeypatch.setattr(ex, "_TERM_CACHE_LIMIT", 5)
+    assert [dsl.parse(doc) for doc in docs] == want
+    assert len(dsl._FACTORS) <= 5
+
+
 def test_make_def_canonicalizes():
     e = ex.scalar_field() * ex.scalar_field()
     L = dsl.make_def("t", e)
