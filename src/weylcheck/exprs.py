@@ -95,10 +95,12 @@ started from.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
+import math
+import operator
 import weakref
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -129,10 +131,10 @@ class _HashConsed(type):
 
     def __call__(cls, *args, **kwargs):
         if kwargs:  # keywords become positions, checked as __init__ would
-            bound = inspect.signature(cls.__init__).bind(None, *args,
-                                                         **kwargs)
-            bound.apply_defaults()
-            args = tuple(bound.arguments.values())[1:]
+            args += tuple(kwargs.pop(name, default) for name, default in zip(
+                cls.__match_args__[len(args):], cls._defaults[len(args):]))
+            if kwargs or MISSING in args:
+                raise TypeError(f"{cls.__name__} takes {cls.__match_args__}")
         key = args + cls._defaults[len(args):]
         node = cls._live.get(key)
         if node is None:
@@ -596,18 +598,16 @@ def d(label: str, operand: Expr) -> Expr:
 # structural keys
 
 def _factor_key(f: FieldAtom) -> tuple:
-    """Sort key of any factor or chain item; the class number leads, so
-    atoms < derivatives, atoms sort by the class and rank of their
-    kind's row, then power and indices, and a derivative by its atom's
-    key, then its derivative indices."""
+    """Sort key of any factor or chain item: 6 for a derivative (after
+    every atom's 2), then 2, the class and rank of its kind's row, its
+    power as (numerator, denominator), and the keys of its indices and
+    of its derivative indices.  So a derivative sorts by its atom's key,
+    then its derivative indices."""
+    row = f.kind.row
     exp = (0, 0) if f.exponent is None else \
         (f.exponent.numerator, f.exponent.denominator)
-    row = f.kind.row
-    key = (2, row.sort_class, row.rank, exp,
-           tuple(ix.key() for ix in f.indices))
-    if f.derivs:
-        return (6, key, tuple(ix.key() for ix in f.derivs))
-    return key
+    return ((6,) if f.derivs else ()) + (2, row.sort_class, row.rank) \
+        + exp + tuple(ix.key() for ix in f.indices + f.derivs)
 
 
 def _split_chain(factors: Iterable[FieldAtom]) -> tuple[list, list]:
@@ -719,13 +719,13 @@ def _with_slots(f: FieldAtom, slots: list[Index]) -> FieldAtom:
     return FieldAtom(f.kind, tuple(slots[n:]), f.exponent, tuple(slots[:n]))
 
 
-def _rename_in_factor(f: FieldAtom, ren: dict[str, str], vanish=True):
+def _rename_in_factor(f: FieldAtom, ren: dict[str, str]):
     """Relabel one node by ``ren`` and put it in its one slot order: each
     group of ``_slot_groups`` sorted by ``Index.key``.  Returns (node,
     sign), the sign the sorting permutations give, or (None, 0) when the
-    node vanishes, unless ``vanish`` is false: a label repeated in an
-    antisymmetric group (equal variance: antisymmetry; mixed: the trace
-    of an antisymmetric object).  With ``ren`` empty it only normalizes."""
+    node vanishes: a label repeated in an antisymmetric group (equal
+    variance: antisymmetry; mixed: the trace of an antisymmetric
+    object).  With ``ren`` empty it only normalizes."""
     slots = [ix if ix.label not in ren else
              Index(ren[ix.label], ix.alphabet, ix.variance)
              for ix in _slots_of_factor(f)]
@@ -738,7 +738,7 @@ def _rename_in_factor(f: FieldAtom, ren: dict[str, str], vanish=True):
         members = [slots[p] for p in pos]
         order = sorted(range(len(pos)), key=lambda k: members[k].key())
         if group_sign < 0:
-            if vanish and len({ix.label for ix in members}) < len(members):
+            if len({ix.label for ix in members}) < len(members):
                 return None, 0
             if _odd(order):
                 sign = -sign
@@ -750,15 +750,9 @@ def _rename_in_factor(f: FieldAtom, ren: dict[str, str], vanish=True):
 def _rename_term(factors: list, ren: dict[str, str]):
     """``_rename_in_factor`` over a term: (factors, sign), or (None, 0)
     when a node vanishes."""
-    sign = 1
-    renamed = []
-    for f in factors:
-        nf, s = _rename_in_factor(f, ren)
-        if nf is None:
-            return None, 0
-        sign *= s
-        renamed.append(nf)
-    return renamed, sign
+    renamed = [_rename_in_factor(f, ren) for f in factors]
+    sign = math.prod(s for _, s in renamed)
+    return ([f for f, _ in renamed] if sign else None), sign
 
 
 # ---------------------------------------------------------------------------
@@ -917,17 +911,78 @@ def _strip_identities(items: list) -> list:
     return kept or items[:1]
 
 
+# a node of a searched term in integer form (``_compiled``)
+_Node = namedtuple("_Node",
+                   "atom codes fills sorts antis seen labels sym groups")
+
+
+def _compiled(f: FieldAtom, rank: dict, ids: dict, head: tuple = ()) -> _Node:
+    """Node ``f`` of a prepared term in integer form, ``rank`` mapping its
+    free labels to their places in one sorted order of strings and
+    ``ids`` its dummies to numbers.  ``codes`` is its key: ``head``, the
+    part of ``_factor_key`` before the slots, then per slot in key order
+    ``(2 * alphabet + variance) * len(rank)`` plus its label's rank, so
+    it orders as ``Index.key``.  ``_node_key`` adds the dummies' ranks
+    (``fills``: key position, place in ``seen``, the dummies in first-
+    sight order) and sorts the slot groups ``sorts``, of which ``antis``
+    are antisymmetric.  ``labels`` holds each dummy slot's dummy, ``sym``
+    the places in it of each +1 group with two or more, and ``groups``
+    each group's new dummies and whether they form a set."""
+    slots, n = _slots_of_factor(f), len(f.derivs)
+    codes = [*head, *_factor_key(f)[:-len(slots) or None]]
+    # key order: the atom's slots, then the derivative indices
+    where = [len(codes) + q for q in (*range(len(slots) - n, len(slots)),
+                                      *range(len(slots) - n))]
+    codes += [0] * len(slots)
+    for p, ix in enumerate(slots):
+        code = (2 * ix.alphabet + ix.variance) * len(rank)
+        codes[where[p]] = code if ix.label in ids else code + rank[ix.label]
+    at = [p for p, ix in enumerate(slots) if ix.label in ids]
+    labels = tuple(ids[slots[p].label] for p in at)
+    seen, sorts, antis, sym, groups = {}, [], [], [], []
+    for pos, sign, _ in _slot_groups(f):
+        mine = [k for k, p in enumerate(at) if p in pos]
+        new = [d for d in dict.fromkeys(labels[k] for k in mine)
+               if d not in seen]
+        for d in new:
+            seen[d] = len(seen)
+        groups.append((new, sign > 0 and all(
+            labels.count(d) == 1 for d in new)))
+        if sign > 0 and len(mine) > 1:
+            sym.append(mine)
+        if len(pos) > 1 and mine:
+            sorts.append([where[p] for p in pos])
+            if sign < 0:
+                antis.append(sorts[-1])
+    fills = tuple((where[p], seen[labels[k]]) for k, p in enumerate(at))
+    return _Node(f, codes, fills, sorts, antis, seen, labels, sym, groups)
+
+
+def _node_key(node: _Node, names) -> tuple[tuple, int]:
+    """(key, sign) of a compiled node whose dummies, in first-sight order,
+    take the ranks ``names``.  Nothing vanishes: a bound may give two
+    dummies one rank."""
+    codes = node.codes[:]
+    for q, j in node.fills:
+        codes[q] += names[j]
+    odd = sum(_odd([codes[q] for q in pos])
+              for pos in node.antis) if node.antis else 0
+    return tuple(_sorted_within(codes, node.sorts)), (-1) ** odd
+
+
 def _refined_groups(factors: list, chain_items: list,
                     dummies: set[str]) -> list[list[Expr]]:
-    """Partition factors into permutable tie groups: start from the key
-    of each factor with its dummies renamed to "" (and then normalized,
-    so no slot order chosen by a dummy's name survives) and iteratively
-    split by the colors reached through dummy contractions.  Nodes that
-    remain tied are (at worst) automorphic images, so the candidate
-    enumeration stays tiny even for terms like the quartic Yang-Mills
-    self-interaction."""
-    erase = dict.fromkeys(dummies, "")
-    keys = [_factor_key(_rename_in_factor(f, erase)[0]) for f in factors]
+    """Partition the factors of a prepared term into permutable tie
+    groups: start from the key of each factor with its dummies named ""
+    (rank 0, before every free label; its groups sorted, so no slot
+    order chosen by a dummy's name survives) and iteratively split by
+    the colors reached through dummy contractions.  Nodes that remain
+    tied are (at worst) automorphic images, so the candidate enumeration
+    stays tiny even for terms like the quartic Yang-Mills one."""
+    labels = {ix.label for ix in _term_slot_list(factors)} - dummies
+    rank = {lab: r for r, lab in enumerate(sorted(labels | {""}))}
+    erased = dict.fromkeys(dummies, 0)  # all one dummy, of rank 0
+    keys = [_node_key(_compiled(f, rank, erased), (0,))[0] for f in factors]
     rank_of = {k: r for r, k in enumerate(sorted(set(keys)))}
     color = [rank_of[k] for k in keys]
 
@@ -958,11 +1013,10 @@ def _refined_groups(factors: list, chain_items: list,
                                         for ca, n, cb in adj[i])))
                 for i in range(len(factors))]
         new_rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new_color = [new_rank[s] for s in sigs]
-        if len(set(new_color)) == len(set(color)):
-            color = new_color
+        stable = len(new_rank) == len(set(color))
+        color = [new_rank[s] for s in sigs]
+        if stable:
             break
-        color = new_color
 
     buckets: dict[int, list[Expr]] = {}
     for i, f in enumerate(factors):
@@ -984,16 +1038,12 @@ def _dummy_name_pool(alphabet: Alphabet, count: int,
     labels the term uses as frees: the k-th dummy of that alphabet met on
     a candidate's slot walk is named the k-th entry."""
     prefix = "mu" if alphabet == Alphabet.SPACETIME else "fa"
-    names = []
-    for k in itertools.count():
-        if len(names) == count:
-            return names
-        cand = f"{prefix}{k}"
-        if cand not in free_labels:
-            names.append(cand)
+    names = (f"{prefix}{k}" for k in itertools.count())
+    return list(itertools.islice(
+        (x for x in names if x not in free_labels), count))
 
 
-def _orders(groups: list[list[str]]) -> Iterable[tuple[str, ...]]:
+def _orders(groups: list[list]) -> Iterable[tuple]:
     """Each concatenation of one order of every group, generated lazily
     (``itertools.product`` would first store every order of each)."""
     if not groups:
@@ -1002,10 +1052,10 @@ def _orders(groups: list[list[str]]) -> Iterable[tuple[str, ...]]:
             for tail in _orders(groups[1:]))
 
 
-def _sorted_within(values: list, groups: list, key=None) -> list:
+def _sorted_within(values: list, groups: list) -> list:
     """``values``, sorted within each list of places in ``groups``."""
     for places in groups:
-        for p, v in zip(places, sorted([values[p] for p in places], key=key)):
+        for p, v in zip(places, sorted([values[p] for p in places])):
             values[p] = v
     return values
 
@@ -1018,97 +1068,65 @@ def _least_candidate(factors: list, chain_items: list,
     color order) and, for every factor and chain item, its still unnamed
     dummies within each group of ``_slot_groups``; they are named per
     alphabet in that order.  Its key is the sorted tuple of its renamed
-    node keys, the k-th chain item keyed ``(7, k, key)``, which sorts
-    after every factor key.  Returns (sign, nodes) for the least key, or
-    None when two least candidates differ in sign (the term equals its
-    own negative).
+    node keys, the k-th chain item's led by ``(7, k)``, after every
+    factor key.  Returns (sign, nodes) for the least key, or None when
+    two least candidates differ in sign (the term is its own negative).
+    The result depends only on ``factors`` and ``chain_items``, which
+    the dummies and free labels are read off, so ``_term_form`` caches it.
+
+    The search runs on integers: each node is compiled once
+    (``_compiled``), with the free labels and the canonical dummy names
+    (``_dummy_name_pool``) ranked in one sorted order of strings (``mu10``
+    before ``mu2``) and the dummies numbered.  A naming (``ren``) maps a
+    dummy to the ranks it may take; a node's key under it (``_node_key``)
+    orders as the renamed node's ``_factor_key``.  Atoms are built once,
+    for the winning naming.
 
     Candidates grow one node at a time.  Two partial candidates with the
     same residual (what is left to name, up to a relabeling of the
     dummies not yet named) have the same continuations, and adding equal
     keys to two sorted tuples keeps their order, so only the one whose
-    keys sort least is kept; equal ones pool their signs.  So a factor
-    or chain item without dummies, which names nothing and has one key
-    wherever it goes, is left out of the search and sorted in at the
-    end; a factor with one never repeats (a copy's dummy would meet its
-    partner in the same variance).  Three rules keep the partial
+    keys sort least is kept; equal ones pool their signs.  A node
+    without dummies has one key wherever it goes, so it is sorted in at
+    the end; a factor with one never repeats (a copy's dummy would meet
+    its partner in the same variance).  Three rules keep the partial
     candidates few:
 
-    1. A slot group of sign +1 is sorted, so its new dummies, if two or
-       more and each met once in the node, take the next names of their
-       alphabet as a set.  ``ren`` maps such a pending dummy to the names
-       its set has left, which a later node holding it branches over,
-       and a named dummy to its one name.  ``sigma``'s antisymmetric
-       group and a group with a dummy met twice in its node are named in
+    1. A +1 slot group is sorted, so its new dummies, if two or more and
+       each met once in the node, take the next names of their alphabet
+       as a set: ``ren`` maps each to the ranks its set has left, which a
+       later node holding it branches over.  Other groups are named in
        every order.
-    2. A node whose dummies are all named or pending names nothing new
-       wherever it goes, so one such node is placed at once: the one
-       whose least possible key is least.
+    2. A node whose dummies are all named or pending names nothing new,
+       so the one whose least possible key is least is placed at once.
     3. After a placement that leaves several states, a state whose lower
        bound is above another's upper bound cannot win and is dropped.
-       A bound keys each unplaced node with the least (greatest) name
+       A bound keys each unplaced node with the least (greatest) rank
        each dummy can still get and sorts these keys in with the placed
        ones; sorting is monotone, so every completion lies within.
 
     Each combination of names and orders tried for a node is one
     extension; the search raises MalformedIndex after ``_SEARCH_CAP``.
-
-    The result depends only on ``factors`` and ``chain_items``: the
-    dummies and free labels are read off them.  So ``_term_form``
-    searches a term's non-scalar factors once and keeps the result in
-    the term cache, under those factors and under the result's own
-    (with sign +1).  A bare atom (no slot, no spin axis) adds no label
-    and leaves the rank order of the other factors in ``_refined_groups``
-    as it is, so it only joins ``blocks``: ``_term_form`` searches a term
-    without its bare atoms and sorts them in.
     """
-    slots = _term_slot_list(factors + chain_items)
-    alphabet_of = {ix.label: ix.alphabet for ix in slots
-                   if ix.label in dummies}
-    pools = {a: _dummy_name_pool(
-        a, sum(1 for b in alphabet_of.values() if b == a), free_labels)
-        for a in Alphabet}
-    chain_at = {it: k for k, it in enumerate(chain_items)}
+    first = {ix.label: ix.alphabet for ix in
+             _term_slot_list(factors + chain_items) if ix.label in dummies}
+    ids, alphabet_of = dict(zip(first, itertools.count())), [*first.values()]
+    pools = {a: _dummy_name_pool(a, alphabet_of.count(a), free_labels)
+             for a in Alphabet}
+    names = sorted(free_labels.union(*pools.values()))
+    rank = {lab: r for r, lab in enumerate(names)}
+    pools = {a: [rank[x] for x in pool] for a, pool in pools.items()}
 
     def used(ren, a):  # the names of alphabet a given or held by sets
-        return sum(1 for x in ren if alphabet_of[x] == a)
+        return sum(1 for d in ren if alphabet_of[d] == a)
 
-    def member(f):
-        # members of one group differ only in their dummies, since the
-        # tie key they share keeps free labels
-        slots = _slots_of_factor(f)
-        at = [p for p, ix in enumerate(slots) if ix.label in dummies]
-        labels = tuple(slots[p].label for p in at)
-        seen, groups, sym = {}, [], []
-        for pos, sign, _ in _slot_groups(f):
-            if sign > 0 and sum(p in pos for p in at) > 1:
-                sym.append([k for k, p in enumerate(at) if p in pos])
-            labs = [lab for lab in dict.fromkeys(slots[p].label for p in pos)
-                    if lab in dummies and lab not in seen]
-            seen.update(dict.fromkeys(labs))
-            groups.append((labs, sign > 0 and all(
-                labels.count(lab) == 1 for lab in labs)))
-        return f, seen, labels, sym, groups
-
-    # one step per tie group holding dummies, then one per chain item
-    # holding one.  A step is its members: a member is a node, its dummy
-    # labels in first-sight and slot order, the places in the latter of
-    # each +1 group, and per group its new labels and if they form a set.
-    # The nodes without dummies are keyed once and sorted in at the end.
-    steps, blocks = [], []
-    for g in _refined_groups(factors, chain_items, dummies):
-        members = tuple(map(member, g))
-        if members[0][1]:
-            steps.append(members)
-        else:
-            blocks += [(_factor_key(f), f) for f in g]
-    for k, it in enumerate(chain_items):
-        m = member(it)
-        if m[1]:
-            steps.append((m,))
-        else:
-            blocks.append(((7, k, _factor_key(it)), it))
-    node_of = dict(blocks)
+    # the nodes of each tie group, then of each chain item: one holding
+    # dummies is a step, the others are sorted in at the end
+    nodes = [tuple(_compiled(f, rank, ids) for f in g)
+             for g in _refined_groups(factors, chain_items, dummies)]
+    nodes += [(_compiled(it, rank, ids, (7, k)),)
+              for k, it in enumerate(chain_items)]
+    steps = [g for g in nodes if g[0].seen]
 
     def unplaced(t, left):
         """(step, member) of each node not placed in step t on."""
@@ -1119,73 +1137,53 @@ def _least_candidate(factors: list, chain_items: list,
     def residual(t, left, ren):
         """What is left to name from step t on, up to a relabeling of the
         unnamed dummies: equal residuals have equal continuations.  Rows
-        are (step, then one entry per dummy slot: its names in ``ren``, or
-        the order of first sight of an unnamed dummy), each slot group of
-        sign +1 a sorted multiset, sorted by step and names, and then by
-        the numbers already given."""
-        named, place, out, rows = ren.get, {}, [], []
-        for t2, (_, _, labels, sym, _) in unplaced(t, left):
-            partial = _sorted_within([named(lab, ()) for lab in labels], sym)
-            rows.append((t2, partial, labels, sym))
-        rows.sort(key=lambda row: row[:2])
-        for _, tied in itertools.groupby(rows, key=lambda row: row[:2]):
+        are (step, then per dummy slot its ranks in ``ren``, or an unnamed
+        dummy's order of first sight after every rank), each +1 slot group
+        a sorted multiset, sorted by step and ranks, then by the numbers
+        already given."""
+        place, out = {}, []
+        rows = sorted(((t2, _sorted_within([ren.get(d, ()) for d in m.labels],
+                                           m.sym), m)
+                       for t2, m in unplaced(t, left)),
+                      key=operator.itemgetter(0, 1))
+        for _, tied in itertools.groupby(rows, key=operator.itemgetter(0, 1)):
             tied = list(tied)
             if len(tied) > 1:
-                tied.sort(key=lambda row: [place.get(lab, len(place))
-                                           for lab in row[2]
-                                           if lab not in ren])
-            for t2, _, labels, sym in tied:
+                tied.sort(key=lambda row: [place.get(d, len(place)) for d
+                                           in row[2].labels if d not in ren])
+            for t2, _, m in tied:
                 out.append(t2)
                 out.extend(_sorted_within(
-                    [named(lab) or place.setdefault(lab, len(place))
-                     for lab in labels], sym,
-                    lambda e: (e.__class__ is int, e)))
+                    [ren.get(d) or (len(names) + place.setdefault(
+                        d, len(place)),) for d in m.labels], m.sym))
         return tuple(out)
 
     def extend(ren, waiting, picks, order):
-        """(renaming, names the node shows) once a node gives ``picks`` to
+        """(naming, ranks the node shows) once a node gives ``picks`` to
         its pending dummies ``waiting`` and sets in ``order`` to new ones."""
         ren2, shown = dict(ren), dict(zip(waiting, picks))
         if picks:
-            for lab, names in ren.items():
-                if len(names) > 1:
-                    ren2[lab] = (shown[lab],) if lab in shown else tuple(
-                        x for x in names if x not in picks)
+            for d, ranks in ren.items():
+                if len(ranks) > 1:
+                    ren2[d] = (shown[d],) if d in shown else tuple(
+                        x for x in ranks if x not in picks)
         for item in order:
             a = alphabet_of[item[0]]
             k = used(ren2, a)
-            names = tuple(pools[a][k:k + len(item)])
-            ren2.update(dict.fromkeys(item, names))
-            shown.update(zip(item, names))
+            ranks = tuple(pools[a][k:k + len(item)])
+            ren2.update(dict.fromkeys(item, ranks))
+            shown.update(zip(item, ranks))
         return ren2, shown
-
-    keyings: dict = {}
-
-    def keyed(m, names):
-        """(key, node, sign) of member m with its dummies, in first-sight
-        order, named ``names``.  A bound may give two dummies one name, so
-        the node's groups are sorted without the vanishing test."""
-        f, seen = m[:2]
-        got = keyings.get((f, names))
-        if got is None:
-            node, sign = _rename_in_factor(f, dict(zip(seen, names)),
-                                           vanish=False)
-            key = _factor_key(node)
-            got = keyings[f, names] = (
-                key if f not in chain_at else (7, chain_at[f], key),
-                node, sign)
-        return got
 
     def bound(pick, t, left, ren, keys):
         """Rule 3's lower (``pick`` min) or upper (max) bound of a state."""
         spare = {a: pick(pool[k:]) for a, pool in pools.items()
                  if (k := used(ren, a)) < len(pool)}
-        return sorted(keys + tuple(keyed(m, tuple(
-            pick(ren[lab]) if lab in ren else spare[alphabet_of[lab]]
-            for lab in m[1]))[0] for _, m in unplaced(t, left)))
+        return sorted(keys + tuple(_node_key(m, tuple(
+            pick(ren[d]) if d in ren else spare[alphabet_of[d]]
+            for d in m.seen))[0] for _, m in unplaced(t, left)))
 
-    # residual -> [unplaced members of the step, renaming, sorted keys,
-    # signs]
+    # residual -> [unplaced members of the step, naming, sorted keys, signs]
     states: dict = {(): [(), {}, (), {1}]}
     visited = 0
     for t, members in enumerate(steps):
@@ -1194,21 +1192,20 @@ def _least_candidate(factors: list, chain_items: list,
         for _ in members:
             grown: dict = {}
             for left, ren, keys, signs in states.values():
-                closed = [(keyed(m, tuple(min(ren[lab]) for lab in m[1]))[0],
+                closed = [(_node_key(m, tuple(min(ren[d]) for d in m.seen))[0],
                            i) for i, m in enumerate(left)
-                          if m[1].keys() <= ren.keys()]
+                          if m.seen.keys() <= ren.keys()]
                 for i in [min(closed)[1]] if closed else range(len(left)):
-                    _, seen, _, _, groups = m = left[i]
+                    m = left[i]
                     rest = left[:i] + left[i + 1:]
-                    waiting = [lab for lab in seen
-                               if len(ren.get(lab, ())) > 1]
+                    waiting = [d for d in m.seen if len(ren.get(d, ())) > 1]
                     picks = (p for p in itertools.product(
                         *map(ren.get, waiting)) if len(set(p)) == len(p))
                     fresh = []
-                    for labs, as_set in groups:
-                        new = tuple(lab for lab in labs if lab not in ren)
+                    for new, as_set in m.groups:
+                        new = tuple(d for d in new if d not in ren)
                         fresh.append([new] if as_set and len(new) > 1
-                                     else [(lab,) for lab in new])
+                                     else [(d,) for d in new])
                     for pick, order in ((p, o) for p in picks
                                         for o in _orders(fresh)):
                         visited += 1
@@ -1216,9 +1213,9 @@ def _least_candidate(factors: list, chain_items: list,
                             raise MalformedIndex(
                                 "term too symmetric to canonicalize")
                         ren2, shown = extend(ren, waiting, pick, order)
-                        key, node, s = keyed(m, tuple(
-                            shown.get(lab) or ren2[lab][0] for lab in seen))
-                        node_of[key] = node
+                        key, s = _node_key(m, tuple(
+                            shown[d] if d in shown else ren2[d][0]
+                            for d in m.seen))
                         keys2 = keys + (key,)
                         if keys and key < keys[-1]:
                             keys2 = tuple(sorted(keys2))
@@ -1236,13 +1233,16 @@ def _least_candidate(factors: list, chain_items: list,
                 states = {k: st for k, st in states.items() if low[k] <= high}
 
     # complete candidates leave an empty residual, and the state with the
-    # least lower bound is never dropped: one state
-    (_, _, keys, signs), = states.values()
+    # least lower bound is never dropped: one state, every dummy named
+    (_, ren, _, signs), = states.values()
     if len(signs) != 1:
         return None
     sign, = signs
-    return sign, tuple(node_of[k] for k in sorted(
-        keys + tuple(key for key, _ in blocks)))
+    final = {lab: names[ren[d][0]] for lab, d in ids.items()}
+    order = sorted((m for g in nodes for m in g), key=lambda m: _node_key(
+        m, [ren[d][0] for d in m.seen])[0])
+    return sign, tuple(_rename_in_factor(m.atom, final)[0] if m.seen
+                       else m.atom for m in order)
 
 
 _TERM_CACHE: dict = {}
@@ -1357,8 +1357,7 @@ def _prepare_term(factors: list):
         return None
     factors, chain_items = nodes[:len(factors)], nodes[len(factors):]
 
-    dummies: set[str] = set()
-    free_labels: set[str] = set()
+    dummies, free_labels = set(), set()
     for lab, occ in _label_census(nodes).items():
         if len(occ) == 1:
             free_labels.add(lab)

@@ -354,8 +354,9 @@ class _CountingCap(int):
     (lambda: _metric_cycle(7), 5422, 5422),
     (lambda: _index_cycle(7), 5422, 5422),
     (lambda: _copies(16), 184, 184),
+    (lambda: densities.builtin("dirac").parsed, 24, 63),
 ], ids=["yangmills", "6-cycle", "6-cycle-i", "7-cycle", "7-cycle-i",
-        "16-copies"])
+        "16-copies", "dirac"])
 @pytest.mark.hashseed
 def test_search_cost_cannot_grow(monkeypatch, build, largest, total):
     """Searched afresh, each input gets its form with the cap lowered to
@@ -367,6 +368,48 @@ def test_search_cost_cannot_grow(monkeypatch, build, largest, total):
     monkeypatch.setattr(ex, "_SEARCH_CAP", cap)
     assert ex.canonicalize(build()).terms
     assert 0 < cap.tested <= total, cap.tested
+
+
+@pytest.mark.parametrize("build", [
+    lambda: densities.builtin("yangmills").parsed,
+    lambda: densities.builtin("dirac").parsed,
+    lambda: _metric_cycle(6),
+    lambda: _metric_cycle(7),
+    lambda: _copies(16),
+], ids=["yangmills", "dirac", "6-cycle", "7-cycle", "16-copies"])
+@pytest.mark.hashseed
+def test_search_builds_atoms_only_for_its_winner(monkeypatch, build):
+    """The search keys its candidates as integer tuples and builds
+    atoms for the winning naming alone: each search makes at most one
+    intern-table call per node of the form it returns, its atoms and the
+    index in each of their slots, and none when the term is its own
+    negative."""
+    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    monkeypatch.setattr(densities, "_CACHE", {})
+    calls, intern = [], ex._HashConsed.__call__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(cls)
+        return intern(cls, *args, **kwargs)
+
+    search, made = ex._least_candidate, []
+
+    def searching(*args):
+        monkeypatch.setattr(ex._HashConsed, "__call__", counting)
+        try:
+            best = search(*args)
+        finally:
+            monkeypatch.setattr(ex._HashConsed, "__call__", intern)
+        nodes = 0 if best is None else sum(
+            1 + len(ex._slots_of_factor(f)) for f in best[1])
+        made.append((len(calls), nodes))
+        calls.clear()
+        return best
+
+    monkeypatch.setattr(ex, "_least_candidate", searching)
+    assert ex.canonicalize(build()).terms
+    assert made
+    assert all(n <= nodes for n, nodes in made), made
 
 
 @pytest.mark.parametrize("build, total", [
@@ -1343,6 +1386,29 @@ def test_factors_without_dummies_are_placed_in_key_order():
     e = ex.em_vector("a") * ex.em_vector("m") * ex.inv_metric("m", "n") \
         * ex.weyl_vector("n")
     assert dsl.render_expr(e) == "ginv[mu0,mu1] * A[a] * A[mu0] * S[mu1]"
+
+
+def test_keyword_construction_checks_its_arguments():
+    """A hash-consed node built with keywords gets the live node of its
+    value; an unknown, a repeated or a missing argument raises TypeError
+    and leaves the intern tables as they were."""
+    import gc
+
+    g = ex.metric("a", "b")
+    assert ex.FieldAtom(ex.Kind.METRIC, indices=g.indices, derivs=()) is g
+    assert ex.Index(variance=ex.Variance.DOWN, label="a",
+                    alphabet=ex.Alphabet.SPACETIME) is g.indices[0]
+    gc.collect()
+    sizes = len(ex.FieldAtom._live), len(ex.Index._live)
+    for build in (
+            lambda: ex.Index("a", ex.Alphabet.SPACETIME, ex.Variance.DOWN,
+                             colour=1),
+            lambda: ex.FieldAtom(ex.Kind.METRIC, g.indices, kind=g.kind),
+            lambda: ex.Index(label="a", alphabet=ex.Alphabet.SPACETIME),
+            lambda: ex.FieldAtom(indices=g.indices)):
+        with pytest.raises(TypeError):
+            build()
+    assert (len(ex.FieldAtom._live), len(ex.Index._live)) == sizes
 
 
 def test_equal_atoms_are_one_object():
