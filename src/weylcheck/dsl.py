@@ -41,7 +41,8 @@ each such spelling as one token; one that is not in the memo, or fails
 its check, is put back as its tokens and read by the rules above.  Any
 error sends the source to an exact pass over the plain tokens, without
 the memo, which reports it at its line and column.  The renderer keeps
-the text of each factor tuple the same way (`_TEXTS`)."""
+the chunks of each term's indexed core (`_TEXTS`) and of each rider
+atom the same way."""
 
 from __future__ import annotations
 
@@ -659,34 +660,41 @@ def _factor_chunk(f: FieldAtom) -> str:
     return text
 
 
-# factor tuple -> its text; a memo emptied with the term cache
+# core -> the chunks of its factors, atom -> its chunk; memos emptied
+# with the term cache
 _TEXTS: dict = {}
-ex._MEMOS.append(_TEXTS)
+_CHUNKS: dict = {}
+ex._MEMOS += [_TEXTS, _CHUNKS]
 
 
 def _factors_text(items: tuple) -> str:
-    """The factors of a term as rendered, joined by " * ", with a run of
-    an index-free field as one power; computed once per factor tuple."""
-    text = _TEXTS.get(items)
-    if text is not None:
-        return text
-    chunks = []
-    i = 0
-    while i < len(items):
-        f = items[i]
-        if f.exponent is None and not f.indices and not f.derivs:
-            j = i
-            while j < len(items) and items[j] == f:
-                j += 1
-            n = j - i
-            chunks.append(_factor_chunk(f) + (f"^{n}" if n > 1 else ""))
-            i = j
-            continue
-        chunks.append(_factor_chunk(f))
-        i += 1
-    ex._make_room()
-    text = _TEXTS[items] = " * ".join(chunks)
-    return text
+    """The factors of a canonical term as rendered, joined by " * ", with
+    a run of an index-free atom as one power.  The chunks of the core
+    (``exprs._split_riders``) are kept per core and a rider's per atom,
+    and the riders go where the term has them."""
+    riders, core = ex._split_riders(items)
+    chunks = _TEXTS.get(core)
+    if chunks is None:
+        ex._make_room()
+        chunks = _TEXTS[core] = tuple(map(_factor_chunk, core))
+    if not riders:
+        return " * ".join(chunks)
+    out, k, prev = [], 0, None
+    for f in items:
+        if not f.rides:
+            out.append(chunks[k])
+            k, prev = k + 1, None
+        elif f is prev:
+            n += 1
+            out[-1] = f"{text}^{n}"
+        else:
+            text = _CHUNKS.get(f)
+            if text is None:
+                ex._make_room()
+                text = _CHUNKS[f] = _factor_chunk(f)
+            out.append(text)
+            prev, n = f, 1
+    return " * ".join(out)
 
 
 def render_expr(e: Expr) -> str:

@@ -24,37 +24,38 @@ Clifford matrices or a coupling, is one row declared with the kind
 and slot symmetries.  Every module and builder reads that row; there is
 no other atom class and no table of kinds.
 
-Deterministic work is done once per process.  The term cache
-(``_TERM_CACHE``) has one kind of key: a term's factors other than its
-scalars (the couplings and Lam, the atoms with an exponent), in the
-order given.  It maps them to their sign and canonical factors.  Scalars
-carry no index, so they cannot change the canonical search, and
-``Lam^w * X`` for every rescaling weight w reuses the search of ``X``.
-For the same reason a term map sees only a term's skeleton: its factors
-after the scalars, with coefficient 1.  The canonical terms of the
-map's image are kept under (map, ``SPACETIME_DIM``, skeleton), so each
-skeleton is mapped and searched once per map object.  Index-free atoms
-(``phi``, ``detg``, without derivatives) carry no index either and do not
-steer the search: on a miss, the form of ``phi^k * X`` is the form of
-``X``, found in or added to the same cache, with the ``phi`` sorted in,
-so every power of ``phi`` reuses one search.  Unlike scalars they stay
-in the key, and the merged form is kept under it, so a hit is still one
-lookup.  The memos of other layers (the renderer's texts, the parser's
-factor and statement spellings) join ``_MEMOS``, so ``_make_room``
-empties them with the term cache.
+Deterministic work is done once per process.  A term is a coefficient,
+its riders and its indexed core (``_split_riders``).  The riders are the
+scalars (the couplings and Lam, the atoms with an exponent) and the
+index-free atoms (``phi``, ``detg``, without derivatives): they carry no
+index and are never in the chain, so they do not steer the canonical
+search, and every per-term memo is kept per core, the riders joined on
+(``_with_riders``: scalars merged by kind, index-free atoms sorted in).
+The term cache (``_TERM_CACHE``) maps a term's factors other than its
+scalars, in the order given, to their sign and canonical factors, so a
+hit is one lookup; on a miss the form of ``phi^k * X`` is the form of
+the core ``X``, found in or added to the same cache, with the ``phi``
+sorted in, and ``Lam^w * X`` always reuses the entry of ``X``.  A term
+map sees only a term's core, with coefficient 1, and the canonical
+terms of its image are kept under (map, ``SPACETIME_DIM``, core), so a
+core is mapped and searched once per map object under any riders.  A
+canonical term's sort key and free indices (``_term_facts``) and its
+rendered text are kept per core too.  The memos of other layers (the
+renderer's texts, the parser's factor and statement spellings) join
+``_MEMOS``, so ``_make_room`` empties them with the term cache.
 
 Every engine function accepts any ``Expr`` and returns a canonical
-``Sum``.  Only ``canonicalize``, on the Sums it returns, and
-``rewrite_terms``, on the terms it keeps and the images it builds, mark
-a Sum canonical.  ``canonicalize`` hands a marked Sum back unchanged
-and adds the terms of one inside a larger expression as they stand, so
+``Sum``.  Only ``canonicalize``, on the Sums it returns, and the passes
+that join riders to canonical terms, on the Sums they hand it, mark a
+Sum canonical.  ``canonicalize`` hands a marked Sum back unchanged and
+adds the terms of one inside a larger expression as they stand, so
 composing engine outputs puts no term in canonical form again.
 ``rewrite_terms`` is the one pass that maps the terms of a canonical
-form: the term's coefficient multiplies each term of its skeleton's
-image, and its scalars join each one's own.  The engines supply only
-the map, a module-level function or one object per parameter set, so
-that a later call finds its images again.  ``set_coupling``, the one
-map that reads a scalar, is a direct pass of its own.
+form: the term's coefficient multiplies each term of its core's image,
+and its riders are joined to each one's.  The engines supply only the
+map, a module-level function or one object per parameter set, so that a
+later call finds its images again.  ``set_coupling``, the one map that
+reads a scalar, is a direct pass of its own.
 
 Atoms and indices are hash-consed: there is one ``FieldAtom`` and one
 ``Index`` object per distinct value.  Building one with the fields of a
@@ -94,6 +95,7 @@ started from.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -159,7 +161,7 @@ def _hash_consed(cls):
     holds its nodes weakly: it keeps no node that nothing else
     references, and drops none that is alive."""
     cls = dataclass(frozen=True, slots=True, eq=False)(cls)
-    cls._defaults = tuple(f.default for f in fields(cls))
+    cls._defaults = tuple(f.default for f in fields(cls) if f.init)
     cls._live = weakref.WeakValueDictionary()
     return cls
 
@@ -449,11 +451,14 @@ class FieldAtom(Expr, _Interned):
     its power if it is a scalar (a rational for Lam, an integer for a
     coupling; an int and the equal Fraction give one atom) and the
     indices of the derivatives over it, outermost first, which a
-    constant or Lam does not take."""
+    constant or Lam does not take.  ``rides``, set from these, says
+    whether it is a rider: an atom without derivatives, slots or spin
+    axes (``_split_riders``)."""
     kind: _AtomKind
     indices: tuple[Index, ...] = ()
     exponent: Optional[int | Fraction] = None
     derivs: tuple[Index, ...] = ()
+    rides: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         row = self.kind.row
@@ -485,6 +490,8 @@ class FieldAtom(Expr, _Interned):
             if any((ix.alphabet, ix.variance) != _SD for ix in self.derivs):
                 raise MalformedIndex(
                     "derivative index must be spacetime-lower")
+        object.__setattr__(self, "rides", not (
+            self.derivs or pat or any(row.spin)))
 
 
 # The coupling constants, in the order the numeric oracle draws their
@@ -619,17 +626,45 @@ def _split_chain(factors: Iterable[FieldAtom]) -> tuple[list, list]:
     return plain, chain
 
 
+def _key_of(f: FieldAtom) -> tuple:
+    """``_factor_key`` of f, computed once per atom."""
+    try:
+        return _FACTOR_KEYS[f]
+    except KeyError:
+        key = _FACTOR_KEYS[f] = _factor_key(f)
+        return key
+
+
+def _split_riders(factors: Iterable[FieldAtom]) -> tuple[tuple, tuple]:
+    """(riders, core) of a term, each in the order given.  A rider
+    (``FieldAtom.rides``) is a scalar or an index-free atom (``phi``,
+    ``detg``) without derivatives.  It names nothing, is never in
+    the chain and does not steer the canonical search, so the per-term
+    memos are kept per core and the riders joined on (``_with_riders``)."""
+    riders, core = [], []
+    for f in factors:
+        (riders if f.rides else core).append(f)
+    return tuple(riders), tuple(core)
+
+
 def _term_facts(factors: tuple) -> tuple:
-    """(sort key, free indices) of a term, computed once per factor tuple."""
-    facts = _TERM_FACTS.get(factors)
+    """(sort key, free indices) of a canonical term: the keys of its
+    commuting factors and of its chain, and the labels met once.  They
+    are kept per core; the riders carry no index and are never in the
+    chain, so a term with riders has its core's free indices and chain
+    keys, and the keys of the factors before its chain."""
+    riders, core = _split_riders(factors)
+    facts = _TERM_FACTS.get(core)
     if facts is None:
         _make_room()
-        key = tuple(tuple(_FACTOR_KEYS.get(f) or _FACTOR_KEYS.setdefault(
-            f, _factor_key(f)) for f in part)
-            for part in _split_chain(factors))
-        frees = frozenset(occ[0] for occ in _label_census(factors).values()
+        key = tuple(tuple(map(_key_of, part)) for part in _split_chain(core))
+        frees = frozenset(occ[0] for occ in _label_census(core).values()
                           if len(occ) == 1)
-        facts = _TERM_FACTS[factors] = key, frees
+        facts = _TERM_FACTS[core] = key, frees
+    if riders:
+        (_, chain), frees = facts
+        facts = (tuple(map(_key_of, factors[:len(factors) - len(chain)])),
+                 chain), frees
     return facts
 
 
@@ -779,30 +814,34 @@ def _flatten(e: Expr) -> list[tuple[CRat, list]]:
     raise TypeError(f"cannot flatten {e!r}")
 
 
-def _canonical_dummies(e: Expr) -> set[str]:
-    """The dummy labels of the terms of the marked Sums in ``e``."""
-    out, todo = set(), [e]
+def _written(e: Expr) -> tuple[bool, set[str]]:
+    """(whether a marked Sum occurs in ``e``, the labels ``e`` writes
+    outside its marked Sums)."""
+    marked, labels, todo = False, set(), [e]
     while todo:
         e = todo.pop()
         if isinstance(e, Sum):
             if e._canonical:
-                out.update(lab for t in e.terms
-                           for lab, occ in _label_census(t.factors).items()
-                           if len(occ) == 2)
+                marked = True
             else:
                 todo.extend(e.terms)
         elif isinstance(e, Product):
             todo.extend(e.factors)
         elif isinstance(e, Partial):
+            labels.add(e.index.label)
             todo.append(e.operand)
-    return out
+        elif isinstance(e, FieldAtom):
+            labels.update(ix.label for ix in _slots_of_factor(e))
+    return marked, labels
 
 
 def _renamed_apart(sub: list, taken: set, clashing: set) -> list:
     """The flattened terms ``sub`` of a part that holds a marked Sum, each
-    canonical dummy in ``clashing`` renamed to a label neither ``taken``
-    nor the term holds.  The part's other labels are kept, so a label the
-    caller repeats stays repeated; a term without a clash is kept whole."""
+    dummy in ``clashing`` renamed to a label neither ``taken`` nor the
+    term holds.  The caller passes the dummies it did not write: those of
+    the marked Sums and those an inner product minted renaming them
+    apart.  The part's other labels are kept, so a label the caller
+    repeats stays repeated; a term without a clash is kept whole."""
     out = []
     for c, fs in sub:
         census = _label_census(fs)
@@ -821,16 +860,17 @@ def _renamed_apart(sub: list, taken: set, clashing: set) -> list:
 
 def _distribute(coeff: CRat, parts: tuple[Expr, ...]):
     """Multiply out the flattened parts of a product, in order, the
-    clashing canonical dummies of a part that holds a marked Sum renamed
-    apart.  A term grows as (earlier chain, factors of one part) pairs,
-    joined once: n parts cost O(n), not O(n^2)."""
+    clashing dummies of a part that holds a marked Sum renamed apart,
+    except labels the part writes.  A term grows as (earlier chain,
+    factors of one part) pairs, joined once: n parts cost O(n), not
+    O(n^2)."""
     subs = [_flatten(part) for part in parts]
     for k, part in enumerate(parts):
-        dummies = _canonical_dummies(part)
-        if dummies:
+        marked, written = _written(part)
+        if marked:
             taken = {ix.label for j, sub in enumerate(subs) if j != k
                      for _, fs in sub for ix in _term_slot_list(fs)}
-            if clashing := taken & dummies:
+            if clashing := taken - written:
                 subs[k] = _renamed_apart(subs[k], taken, clashing)
     terms = [(coeff, None)]
     for sub in subs:
@@ -853,7 +893,8 @@ def _flatten_partial(ix: Index, operand: Expr):
     matters, is differentiated where it stands."""
     out = []
     terms = _flatten(operand)
-    if ix.label in _canonical_dummies(operand):
+    marked, written = _written(operand)
+    if marked and ix.label not in written:
         terms = _renamed_apart(terms, {ix.label}, {ix.label})
     for coeff, factors in terms:
         plain, chain = _split_chain(factors)
@@ -1248,12 +1289,13 @@ def _least_candidate(factors: list, chain_items: list,
 _TERM_CACHE: dict = {}
 _TERM_CACHE_LIMIT = 200_000
 _VANISHES = object()
-# memos of pure functions, emptied with the term cache: factor tuple ->
-# ``_term_facts``, factor -> ``_factor_key``, (map, SPACETIME_DIM,
-# skeleton) -> the canonical terms of the map's image of the skeleton,
-# or None when the map keeps it (``rewrite_terms``)
-_TERM_FACTS, _FACTOR_KEYS, _IMAGES = {}, {}, {}
-_MEMOS = [_TERM_FACTS, _FACTOR_KEYS, _IMAGES]
+# memos of pure functions, emptied with the term cache: core ->
+# ``_term_facts``, factor -> ``_factor_key``, (map, SPACETIME_DIM, core)
+# -> the canonical terms of the map's image of the core, or None when the
+# map keeps it (``rewrite_terms``; ``_kept`` for other per-core values),
+# (scalars, scalars) -> their product (``_with_riders``)
+_TERM_FACTS, _FACTOR_KEYS, _IMAGES, _SCALAR_SUMS = {}, {}, {}, {}
+_MEMOS = [_TERM_FACTS, _FACTOR_KEYS, _IMAGES, _SCALAR_SUMS]
 
 
 def _make_room() -> None:
@@ -1300,28 +1342,21 @@ def _term_form(rest: tuple):
     """The term-cache entry of ``rest``, a term's factors without
     scalars, on a miss: (sign, canonical factors), or ``_VANISHES``.
 
-    A bare atom (no indices, no derivatives, no spin axis: ``phi``,
-    ``detg``) names nothing and is never in the chain, so when ``rest``
-    holds bare atoms among other factors, its form is the form of the
-    others, found in or added to the term cache, with the bare atoms
-    sorted into its commuting part by ``_factor_key``; the sign is the
-    others', and they vanish together.  Otherwise ``rest`` is searched.
-    A canonical result is the least candidate of its own search, reached
-    with the sign it carries, so it is cached as its own representative
-    too."""
+    The riders among them (``phi``, ``detg``) do not steer the search, so
+    the form of ``rest`` is the form of its core, found in or added to the
+    term cache, with the riders joined on (``_with_riders``); the sign is
+    the core's, and they vanish together.  Riders alone are their sorted
+    product, of sign +1.  Only a core is searched.  A canonical result is
+    the least candidate of its own search, reached with the sign it
+    carries, so it is cached as its own representative too."""
     _make_room()
-    core, bare = [], []
-    for f in rest:
-        (core if f.indices or f.derivs or any(f.kind.row.spin)
-         else bare).append(f)
+    riders, core = _split_riders(rest)
     found = _VANISHES
-    if core and bare:
-        key = tuple(core)
-        found = _TERM_CACHE.get(key) or _term_form(key)
+    if riders:
+        found = (_TERM_CACHE.get(core) or _term_form(core)) if core \
+            else (1, ())
         if found is not _VANISHES:
-            plain, chain = _split_chain(found[1])
-            found = (found[0],
-                     tuple(sorted(plain + bare, key=_factor_key) + chain))
+            found = (found[0], _with_riders(riders, found[1]))
     else:
         prep = _prepare_term(rest)
         if prep is not None:
@@ -1339,7 +1374,7 @@ def _scalar_atoms(powers: dict) -> tuple:
     """The scalars of a canonical term, one atom per kind with a nonzero
     power: kind -> power, sorted by ``_factor_key``."""
     return tuple(sorted((FieldAtom(kind, (), p) for kind, p in
-                         powers.items() if p), key=_factor_key))
+                         powers.items() if p), key=_key_of))
 
 
 def _prepare_term(factors: list):
@@ -1375,6 +1410,25 @@ def _prepare_term(factors: list):
     return factors, chain_items, sign0, dummies, free_labels
 
 
+def _collect(e: Expr, coeff: CRat, bucket: dict) -> None:
+    """Add ``coeff * e``, put in canonical form, to ``bucket``: canonical
+    factors -> coefficient."""
+    while isinstance(e, Product) and len(e.factors) == 1:
+        coeff, e = _times(coeff, e.coeff), e.factors[0]
+    if isinstance(e, Sum) and not e._canonical:
+        for u in e.terms:
+            _collect(u, coeff, bucket)
+        return
+    if isinstance(e, Sum):
+        terms = [(_times(coeff, t.coeff), t.factors) for t in e.terms]
+    else:
+        terms = filter(None, (_canonical_term(_times(coeff, c), fs)
+                              for c, fs in _flatten(e)))
+    for c, fs in terms:
+        old = bucket.get(fs)
+        bucket[fs] = c if old is None else old + c
+
+
 def canonicalize(e: Expr) -> Sum:
     """Normal form: a Sum of coefficient-carrying Products with sorted
     factors, canonical dummy labels and like terms collected.  The Sum
@@ -1384,30 +1438,23 @@ def canonicalize(e: Expr) -> Sum:
     if isinstance(e, Sum) and e._canonical:
         return e
     bucket: dict[tuple, CRat] = {}
+    _collect(_as_expr(e), _UNIT, bucket)
+    terms = [(c, fs) for fs, c in bucket.items() if not c.is_zero()]
+    if len(terms) > 1:  # a lone term has nothing to agree with or follow
+        facts = {fs: _term_facts(fs) for _, fs in terms}
+        if len({frees for _, frees in facts.values()}) > 1:
+            raise MalformedIndex(
+                "terms of a sum carry different free indices")
+        terms.sort(key=lambda t: facts[t[1]][0])
+    return _marked(Product(c, fs) for c, fs in terms)
 
-    def collect(e: Expr, coeff: CRat) -> None:
-        while isinstance(e, Product) and len(e.factors) == 1:
-            coeff, e = _times(coeff, e.coeff), e.factors[0]
-        if isinstance(e, Sum) and not e._canonical:
-            for u in e.terms:
-                collect(u, coeff)
-            return
-        if isinstance(e, Sum):
-            terms = [(_times(coeff, t.coeff), t.factors) for t in e.terms]
-        else:
-            terms = filter(None, (_canonical_term(_times(coeff, c), fs)
-                                  for c, fs in _flatten(e)))
-        for c, fs in terms:
-            old = bucket.get(fs)
-            bucket[fs] = c if old is None else old + c
 
-    collect(_as_expr(e), _UNIT)
-    terms = [(_term_facts(fs), c, fs) for fs, c in bucket.items()
-             if not c.is_zero()]
-    if len({frees for (_, frees), _, _ in terms}) > 1:
-        raise MalformedIndex("terms of a sum carry different free indices")
-    terms.sort(key=lambda t: t[0][0])
-    out = Sum(tuple(Product(c, fs) for _, c, fs in terms))
+def _marked(terms: Iterable[Product]) -> Sum:
+    """The Sum of ``terms``, canonical terms, marked so that
+    ``canonicalize`` adds them as they stand.  Only a Sum that
+    ``canonicalize`` returns, its terms collected and in order, leaves
+    the engine marked."""
+    out = Sum(tuple(terms))
     object.__setattr__(out, "_canonical", True)
     return out
 
@@ -1431,50 +1478,86 @@ def equal(a: Expr, b: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # term rewriting
 
-def _split_scalars(factors: tuple) -> tuple[tuple, tuple]:
-    """(scalars, skeleton) of a canonical term's factors: the scalars
-    lead, so the skeleton is what follows the last atom with a power."""
-    k = 0
-    while k < len(factors) and factors[k].exponent is not None:
-        k += 1
-    return factors[:k], factors[k:]
-
-
-def _with_scalars(scalars: tuple, factors: tuple) -> tuple:
-    """The canonical factors ``factors`` times the scalar atoms
-    ``scalars``: powers of one kind add and zero powers drop."""
-    if not scalars:
+def _with_riders(riders: tuple, factors: tuple) -> tuple:
+    """The canonical factors ``factors`` times ``riders``: its scalars,
+    one nonzero atom per kind in key order as a canonical term holds
+    them, lead, and add their powers to those of ``factors``, a zero
+    power dropping; its index-free atoms, in any order, are sorted into
+    the commuting factors by ``_factor_key``.  Riders do not steer the
+    canonical search, so this is the canonical form of the product, with
+    the sign of ``factors``."""
+    if not riders:
         return factors
-    own, skeleton = _split_scalars(factors)
-    if not own:  # canonical scalars lead canonical factors as they stand
-        return scalars + factors
-    powers = {f.kind: f.exponent for f in own}
-    for f in scalars:
-        powers[f.kind] = powers.get(f.kind, 0) + f.exponent
-    return _scalar_atoms(powers) + skeleton
+    s = r = 0
+    while s < len(riders) and riders[s].exponent is not None:
+        s += 1
+    while r < len(factors) and factors[r].exponent is not None:
+        r += 1
+    lead, rest = riders[:s], factors[r:]
+    if s and r:
+        key = (lead, factors[:r])
+        lead = _SCALAR_SUMS.get(key)
+        if lead is None:
+            powers = {f.kind: f.exponent for f in factors[:r]}
+            for f in riders[:s]:
+                powers[f.kind] = powers.get(f.kind, 0) + f.exponent
+            _make_room()
+            lead = _SCALAR_SUMS[key] = _scalar_atoms(powers)
+    elif r:
+        lead = factors[:r]
+    if s < len(riders):
+        # the chain ends the factors; each index-free atom goes after the
+        # commuting factors whose keys are not above its own
+        rest, hi = list(rest), len(rest)
+        while hi and any(rest[hi - 1].kind.row.spin):
+            hi -= 1
+        while s < len(riders):  # a run of one atom at a time
+            f, m = riders[s], s + 1
+            while m < len(riders) and riders[m] is f:
+                m += 1
+            at = bisect.bisect_right(rest, _key_of(f), 0, hi, key=_key_of)
+            rest[at:at] = riders[s:m]
+            hi, s = hi + m - s, m
+        rest = tuple(rest)
+    return lead + rest
 
 
 _MISSING = object()
 
 
+def _kept(fn: Callable[[tuple], object], core: tuple):
+    """``fn(core)`` for the core of a canonical term, computed once per
+    (fn, ``SPACETIME_DIM``, core) and kept in ``_IMAGES``: for a value
+    of the core that a pass joins the riders to itself."""
+    key = (fn, SPACETIME_DIM, core)
+    value = _IMAGES.get(key, _MISSING)
+    if value is _MISSING:
+        value = fn(core)
+        _make_room()
+        _IMAGES[key] = value
+    return value
+
+
 def rewrite_terms(e: Expr, fn: Callable[[Product], Optional[Expr]]) -> Sum:
     """The one term-map pass: canonicalize, map each canonical term's
-    skeleton (its factors after the scalars, with coefficient 1) through
-    fn (None keeps the term), canonicalize the result.
+    core (``_split_riders``: its factors without the scalars and the
+    index-free atoms, with coefficient 1) through fn (None keeps the
+    term), canonicalize the result.
 
-    fn must not read a term's coefficient or scalars, which carry no
+    fn must not read a term's coefficient or riders, which carry no
     index: the term's coefficient multiplies each term of the image and
-    its scalars join each term's own.  So the canonical terms of an
-    image are kept in ``_IMAGES`` under (fn, ``SPACETIME_DIM``,
-    skeleton), and a skeleton met again, in this call or a later one
-    with the same fn object, is neither mapped nor searched again.  A
-    call that changes no term returns the canonical form itself."""
+    its riders are joined to each one's (``_with_riders``).  So the
+    canonical terms of an image are kept in ``_IMAGES`` under (fn,
+    ``SPACETIME_DIM``, core), and a core met again, under any riders, in
+    this call or a later one with the same fn object, is neither mapped
+    nor searched again.  A call that changes no term returns the
+    canonical form itself."""
     s = canonicalize(e)
-    split = [_split_scalars(t.factors) for t in s.terms]
-    keys = [(fn, SPACETIME_DIM, skeleton) for _, skeleton in split]
+    split = [_split_riders(t.factors) for t in s.terms]
+    keys = [(fn, SPACETIME_DIM, core) for _, core in split]
     images = [_IMAGES.get(key, _MISSING) for key in keys]
-    # every new skeleton is mapped before any image is canonicalized,
-    # so a map's error comes first, as when whole terms were mapped
+    # every new core is mapped before any image is canonicalized, so a
+    # map's error comes first, as when whole terms were mapped
     mapped = {}
     for key, image in zip(keys, images):
         if image is _MISSING and key not in mapped:
@@ -1488,18 +1571,15 @@ def rewrite_terms(e: Expr, fn: Callable[[Product], Optional[Expr]]) -> Sum:
     if all(image is None for image in images):
         return s
     out = []
-    for t, (scalars, _), image in zip(s.terms, split, images):
+    for t, (riders, _), image in zip(s.terms, split, images):
         if image is None:
             out.append(t)
         else:
             out += [Product(_times(t.coeff, u.coeff),
-                            _with_scalars(scalars, u.factors))
-                    for u in image]
+                            _with_riders(riders, u.factors)) for u in image]
     # canonical terms, marked so that canonicalize adds them as they
     # stand; it collects like terms and puts them in order
-    done = Sum(tuple(out))
-    object.__setattr__(done, "_canonical", True)
-    return canonicalize(Sum((done,)))
+    return canonicalize(Sum((_marked(out),)))
 
 
 def count_atoms(e: Expr, kind: Kind) -> int:

@@ -1,17 +1,26 @@
 """Weight inference and global/local scale transformations.
 
-One rule per factor: the weights of a term's atoms go into one Lam
-power per term.  A local transformation does two things more: a
-weighted atom under derivatives keeps its Lam^(power*w) inside them, so
-flattening's chain rule emits D (the gradient of ln Lam), and the gauge
-vector S shifts by -(power/f) D.  A density is invariant when Lam^4
-times its transform equals the original.
+One rule per factor: the weights of the atoms a transform leaves in
+place go into one Lam power per term.  A local transformation shifts
+the rest: a weighted atom under derivatives keeps its Lam^(power*w)
+inside them, so flattening's chain rule emits D (the gradient of ln
+Lam), and the gauge vector S shifts by -(power/f) D.  A density is
+invariant when Lam^4 times its transform equals the original.
 
-The transform, the contraction and the gamma reduction are term maps,
-and the canonical form is linear, so the fully simplified residual of a
-density is the sum of its terms' own.  A check is therefore one
-``rewrite_terms`` pass of one residual map per mode, which keeps each
-skeleton's simplified residual: a term met again is looked up."""
+A term is c * r * X: a coefficient, its riders (the scalars and the
+index-free atoms, ``exprs._split_riders``) and its indexed core X.  The
+riders have no derivatives, so a transform only weighs them:
+T(r X) = Lam^(power w_r) r T(X), w_r being their weight.  The shifts are
+a term map that reads no rider (``_shift_map``), applied by
+``rewrite_terms`` once per core.  A check is one pass over the terms
+(``_residual``): it keeps, per core, the fully simplified shifts S of X
+(None when nothing shifts X: S is then F) and F, X fully simplified,
+and adds c r (Lam^k S - F) per term, k being 4 plus the term's
+unshifted weight; the canonical terms of Lam^k S - F are kept per core
+and k.  An unshifted term of weight -4 (k = 0) adds nothing and is not
+simplified at all.  The canonical form and ``full_simplify`` are linear
+and read no rider, so this is the fully simplified residual of the
+density."""
 
 from __future__ import annotations
 
@@ -73,48 +82,53 @@ def infer_weight(e: Expr, strict: bool = False
     return WeylWeight(values[0], homogeneous)
 
 
-def _transform_term(t: Product, power: Fraction, local: bool,
-                    lam_power=0) -> Optional[Expr]:
-    """One term rescaled and times Lam^lam_power, one rule per factor:
-    every atom's weight goes into the term's one Lam power.  Locally, a
-    weighted atom under derivatives keeps its Lam^(power*w) inside them
-    instead, and S shifts by -(power/f) D.  None when nothing shifts and
-    the Lam power comes to 0: the term is its own image."""
+def _unshifted_weight(factors, local: bool):
+    """The weight of the atoms a transform leaves in place, the term's
+    one Lam power per unit of power: every atom globally; locally those
+    without derivatives (S, which shifts, has weight 0)."""
+    return sum(f.kind.row.weight for f in factors if not (local and f.derivs))
+
+
+def _shift_term(t: Product, power: Fraction) -> Optional[Expr]:
+    """The local shifts of one term, one rule per factor: a weighted atom
+    under derivatives keeps its Lam^(power*w) inside them, and S shifts by
+    -(power/f) D.  None when nothing shifts.  A rider has no derivatives
+    and weight only, so it is never shifted."""
     pieces: list[Expr] = []
-    weight = 0
     shifted = False
     for f in t.factors:
         row = f.kind.row
-        if local and not row.homogeneous:
+        if not row.homogeneous:
             shift = Product(CRat.of(-power), (
                 ex.coupling("f", -1), ex.log_deriv(f.indices[0].label)))
             f = ex._deriv_join(f.derivs, Sum((ex._bare(f), shift)))
             shifted = True
-        elif local and f.derivs and row.weight:
+        elif f.derivs and row.weight:
             f = ex._deriv_join(f.derivs,
                                ex.lam(power * row.weight) * ex._bare(f))
             shifted = True
-        else:
-            weight += row.weight
         pieces.append(f)
-    lam_power += power * weight
-    if not (shifted or lam_power):
-        return None
-    if lam_power:
-        pieces.append(ex.lam(lam_power))
-    return Product(t.coeff, tuple(pieces))
+    return Product(t.coeff, tuple(pieces)) if shifted else None
 
 
 @functools.cache
-def _scale_map(power: Fraction, local: bool, lam_power):
-    """The term map of one transform, one object per parameter set, so
+def _shift_map(power: Fraction):
+    """The term map of the local shifts, one object per power, so
     ``rewrite_terms`` finds the images it mapped before."""
-    return functools.partial(_transform_term, power=power, local=local,
-                             lam_power=lam_power)
+    return functools.partial(_shift_term, power=power)
 
 
-def _apply_scale(e: Expr, power, local: bool, lam_power=0) -> Sum:
-    return ex.rewrite_terms(e, _scale_map(Fraction(power), local, lam_power))
+def _apply_scale(e: Expr, power, local: bool) -> Sum:
+    """Each term times Lam^(power * its unshifted weight), then, locally,
+    shifted."""
+    power = Fraction(power)
+    weighed = []
+    for t in canonicalize(e).terms:
+        k = power * _unshifted_weight(t.factors, local)
+        weighed.append(Product(t.coeff, ex._with_riders(
+            (ex.lam(k),), t.factors)) if k else t)
+    out = canonicalize(Sum((ex._marked(weighed),)))
+    return ex.rewrite_terms(out, _shift_map(power)) if local else out
 
 
 def apply_global_scale(e: Expr, power=1) -> Sum:
@@ -130,25 +144,67 @@ def apply_local_scale(e: Expr, power=1) -> Sum:
     return _apply_scale(e, power, local=True)
 
 
-def _residual_term(t: Product, local: bool) -> Sum:
-    """One skeleton's residual: Lam^4 * transform(t) - t, fully
-    simplified."""
-    return full_simplify(_apply_scale(t, 1, local, lam_power=4) - t)
+def _core_shifts(core: tuple, local: bool) -> tuple:
+    """(S, residuals) of one core X: its local shifts fully simplified,
+    or None when nothing shifts X, and its residuals by Lam power
+    (``_residual``)."""
+    shifted = _shift_term(Product(ex._UNIT, core), Fraction(1)) \
+        if local else None
+    return None if shifted is None else full_simplify(shifted).terms, {}
 
 
 @functools.cache
 def _residual_map(local: bool):
-    """The term map of a check's residual, one object per mode, so that
-    ``rewrite_terms`` keeps each skeleton's simplified residual."""
-    return functools.partial(_residual_term, local=local)
+    """The per-core value of a check (``_core_shifts``), one object per
+    mode, so that ``exprs._kept`` finds each core's again."""
+    return functools.partial(_core_shifts, local=local)
+
+
+def _simplified(core: tuple) -> tuple:
+    """F: the terms of a core, fully simplified."""
+    return full_simplify(Product(ex._UNIT, core)).terms
+
+
+def _core_residual(core: tuple, shifted, k) -> tuple:
+    """The canonical terms of Lam^k S - F: S the shifts of the core, or
+    F when nothing shifts it, and F the core fully simplified."""
+    plain = ex._kept(_simplified, core)
+    lam = (ex.lam(k),) if k else ()
+    return canonicalize(Sum((ex._marked(
+        [Product(u.coeff, ex._with_riders(lam, u.factors))
+         for u in (plain if shifted is None else shifted)]
+        + [Product(-u.coeff, u.factors) for u in plain]),))).terms
+
+
+def _residual(expr: Sum, local: bool) -> Sum:
+    """Lam^4 T(expr) - expr, fully simplified, in one pass: each term
+    c r X adds c r (Lam^k S - F), k being 4 plus the term's unshifted
+    weight, kept per core and k, and nothing when nothing shifts X and
+    k is 0.  Globally nothing shifts, so a term of weight -4 is skipped
+    unsplit."""
+    shifts, out = _residual_map(local), []
+    for t in expr.terms:
+        k = 4 + _unshifted_weight(t.factors, local)
+        if not (k or local):
+            continue
+        riders, core = ex._split_riders(t.factors)
+        shifted, residuals = ex._kept(shifts, core)
+        if shifted is None and not k:
+            continue
+        terms = residuals.get(k)
+        if terms is None:
+            terms = residuals[k] = _core_residual(core, shifted, k)
+        out += [Product(ex._times(t.coeff, u.coeff),
+                        ex._with_riders(riders, u.factors)) for u in terms]
+    return canonicalize(Sum((ex._marked(out),))) if out else ex._marked(())
 
 
 def check_invariance(L, mode: Mode) -> VerificationReport:
     """Residual of Lam^4 * transform(L) - L, fully simplified, in one
-    residual pass.  Passes iff the residual is exactly zero.  The
+    pass (``_residual``).  Passes iff the residual is exactly zero.  The
     residual and the trace are rendered on first read, with the
-    transform (Lam^4 joining each term's Lam power) and the difference
-    the trace shows."""
+    transform, its rescaling by Lam^4 and the difference the trace
+    shows."""
     if isinstance(L, dsl.LagrangianDef):
         name, expr = L.name, L.parsed
     else:
@@ -157,14 +213,14 @@ def check_invariance(L, mode: Mode) -> VerificationReport:
         raise ValueError(f"check_invariance expects Global or Local, "
                          f"got {mode}")
     local = mode == Mode.LOCAL
-    residual = ex.rewrite_terms(expr, _residual_map(local))
+    residual = _residual(expr, local)
 
     def render():
-        rescaled = _apply_scale(expr, 1, local, lam_power=4)
+        transformed = _apply_scale(expr, 1, local)
+        # Lam^4 only moves each term's Lam power: its other factors are
+        # canonical already, so no term is searched again
+        rescaled = canonicalize(ex.lam(4) * transformed)
         difference = canonicalize(rescaled - expr)
-        # Lam^-4 only moves each term's Lam power back: its other
-        # factors are canonical already, so no term is searched again
-        transformed = canonicalize(ex.lam(-4) * rescaled)
         texts = [dsl.render_expr(x) for x in (
             expr, transformed, rescaled, difference, residual)]
         return texts[4], (

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from weylcheck import exprs as ex
 from weylcheck.dsl import LagrangianDef, make_def
-from weylcheck.exprs import Alphabet, CRat, Product, Sum, Variance
+from weylcheck.exprs import Alphabet, CRat, Expr, Product, Sum, Variance
 
 ST = Alphabet.SPACETIME
 FR = Alphabet.FRAME
@@ -296,6 +296,13 @@ def random_expr(seed_or_rng, require_scalar: bool = False,
         if s.terms:
             return s
     return ex.canonicalize(ex.scalar_field() ** 2)
+
+
+def times_riders(e: Expr, k: int, j: int) -> Sum:
+    """``phi^k * detg^j * e`` in canonical form: e times riders, the
+    index-free atoms that ride with the scalars."""
+    return ex.canonicalize(Product(CRat(1), (ex.scalar_field(),) * k
+                                   + (ex.det_factor(),) * j + (e,)))
 
 
 def random_def(seed: int, require_scalar: bool = False) -> LagrangianDef:

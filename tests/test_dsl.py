@@ -494,3 +494,33 @@ def test_make_def_canonicalizes():
 
 def test_render_expr_zero():
     assert dsl.render_expr(ex.Sum(())) == "0"
+
+
+def _whole_text(items: tuple) -> str:
+    """A term's factors rendered from the whole tuple, as before the text
+    was kept per core: a run of an index-free atom is one power."""
+    chunks, i = [], 0
+    while i < len(items):
+        f, j = items[i], i + 1
+        if f.exponent is None and not f.indices and not f.derivs:
+            while j < len(items) and items[j] == f:
+                j += 1
+        chunks.append(dsl._factor_chunk(f) + (f"^{j - i}" if j - i > 1
+                                              else ""))
+        i = j
+    return " * ".join(chunks)
+
+
+@pytest.mark.hashseed
+def test_text_kept_per_core_renders_the_whole_term(builtins_all):
+    """Each term's text, from its core's chunks and its riders' (one
+    kept for every phi^k detg^j), is the text of its whole factor tuple."""
+    exprs = [L.parsed for L in builtins_all.values()]
+    exprs += [gen.random_expr(seed) for seed in range(200)]
+    for x in exprs:
+        for k, j in ((0, 0), (1, 0), (3, 1), (9, 0), (2, 1)):
+            for t in gen.times_riders(x, k, j).terms:
+                assert dsl._factors_text(t.factors) == \
+                    _whole_text(t.factors), t
+    cores = {ex._split_riders(t.factors)[1] for x in exprs for t in x.terms}
+    assert set(dsl._TEXTS) >= cores

@@ -771,6 +771,41 @@ def test_bare_atoms_reuse_the_search_of_the_rest(monkeypatch):
 
 
 @pytest.mark.hashseed
+def test_index_free_terms_make_no_search(monkeypatch):
+    """A term whose factors all ride (phi^9, detg * phi^7, with or
+    without scalars) is its atoms sorted by ``_factor_key``, with sign
+    +1: nothing is searched."""
+    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    searched = _recorded(monkeypatch, "_least_candidate")
+    phi, detg = ex.scalar_field(), ex.det_factor()
+    for factors in ((phi,) * 9, (phi,) * 7 + (detg,), (phi, detg, phi),
+                    (detg,), (ex.coupling("f"), phi, ex.lam(3), phi)):
+        (t,) = ex.canonicalize(Product(CRat(2), factors)).terms
+        assert t == Product(CRat(2), tuple(sorted(factors,
+                                                  key=ex._factor_key)))
+    assert searched == []
+
+
+@pytest.mark.hashseed
+def test_facts_kept_per_core_match_the_whole_term(builtins_all):
+    """A canonical term's sort key and free indices, from its core's and
+    its riders' keys, are those of its whole factor tuple: the keys of
+    the commuting factors and of the chain, in order, and the labels met
+    once."""
+    exprs = [L.parsed for L in builtins_all.values()]
+    exprs += [gen.random_expr(seed) for seed in range(200)]
+    for x in exprs:
+        for k, j in ((0, 0), (1, 0), (3, 1), (9, 0)):
+            for t in gen.times_riders(x, k, j).terms:
+                plain, chain = ex._split_chain(t.factors)
+                frees = {occ[0] for occ in ex._label_census(
+                    t.factors).values() if len(occ) == 1}
+                assert ex._term_facts(t.factors) == (
+                    (tuple(map(ex._factor_key, plain)),
+                     tuple(map(ex._factor_key, chain))), frees), t
+
+
+@pytest.mark.hashseed
 def test_bare_atoms_vanish_with_the_rest(monkeypatch):
     """sigma contracted with eta vanishes, and so does phi^k times it."""
     monkeypatch.setattr(ex, "_TERM_CACHE", {})
@@ -1154,8 +1189,11 @@ def test_canonical_sum_is_returned_as_is(builtins_all):
 
 
 def test_rewrite_terms_keeps_splices_and_canonicalizes():
+    """A map sees each term's core with coefficient 1, and the riders
+    (here phi^2) are joined to each term of what it returns."""
     phi, s_m = ex.scalar_field(), ex.weyl_vector("m")
-    e = ex.canonicalize(phi ** 2 + ex.inv_metric("m", "n") * s_m
+    aa = ex.inv_metric("m", "n") * ex.em_vector("m") * ex.em_vector("n")
+    e = ex.canonicalize(phi ** 2 * aa + ex.inv_metric("m", "n") * s_m
                         * ex.weyl_vector("n"))
     seen = []
 
@@ -1164,16 +1202,19 @@ def test_rewrite_terms_keeps_splices_and_canonicalizes():
         return None
 
     assert ex.rewrite_terms(e, keep) is e
-    assert tuple(seen) == e.terms
+    assert tuple(seen) == tuple(Product(CRat(1), ex._split_riders(
+        t.factors)[1]) for t in e.terms)
+    assert all(ex.count_atoms(t, ex.Kind.SCALAR) == 0 for t in seen)
 
-    def split_scalar(t):
-        # phi^2 -> 2 phi^2 + phi * Lam^2 * phi (raw, unsorted) + phi^2
-        if ex.count_atoms(t, ex.Kind.SCALAR) == 0:
+    def split_vector(t):
+        # A.A -> 2 A.A + A * Lam^2 * phi * A (raw, unsorted) + A.A
+        if ex.count_atoms(t, ex.Kind.EM_VECTOR) == 0:
             return None
-        return Sum((2 * t, phi * ex.lam(2) * phi, t))
+        return Sum((2 * t, Product(CRat(1), t.factors[:1] + (
+            ex.lam(2), phi) + t.factors[1:]), t))
 
-    got = ex.rewrite_terms(e, split_scalar)
-    want = ex.canonicalize(3 * phi ** 2 + ex.lam(2) * phi ** 2
+    got = ex.rewrite_terms(e, split_vector)
+    want = ex.canonicalize(3 * phi ** 2 * aa + ex.lam(2) * phi ** 3 * aa
                            + ex.inv_metric("m", "n") * s_m
                            * ex.weyl_vector("n"))
     assert got == want and len(got.terms) == 3
@@ -1195,12 +1236,12 @@ def _double_odd_terms(t):
     return None
 
 
-def _on_skeleton(fn, t):
-    """t with fn applied as ``rewrite_terms`` applies it: to the factors
-    after the scalars, with coefficient 1; None keeps t."""
-    scalars, skeleton = ex._split_scalars(t.factors)
-    r = fn(Product(CRat(1), skeleton))
-    return t if r is None else Product(t.coeff, scalars + (r,))
+def _on_core(fn, t):
+    """t with fn applied as ``rewrite_terms`` applies it: to the core,
+    the factors without the riders, with coefficient 1; None keeps t."""
+    riders, core = ex._split_riders(t.factors)
+    r = fn(Product(CRat(1), core))
+    return t if r is None else Product(t.coeff, riders + (r,))
 
 
 @pytest.mark.hashseed
@@ -1224,7 +1265,7 @@ def test_marked_sums_pass_through_like_unmarked_copies():
              lambda: ex.canonicalize(ex.lam(k) * ua)),
             (lambda: ex.rewrite_terms(a, _double_odd_terms),
              lambda: ex.canonicalize(Sum(tuple(
-                 _on_skeleton(_double_odd_terms, t) for t in ua.terms)))),
+                 _on_core(_double_odd_terms, t) for t in ua.terms)))),
         ]
         for marked, unmarked in pairs:
             got = _outcome(marked)
@@ -1332,6 +1373,42 @@ def test_composition_keeps_a_label_the_caller_repeats():
         with pytest.raises(MalformedIndex,
                            match="index 'n' appears 3 times"):
             ex.canonicalize(e)
+
+
+@pytest.mark.hashseed
+def test_composition_renames_apart_the_dummies_an_inner_product_minted():
+    """X * X renames one copy's dummies apart (mu0 to mu00, ...), and
+    (X * X) * (X * X) renames those minted labels apart too, as it does
+    a derivative index that meets one: each equals the same expression
+    with the inner product canonical first."""
+    ginv, a_ = ex.inv_metric, ex.em_vector
+    x = ex.canonicalize(ginv("m", "n") * a_("m") * a_("n"))
+    xx = ex.canonicalize(x * x)
+    got = ex.canonicalize((x * x) * (x * x))
+    assert got.terms and got == ex.canonicalize(xx ** 2)
+    for lab in ("mu00", "mu10", "z"):
+        assert ex.equal(ex.d(lab, x * x) * ginv(lab, "y") * a_("y"),
+                        ex.d("z", xx) * ginv("z", "y") * a_("y")), lab
+
+
+def test_canonicalize_leaves_no_reference_cycle(monkeypatch):
+    """With the collector off, canonicalize calls, searching or finding
+    their terms, leave nothing for ``gc.collect()`` to free."""
+    import gc
+    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    phi = ex.scalar_field()
+    inputs = [ex.inv_metric("m", "n") * ex.em_vector("m") * ex.d("n", phi),
+              phi ** 3 + ex.coupling("f") * phi ** 3,
+              *(Sum(gen.random_expr(seed).terms) for seed in range(20))]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            for e in inputs:
+                ex.canonicalize(e)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _connection(r, m, n, s):

@@ -1,9 +1,11 @@
 """The memoized term-map pass, ``exprs.rewrite_terms``.
 
-A map sees a term's skeleton, the factors after its scalars with
-coefficient 1, and each skeleton's image is kept per map object.  These
-tests compare the pass with the one that mapped whole terms
-(``reference_rewrite``) and check what the memo holds.
+A term is a coefficient, its riders (the scalars and the index-free
+atoms ``phi`` and ``detg``) and its indexed core.  A map sees the core
+with coefficient 1, each core's image is kept per map object, and the
+riders are joined to each term of the image.  These tests compare the
+pass with the one that mapped whole terms (``reference_rewrite``), on
+inputs with and without riders, and check what the memo holds.
 """
 
 from __future__ import annotations
@@ -19,18 +21,18 @@ from weylcheck import exprs as ex
 from weylcheck.exprs import CRat, Product, Sum
 from weylcheck.report import Mode
 
-# every engine map, by name; the scale maps are the transforms'
-# own objects
+# every engine map, by name; the local shifts are the transforms' own
+# objects (the Lam powers of a transform only weigh each term)
 _MAPS = {
-    "global": scale._scale_map(Fraction(1), False, 0),
-    "global+Lam^4": scale._scale_map(Fraction(1), False, 4),
-    "local": scale._scale_map(Fraction(1), True, 0),
-    "local+Lam^4": scale._scale_map(Fraction(1), True, 4),
+    "local": scale._shift_map(Fraction(1)),
+    "local^-1/2": scale._shift_map(Fraction(-1, 2)),
     "covariantize": gauge._covariantize_term,
     "contract": tensor._contract_term,
     "expand_sigma": clifford._expand_sigma_term,
     "reduce": clifford._reduce_term,
     "drop_log_derivative": scale._drop_log_derivative_term,
+    "spin_connection": gauge._spin_connection_term,
+    "kinetic": gauge._kinetic_term,
 }
 
 
@@ -44,13 +46,15 @@ def _outcome(build):
 
 def _inputs(seed: int):
     """A generated canonical form, and the same times a coefficient, a
-    coupling at a power (negative ones included) and a Lam power."""
+    coupling at a power (negative ones included), a Lam power and the
+    riders phi^k detg^j, k in 0..9 and j in 0..1."""
     a = gen.random_expr(seed)
     c = CRat(Fraction(seed % 7 - 3 or 5, 1 + seed % 3), seed % 2)
     scalars = (ex.coupling(("lambda", "f", "e", "g")[seed % 4],
                            seed % 5 - 2 or 3),
                ex.lam(Fraction(seed % 9 - 4, 1 + seed % 2)))
-    return a, ex.canonicalize(Product(c, scalars + (a,)))
+    riders = gen.times_riders(a, seed % 10, seed // 10 % 2)
+    return a, ex.canonicalize(Product(c, scalars + (riders,)))
 
 
 @pytest.mark.hashseed
@@ -71,8 +75,9 @@ def test_memoized_pass_matches_the_whole_term_pass(monkeypatch, dim):
 
 
 def test_a_known_skeleton_is_neither_flattened_nor_searched(monkeypatch):
-    """A second term with the skeleton of one mapped before, under other
-    scalars and another coefficient, takes its image from the memo."""
+    """A second term with the core of one mapped before, under other
+    scalars, other powers of phi and detg and another coefficient, takes
+    its image from the memo."""
     phi, s_m = ex.scalar_field(), ex.weyl_vector("m")
     x = ex.inv_metric("m", "n") * s_m * ex.d("n", phi) * phi
 
@@ -81,7 +86,8 @@ def test_a_known_skeleton_is_neither_flattened_nor_searched(monkeypatch):
 
     first = ex.canonicalize(x)
     second = ex.canonicalize(Product(CRat(Fraction(3, 2), 1), (
-        ex.coupling("f", -2), ex.lam(Fraction(1, 2)), x)))
+        ex.coupling("f", -2), ex.lam(Fraction(1, 2)), ex.det_factor(),
+        x, phi, phi)))
     assert ex.rewrite_terms(first, shift) == ref.rewrite_terms(first, shift)
     calls = []
     for name in ("_flatten", "_canonical_term"):
@@ -131,3 +137,32 @@ def test_full_memo_is_emptied_and_outputs_stay(monkeypatch):
     assert got == want
     assert max(sizes) <= 7
     assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+
+def test_each_map_runs_once_per_core():
+    """phi^k * detg^j * X, k in 0..9 and j in 0..1, calls each map once
+    per core of X, and every output is what mapping whole terms gives."""
+    xs = [densities.builtin(name).parsed
+          for name in ("scalar-gauged", "dirac", "yangmills")]
+    xs += [gen.random_expr(seed) for seed in range(6)]
+    for name, fn in _MAPS.items():
+        for x in xs:
+            calls = []
+
+            def counting(t, fn=fn):
+                calls.append(t.factors)
+                return fn(t)
+
+            failed = False
+            for k in range(10):
+                for j in range(2):
+                    e = gen.times_riders(x, k, j)
+                    got = _outcome(lambda: ex.rewrite_terms(e, counting))
+                    assert got == _outcome(lambda: ref.rewrite_terms(e, fn)), \
+                        (name, k, j)
+                    failed |= isinstance(got, str)
+            cores = {ex._split_riders(t.factors)[1] for t in x.terms}
+            # a map that raises keeps no image, so it runs again
+            if not failed:
+                assert sorted(calls, key=repr) == sorted(cores, key=repr), \
+                    name

@@ -134,6 +134,7 @@ def test_local_scale_builds_one_lam_power_per_term(monkeypatch):
     calls = []
     lam = ex.lam
     monkeypatch.setattr(ex, "lam", lambda k: calls.append(k) or lam(k))
+    ex._IMAGES.clear()  # the shifts of a core met before are looked up
     got = apply_local_scale(e)
     assert len(calls) == 3
     assert got == want
@@ -285,18 +286,47 @@ def test_report_fields_given_or_deferred(builtins_all, monkeypatch):
     assert r.to_json() == golden
 
 
+def _rider_inputs(builtins_all):
+    """The builtins times phi^4 detg (weight 0) and times phi^2, and
+    generated expressions times phi^k detg^j, k in 0..9 and j in 0..1."""
+    for L in builtins_all.values():
+        yield gen.times_riders(L.parsed, 4, 1)
+        yield gen.times_riders(L.parsed, 2, 0)
+    for seed in range(0, 300, 3):
+        yield gen.times_riders(gen.random_expr(seed), seed % 10,
+                               seed // 10 % 2)
+
+
+@pytest.mark.hashseed
+def test_transforms_match_the_whole_term_reference(builtins_all):
+    """Weighing each term and shifting its core gives what mapping whole
+    terms through the one rule per factor gives, in both modes and at
+    the powers 1, -2 and 1/2, with and without riders."""
+    inputs = [L.parsed for L in builtins_all.values()]
+    inputs += [gen.random_expr(seed) for seed in range(100)]
+    inputs += _rider_inputs(builtins_all)
+    for e in inputs:
+        for power in (1, -2, Fraction(1, 2)):
+            assert apply_global_scale(e, power) == \
+                ref.apply_scale(e, power, False)
+            assert apply_local_scale(e, power) == \
+                ref.apply_scale(e, power, True)
+
+
 @pytest.mark.hashseed
 def test_one_pass_invariance_matches_two_pass_reference(builtins_all):
     """Lam^4 folded into each term's transform gives the verdict,
     residual and trace texts of the two-pass check that multiplies the
-    canonical transform by Lam^4 and renders every text at once: on the
-    builtins, Weyl's vector meson and 300 generated expressions, in both
+    canonical transform of whole terms by Lam^4 and renders every text at
+    once: on the builtins, Weyl's vector meson, 300 generated expressions
+    and, times phi^k detg^j, the builtins and 100 of those, in both
     modes."""
     from weylcheck import dsl
     meson = dsl.parse((ROOT / "examples" / "weyl-meson.wl").read_text())
     verdicts = set()
     for L in [*builtins_all.values(), meson,
-              *(gen.random_expr(seed) for seed in range(300))]:
+              *(gen.random_expr(seed) for seed in range(300)),
+              *_rider_inputs(builtins_all)]:
         for mode in (Mode.GLOBAL, Mode.LOCAL):
             got = check_invariance(L, mode)
             want = ref.check_invariance(L, mode)
