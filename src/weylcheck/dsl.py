@@ -41,8 +41,8 @@ each such spelling as one token; one that is not in the memo, or fails
 its check, is put back as its tokens and read by the rules above.  Any
 error sends the source to an exact pass over the plain tokens, without
 the memo, which reports it at its line and column.  The renderer keeps
-the chunks of each term's indexed core (`_TEXTS`) and of each rider
-atom the same way."""
+the chunk of each atom the same way (`_CHUNKS`) and joins a term's
+chunks, a run of a rider atom as one power."""
 
 from __future__ import annotations
 
@@ -660,40 +660,27 @@ def _factor_chunk(f: FieldAtom) -> str:
     return text
 
 
-# core -> the chunks of its factors, atom -> its chunk; memos emptied
-# with the term cache
-_TEXTS: dict = {}
+# atom -> its chunk; a memo emptied with the term cache
 _CHUNKS: dict = {}
-ex._MEMOS += [_TEXTS, _CHUNKS]
+ex._MEMOS.append(_CHUNKS)
 
 
 def _factors_text(items: tuple) -> str:
-    """The factors of a canonical term as rendered, joined by " * ", with
-    a run of an index-free atom as one power.  The chunks of the core
-    (``exprs._split_riders``) are kept per core and a rider's per atom,
-    and the riders go where the term has them."""
-    riders, core = ex._split_riders(items)
-    chunks = _TEXTS.get(core)
-    if chunks is None:
-        ex._make_room()
-        chunks = _TEXTS[core] = tuple(map(_factor_chunk, core))
-    if not riders:
-        return " * ".join(chunks)
-    out, k, prev = [], 0, None
+    """The factors of a canonical term as rendered, joined by " * ", each
+    atom's chunk kept per atom, with a run of a rider (an atom without
+    indices, derivatives or spin, ``FieldAtom.rides``) as one power."""
+    out, prev = [], None
     for f in items:
-        if not f.rides:
-            out.append(chunks[k])
-            k, prev = k + 1, None
-        elif f is prev:
+        if f is prev:
             n += 1
             out[-1] = f"{text}^{n}"
-        else:
-            text = _CHUNKS.get(f)
-            if text is None:
-                ex._make_room()
-                text = _CHUNKS[f] = _factor_chunk(f)
-            out.append(text)
-            prev, n = f, 1
+            continue
+        text = _CHUNKS.get(f)
+        if text is None:
+            ex._make_room()
+            text = _CHUNKS[f] = _factor_chunk(f)
+        out.append(text)
+        prev, n = (f if f.rides else None), 1
     return " * ".join(out)
 
 

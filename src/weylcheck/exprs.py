@@ -30,19 +30,19 @@ scalars (the couplings and Lam, the atoms with an exponent) and the
 index-free atoms (``phi``, ``detg``, without derivatives): they carry no
 index and are never in the chain, so they do not steer the canonical
 search, and every per-term memo is kept per core, the riders joined on
-(``_with_riders``: scalars merged by kind, index-free atoms sorted in).
-The term cache (``_TERM_CACHE``) maps a term's factors other than its
-scalars, in the order given, to their sign and canonical factors, so a
-hit is one lookup; on a miss the form of ``phi^k * X`` is the form of
-the core ``X``, found in or added to the same cache, with the ``phi``
-sorted in, and ``Lam^w * X`` always reuses the entry of ``X``.  A term
-map sees only a term's core, with coefficient 1, and the canonical
-terms of its image are kept under (map, ``SPACETIME_DIM``, core), so a
-core is mapped and searched once per map object under any riders.  A
-canonical term's sort key and free indices (``_term_facts``) and its
-rendered text are kept per core too.  The memos of other layers (the
-renderer's texts, the parser's factor and statement spellings) join
-``_MEMOS``, so ``_make_room`` empties them with the term cache.
+(``_with_riders``, the one place where scalar powers are added:
+scalars merged by kind, index-free atoms sorted in).  The term cache
+(``_TERM_CACHE``) maps a core, in the order given, to its sign and
+canonical factors and holds no rider, so ``f^k * Lam^w * phi^j * X``
+finds the entry of ``X`` for every k, w and j, and only a core is ever
+searched.  A term map sees only a term's core, with coefficient 1, and
+the canonical terms of its image are kept under (map,
+``SPACETIME_DIM``, core), so a core is mapped and searched once per map
+object under any riders.  A canonical term's sort key and free indices
+(``_term_facts``) are kept per core too.  The memos of other layers
+(the renderer's per-atom texts, the parser's factor and statement
+spellings) join ``_MEMOS``, so ``_make_room`` empties them with the
+term cache.
 
 Every engine function accepts any ``Expr`` and returns a canonical
 ``Sum``.  Only ``canonicalize``, on the Sums it returns, and the passes
@@ -636,15 +636,21 @@ def _key_of(f: FieldAtom) -> tuple:
 
 
 def _split_riders(factors: Iterable[FieldAtom]) -> tuple[tuple, tuple]:
-    """(riders, core) of a term, each in the order given.  A rider
-    (``FieldAtom.rides``) is a scalar or an index-free atom (``phi``,
-    ``detg``) without derivatives.  It names nothing, is never in
-    the chain and does not steer the canonical search, so the per-term
-    memos are kept per core and the riders joined on (``_with_riders``)."""
-    riders, core = [], []
+    """(riders, core) of a term: the scalars, then the other riders, then
+    the rest, each in the order given.  A rider (``FieldAtom.rides``) is
+    a scalar or an index-free atom (``phi``, ``detg``) without
+    derivatives.  It names nothing, is never in the chain and does not
+    steer the canonical search, so the per-term memos are kept per core
+    and the riders joined on (``_with_riders``)."""
+    scalars, bare, core = [], [], []
     for f in factors:
-        (riders if f.rides else core).append(f)
-    return tuple(riders), tuple(core)
+        if not f.rides:
+            core.append(f)
+        elif f.exponent is None:
+            bare.append(f)
+        else:
+            scalars.append(f)
+    return tuple(scalars + bare), tuple(core)
 
 
 def _term_facts(factors: tuple) -> tuple:
@@ -1308,78 +1314,44 @@ def _make_room() -> None:
 
 def _canonical_term(coeff: CRat, factors: list):
     """Unique representative of one product term: (coeff, canonical
-    factors), or None when the term vanishes.  The scalars are split off
-    and merged per kind; the other factors, in the order given, key the
-    term cache, which holds their sign and canonical factors
-    (``_term_form`` fills it on a miss).  Scalars key before every other
-    factor, so, sorted among themselves, they lead the canonical
-    factors; given as one nonzero atom per kind in that order, as a
-    canonical term holds them, they are kept as they are."""
+    factors), or None when the term vanishes.  The term is split once
+    into its riders and its core (``_split_riders``); the core keys the
+    term cache, which holds its sign and canonical factors
+    (``_term_form`` fills it on a miss), and the riders are joined to
+    those (``_with_riders``)."""
     if coeff.is_zero():
         return None
-    powers: dict = {}
-    rest, scalars = [], []
-    for f in factors:
-        if f.exponent is None:
-            rest.append(f)
-        else:
-            scalars.append(f)
-            powers[f.kind] = powers.get(f.kind, 0) + f.exponent
-    key = tuple(rest)
-    found = _TERM_CACHE.get(key) or _term_form(key)
+    riders, core = _split_riders(factors)
+    found = _TERM_CACHE.get(core) or _term_form(core)
     if found is _VANISHES:
         return None
     sign, out = found
-    if scalars:
-        ranks = [(f.kind.row.sort_class, f.kind.row.rank) for f in scalars]
-        canonical = len(powers) == len(scalars) and all(powers.values()) \
-            and ranks == sorted(ranks)
-        out = (tuple(scalars) if canonical else _scalar_atoms(powers)) + out
-    return coeff if sign == 1 else -coeff, out
+    return coeff if sign == 1 else -coeff, _with_riders(riders, out)
 
 
-def _term_form(rest: tuple):
-    """The term-cache entry of ``rest``, a term's factors without
-    scalars, on a miss: (sign, canonical factors), or ``_VANISHES``.
-
-    The riders among them (``phi``, ``detg``) do not steer the search, so
-    the form of ``rest`` is the form of its core, found in or added to the
-    term cache, with the riders joined on (``_with_riders``); the sign is
-    the core's, and they vanish together.  Riders alone are their sorted
-    product, of sign +1.  Only a core is searched.  A canonical result is
-    the least candidate of its own search, reached with the sign it
-    carries, so it is cached as its own representative too."""
+def _term_form(core: tuple):
+    """The term-cache entry of a core (``_split_riders``) on a miss:
+    (sign, canonical factors), or ``_VANISHES``.  The empty core, of
+    riders alone, is () with sign +1; any other is searched.  A canonical
+    result is the least candidate of its own search, reached with the
+    sign it carries, so it is cached as its own representative too."""
     _make_room()
-    riders, core = _split_riders(rest)
-    found = _VANISHES
-    if riders:
-        found = (_TERM_CACHE.get(core) or _term_form(core)) if core \
-            else (1, ())
-        if found is not _VANISHES:
-            found = (found[0], _with_riders(riders, found[1]))
-    else:
-        prep = _prepare_term(rest)
-        if prep is not None:
-            plain, chain_items, sign0, dummies, free_labels = prep
-            best = _least_candidate(plain, chain_items, dummies, free_labels)
-            if best is not None:
-                found = (sign0 * best[0], best[1])
-    _TERM_CACHE[rest] = found
+    found = _VANISHES if core else (1, ())
+    prep = core and _prepare_term(core)
+    if prep:
+        plain, chain_items, sign0, dummies, free_labels = prep
+        best = _least_candidate(plain, chain_items, dummies, free_labels)
+        if best is not None:
+            found = (sign0 * best[0], best[1])
+    _TERM_CACHE[core] = found
     if found is not _VANISHES:
         _TERM_CACHE[found[1]] = (1, found[1])
     return found
 
 
-def _scalar_atoms(powers: dict) -> tuple:
-    """The scalars of a canonical term, one atom per kind with a nonzero
-    power: kind -> power, sorted by ``_factor_key``."""
-    return tuple(sorted((FieldAtom(kind, (), p) for kind, p in
-                         powers.items() if p), key=_key_of))
-
-
 def _prepare_term(factors: list):
-    """Everything a candidate search needs from one term without
-    scalars: (commuting factors, chain items, sign, dummy labels, free
+    """Everything a candidate search needs from one core (a term without
+    riders): (commuting factors, chain items, sign, dummy labels, free
     labels), or None when an atom vanishes identically."""
     factors, chain_items = _split_chain(factors)
     chain_items = _strip_identities(chain_items)
@@ -1479,11 +1451,14 @@ def equal(a: Expr, b: Expr) -> bool:
 # term rewriting
 
 def _with_riders(riders: tuple, factors: tuple) -> tuple:
-    """The canonical factors ``factors`` times ``riders``: its scalars,
-    one nonzero atom per kind in key order as a canonical term holds
-    them, lead, and add their powers to those of ``factors``, a zero
-    power dropping; its index-free atoms, in any order, are sorted into
-    the commuting factors by ``_factor_key``.  Riders do not steer the
+    """The canonical factors ``factors`` times ``riders``, given as
+    ``_split_riders`` gives them.  Their scalars, in any order and
+    repeated or not, add their powers by kind to those of the scalars
+    leading ``factors``, a zero total dropping, and the sums, one atom
+    per kind sorted by ``_factor_key``, lead; kept per pair of scalar
+    tuples in ``_SCALAR_SUMS``, this is the one place where scalar powers
+    are added.  Their index-free atoms, in any order, are sorted into the
+    commuting factors by ``_factor_key``.  Riders do not steer the
     canonical search, so this is the canonical form of the product, with
     the sign of ``factors``."""
     if not riders:
@@ -1493,18 +1468,18 @@ def _with_riders(riders: tuple, factors: tuple) -> tuple:
         s += 1
     while r < len(factors) and factors[r].exponent is not None:
         r += 1
-    lead, rest = riders[:s], factors[r:]
-    if s and r:
-        key = (lead, factors[:r])
+    lead, rest = factors[:r], factors[r:]
+    if s:
+        key = (riders[:s], lead)
         lead = _SCALAR_SUMS.get(key)
         if lead is None:
-            powers = {f.kind: f.exponent for f in factors[:r]}
-            for f in riders[:s]:
+            powers: dict = {}
+            for f in riders[:s] + factors[:r]:
                 powers[f.kind] = powers.get(f.kind, 0) + f.exponent
             _make_room()
-            lead = _SCALAR_SUMS[key] = _scalar_atoms(powers)
-    elif r:
-        lead = factors[:r]
+            lead = _SCALAR_SUMS[key] = tuple(sorted(
+                (FieldAtom(kind, (), p) for kind, p in powers.items() if p),
+                key=_key_of))
     if s < len(riders):
         # the chain ends the factors; each index-free atom goes after the
         # commuting factors whose keys are not above its own

@@ -209,9 +209,9 @@ def dp_least_candidate(factors: list, chain_items: list,
 
     The result depends only on ``factors`` and ``chain_items``: the
     dummies and free labels are read off them.  So ``_canonical_term``
-    searches a term's non-scalar factors once and keeps the result in
-    the term cache, under those factors and under the result's own
-    (with sign +1).
+    searches a term's core (its factors without the riders) once and
+    keeps the result in the term cache, under the core and under the
+    result's own factors (with sign +1).
     """
     slots = ex._term_slot_list(factors + chain_items)
     alphabet_of = {ix.label: ix.alphabet for ix in slots

@@ -497,8 +497,8 @@ def test_render_expr_zero():
 
 
 def _whole_text(items: tuple) -> str:
-    """A term's factors rendered from the whole tuple, as before the text
-    was kept per core: a run of an index-free atom is one power."""
+    """A term's factors rendered from the whole tuple, as before any text
+    was kept: a run of an index-free atom is one power."""
     chunks, i = [], 0
     while i < len(items):
         f, j = items[i], i + 1
@@ -512,15 +512,19 @@ def _whole_text(items: tuple) -> str:
 
 
 @pytest.mark.hashseed
-def test_text_kept_per_core_renders_the_whole_term(builtins_all):
-    """Each term's text, from its core's chunks and its riders' (one
-    kept for every phi^k detg^j), is the text of its whole factor tuple."""
+def test_text_kept_per_atom_renders_the_whole_term(builtins_all):
+    """Each term's text, from the chunks kept per atom with a run of a
+    rider as one power (for every phi^k detg^j), is the text of its
+    whole factor tuple, when first rendered and again from the kept
+    chunks; the memo is keyed by atoms and holds every atom rendered."""
     exprs = [L.parsed for L in builtins_all.values()]
     exprs += [gen.random_expr(seed) for seed in range(200)]
-    for x in exprs:
-        for k, j in ((0, 0), (1, 0), (3, 1), (9, 0), (2, 1)):
-            for t in gen.times_riders(x, k, j).terms:
-                assert dsl._factors_text(t.factors) == \
-                    _whole_text(t.factors), t
-    cores = {ex._split_riders(t.factors)[1] for x in exprs for t in x.terms}
-    assert set(dsl._TEXTS) >= cores
+    terms = [t for x in exprs
+             for k, j in ((0, 0), (1, 0), (3, 1), (9, 0), (2, 1))
+             for t in gen.times_riders(x, k, j).terms]
+    for t in terms:
+        assert dsl._factors_text(t.factors) == _whole_text(t.factors), t
+    assert all(isinstance(f, ex.FieldAtom) for f in dsl._CHUNKS)
+    assert set(dsl._CHUNKS) >= {f for t in terms for f in t.factors}
+    for t in terms:
+        assert dsl._factors_text(t.factors) == _whole_text(t.factors), t

@@ -711,7 +711,8 @@ def test_scalars_reuse_the_search_of_their_skeleton(monkeypatch):
 @pytest.mark.hashseed
 def test_term_cache_keys_hold_no_scalars(monkeypatch):
     """After a catalog build every term-cache key is a tuple of factor
-    nodes without a coupling or a Lam power."""
+    nodes without a rider: no coupling, Lam power, ``phi`` or ``detg``
+    (``FieldAtom.rides``)."""
     from weylcheck import oracle
     monkeypatch.setattr(ex, "_TERM_CACHE", {})
     monkeypatch.setattr(densities, "_CACHE", {})
@@ -723,6 +724,7 @@ def test_term_cache_keys_hold_no_scalars(monkeypatch):
         for f in key:
             assert isinstance(f, ex.FieldAtom), key
             assert f.exponent is None, key
+            assert not f.rides, key
 
 
 def _recorded(monkeypatch, name):
@@ -817,35 +819,41 @@ def test_bare_atoms_vanish_with_the_rest(monkeypatch):
 
 
 @pytest.mark.hashseed
-def test_warm_bare_atom_term_is_one_lookup(monkeypatch):
-    """Once phi^3 * detg * X is canonical, canonicalizing it again finds
-    it in the term cache: nothing is prepared, keyed or sorted."""
+def test_warm_bare_atom_term_prepares_and_searches_nothing(monkeypatch):
+    """Once f^2 * phi^3 * detg * X is canonical, canonicalizing it again
+    finds the core X in the term cache and joins the riders on: nothing
+    is prepared or searched, and no factor key is computed."""
     monkeypatch.setattr(ex, "_TERM_CACHE", {})
     e = ex.scalar_field() ** 3 * ex.inv_metric("m", "n") * ex.det_factor() \
-        * ex.weyl_vector("m") * ex.fermion_bar() * ex.fermion() \
-        * ex.d("n", ex.scalar_field())
+        * ex.coupling("f") * ex.weyl_vector("m") * ex.fermion_bar() \
+        * ex.fermion() * ex.coupling("f") * ex.d("n", ex.scalar_field())
     first = ex.canonicalize(e)
     prepared = _recorded(monkeypatch, "_prepare_term")
+    searched = _recorded(monkeypatch, "_least_candidate")
     keyed = _recorded(monkeypatch, "_factor_key")
     assert ex.canonicalize(e) == first
-    assert prepared == keyed == []
+    assert prepared == searched == keyed == []
 
 
 @pytest.mark.hashseed
 def test_bare_atoms_match_the_whole_term_search(monkeypatch):
-    """Generated terms with one to four phi or detg atoms inserted at
-    seeded places, between chain items too, get the sign, factors and
-    vanishing of the reference's search over the whole term, the bare
-    atoms in it, whether the rest is searched afresh or found."""
+    """Generated terms with one to six riders inserted at seeded places,
+    between chain items too (phi, detg and the scalars f, f^-1,
+    lambda^2 and Lam^(+-1/2), so that scalars come in any order, repeated
+    or cancelling to power 0), get the sign, factors and vanishing of the
+    reference's search over the whole term, whether the core is searched
+    afresh or found."""
     monkeypatch.setattr(ex, "_TERM_CACHE", {})
-    bare = (ex.scalar_field(), ex.det_factor())
+    riders = (ex.scalar_field(), ex.det_factor(), ex.coupling("f"),
+              ex.coupling("f", -1), ex.coupling("lambda", 2),
+              ex.lam(Fraction(1, 2)), ex.lam(Fraction(-1, 2)))
     outcomes = collections.Counter()
     for seed in range(300):
         rng = random.Random(seed)
         for coeff, factors in ex._flatten(gen.random_term(rng)):
-            for _ in range(rng.randint(1, 4)):
+            for _ in range(rng.randint(1, 6)):
                 factors.insert(rng.randint(0, len(factors)),
-                               rng.choice(bare))
+                               rng.choice(riders))
             try:
                 want = ref.canonical_term(coeff, factors)
             except ref.TooManyCandidates:
@@ -856,7 +864,17 @@ def test_bare_atoms_match_the_whole_term_search(monkeypatch):
             spin = [i for i, f in enumerate(factors) if any(f.kind.row.spin)]
             outcomes["bare in chain"] += any(
                 map(_is_bare, factors[spin[0]:spin[-1]])) if spin else 0
-    assert min(outcomes.values()) > 0 and len(outcomes) == 4, outcomes
+            powers = collections.Counter()
+            for f in factors:
+                if f.exponent is not None:
+                    powers[f.kind] += f.exponent
+            outcomes["scalars cancel"] += 0 in powers.values()
+            bare = [i for i, f in enumerate(factors)
+                    if f.rides and f.exponent is None]
+            outcomes["scalar after phi or detg"] += any(
+                f.exponent is not None for f in factors[bare[0]:]) \
+                if bare else 0
+    assert min(outcomes.values()) > 0 and len(outcomes) == 6, outcomes
 
 
 def test_repeated_same_variance_rejected():
