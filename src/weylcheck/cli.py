@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import densities, dsl, gauge, scale
 from .errors import ParseError, WeylcheckError
@@ -188,5 +189,15 @@ def main(argv: Optional[list] = None) -> int:
     return 0 if report.passed else 1
 
 
+def run() -> NoReturn:
+    """Process entry of ``python -m weylcheck`` and the ``weylcheck``
+    script: run ``main()`` and exit with its code.  The collector is
+    frozen first, so the interpreter's exit does not trace the objects
+    that die with the process; ``main()`` leaves the collector alone."""
+    rc = main()
+    gc.freeze()
+    sys.exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -48,10 +48,8 @@ from __future__ import annotations
 
 import itertools
 import re
-import string
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import exprs as ex
 from .errors import IndexArityMismatch, ParseError, UndeclaredField
@@ -80,8 +78,7 @@ _MAX_NESTING = 100
 _MAX_FACTORS = 100_000
 
 
-@dataclass(frozen=True)
-class LagrangianDef:
+class LagrangianDef(NamedTuple):
     name: str
     parsed: Sum
     declared: tuple[Kind, ...]
@@ -115,7 +112,8 @@ _COMPACT = (
     rf"|\(-?{_RAT}[+-]{_RAT}\*i\)|d\[{_NAME}\]\({_ATOM}\)|{_ATOM}|{_ALTS})")
 _SYMBOLS = frozenset(";,[]()*+-^/")
 # first characters that start a token, besides letters of other scripts
-_STARTS = frozenset(string.ascii_letters + string.digits + "_") | _SYMBOLS \
+_STARTS = frozenset("abcdefghijklmnopqrstuvwxyz"
+                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_") | _SYMBOLS \
     | {""}
 
 

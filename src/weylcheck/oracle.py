@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -464,8 +463,7 @@ def _deviations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # rule catalog
 
-@dataclass(frozen=True)
-class OracleCheck:
+class OracleCheck(NamedTuple):
     """A named check; `fn` maps a block of trials to one relative
     deviation per trial."""
     name: str

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class Mode(Enum):
@@ -17,15 +17,13 @@ class Mode(Enum):
     ORACLE = "oracle"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     rule: str
     before: str
     after: str
 
 
-@dataclass(frozen=True)
-class OracleSummary:
+class OracleSummary(NamedTuple):
     """Numeric cross-check summary; trials == 0 means the claim was
     established symbolically and no sampling ran."""
     trials: int = 0

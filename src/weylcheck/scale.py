@@ -25,10 +25,9 @@ density."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import dsl
 from . import exprs as ex
@@ -37,8 +36,7 @@ from .report import Mode, TraceStep, VerificationReport
 from .simplify import full_simplify
 
 
-@dataclass(frozen=True)
-class WeylWeight:
+class WeylWeight(NamedTuple):
     value: Fraction
     homogeneous: bool = True
 

@@ -12,9 +12,8 @@ eta and carry no further structure)."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import exprs as ex
 from .exprs import (
@@ -185,8 +184,7 @@ def contract_pairs(e: Expr) -> Sum:
     return ex.rewrite_terms(e, _contract_term)
 
 
-@dataclass(frozen=True)
-class ChristoffelExpr:
+class ChristoffelExpr(NamedTuple):
     """Explicit first-derivative expansion of the metric connection."""
     expansion: Sum
 

@@ -447,6 +447,69 @@ def test_only_the_oracle_command_loads_numpy(tmp_path):
     assert after == [True, True]
 
 
+def test_cli_import_loads_neither_string_nor_numpy():
+    """The command-line module imports none of `string`, which no
+    command needs, and `numpy`, which only the oracle command loads."""
+    p = subprocess.run(
+        [sys.executable, "-c", "import sys, weylcheck.cli; "
+         "print('string' in sys.modules, 'numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.split() == ["False", "False"]
+
+
+_FROZEN_AT_EXIT = """
+import atexit, gc, sys
+from weylcheck import cli
+atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))
+cli.run()
+"""
+
+
+def test_process_entry_exit_codes_and_output():
+    """`python -m weylcheck` exits with the verdict's code and prints the
+    golden bytes, or the usage error's line on stderr; `cli.run` exits
+    with `main`'s code and has frozen the collector by the time the
+    interpreter exits."""
+    argv = ["verify", "builtin:scalar"]
+    for mode, rc in (("global", 0), ("local", 1)):
+        p = run_cli(*argv, f"--mode={mode}", "--json")
+        assert (p.returncode, p.stderr) == (rc, ""), mode
+        assert p.stdout == (GOLDENS / f"verify-scalar-{mode}.json"
+                            ).read_text(), mode
+    p = run_cli("verify", "builtin:nosuch", "--mode=global")
+    assert (p.returncode, p.stdout) == (2, "")
+    assert p.stderr == ("weylcheck: unknown builtin 'nosuch'; choose from "
+                        "scalar, maxwell, yangmills, dirac, scalar-gauged\n")
+    env = dict(os.environ)
+    env.pop("WEYLCHECK_SEED", None)
+    p = subprocess.run(
+        [sys.executable, "-c", _FROZEN_AT_EXIT, *argv, "--mode=local",
+         "--json"], capture_output=True, text=True, env=env)
+    assert (p.returncode, p.stderr) == (1, "True\n")
+    assert p.stdout == (GOLDENS / "verify-scalar-local.json").read_text()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, capsys):
+    """In process, `cli.main` neither freezes nor switches the collector:
+    tests, the golden writer and the benchmark call it many times in one
+    interpreter."""
+    import gc
+
+    from weylcheck import cli
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert cli.main(["verify", "builtin:scalar", "--mode=global",
+                         "--json"]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert capsys.readouterr().out == (
+        GOLDENS / "verify-scalar-global.json").read_text()
+
 
 def test_long_power_of_one_field_gets_a_fast_verdict(tmp_path, capsys):
     """phi^20000 is one term of 20 000 equal factors without indices:
