@@ -36,17 +36,17 @@ blanks (`ginv[mu,nu]`, `d[mu](phi)`, `phi^3`, `1/2`, `(1-2*i)`) and an
 `indices` or `fields` statement on one line are each parsed once: a
 memo, emptied with the term cache, keeps what the parser built and what
 that needed declared, so a later occurrence is one lookup and a check
-against the current declarations and `_MAX_NESTING`.  A first pass lexes
+against the current declarations and `_MAX_NESTING`.  The parser lexes
 each such spelling as one token; one that is not in the memo, or fails
-its check, is put back as its tokens and read by the rules above.  Any
-error sends the source to an exact pass over the plain tokens, without
-the memo, which reports it at its line and column.  The renderer keeps
-the chunk of each atom the same way (`_CHUNKS`) and joins a term's
-chunks, a run of a rider atom as one power."""
+its check, is put back as its tokens where a rule reads it.  The parser
+reads a source once and raises each error where it meets it, at its
+line and column; a character that starts no token is reported ahead of
+any other error.  The renderer keeps the chunk of each atom the same
+way (`_CHUNKS`) and joins a term's chunks, a run of a rider atom as one
+power."""
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -100,10 +100,10 @@ _SKIP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
 _NAME = r"[^\W\d]\w*"
 _ALTS = rf"{_NAME}|\d+|[;,\[\]()*+\-^/]|.|\Z"
 _TOKEN = rf"(?s){_SKIP}({_ALTS})"
-# The first pass also takes as one token an `indices` or `fields`
-# statement on one line and a compact factor: a number with its
-# denominator, a complex literal, an atom with its brackets and exponent,
-# or `d[label]` of one, spelled without blanks.
+# The parser also takes as one token an `indices` or `fields` statement
+# on one line and a compact factor: a number with its denominator, a
+# complex literal, an atom with its brackets and exponent, or `d[label]`
+# of one, spelled without blanks.
 _RAT = r"\d+(?:/\d+)?"
 _ATOM = (rf"(?!d\[){_NAME}(?:\[-?{_NAME}(?:,-?{_NAME})*\])?"
          rf"(?:\^(?:-?\d+|\(-?{_RAT}\)))?")
@@ -111,41 +111,28 @@ _COMPACT = (
     rf"(?s){_SKIP}((?:indices|fields)(?:[ \t]+{_NAME})+[ \t]*;|{_RAT}"
     rf"|\(-?{_RAT}[+-]{_RAT}\*i\)|d\[{_NAME}\]\({_ATOM}\)|{_ATOM}|{_ALTS})")
 _SYMBOLS = frozenset(";,[]()*+-^/")
-# first characters that start a token, besides letters of other scripts
-_STARTS = frozenset("abcdefghijklmnopqrstuvwxyz"
-                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_") | _SYMBOLS \
-    | {""}
 
 
 def _is_name(tok: str) -> bool:
     return tok[:1].isalpha() or tok[:1] == "_"
 
 
-def _starts_token(c: str) -> bool:
-    """Whether a token may start with c: a letter or `_` (a name), a
-    decimal digit (a number) or a symbol, not a numeric character that
-    is no decimal digit, such as `²`, nor any other."""
-    return _is_name(c) or c.isdecimal() or c in _SYMBOLS
-
-
-def _tokenize(src: str) -> list[str]:
-    """The tokens of a source, ending with the empty token.  The parser
-    names a token by its place in the list; ``_position`` finds its line
-    and column when an error needs them."""
-    toks = re.findall(_TOKEN, src)
-    bad = {tok[:1] for tok in set(toks)} - _STARTS
-    bad = {c for c in bad if not _starts_token(c)}
-    if bad:
-        k = next(k for k, tok in enumerate(toks) if tok[:1] in bad)
-        raise ParseError(f"unexpected character {toks[k][0]!r}",
-                         *_position(src, k))
-    return toks
-
-
-def _position(src: str, k: int) -> tuple[int, int]:
-    """(line, column) of the k-th token of a source."""
-    at = next(itertools.islice(re.finditer(_TOKEN, src), k, None)).start(1)
+def _line_col(src: str, at: int) -> tuple[int, int]:
+    """(line, column) of the character at offset ``at``."""
     return src.count("\n", 0, at) + 1, at - src.rfind("\n", 0, at)
+
+
+def _check_characters(src: str):
+    """Raise at the first plain token that starts with a character no
+    rule accepts: not a letter or `_` (a name), a decimal digit (a
+    number) or a symbol, such as `²`, a numeric character that is no
+    decimal digit.  A source holding one never parses, but the character
+    may hide inside a compact token, so ``_Parser.fail`` looks first."""
+    for m in re.finditer(_TOKEN, src):
+        c = m.group(1)[:1]
+        if c and not (_is_name(c) or c.isdecimal() or c in _SYMBOLS):
+            raise ParseError(f"unexpected character {c!r}",
+                             *_line_col(src, m.start(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,28 +150,16 @@ _STATEMENTS: dict = {}
 ex._MEMOS.extend((_FACTORS, _STATEMENTS))
 
 
-class _Retry(Exception):
-    """The first pass of ``parse`` met an error; the exact pass reports
-    it."""
-
-
 class _Parser:
-    """Recursive descent over the token list.  A term's coefficient
-    stays a plain number until `i` comes, and an index is built once per
-    parse for each (label, slot, mark) that passed its checks.
+    """Recursive descent over the compact tokens of a source.  A
+    memoized factor or one-line statement whose declarations hold is
+    taken as one token; any other compact token is put back as its
+    tokens where a rule reads it (``plain``).  A term's coefficient
+    stays a plain number until `i` comes."""
 
-    Given the memo, the parser is the first pass: it lexes compact
-    factors and one-line statements, takes a memoized one whose
-    declarations hold as one token, and puts the tokens of any other in
-    its place before it reads them.  It raises ``_Retry`` at the first
-    error.  Without the memo it is the exact pass: every error carries
-    its line and column."""
-
-    def __init__(self, src: str, memo: Optional[dict] = None):
+    def __init__(self, src: str):
         self.src = src
-        self.exact = memo is None
-        self.memo = {} if memo is None else memo
-        self.toks = _tokenize(src) if self.exact else re.findall(_COMPACT, src)
+        self.toks = re.findall(_COMPACT, src)
         self.pos = 0
         self.index_alphabet: dict[str, Alphabet] = {}
         self.fields: set[Kind] = set()
@@ -193,7 +168,6 @@ class _Parser:
         self.name: Optional[str] = None
         self.density: Optional[Expr] = None
         self.nesting = 0
-        self.indices: dict[tuple, Index] = {}
 
     def peek(self) -> str:
         return self.toks[self.pos]
@@ -204,33 +178,42 @@ class _Parser:
         return self.pos - 1
 
     def fail(self, msg: str, at: Optional[int] = None, exc=ParseError):
-        """Raise at the token in place ``at``, by default the next one."""
-        if not self.exact:
-            raise _Retry
-        raise exc(msg, *_position(self.src, self.pos if at is None else at))
+        """Raise at the token in place ``at``, by default the next one.
+        Each token is the source text after the blanks and comments
+        before it, so its place is found by walking the list."""
+        _check_characters(self.src)
+        skip, end = re.compile(_SKIP).match, 0
+        for tok in self.toks[:self.pos if at is None else at]:
+            end = skip(self.src, end).end() + len(tok)
+        raise exc(msg, *_line_col(self.src, skip(self.src, end).end()))
+
+    def plain(self, t: int) -> str:
+        """The token at place t, a compact one first put back as its
+        tokens: the first of them."""
+        tok = self.toks[t]
+        if len(tok) > 1 and not tok.isalnum():
+            self.toks[t:t + 1] = re.findall(_TOKEN, tok)[:-1]
+            tok = self.toks[t]
+        return tok
 
     def accept(self, s: str) -> bool:
-        """Step over the symbol `s` if it comes next; no name or number
-        is spelled like a symbol."""
-        if self.toks[self.pos] == s:
-            self.pos += 1
-            return True
-        return False
+        """Step over the symbol `s` if it comes next, alone or opening a
+        compact complex literal; no name or number is spelled like a
+        symbol."""
+        tok = self.toks[self.pos]
+        if tok != s:
+            if tok[:1] != s:
+                return False
+            self.plain(self.pos)
+        self.pos += 1
+        return True
 
     def expect_sym(self, s: str):
         if not self.accept(s):
             self.fail(f"expected {s!r}")
 
-    def split(self, t: int) -> str:
-        """Put the tokens of the compact token at place t in its place;
-        the first of them."""
-        self.toks[t:t + 1] = re.findall(_TOKEN, self.toks[t])[:-1]
-        return self.toks[t]
-
     def expect_ident(self) -> int:
-        tok = self.peek()
-        # a compact factor or statement of the first pass is no name
-        if not _is_name(tok) or "[" in tok or "^" in tok or ";" in tok:
+        if not _is_name(self.plain(self.pos)):
             self.fail("expected a name")
         return self.advance()
 
@@ -246,15 +229,12 @@ class _Parser:
                 self.declare(*decl)
                 self.pos = t + 1
                 continue
-            compact = len(spelling) > 1 and spelling[-1] == ";"
-            if compact:  # a statement on one line
-                self.split(t)
             head = self.expect_ident()
             if toks[head] in ("indices", "fields"):
                 decl = (self.stmt_indices() if toks[head] == "indices"
                         else self.stmt_fields())
                 self.declare(*decl)
-                if compact:
+                if spelling[-1] == ";":  # a statement on one line
                     ex._make_room()
                     _STATEMENTS[spelling] = decl
             elif toks[head] == "name":
@@ -332,15 +312,17 @@ class _Parser:
         return Sum(tuple(terms))
 
     def parse_term(self, sign: int) -> Product:
-        toks, memo = self.toks, self.memo
+        toks = self.toks
         coeff = sign
         factors: list[FieldAtom | Partial] = []
         while True:
             t = self.pos
-            tok = spelling = toks[t]
-            hit = memo.get(tok)
-            # a name followed by `[` or `^` is not the factor it spells
-            if hit and toks[t + 1] not in ("[", "^") \
+            spelling = toks[t]
+            hit = _FACTORS.get(spelling)
+            # a spelling followed by `[`, `^` or `/` need not be the
+            # factor it spells: a name takes brackets or an exponent, a
+            # number a denominator
+            if hit and toks[t + 1] not in ("[", "^", "/") \
                     and hit[2] <= self.declared and self.nesting <= hit[3]:
                 self.pos = t + 1
                 if hit[1]:
@@ -350,8 +332,7 @@ class _Parser:
                 else:
                     coeff = coeff * hit[0]
             else:
-                if len(tok) > 1 and not tok.isalnum():  # a compact factor
-                    tok = self.split(t)
+                tok = self.plain(t)
                 if tok[:1].isdecimal():
                     v = self.parse_number("a number")
                     coeff = coeff * v
@@ -393,7 +374,7 @@ class _Parser:
         exactly: a coefficient (n = 0) or an atom repeated n times, with
         what its parse found declared and how deep it nests derivatives.
         """
-        if self.exact or "".join(self.toks[t:self.pos]) != spelling:
+        if "".join(self.toks[t:self.pos]) != spelling:
             return
         needs, room = set(), _MAX_NESTING
         if n:
@@ -405,7 +386,7 @@ class _Parser:
                 needs.add(value.kind)
             room -= len(value.derivs)
         ex._make_room()
-        self.memo[spelling] = (value, n, frozenset(needs), room)
+        _FACTORS[spelling] = (value, n, frozenset(needs), room)
 
     def parse_number(self, what: str, signed: bool = False,
                      slash: bool = True) -> int | Fraction:
@@ -423,13 +404,12 @@ class _Parser:
         return -v if neg else v
 
     def integer(self, what: str) -> int:
-        if "/" in self.peek():  # a compact number
-            self.split(self.pos)
+        tok = self.plain(self.pos)
         t = self.advance()
-        if not self.toks[t][:1].isdecimal():
+        if not tok[:1].isdecimal():
             self.fail(f"expected {what}", t)
         try:
-            return int(self.toks[t])
+            return int(tok)
         except ValueError:  # more digits than `int` converts
             self.fail("number too long", t)
 
@@ -459,14 +439,12 @@ class _Parser:
         lab_t = self.expect_ident()
         self.expect_sym("]")
         label = self.toks[lab_t]
-        ix = self.indices.get((label, ex._SD, True))
-        if ix is None:
-            alph = self.index_alphabet.get(label)
-            if alph is None:
-                self.fail(f"undeclared index {label!r}", lab_t)
-            if alph != Alphabet.SPACETIME:
-                self.fail("derivative index must be spacetime", lab_t)
-            ix = self.indices[label, ex._SD, True] = ex.st_lo(label)
+        alph = self.index_alphabet.get(label)
+        if alph is None:
+            self.fail(f"undeclared index {label!r}", lab_t)
+        if alph != Alphabet.SPACETIME:
+            self.fail("derivative index must be spacetime", lab_t)
+        ix = ex.st_lo(label)
         self.expect_sym("(")
         self.nesting += 1
         inner = self.parse_expr()
@@ -490,7 +468,7 @@ class _Parser:
             minus = None
             if toks[pos] == "-":
                 minus, pos = pos, pos + 1
-            if not _is_name(toks[pos]):
+            if not _is_name(self.plain(pos)):
                 self.pos = pos
                 self.fail("expected a name")
             out.append((minus, pos))
@@ -526,9 +504,7 @@ class _Parser:
                       f"{name}", tok)
         if var is None:
             var = Variance.UP if minus is None else Variance.DOWN
-        ix = Index(label, alph, var)
-        self.indices[label, slot, minus is None] = ix
-        return ix
+        return Index(label, alph, var)
 
     def parse_atom(self) -> FieldAtom | list[FieldAtom]:
         toks = self.toks
@@ -559,8 +535,7 @@ class _Parser:
         if len(raw) != len(pattern):
             self.fail(f"{name} takes {len(pattern)} indices, got "
                       f"{len(raw)}", name_t, IndexArityMismatch)
-        idxs = tuple([self.indices.get((toks[tok], slot, minus is None))
-                      or self.slot_index(minus, tok, slot, name)
+        idxs = tuple([self.slot_index(minus, tok, slot, name)
                       for (minus, tok), slot in zip(raw, pattern)])
 
         if kind is Kind.LAMBDA_POWER:
@@ -586,10 +561,7 @@ class _Parser:
 def parse(src: str) -> LagrangianDef:
     if not src.strip():
         raise ParseError("empty source", 1, 1)
-    try:
-        name, density, declared = _Parser(src, _FACTORS).run()
-    except _Retry:
-        name, density, declared = _Parser(src).run()
+    name, density, declared = _Parser(src).run()
     return LagrangianDef(name, canonicalize(density), declared)
 
 

@@ -213,6 +213,10 @@ class CRat:
     def __setattr__(self, *a):
         raise AttributeError("CRat is immutable")
 
+    def __reduce__(self):
+        # through the constructor: the default restore sets the slots
+        return CRat, (self.re, self.im)
+
     @staticmethod
     def of(v) -> "CRat":
         """v as a CRat, or NotImplemented for an Expr, so that an

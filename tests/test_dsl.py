@@ -274,6 +274,27 @@ def test_factor_bound():
     assert (e.line, e.col) == (3, 9 + len(f"phi^{n // 2} * "))
 
 
+def _mutated(rng, docs, chars, n, ops=3) -> list[str]:
+    """n seeded mutations of the docs, each of one to three edits: one
+    character replaced, inserted or deleted, or with ``ops=4`` also a
+    slice of up to 12 characters repeated."""
+    out = []
+    for _ in range(n):
+        src = rng.choice(docs)
+        for _ in range(rng.randint(1, 3)):
+            i, op = rng.randrange(len(src) + 1), rng.randrange(ops)
+            if op == 3:
+                src = src[:i] + src[i:i + rng.randint(1, 12)] + src[i:]
+            else:
+                ch = rng.choice(chars) if op < 2 else ""
+                src = src[:i] + ch + src[i + (op != 1):]
+        out.append(src)
+    return out
+
+
+_DOCS = [dsl.render(gen.random_def(seed)) for seed in range(40)]
+_CHARS = string.printable + "²٣½μ\x00"
+
 _HOSTILE = [
     "fields phi ;\nname t ;\ndensity phi^² ;",
     "fields phi ;\nname t ;\ndensity ٣ * ²٣ * ½ ;",
@@ -297,18 +318,8 @@ def test_parser_returns_or_raises_a_classified_error():
     """Seeded character mutations of rendered sources, and hostile
     inputs, either parse and render or raise a WeylcheckError: never a
     traceback of another kind."""
-    rng = random.Random("dsl-robustness")
-    docs = [dsl.render(gen.random_def(seed)) for seed in range(40)]
-    chars = string.printable + "²٣½μ\x00"
-    inputs = list(_HOSTILE)
-    for _ in range(2000):
-        src = rng.choice(docs)
-        for _ in range(rng.randint(1, 3)):
-            # replace, insert or delete one character
-            i, op = rng.randrange(len(src) + 1), rng.randrange(3)
-            ch = rng.choice(chars) if op < 2 else ""
-            src = src[:i] + ch + src[i + (op != 1):]
-        inputs.append(src)
+    inputs = [*_HOSTILE, *_mutated(random.Random("dsl-robustness"),
+                                    _DOCS, _CHARS, 2000)]
     for src in inputs:
         try:
             dsl.render(dsl.parse(src))
@@ -340,59 +351,56 @@ def _outcome(parse, src):
                                                                    None)
 
 
+# compact tokens that a rule other than a factor's reads, each after
+# _SPLIT_HEAD: a complex literal as a derivative's operand or after `^`,
+# an atom or a derivative as a bracket label, a number before `/`
+_SPLIT_HEAD = ("indices spacetime mu nu x ;\nfields ginv phi Lam ;\n"
+               "name t ;\ndensity ")
+_SPLIT_SITES = [
+    "d[mu](1/2-3*i) * ginv[mu,nu] * d[nu](phi)", "d[mu]((1/2-3*i)) * phi",
+    "phi^(1/2-3*i)", "Lam^(1-3*i) * phi^4", "Lam^((1/2)) * phi^4",
+    "ginv[mu^2,nu]", "ginv[mu,d[x](phi)] * phi", "ginv[mu,nu[x]]",
+    "phi^4 * ginv[mu,nu] * d[mu](phi) * d[nu](phi) * 3/x",
+]
+
+
+def _reference_sources() -> list[str]:
+    """Rendered generated densities; seeded mutations of them, and of the
+    split sites weighted toward the symbols and `i`; the hostile sources
+    of the robustness test; Weyl's vector meson; derivatives of every
+    kind of operand; the split sites; a character that starts no token
+    inside a one-line statement; and blanks inside compact spellings."""
+    head = ("indices spacetime m n ;\nindices frame a ;\n"
+            "fields ginv phi S detg Lam ;\nname t ;\ndensity ")
+    split = [_SPLIT_HEAD + body + " ;" for body in _SPLIT_SITES]
+    meson = (Path(__file__).resolve().parent.parent / "examples"
+             / "weyl-meson.wl").read_text()
+    return [*(dsl.render(gen.random_def(seed)) for seed in range(300)),
+            *_mutated(random.Random("dsl-robustness"), _DOCS, _CHARS, 2000),
+            *_mutated(random.Random("dsl-split-sites"),
+                      [*_DOCS, *split, meson],
+                      "[](),^/*-+;i" * 8 + _CHARS, 2000, ops=4),
+            *_HOSTILE, meson,
+            *(head + body + " ;" for body in _DERIVATIVE_OPERANDS),
+            *split,
+            "indices spacetime mu nu ;\nfields ginv ²W phi ;\nname t ;\n"
+            "density ginv[mu,nu] * d[mu](phi) * d[nu](phi) ;",
+            "indices spacetime mu nu ;\nfields ginv phi Lam ;\nname t ;\n"
+            "density ( 1/2 - 3*i ) * g * Lam ^(1/2) * ginv [mu,nu] "
+            "* d[mu](phi) * d[nu](phi ^2) * g ^2 ;"]
+
+
 @pytest.mark.hashseed
 def test_parser_matches_reference_parser():
     """The parser that builds atom terms gives the canonical form of the
     parser that built a ``Partial`` per derivative, or the same error at
-    the same place: on rendered generated densities, the seeded
-    mutations and hostile sources of the robustness test, Weyl's vector
-    meson and derivatives of every kind of operand."""
-    rng = random.Random("dsl-robustness")
-    docs = [dsl.render(gen.random_def(seed)) for seed in range(40)]
-    chars = string.printable + "²٣½μ\x00"
-    mutated = []
-    for _ in range(2000):
-        src = rng.choice(docs)
-        for _ in range(rng.randint(1, 3)):
-            i, op = rng.randrange(len(src) + 1), rng.randrange(3)
-            ch = rng.choice(chars) if op < 2 else ""
-            src = src[:i] + ch + src[i + (op != 1):]
-        mutated.append(src)
-    head = ("indices spacetime m n ;\nindices frame a ;\n"
-            "fields ginv phi S detg Lam ;\nname t ;\ndensity ")
-    sources = [*(dsl.render(gen.random_def(seed)) for seed in range(300)),
-               *mutated, *_HOSTILE,
-               (Path(__file__).resolve().parent.parent / "examples"
-                / "weyl-meson.wl").read_text(),
-               *(head + body + " ;" for body in _DERIVATIVE_OPERANDS)]
+    the same place, on ``_reference_sources``."""
     kinds = set()
-    for src in sources:
+    for src in _reference_sources():
         got, want = _outcome(dsl.parse, src), _outcome(ref.parse, src)
         assert got == want, src
         kinds.add(type(want) is dsl.LagrangianDef)
     assert kinds == {True, False}
-
-
-def _reference_sources() -> list[str]:
-    """The sources of ``test_parser_matches_reference_parser``."""
-    rng = random.Random("dsl-robustness")
-    docs = [dsl.render(gen.random_def(seed)) for seed in range(40)]
-    chars = string.printable + "²٣½μ\x00"
-    mutated = []
-    for _ in range(2000):
-        src = rng.choice(docs)
-        for _ in range(rng.randint(1, 3)):
-            i, op = rng.randrange(len(src) + 1), rng.randrange(3)
-            ch = rng.choice(chars) if op < 2 else ""
-            src = src[:i] + ch + src[i + (op != 1):]
-        mutated.append(src)
-    head = ("indices spacetime m n ;\nindices frame a ;\n"
-            "fields ginv phi S detg Lam ;\nname t ;\ndensity ")
-    return [*(dsl.render(gen.random_def(seed)) for seed in range(300)),
-            *mutated, *_HOSTILE,
-            (Path(__file__).resolve().parent.parent / "examples"
-             / "weyl-meson.wl").read_text(),
-            *(head + body + " ;" for body in _DERIVATIVE_OPERANDS)]
 
 
 # memoized spellings under declarations they no longer meet, each with
@@ -448,26 +456,23 @@ def test_warm_memo_parses_as_the_reference_parser():
     assert {"d[mu](phi)", "ginv[mu,nu]", "phi^60000"} <= dsl._FACTORS.keys()
 
 
-def test_first_pass_reads_every_valid_source():
-    """A source that the exact pass reads, the first pass reads alone,
-    with a warm memo too, to the same result: blanks inside a spelling,
-    a name followed by `[` or `^` after its memoized bare use, and a
-    fraction inside a complex literal or an exponent never send it to
-    the exact pass."""
-    spaced = ("indices spacetime mu nu ;\nfields ginv phi Lam ;\nname t ;\n"
-              "density ( 1/2 - 3*i ) * g * Lam ^(1/2) * ginv [mu,nu] "
-              "* d[mu](phi) * d[nu](phi ^2) * g ^2 ;")
-    sources = [*_reference_sources(), *(src for src, _ in _MEMO_REUSE),
-               spaced]
-    read = 0
-    for src in sources * 2:
-        try:
-            want = dsl._Parser(src).run()
-        except WeylcheckError:
-            continue
-        assert dsl._Parser(src, dsl._FACTORS).run() == want, src
-        read += 1
-    assert read > 2 * 300
+def test_parse_builds_one_parser(monkeypatch):
+    """``parse`` reads a source in one pass: one parser for a valid
+    source, and one for a source that fails, which raises its error at
+    its place."""
+    built = []
+
+    class Counted(dsl._Parser):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dsl, "_Parser", Counted)
+    dsl.parse(_SPLIT_HEAD + _SPLIT_SITES[0] + " ;")
+    assert len(built) == 1
+    e = _err(_SPLIT_HEAD + "phi^(1/2-3*i) ;", ParseError)
+    assert len(built) == 2
+    assert (e.line, e.col) == (4, 17) and "expected ')'" in str(e)
 
 
 def test_emptying_the_memos_empties_the_factor_memo(monkeypatch):

@@ -1,18 +1,20 @@
 """The plain records of the public API: immutable named tuples that keep
 the equality, hash, defaults, copies, pickling and repr they had as
-frozen dataclasses."""
+frozen dataclasses; and parsed densities, which pickle and deep-copy."""
 
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from weylcheck.dsl import LagrangianDef
+from weylcheck import densities
+from weylcheck.dsl import LagrangianDef, parse
 from weylcheck.exprs import Kind, Sum, canonicalize, scalar_field
 from weylcheck.oracle import TOL_FIELD, TOL_PURE, OracleCheck
 from weylcheck.report import OracleSummary, TraceStep
-from weylcheck.scale import WeylWeight
+from weylcheck.scale import Mode, WeylWeight, check_invariance
 from weylcheck.tensor import ChristoffelExpr
 
 EMPTY = Sum(())
@@ -63,3 +65,24 @@ def test_record_defaults_and_methods():
     assert OracleCheck("n", len).tolerance == TOL_FIELD
     assert OracleCheck("n", len, True).tolerance == TOL_PURE
     assert LagrangianDef("t", EMPTY, ()).free_indices() == frozenset()
+
+
+def _pickled(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+@pytest.mark.parametrize("name", [*densities.BUILTIN_NAMES, "weyl-meson.wl"])
+def test_densities_survive_pickle_and_deepcopy(name):
+    """A parsed density, coefficients included, pickles and deep-copies
+    to an equal one that keeps its canonical mark and gets the same local
+    residual."""
+    if name in densities.BUILTIN_NAMES:
+        L = densities.builtin(name)
+    else:
+        L = parse((Path(__file__).resolve().parent.parent / "examples"
+                   / name).read_text())
+    want = check_invariance(L, Mode.LOCAL).residual
+    for clone in (_pickled, copy.deepcopy):
+        c = clone(L)
+        assert c == L and c.parsed._canonical, clone
+        assert check_invariance(c, Mode.LOCAL).residual == want, clone
