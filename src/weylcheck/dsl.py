@@ -34,16 +34,16 @@ they stand.
 Deterministic work is done once per process.  A factor spelled without
 blanks (`ginv[mu,nu]`, `d[mu](phi)`, `phi^3`, `1/2`, `(1-2*i)`) and an
 `indices` or `fields` statement on one line are each parsed once: a
-memo, emptied with the term cache, keeps what the parser built and what
-that needed declared, so a later occurrence is one lookup and a check
-against the current declarations and `_MAX_NESTING`.  The parser lexes
-each such spelling as one token; one that is not in the memo, or fails
-its check, is put back as its tokens where a rule reads it.  The parser
-reads a source once and raises each error where it meets it, at its
-line and column; a character that starts no token is reported ahead of
-any other error.  The renderer keeps the chunk of each atom the same
-way (`_CHUNKS`) and joins a term's chunks, a run of a rider atom as one
-power."""
+memo (`exprs._Memo`, emptied with the term cache) keeps what the parser
+built and what that needed declared, so a later occurrence is one lookup
+and a check against the current declarations and `_MAX_NESTING`.  The
+parser lexes each such spelling as one token; one that is not in the
+memo, or fails its check, is put back as its tokens where a rule reads
+it.  The parser reads a source once and raises each error where it
+meets it, at its line and column; a character that starts no token is
+reported ahead of any other error.  The renderer keeps the chunk of
+each atom in a memo too (`_CHUNKS`) and joins a term's chunks, a run of
+a rider atom as one power."""
 
 from __future__ import annotations
 
@@ -140,14 +140,12 @@ def _check_characters(src: str):
 
 _SIGNS = {"+": 1, "-": -1}
 
-# memos emptied with the term cache: factor spelling -> (a coefficient,
-# or an atom, its repeats (0 for a coefficient), the field kinds and the
-# (label, alphabet) pairs it needs declared, the deepest nesting it may
-# sit at); statement spelling -> (label -> alphabet, field kinds) that
-# it declares
-_FACTORS: dict = {}
-_STATEMENTS: dict = {}
-ex._MEMOS.extend((_FACTORS, _STATEMENTS))
+# memos the parser fills: factor spelling -> (a coefficient, or an atom,
+# its repeats (0 for a coefficient), the field kinds and the (label,
+# alphabet) pairs it needs declared, the deepest nesting it may sit at);
+# statement spelling -> (label -> alphabet, field kinds) that it declares
+_FACTORS = ex._Memo()
+_STATEMENTS = ex._Memo()
 
 
 class _Parser:
@@ -235,7 +233,6 @@ class _Parser:
                         else self.stmt_fields())
                 self.declare(*decl)
                 if spelling[-1] == ";":  # a statement on one line
-                    ex._make_room()
                     _STATEMENTS[spelling] = decl
             elif toks[head] == "name":
                 t = self.expect_ident()
@@ -385,7 +382,6 @@ class _Parser:
             if type(value.kind) is Kind:
                 needs.add(value.kind)
             room -= len(value.derivs)
-        ex._make_room()
         _FACTORS[spelling] = (value, n, frozenset(needs), room)
 
     def parse_number(self, what: str, signed: bool = False,
@@ -630,9 +626,8 @@ def _factor_chunk(f: FieldAtom) -> str:
     return text
 
 
-# atom -> its chunk; a memo emptied with the term cache
-_CHUNKS: dict = {}
-ex._MEMOS.append(_CHUNKS)
+# atom -> its chunk
+_CHUNKS = ex._Memo(_factor_chunk)
 
 
 def _factors_text(items: tuple) -> str:
@@ -645,10 +640,7 @@ def _factors_text(items: tuple) -> str:
             n += 1
             out[-1] = f"{text}^{n}"
             continue
-        text = _CHUNKS.get(f)
-        if text is None:
-            ex._make_room()
-            text = _CHUNKS[f] = _factor_chunk(f)
+        text = _CHUNKS[f]
         out.append(text)
         prev, n = (f if f.rides else None), 1
     return " * ".join(out)

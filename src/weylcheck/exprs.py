@@ -39,10 +39,13 @@ searched.  A term map sees only a term's core, with coefficient 1, and
 the canonical terms of its image are kept under (map,
 ``SPACETIME_DIM``, core), so a core is mapped and searched once per map
 object under any riders.  A canonical term's sort key and free indices
-(``_term_facts``) are kept per core too.  The memos of other layers
-(the renderer's per-atom texts, the parser's factor and statement
-spellings) join ``_MEMOS``, so ``_make_room`` empties them with the
-term cache.
+(``_term_facts``) are kept per core too.  Every memo, here and in the
+other layers (the renderer's per-atom texts, the parser's factor and
+statement spellings, a check's per-core values, the oracle's
+contraction steps), is a ``_Memo``: a dict that computes a value on a
+miss, or is filled by the code that makes its values, and makes room
+before every store.  Room is made in one place, ``_make_room``: once
+the term cache or any memo is full, all of them are emptied together.
 
 Every engine function accepts any ``Expr`` and returns a canonical
 ``Sum``.  Only ``canonicalize``, on the Sums it returns, and the passes
@@ -606,6 +609,46 @@ def d(label: str, operand: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# per-process memos
+
+# The term cache (``_canonical_term``) and every memo (a ``_Memo``, listed
+# in ``_MEMOS`` as it is made, in this module and in ``dsl``, ``scale``
+# and ``oracle``) are emptied together, in one place (``_make_room``).
+_TERM_CACHE: dict = {}
+_TERM_CACHE_LIMIT = 200_000
+_MEMOS: list = []
+
+
+def _make_room() -> None:
+    """Empty the term cache and every memo once one of them is full."""
+    if max(map(len, _MEMOS + [_TERM_CACHE])) >= _TERM_CACHE_LIMIT:
+        _TERM_CACHE.clear()
+        for memo in _MEMOS:
+            memo.clear()
+
+
+class _Memo(dict):
+    """A per-process memo of deterministic work.  ``_Memo(fn)`` computes
+    ``fn(key)`` on a miss, so a hit is one dict lookup, in C; a
+    ``_Memo()`` is filled by the code that makes its values.  Every
+    store makes room first (``_make_room``)."""
+
+    def __init__(self, fn: Optional[Callable] = None):
+        self.fn = fn
+        _MEMOS.append(self)
+
+    def __missing__(self, key):
+        if self.fn is None:
+            raise KeyError(key)
+        value = self[key] = self.fn(key)
+        return value
+
+    def __setitem__(self, key, value):
+        _make_room()
+        dict.__setitem__(self, key, value)
+
+
+# ---------------------------------------------------------------------------
 # structural keys
 
 def _factor_key(f: FieldAtom) -> tuple:
@@ -630,13 +673,9 @@ def _split_chain(factors: Iterable[FieldAtom]) -> tuple[list, list]:
     return plain, chain
 
 
-def _key_of(f: FieldAtom) -> tuple:
-    """``_factor_key`` of f, computed once per atom."""
-    try:
-        return _FACTOR_KEYS[f]
-    except KeyError:
-        key = _FACTOR_KEYS[f] = _factor_key(f)
-        return key
+# factor -> its ``_factor_key``, computed once per atom
+_FACTOR_KEYS = _Memo(_factor_key)
+_key_of = _FACTOR_KEYS.__getitem__
 
 
 def _split_riders(factors: Iterable[FieldAtom]) -> tuple[tuple, tuple]:
@@ -664,18 +703,23 @@ def _term_facts(factors: tuple) -> tuple:
     chain, so a term with riders has its core's free indices and chain
     keys, and the keys of the factors before its chain."""
     riders, core = _split_riders(factors)
-    facts = _TERM_FACTS.get(core)
-    if facts is None:
-        _make_room()
-        key = tuple(tuple(map(_key_of, part)) for part in _split_chain(core))
-        frees = frozenset(occ[0] for occ in _label_census(core).values()
-                          if len(occ) == 1)
-        facts = _TERM_FACTS[core] = key, frees
+    facts = _TERM_FACTS[core]
     if riders:
         (_, chain), frees = facts
         facts = (tuple(map(_key_of, factors[:len(factors) - len(chain)])),
                  chain), frees
     return facts
+
+
+def _core_facts(core: tuple) -> tuple:
+    """``_term_facts`` of a canonical core."""
+    return (tuple(tuple(map(_key_of, part)) for part in _split_chain(core)),
+            frozenset(occ[0] for occ in _label_census(core).values()
+                      if len(occ) == 1))
+
+
+# core -> its ``_term_facts``
+_TERM_FACTS = _Memo(_core_facts)
 
 
 def _bare(f: FieldAtom) -> FieldAtom:
@@ -719,9 +763,6 @@ def _fresh_label(prefix: str, taken) -> str:
     return f"{prefix}{k}"
 
 
-_GROUPS: dict[tuple, tuple] = {}
-
-
 def _slot_groups(f: FieldAtom) -> tuple:
     """The slot-symmetry rule for one node: its slot positions (in
     ``_slots_of_factor`` order) partitioned into groups of
@@ -730,13 +771,15 @@ def _slot_groups(f: FieldAtom) -> tuple:
     refinement: "s" for a group of an atom's slots, the position for a
     slot of its own, "d" for the derivative indices and "a" + the atom's
     class under a derivative.  Built once per (kind, derivative count)
-    from the kind's row."""
-    row = f.kind.row
-    key = (row.rank, len(f.derivs))
-    groups = _GROUPS.get(key)
-    if groups is not None:
-        return groups
-    n, n_atom = len(f.derivs), len(row.slots)
+    from the kind's row (``_GROUPS``)."""
+    return _GROUPS[f.kind, len(f.derivs)]
+
+
+def _kind_groups(key: tuple) -> tuple:
+    """``_slot_groups`` of a node of kind ``kind`` under n derivatives,
+    ``key`` being (kind, n)."""
+    row, n = key[0].row, key[1]
+    n_atom = len(row.slots)
     grouped = {p for pos, _ in row.slot_groups for p in pos}
     groups = tuple(sorted(
         [(pos, sign, "s") for pos, sign in row.slot_groups]
@@ -747,8 +790,11 @@ def _slot_groups(f: FieldAtom) -> tuple:
         groups = ((tuple(range(n)), 1, "d"),) + tuple(
             (tuple(p + n for p in pos), sign, "a" + cls)
             for pos, sign, cls in groups)
-    _GROUPS[key] = groups
     return groups
+
+
+# (kind, derivative count) -> its ``_slot_groups``
+_GROUPS = _Memo(_kind_groups)
 
 
 def _odd(order) -> bool:
@@ -1296,24 +1342,7 @@ def _least_candidate(factors: list, chain_items: list,
                        else m.atom for m in order)
 
 
-_TERM_CACHE: dict = {}
-_TERM_CACHE_LIMIT = 200_000
 _VANISHES = object()
-# memos of pure functions, emptied with the term cache: core ->
-# ``_term_facts``, factor -> ``_factor_key``, (map, SPACETIME_DIM, core)
-# -> the canonical terms of the map's image of the core, or None when the
-# map keeps it (``rewrite_terms``; ``_kept`` for other per-core values),
-# (scalars, scalars) -> their product (``_with_riders``)
-_TERM_FACTS, _FACTOR_KEYS, _IMAGES, _SCALAR_SUMS = {}, {}, {}, {}
-_MEMOS = [_TERM_FACTS, _FACTOR_KEYS, _IMAGES, _SCALAR_SUMS]
-
-
-def _make_room() -> None:
-    """Empty the term cache and every memo once one of them is full."""
-    if max(map(len, _MEMOS + [_TERM_CACHE])) >= _TERM_CACHE_LIMIT:
-        _TERM_CACHE.clear()
-        for memo in _MEMOS:
-            memo.clear()
 
 
 def _canonical_term(coeff: CRat, factors: list):
@@ -1474,16 +1503,7 @@ def _with_riders(riders: tuple, factors: tuple) -> tuple:
         r += 1
     lead, rest = factors[:r], factors[r:]
     if s:
-        key = (riders[:s], lead)
-        lead = _SCALAR_SUMS.get(key)
-        if lead is None:
-            powers: dict = {}
-            for f in riders[:s] + factors[:r]:
-                powers[f.kind] = powers.get(f.kind, 0) + f.exponent
-            _make_room()
-            lead = _SCALAR_SUMS[key] = tuple(sorted(
-                (FieldAtom(kind, (), p) for kind, p in powers.items() if p),
-                key=_key_of))
+        lead = _SCALAR_SUMS[riders[:s], lead]
     if s < len(riders):
         # the chain ends the factors; each index-free atom goes after the
         # commuting factors whose keys are not above its own
@@ -1501,20 +1521,24 @@ def _with_riders(riders: tuple, factors: tuple) -> tuple:
     return lead + rest
 
 
+def _scalar_sum(key: tuple) -> tuple:
+    """The product of two tuples of scalars, ``key``: one atom per kind
+    holding its total power, sorted by ``_factor_key``, a zero total
+    dropping (``_with_riders``)."""
+    powers: dict = {}
+    for f in key[0] + key[1]:
+        powers[f.kind] = powers.get(f.kind, 0) + f.exponent
+    return tuple(sorted(
+        (FieldAtom(kind, (), p) for kind, p in powers.items() if p),
+        key=_key_of))
+
+
+# (scalars, scalars) -> their product (``_with_riders``)
+_SCALAR_SUMS = _Memo(_scalar_sum)
+# (map, SPACETIME_DIM, core) -> the canonical terms of the map's image of
+# the core, or None when the map keeps it (``rewrite_terms``)
+_IMAGES = _Memo()
 _MISSING = object()
-
-
-def _kept(fn: Callable[[tuple], object], core: tuple):
-    """``fn(core)`` for the core of a canonical term, computed once per
-    (fn, ``SPACETIME_DIM``, core) and kept in ``_IMAGES``: for a value
-    of the core that a pass joins the riders to itself."""
-    key = (fn, SPACETIME_DIM, core)
-    value = _IMAGES.get(key, _MISSING)
-    if value is _MISSING:
-        value = fn(core)
-        _make_room()
-        _IMAGES[key] = value
-    return value
 
 
 def rewrite_terms(e: Expr, fn: Callable[[Product], Optional[Expr]]) -> Sum:
@@ -1543,7 +1567,6 @@ def rewrite_terms(e: Expr, fn: Callable[[Product], Optional[Expr]]) -> Sum:
             mapped[key] = fn(Product(_UNIT, key[2]))
     for key, r in mapped.items():
         image = None if r is None else canonicalize(r).terms
-        _make_room()
         mapped[key] = _IMAGES[key] = image
     if mapped:
         images = [mapped.get(key, image) for key, image in zip(keys, images)]

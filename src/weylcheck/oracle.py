@@ -285,20 +285,20 @@ def _operand(f: FieldAtom):
     return (f.kind, len(f.derivs)), labels, spin
 
 
-_STEPS: dict = {}
-
-
 def _contraction_steps(subs, out):
     """Pairwise `np.einsum` steps along a path planned for a full block:
     (positions to pop, their subscripts, result subscripts).  Every axis
     has length `_BLOCK` or 4, so the steps depend only on the integer
-    subscripts: they are planned once per signature and shared by every
-    term that has it.  One or two operands make one step, the path
-    `np.einsum_path` would return, so it is not asked."""
-    key = (tuple(map(tuple, subs)), tuple(out))
-    steps = _STEPS.get(key)
-    if steps is not None:
-        return steps
+    subscripts: they are planned once per signature (`_STEPS`) and
+    shared by every term that has it."""
+    return _STEPS[tuple(map(tuple, subs)), tuple(out)]
+
+
+def _planned_steps(signature) -> list:
+    """`_contraction_steps` of a signature (subscripts, output).  One or
+    two operands make one step, the path `np.einsum_path` would return,
+    so it is not asked."""
+    subs, out = [list(s) for s in signature[0]], list(signature[1])
     if len(subs) < 3:
         path = [tuple(range(len(subs)))]
     else:
@@ -306,7 +306,7 @@ def _contraction_steps(subs, out):
         args = itertools.chain(*((np.broadcast_to(0.0, sh), s)
                                  for sh, s in zip(shapes, subs)))
         path = np.einsum_path(*args, out, optimize="greedy")[0][1:]
-    subs, steps = list(subs), []
+    steps = []
     for pos in path:
         pos = sorted(pos, reverse=True)
         taken = [subs.pop(p) for p in pos]
@@ -315,8 +315,10 @@ def _contraction_steps(subs, out):
             i for i in dict.fromkeys(itertools.chain(*taken)) if i in keep]
         steps.append((pos, taken, new))
         subs.append(new)
-    _STEPS[key] = steps
     return steps
+
+
+_STEPS = ex._Memo(_planned_steps)
 
 
 class _Plan:

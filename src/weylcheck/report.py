@@ -63,6 +63,13 @@ class VerificationReport:
         object.__setattr__(self, "trace", trace)
         return self.__dict__[name]
 
+    def __reduce__(self):
+        # pickled and copied through the constructor, from the six fields:
+        # reading them renders a deferred report, whose render function
+        # is a local one that does not pickle
+        return type(self), (self.claim, self.mode, self.passed,
+                            self.residual, self.trace, self.oracle)
+
     def to_dict(self) -> dict:
         # key order is part of the golden-file contract
         return {

@@ -13,14 +13,16 @@ riders have no derivatives, so a transform only weighs them:
 T(r X) = Lam^(power w_r) r T(X), w_r being their weight.  The shifts are
 a term map that reads no rider (``_shift_map``), applied by
 ``rewrite_terms`` once per core.  A check is one pass over the terms
-(``_residual``): it keeps, per core, the fully simplified shifts S of X
-(None when nothing shifts X: S is then F) and F, X fully simplified,
-and adds c r (Lam^k S - F) per term, k being 4 plus the term's
-unshifted weight; the canonical terms of Lam^k S - F are kept per core
-and k.  An unshifted term of weight -4 (k = 0) adds nothing and is not
-simplified at all.  The canonical form and ``full_simplify`` are linear
-and read no rider, so this is the fully simplified residual of the
-density."""
+(``_residual``) that adds c r (Lam^k S - F) per term, k being 4 plus
+the term's unshifted weight, S the fully simplified shifts of X (None
+when nothing shifts X: S is then F) and F, X fully simplified.  Each of
+S, F and the canonical terms of Lam^k S - F is kept in a memo of its
+own (an ``exprs._Memo``, emptied with the term cache), keyed by the
+core, the mode for S, k for the residual, and ``SPACETIME_DIM``, which
+``full_simplify`` reads.  An unshifted term of weight -4 (k = 0) adds
+nothing and is not simplified at all.  The canonical form and
+``full_simplify`` are linear and read no rider, so this is the fully
+simplified residual of the density."""
 
 from __future__ import annotations
 
@@ -142,31 +144,26 @@ def apply_local_scale(e: Expr, power=1) -> Sum:
     return _apply_scale(e, power, local=True)
 
 
-def _core_shifts(core: tuple, local: bool) -> tuple:
-    """(S, residuals) of one core X: its local shifts fully simplified,
-    or None when nothing shifts X, and its residuals by Lam power
-    (``_residual``)."""
+def _core_shifts(key: tuple):
+    """S of (core, local, dim): the core's local shifts fully simplified,
+    or None when nothing shifts it, as always globally."""
+    core, local, _ = key
     shifted = _shift_term(Product(ex._UNIT, core), Fraction(1)) \
         if local else None
-    return None if shifted is None else full_simplify(shifted).terms, {}
+    return None if shifted is None else full_simplify(shifted).terms
 
 
-@functools.cache
-def _residual_map(local: bool):
-    """The per-core value of a check (``_core_shifts``), one object per
-    mode, so that ``exprs._kept`` finds each core's again."""
-    return functools.partial(_core_shifts, local=local)
+def _simplified(key: tuple) -> tuple:
+    """F of (core, dim): the terms of the core, fully simplified."""
+    return full_simplify(Product(ex._UNIT, key[0])).terms
 
 
-def _simplified(core: tuple) -> tuple:
-    """F: the terms of a core, fully simplified."""
-    return full_simplify(Product(ex._UNIT, core)).terms
-
-
-def _core_residual(core: tuple, shifted, k) -> tuple:
-    """The canonical terms of Lam^k S - F: S the shifts of the core, or
-    F when nothing shifts it, and F the core fully simplified."""
-    plain = ex._kept(_simplified, core)
+def _core_residual(key: tuple) -> tuple:
+    """The canonical terms of Lam^k S - F of (core, local, k, dim): S the
+    shifts of the core, or F when nothing shifts it, and F the core
+    fully simplified."""
+    core, local, k, dim = key
+    shifted, plain = _SHIFTS[core, local, dim], _SIMPLIFIED[core, dim]
     lam = (ex.lam(k),) if k else ()
     return canonicalize(Sum((ex._marked(
         [Product(u.coeff, ex._with_riders(lam, u.factors))
@@ -174,26 +171,29 @@ def _core_residual(core: tuple, shifted, k) -> tuple:
         + [Product(-u.coeff, u.factors) for u in plain]),))).terms
 
 
+# (core, local, dim) -> S, (core, dim) -> F and (core, local, k, dim) ->
+# the canonical terms of Lam^k S - F, dim being ``SPACETIME_DIM``
+_SHIFTS = ex._Memo(_core_shifts)
+_SIMPLIFIED = ex._Memo(_simplified)
+_RESIDUALS = ex._Memo(_core_residual)
+
+
 def _residual(expr: Sum, local: bool) -> Sum:
     """Lam^4 T(expr) - expr, fully simplified, in one pass: each term
     c r X adds c r (Lam^k S - F), k being 4 plus the term's unshifted
-    weight, kept per core and k, and nothing when nothing shifts X and
-    k is 0.  Globally nothing shifts, so a term of weight -4 is skipped
-    unsplit."""
-    shifts, out = _residual_map(local), []
+    weight, and nothing when nothing shifts X and k is 0.  Globally
+    nothing shifts, so a term of weight -4 is skipped unsplit."""
+    dim, out = ex.SPACETIME_DIM, []
     for t in expr.terms:
         k = 4 + _unshifted_weight(t.factors, local)
         if not (k or local):
             continue
         riders, core = ex._split_riders(t.factors)
-        shifted, residuals = ex._kept(shifts, core)
-        if shifted is None and not k:
+        if not k and _SHIFTS[core, local, dim] is None:
             continue
-        terms = residuals.get(k)
-        if terms is None:
-            terms = residuals[k] = _core_residual(core, shifted, k)
         out += [Product(ex._times(t.coeff, u.coeff),
-                        ex._with_riders(riders, u.factors)) for u in terms]
+                        ex._with_riders(riders, u.factors))
+                for u in _RESIDUALS[core, local, k, dim]]
     return canonicalize(Sum((ex._marked(out),))) if out else ex._marked(())
 
 

@@ -1734,3 +1734,56 @@ def test_clifford_rows_agree_with_their_readers(kind):
     chain = Product(CRat(1), (atom, ex.gamma("b")))
     assert not ex.is_zero(chain)
     assert ex.is_zero(ex.d("m", chain))
+
+
+_MEMO_SOURCE = """
+indices spacetime mu nu ;
+fields ginv phi ;
+name memos ;
+density 1/2 * ginv[mu,nu] * d[mu](phi) * d[nu](phi) - lambda * phi^4 ;
+"""
+
+
+def test_every_memo_is_emptied_together(monkeypatch):
+    """Every module-level memo of exprs, dsl, scale and oracle is a
+    ``_Memo`` listed in ``_MEMOS``.  Filled by a Clifford chain, a parse,
+    a render, a local check and an oracle plan, they are all emptied by
+    the next store once one is full: that store's entry is all that is
+    left."""
+    from weylcheck import oracle, scale
+    from weylcheck.report import Mode
+    memos = {f"{m.__name__}.{name}": v for m in (ex, dsl, scale, oracle)
+             for name, v in vars(m).items() if isinstance(v, ex._Memo)}
+    assert sorted(map(id, memos.values())) == sorted(map(id, ex._MEMOS))
+    ex.canonicalize(ex.fermion_bar() * ex.gamma("a")
+                    * ex.sigma("a", "b", up1=False, up2=False)
+                    * ex.gamma("b") * ex.fermion())
+    L = dsl.parse(_MEMO_SOURCE)
+    dsl.render(L)
+    scale.check_invariance(L, Mode.LOCAL).residual
+    oracle._Plan(L.parsed)
+    assert [name for name, memo in memos.items() if not memo] == []
+    monkeypatch.setattr(ex, "_TERM_CACHE_LIMIT", 1)
+    atom = ex.metric("memo0", "memo1")
+    ex._key_of(atom)
+    assert {name: dict(memo) for name, memo in memos.items() if memo} == {
+        "weylcheck.exprs._FACTOR_KEYS": {atom: ex._factor_key(atom)}}
+    assert not ex._TERM_CACHE
+
+
+def test_room_is_made_in_exprs_alone():
+    """No module but ``exprs`` names ``_make_room``, and there it is
+    called by a memo's store and by the term cache's fill alone."""
+    import ast
+    callers = []
+    for path in sorted(Path(ex.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name != "exprs.py":
+            assert "_make_room" not in text, path.name
+            continue
+        for fn in ast.walk(ast.parse(text)):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [fn.name for node in ast.walk(fn)
+                            if isinstance(node, ast.Call)
+                            and getattr(node.func, "id", "") == "_make_room"]
+    assert sorted(callers) == ["__setitem__", "_term_form"]

@@ -304,7 +304,7 @@ def test_contraction_is_planned_once_per_signature(monkeypatch):
     signature of three or more operands and never for fewer, whose one
     step is the path it would plan; equal signatures share their
     steps."""
-    monkeypatch.setattr(oracle, "_STEPS", {})
+    oracle._STEPS.clear()
     monkeypatch.setattr(oracle, "_CATALOG", None)
     plan, planned = np.einsum_path, []
 

@@ -86,3 +86,16 @@ def test_densities_survive_pickle_and_deepcopy(name):
         c = clone(L)
         assert c == L and c.parsed._canonical, clone
         assert check_invariance(c, Mode.LOCAL).residual == want, clone
+
+
+@pytest.mark.parametrize("name", densities.BUILTIN_NAMES)
+def test_unread_reports_survive_pickle_and_deepcopy(name):
+    """A check's report, local or global, pickles and deep-copies before
+    its texts are first read: the copy equals the report and gives the
+    same JSON."""
+    L = densities.builtin(name)
+    for mode in (Mode.LOCAL, Mode.GLOBAL):
+        for clone in (_pickled, copy.deepcopy):
+            c = clone(check_invariance(L, mode))
+            r = check_invariance(L, mode)
+            assert c == r and c.to_json() == r.to_json(), (mode, clone)

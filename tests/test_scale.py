@@ -382,18 +382,20 @@ def test_warm_verdict_simplifies_nothing(builtins_all, monkeypatch):
             *(gen.random_expr(seed) for seed in range(20))]
     modes = (Mode.GLOBAL, Mode.LOCAL)
     first = [check_invariance(L, mode) for L in dens for mode in modes]
-    before = len(ex._IMAGES)
+    memos = (ex._IMAGES, scale._SHIFTS, scale._SIMPLIFIED, scale._RESIDUALS)
+    before = [len(memo) for memo in memos]
+    assert all(before[1:])
     calls = []
     monkeypatch.setattr(scale, "full_simplify",
                         lambda e: calls.append(e) or full_simplify(e))
     again = [check_invariance(L, mode) for L in dens for mode in modes]
-    assert calls == [] and len(ex._IMAGES) == before
+    assert calls == [] and [len(memo) for memo in memos] == before
     assert again == first
 
 
 def test_small_cache_limit_empties_residuals(builtins_all, monkeypatch):
-    """With a small limit the residual images are emptied with the term
-    cache, again and again, and every verdict and residual is the
+    """With a small limit a check's per-core memos are emptied with the
+    term cache, again and again, and every verdict and residual is the
     two-pass check's."""
     from weylcheck import scale
     dens = [builtins_all["scalar"], builtins_all["scalar-gauged"],
@@ -403,13 +405,15 @@ def test_small_cache_limit_empties_residuals(builtins_all, monkeypatch):
             for r in [ref.check_invariance(L, mode)]]
     monkeypatch.setattr(ex, "_TERM_CACHE_LIMIT", 7)
     ex._make_room()
-    assert not ex._IMAGES
-    maps = {scale._residual_map(False), scale._residual_map(True)}
+    memos = (scale._SHIFTS, scale._SIMPLIFIED, scale._RESIDUALS)
+    assert not any(memos)
     got, kept = [], []
     for L in dens:
         for mode in modes:
             r = check_invariance(L, mode)
             got.append((r.passed, r.residual))
-            kept.append(sum(key[0] in maps for key in ex._IMAGES))
+            kept.append([len(memo) for memo in memos])
     assert got == want
-    assert max(kept) <= 8 and any(b < a for a, b in zip(kept, kept[1:]))
+    assert max(map(max, kept)) <= 7
+    totals = list(map(sum, kept))
+    assert any(b < a for a, b in zip(totals, totals[1:]))
