@@ -9,13 +9,18 @@ A source file is a sequence of `;`-terminated statements:
     density 1/2 * ginv[mu,nu] * d[mu](phi) * d[nu](phi) - lambda * phi^4 ;
 
 A `#` comment runs to the end of its line.  Factors are joined with `*`.
-A number is a run of decimal digits with an optional `/denominator`; a
-sign is allowed only in a `(...)` exponent, in `^-k` and in a complex
-literal such as `(1/2-3*i)`.  Atoms take comma-separated index labels in
-brackets; the indices of `gamma` and `sigma` may carry a leading `-` for
-a lowered slot.  `gamma`, `sigma` and `one` are used undeclared.
-`d[mu](...)` is the partial derivative, nested at most `_MAX_NESTING`
-deep, and a term has at most `_MAX_FACTORS` factors.  `lambda`, `f`,
+A sum in parentheses is a factor, so a field strength is written once:
+`(d[mu](A[nu]) - d[nu](A[mu]))`.  A number is a run of decimal digits
+with an optional `/denominator`.  `+` and `-` join terms, and one may
+lead a sum: the density, a derivative's operand or a parenthesized sum.
+A sign belongs to a number only in a `(...)` exponent, in `^-k` and in a
+complex literal such as `(1/2-3*i)`, spelled without blanks; with blanks,
+`( 1/2 - 3*i )` is a parenthesized sum of the same value.  Atoms take
+comma-separated index labels in brackets; the indices of `gamma` and
+`sigma` may carry a leading `-` for a lowered slot.  `gamma`, `sigma`
+and `one` are used undeclared.  `d[mu](...)` is the partial derivative.
+Derivatives and parentheses nest at most `_MAX_NESTING` deep together,
+and a term has at most `_MAX_FACTORS` factors.  `lambda`, `f`,
 `e` and bare `g` are coupling constants; `g[mu,nu]` is the metric.
 `Lam^k` is the formal scale factor with rational exponent k.  `phi^4`
 abbreviates a repeated index-free factor, and counts as 4 factors.  The
@@ -27,9 +32,10 @@ The parser builds the terms the engine consumes: a `Sum` of
 The derivative of a lone atom is the factor the engine's derivative
 rule (`exprs._derive_factor`) makes of it, when that is one atom with
 coefficient 1: the atom with the index leading its `derivs`.  Every
-other operand stays under a `Partial` input node.  So the terms of a
-usual density are products of atoms, which `canonicalize` takes as
-they stand.
+other operand stays under a `Partial` input node, and a parenthesized
+sum is a `Sum` factor, which `canonicalize` multiplies out.  So the
+terms of a usual density are products of atoms, which `canonicalize`
+takes as they stand.
 
 Deterministic work is done once per process.  A factor spelled without
 blanks (`ginv[mu,nu]`, `d[mu](phi)`, `phi^3`, `1/2`, `(1-2*i)`) and an
@@ -70,8 +76,9 @@ from .exprs import (
 
 _KIND_BY_NAME = {k.value: k for k in (*Kind, *ex.CliffordKind)}
 
-# Derivatives nested deeper than this are refused at the offending `d`:
-# every layer that walks an expression tree recurses once per level.
+# Derivatives and parentheses nested deeper than this, counted together,
+# are refused at the offending `d` or `(`: every layer that walks an
+# expression tree recurses once per level.
 _MAX_NESTING = 100
 # A term with more factors than this is refused at the atom that passes
 # it, before a repetition such as `phi^1000000000` is built.
@@ -311,7 +318,7 @@ class _Parser:
     def parse_term(self, sign: int) -> Product:
         toks = self.toks
         coeff = sign
-        factors: list[FieldAtom | Partial] = []
+        factors: list[FieldAtom | Partial | Sum] = []
         while True:
             t = self.pos
             spelling = toks[t]
@@ -334,11 +341,17 @@ class _Parser:
                     v = self.parse_number("a number")
                     coeff = coeff * v
                     self.remember(spelling, t, v, 0)
-                elif tok == "(":
+                elif tok == "(" and len(spelling) > 1:
+                    # a complex literal: no other compact token opens
+                    # with `(`
                     self.pos = t + 1
                     v = self.parse_complex_literal()
                     coeff = v * coeff
                     self.remember(spelling, t, v, 0)
+                elif tok == "(":
+                    self.deeper("parentheses", t)
+                    self.pos = t + 1
+                    factors.append(self.parse_group())
                 elif tok == "i":
                     self.pos = t + 1
                     coeff = ex.I_UNIT * coeff
@@ -424,13 +437,26 @@ class _Parser:
         self.expect_sym(")")
         return CRat(re, s * im)
 
+    def deeper(self, what: str, at: int):
+        """Open one level of nesting, refused at place ``at`` (its `d` or
+        `(`) past `_MAX_NESTING`; ``parse_group`` closes it."""
+        if self.nesting == _MAX_NESTING:
+            self.fail(f"{what} nested deeper than {_MAX_NESTING}", at)
+        self.nesting += 1
+
+    def parse_group(self) -> Sum:
+        """A sum and its `)`, the `(` taken, in the level ``deeper``
+        opened."""
+        inner = self.parse_expr()
+        self.nesting -= 1
+        self.expect_sym(")")
+        return inner
+
     def parse_derivative(self) -> FieldAtom | Partial:
         """`d[m](...)`, the `d` next and `[` after it: the one atom the
         engine's rule makes of a lone atom, or a ``Partial``."""
         d_t = self.pos
-        if self.nesting == _MAX_NESTING:
-            self.fail(f"derivatives nested deeper than "
-                      f"{_MAX_NESTING}", d_t)
+        self.deeper("derivatives", d_t)
         self.pos = d_t + 2
         lab_t = self.expect_ident()
         self.expect_sym("]")
@@ -442,10 +468,7 @@ class _Parser:
             self.fail("derivative index must be spacetime", lab_t)
         ix = ex.st_lo(label)
         self.expect_sym("(")
-        self.nesting += 1
-        inner = self.parse_expr()
-        self.nesting -= 1
-        self.expect_sym(")")
+        inner = self.parse_group()
         match inner.terms:
             case (Product(coeff=c, factors=(FieldAtom() as atom,)),) \
                     if c is _UNIT:

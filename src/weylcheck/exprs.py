@@ -110,7 +110,7 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .errors import MalformedChain, MalformedIndex
+from .errors import MalformedChain, MalformedIndex, WeylcheckError
 
 # Spacetime dimension.  A single module constant so tests can probe how
 # derived coefficients depend on it (trace rules read it at call time).
@@ -914,6 +914,13 @@ def _renamed_apart(sub: list, taken: set, clashing: set) -> list:
     return out
 
 
+# A product whose parts multiply out to more raw terms than this is
+# refused before any is built: 24 factors `d[m](phi + phi^2)` would build
+# 2^24.  The builtins, the goldens, the generated densities and the
+# oracle's catalog build 9 at most.
+_MAX_PRODUCT_TERMS = 100_000
+
+
 def _distribute(coeff: CRat, parts: tuple[Expr, ...]):
     """Multiply out the flattened parts of a product, in order, the
     clashing dummies of a part that holds a marked Sum renamed apart,
@@ -921,6 +928,9 @@ def _distribute(coeff: CRat, parts: tuple[Expr, ...]):
     factors of one part) pairs, joined once: n parts cost O(n), not
     O(n^2)."""
     subs = [_flatten(part) for part in parts]
+    if math.prod(map(len, subs)) > _MAX_PRODUCT_TERMS:
+        raise WeylcheckError(f"a product multiplies out to more than "
+                             f"{_MAX_PRODUCT_TERMS} terms")
     for k, part in enumerate(parts):
         marked, written = _written(part)
         if marked:

@@ -2,7 +2,9 @@
 
 This is the recursive-descent parser that builds a ``Partial`` node for
 every derivative and a ``CRat`` coefficient for every term, reading each
-token through ``accept`` and ``expect_ident``, with its tokenizer.  Tests
+token through ``accept`` and ``expect_ident``, with its tokenizer.  It
+has learnt one rule since: a `(` that opens a factor opens a sum, unless
+the spelling from it is a complex literal without blanks.  Tests
 run both parsers over the same sources and compare the canonical forms,
 or the class, message, line and column of the error.
 """
@@ -33,8 +35,9 @@ from weylcheck.exprs import (
 
 _KIND_BY_NAME = {k.value: k for k in (*Kind, *ex.CliffordKind)}
 
-# Derivatives nested deeper than this are refused at the offending `d`:
-# every layer that walks an expression tree recurses once per level.
+# Derivatives and parentheses nested deeper than this are refused at the
+# offending `d` or `(`: every layer that walks an expression tree
+# recurses once per level.
 _MAX_NESTING = 100
 # A term with more factors than this is refused at the atom that passes
 # it, before a repetition such as `phi^1000000000` is built.
@@ -54,6 +57,9 @@ _TOKEN = re.compile(r"""
     ([^\W\d]\w*|\d+|[;,\[\]()*+\-^/]|.|\Z)
 """, re.VERBOSE | re.DOTALL)
 _SYMBOLS = frozenset(";,[]()*+-^/")
+# A `(` that opens a factor and starts this spelling, without blanks, is
+# a complex literal; any other opens a parenthesized sum.
+_COMPLEX = re.compile(r"\(-?\d+(?:/\d+)?[+-]\d+(?:/\d+)?\*i\)")
 
 
 def _is_name(tok: str) -> bool:
@@ -80,9 +86,14 @@ def _tokenize(src: str) -> list[str]:
     return toks
 
 
+def _start(src: str, k: int) -> int:
+    """Offset of the k-th token of a source."""
+    return next(itertools.islice(_TOKEN.finditer(src), k, None)).start(1)
+
+
 def _position(src: str, k: int) -> tuple[int, int]:
     """(line, column) of the k-th token of a source."""
-    at = next(itertools.islice(_TOKEN.finditer(src), k, None)).start(1)
+    at = _start(src, k)
     return src.count("\n", 0, at) + 1, at - src.rfind("\n", 0, at)
 
 
@@ -223,8 +234,18 @@ class _Parser:
         t = self.peek()
         if t[:1].isdecimal():
             return CRat(self.parse_number("a number"))
-        if self.accept("("):
-            return self.parse_complex_literal()
+        if t == "(":
+            at = self.advance()
+            if _COMPLEX.match(self.src, _start(self.src, at)):
+                return self.parse_complex_literal()
+            if self.nesting == _MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {_MAX_NESTING}",
+                          at)
+            self.nesting += 1
+            inner = self.parse_expr()
+            self.nesting -= 1
+            self.expect_sym(")")
+            return inner
         if _is_name(t):
             if t == "i":
                 self.advance()

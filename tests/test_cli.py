@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -104,11 +105,13 @@ def test_parse_error_reports_location(tmp_path):
     assert "4:1" in p.stderr  # statement left open at end of input
 
 
-@pytest.mark.parametrize("density", ["phi^²", "²", "1/² * phi",
-                                     "phi^1000000000"])
+@pytest.mark.parametrize("density", [
+    "phi^²", "²", "1/² * phi", "phi^1000000000",
+    pytest.param("(" * 101 + "phi" + ")" * 101, id="nested-parentheses")])
 def test_hostile_density_is_a_parse_error(tmp_path, density):
-    """A digit `int` cannot read and a repetition past the factor bound
-    end in a one-line parse error, exit 2, without a traceback."""
+    """A digit `int` cannot read, a repetition past the factor bound and
+    parentheses nested past the nesting bound end in a one-line parse
+    error, exit 2, without a traceback."""
     f = tmp_path / "hostile.wl"
     f.write_text(f"fields phi ;\nname t ;\ndensity {density} ;\n",
                  encoding="utf-8")
@@ -117,6 +120,38 @@ def test_hostile_density_is_a_parse_error(tmp_path, density):
     lines = p.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(
         "weylcheck: parse error: 3:"), lines
+
+
+def _blowup(n, spelling):
+    """n factors that each flatten to two terms, their derivative labels
+    contracted in pairs by ginv: `d[mK](phi + phi^2)`, or the same sum
+    in parentheses."""
+    factor = {"derivative": "d[m{k}](phi + phi^2)",
+              "parentheses": "(d[m{k}](phi) + d[m{k}](phi^2))"}[spelling]
+    labels = " ".join(f"m{k}" for k in range(n))
+    body = " * ".join([f"ginv[m{k},m{k + 1}]" for k in range(0, n, 2)]
+                      + [factor.format(k=k) for k in range(n)])
+    return (f"indices spacetime {labels} ;\nfields ginv phi ;\n"
+            f"name blowup ;\ndensity {body} ;\n")
+
+
+@pytest.mark.parametrize("spelling", ["derivative", "parentheses"])
+def test_product_past_the_term_bound_is_refused(tmp_path, spelling):
+    """A product of 24 two-term factors would multiply out to 2^24 raw
+    terms: it is refused at once, exit 1 with one line and no traceback,
+    while 16 such factors still get a verdict."""
+    f = tmp_path / "blowup.wl"
+    f.write_text(_blowup(24, spelling))
+    t0 = time.perf_counter()
+    p = run_cli("verify", str(f), "--mode=global")
+    elapsed = time.perf_counter() - t0
+    assert p.returncode == 1 and p.stdout == "", p.stderr[-500:]
+    assert p.stderr.splitlines() == [
+        "weylcheck: a product multiplies out to more than 100000 terms"]
+    assert elapsed < 1.0, elapsed
+    f.write_text(_blowup(16, spelling))
+    p = run_cli("verify", str(f), "--mode=global")
+    assert p.returncode in (0, 1) and "pass: " in p.stdout, p.stderr[-500:]
 
 
 def test_coefficient_past_the_int_digit_limit_is_rendered(tmp_path):

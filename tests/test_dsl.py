@@ -44,6 +44,13 @@ def test_render_is_stable(builtins_all):
         assert dsl.render(dsl.parse(doc)) == doc
 
 
+@pytest.mark.parametrize("name", densities.BUILTIN_NAMES)
+def test_builtin_declares_the_fields_it_uses(name):
+    """A builtin's source declares exactly the fields its density uses."""
+    L = densities.builtin(name)
+    assert L.declared == dsl.used_kinds(L.parsed)
+
+
 def test_hyphenated_name_round_trip():
     L = densities.builtin("scalar-gauged")
     assert dsl.parse(dsl.render(L)).name == "scalar-gauged"
@@ -174,10 +181,10 @@ _STATEMENT_REJECTS = {
         "1:8: delta is internal to the contraction engine"),
     "complex-without-sign": (
         "fields phi ;\ndensity (1 2*i) * phi^4 ;", ParseError,
-        "2:12: expected '+' or '-' in complex literal"),
+        "2:12: expected ')'"),
     "complex-with-j": (
-        "fields phi ;\ndensity (1 + 2*j) * phi^4 ;", ParseError,
-        "2:16: expected 'i'"),
+        "fields phi ;\ndensity (1 + 2*j) * phi^4 ;", UndeclaredField,
+        "2:16: unknown field 'j'"),
     "frame-derivative": (
         "indices frame a ;\nfields phi ;\ndensity d[a](phi) ;", ParseError,
         "3:11: derivative index must be spacetime"),
@@ -228,6 +235,55 @@ def test_derivative_nesting_bound():
     col = len("density ") + sum(len(f"d[m{k}](") for k in range(n)) + 1
     assert (e.line, e.col) == (4, col)
     assert "nested deeper than" in str(e)
+
+
+def test_parenthesis_nesting_bound():
+    """Parentheses count against the nesting bound as derivatives do: the
+    bound itself parses, and one level more, of parentheses alone or
+    under derivatives, is refused at the offending `(`."""
+    n = dsl._MAX_NESTING
+    head = "indices spacetime m ;\nfields phi ;\nname t ;\ndensity "
+
+    def src(opened):
+        return head + "".join(opened) + "phi" + ")" * len(opened) + " ;"
+
+    assert dsl.parse(src(["("] * n)).parsed.terms
+    for opened in (["("] * (n + 1), ["d[m](", "("] * (n // 2) + ["("]):
+        e = _err(src(opened), ParseError)
+        col = len("density ") + len("".join(opened[:n])) + 1
+        assert (e.line, e.col) == (4, col)
+        assert f"parentheses nested deeper than {n}" in str(e)
+
+
+def test_spaced_complex_literal_is_a_sum_of_equal_value():
+    """`(1/2-3*i)` is one literal; with blanks it is the sum of two terms,
+    whose canonical form is the literal's."""
+    head = "fields phi ;\nname t ;\ndensity "
+    spaced = dsl._Parser(head + "( 1/2 - 3*i ) * phi^4 ;").run()[1]
+    compact = dsl._Parser(head + "(1/2-3*i) * phi^4 ;").run()[1]
+    assert type(spaced.terms[0].factors[0]) is ex.Sum
+    assert compact.terms[0].factors == (ex.scalar_field(),) * 4
+    assert ex.canonicalize(spaced) == ex.canonicalize(compact)
+
+
+def test_weyl_meson_written_out_equals_the_example():
+    """The example's product of two field strengths is the four terms
+    it multiplies out to."""
+    written_out = (
+        "indices spacetime mu nu rho sig ;\nfields S ginv ;\n"
+        "name weyl-meson ;\n"
+        "density -1/4 * ginv[mu,rho] * ginv[nu,sig] * d[mu](S[nu]) "
+        "* d[rho](S[sig])\n"
+        "  + 1/4 * ginv[mu,rho] * ginv[nu,sig] * d[mu](S[nu]) "
+        "* d[sig](S[rho])\n"
+        "  + 1/4 * ginv[mu,rho] * ginv[nu,sig] * d[nu](S[mu]) "
+        "* d[rho](S[sig])\n"
+        "  - 1/4 * ginv[mu,rho] * ginv[nu,sig] * d[nu](S[mu]) "
+        "* d[sig](S[rho]) ;\n")
+    example = (Path(__file__).resolve().parent.parent / "examples"
+               / "weyl-meson.wl").read_text()
+    assert "(" in example
+    assert dsl.parse(example) == dsl.parse(written_out)
 
 
 @pytest.mark.parametrize("density", ["phi^²", "²", "1/² * phi",
@@ -364,12 +420,27 @@ _SPLIT_SITES = [
 ]
 
 
+# parenthesized sums: nested, signed, under a derivative, with repeated
+# dummies; empty, unclosed, raised to a power, after a `*` sign; and a
+# complex literal spelled with blanks, which is a sum
+_GROUPS = [
+    "ginv[m,n] * (d[m](phi) - f * S[m] * (phi + (phi^2 - 2*detg)))"
+    " * d[n](phi)",
+    "-(phi^2 - phi) * (+phi^2 - (-phi))", "phi^2 * (-phi + 2*i*phi^2)",
+    "d[m]((phi + phi^2)) * ginv[m,n] * d[n](phi)",
+    "(ginv[m,n] * S[m] * S[n]) * (ginv[m,n] * S[m] * S[n])",
+    "phi^4 * ()", "phi^2 * (phi + phi^2", "(phi + phi^2)^2 * phi^2",
+    "phi^3 * -(phi)", "( 1/2 - 3*i ) * phi^4",
+]
+
+
 def _reference_sources() -> list[str]:
     """Rendered generated densities; seeded mutations of them, and of the
     split sites weighted toward the symbols and `i`; the hostile sources
     of the robustness test; Weyl's vector meson; derivatives of every
     kind of operand; the split sites; a character that starts no token
-    inside a one-line statement; and blanks inside compact spellings."""
+    inside a one-line statement; blanks inside compact spellings; and
+    parenthesized sums, 101 of them nested among them."""
     head = ("indices spacetime m n ;\nindices frame a ;\n"
             "fields ginv phi S detg Lam ;\nname t ;\ndensity ")
     split = [_SPLIT_HEAD + body + " ;" for body in _SPLIT_SITES]
@@ -387,7 +458,9 @@ def _reference_sources() -> list[str]:
             "density ginv[mu,nu] * d[mu](phi) * d[nu](phi) ;",
             "indices spacetime mu nu ;\nfields ginv phi Lam ;\nname t ;\n"
             "density ( 1/2 - 3*i ) * g * Lam ^(1/2) * ginv [mu,nu] "
-            "* d[mu](phi) * d[nu](phi ^2) * g ^2 ;"]
+            "* d[mu](phi) * d[nu](phi ^2) * g ^2 ;",
+            *(head + body + " ;" for body in _GROUPS),
+            head + "(" * 101 + "phi" + ")" * 101 + " ;"]
 
 
 @pytest.mark.hashseed

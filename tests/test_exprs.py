@@ -153,12 +153,15 @@ def _searched(coeff, factors):
 
 
 def _differential_terms():
-    """Raw terms of every builtin and of seeded generator draws, then the
-    flattened skeleton of each canonical form found, paired with that
-    skeleton's factors (None for raw terms)."""
+    """Raw terms of every builtin, as its source parses before
+    canonicalization, and of seeded generator draws, then the flattened
+    skeleton of each canonical form found, paired with that skeleton's
+    factors (None for raw terms)."""
     raw = []
-    for build in densities._BUILDERS.values():
-        raw.extend(ex._flatten(build()))
+    for name in densities.BUILTIN_NAMES:
+        src = (Path(densities.__file__).parent / "builtins"
+               / f"{name}.wl").read_text()
+        raw.extend(ex._flatten(dsl._Parser(src).run()[1]))
     for e in _symmetric_terms():
         raw.extend(ex._flatten(e))
     for seed in range(300):
