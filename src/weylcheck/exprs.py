@@ -41,7 +41,7 @@ the canonical terms of its image are kept under (map,
 object under any riders.  A canonical term's sort key and free indices
 (``_term_facts``) are kept per core too.  Every memo, here and in the
 other layers (the renderer's per-atom texts, the parser's factor and
-statement spellings, a check's per-core values, the oracle's
+statement spellings, a check's per-core residuals, the oracle's
 contraction steps), is a ``_Memo``: a dict that computes a value on a
 miss, or is filled by the code that makes its values, and makes room
 before every store.  Room is made in one place, ``_make_room``: once
@@ -871,16 +871,14 @@ def _flatten(e: Expr) -> list[tuple[CRat, list]]:
 
 
 def _written(e: Expr) -> tuple[bool, set[str]]:
-    """(whether a marked Sum occurs in ``e``, the labels ``e`` writes
-    outside its marked Sums)."""
-    marked, labels, todo = False, set(), [e]
+    """(whether a Sum occurs in ``e``, the labels ``e`` writes outside its
+    Sums).  A Sum, parenthesized, marked or built with ``+``, binds the
+    dummies it contracts; a product built with ``*`` binds none."""
+    bound, labels, todo = False, set(), [e]
     while todo:
         e = todo.pop()
         if isinstance(e, Sum):
-            if e._canonical:
-                marked = True
-            else:
-                todo.extend(e.terms)
+            bound = True
         elif isinstance(e, Product):
             todo.extend(e.factors)
         elif isinstance(e, Partial):
@@ -888,21 +886,25 @@ def _written(e: Expr) -> tuple[bool, set[str]]:
             todo.append(e.operand)
         elif isinstance(e, FieldAtom):
             labels.update(ix.label for ix in _slots_of_factor(e))
-    return marked, labels
+    return bound, labels
 
 
 def _renamed_apart(sub: list, taken: set, clashing: set) -> list:
-    """The flattened terms ``sub`` of a part that holds a marked Sum, each
-    dummy in ``clashing`` renamed to a label neither ``taken`` nor the
-    term holds.  The caller passes the dummies it did not write: those of
-    the marked Sums and those an inner product minted renaming them
-    apart.  The part's other labels are kept, so a label the caller
-    repeats stays repeated; a term without a clash is kept whole."""
+    """The flattened terms ``sub`` of a part that holds a Sum, each dummy
+    in ``clashing`` renamed to a label neither ``taken`` nor the term
+    holds.  The caller passes the labels it did not write: those of the
+    Sums and those an inner product minted renaming them apart.  Only a
+    proper contraction, a label held once upper and once lower in one
+    alphabet, is renamed; the part's other labels are kept, so a label
+    the source repeats stays repeated and its error names it.  A term
+    without a clash is kept whole."""
     out = []
     for c, fs in sub:
         census = _label_census(fs)
         clash = [lab for lab, occ in census.items()
-                 if len(occ) == 2 and lab in clashing]
+                 if len(occ) == 2 and lab in clashing
+                 and occ[0].alphabet is occ[1].alphabet
+                 and occ[0].variance is not occ[1].variance]
         if clash:
             used, ren = taken | census.keys(), {}
             for lab in clash:
@@ -923,8 +925,8 @@ _MAX_PRODUCT_TERMS = 100_000
 
 def _distribute(coeff: CRat, parts: tuple[Expr, ...]):
     """Multiply out the flattened parts of a product, in order, the
-    clashing dummies of a part that holds a marked Sum renamed apart,
-    except labels the part writes.  A term grows as (earlier chain,
+    clashing dummies of a part that holds a Sum renamed apart, except
+    labels the part writes.  A term grows as (earlier chain,
     factors of one part) pairs, joined once: n parts cost O(n), not
     O(n^2)."""
     subs = [_flatten(part) for part in parts]
@@ -932,8 +934,8 @@ def _distribute(coeff: CRat, parts: tuple[Expr, ...]):
         raise WeylcheckError(f"a product multiplies out to more than "
                              f"{_MAX_PRODUCT_TERMS} terms")
     for k, part in enumerate(parts):
-        marked, written = _written(part)
-        if marked:
+        bound, written = _written(part)
+        if bound:
             taken = {ix.label for j, sub in enumerate(subs) if j != k
                      for _, fs in sub for ix in _term_slot_list(fs)}
             if clashing := taken - written:
@@ -959,8 +961,8 @@ def _flatten_partial(ix: Index, operand: Expr):
     matters, is differentiated where it stands."""
     out = []
     terms = _flatten(operand)
-    marked, written = _written(operand)
-    if marked and ix.label not in written:
+    bound, written = _written(operand)
+    if bound and ix.label not in written:
         terms = _renamed_apart(terms, {ix.label}, {ix.label})
     for coeff, factors in terms:
         plain, chain = _split_chain(factors)

@@ -14,15 +14,16 @@ T(r X) = Lam^(power w_r) r T(X), w_r being their weight.  The shifts are
 a term map that reads no rider (``_shift_map``), applied by
 ``rewrite_terms`` once per core.  A check is one pass over the terms
 (``_residual``) that adds c r (Lam^k S - F) per term, k being 4 plus
-the term's unshifted weight, S the fully simplified shifts of X (None
-when nothing shifts X: S is then F) and F, X fully simplified.  Each of
-S, F and the canonical terms of Lam^k S - F is kept in a memo of its
-own (an ``exprs._Memo``, emptied with the term cache), keyed by the
-core, the mode for S, k for the residual, and ``SPACETIME_DIM``, which
-``full_simplify`` reads.  An unshifted term of weight -4 (k = 0) adds
-nothing and is not simplified at all.  The canonical form and
-``full_simplify`` are linear and read no rider, so this is the fully
-simplified residual of the density."""
+the term's unshifted weight, F the core X fully simplified and S its
+shifts fully simplified (F globally).  ``full_simplify`` is a term map,
+so S and F are images that ``rewrite_terms`` keeps per core, the shifts
+shared with ``apply_local_scale``; the canonical terms of Lam^k S - F
+are this module's one memo, ``_RESIDUALS`` (an ``exprs._Memo``, emptied
+with the term cache), keyed by the core, the mode, k and
+``SPACETIME_DIM``, which ``full_simplify`` reads.  Globally a term of
+weight -4 (k = 0) adds nothing and is not simplified at all.  The
+canonical form and ``full_simplify`` are linear and read no rider, so
+this is the fully simplified residual of the density."""
 
 from __future__ import annotations
 
@@ -144,53 +145,38 @@ def apply_local_scale(e: Expr, power=1) -> Sum:
     return _apply_scale(e, power, local=True)
 
 
-def _core_shifts(key: tuple):
-    """S of (core, local, dim): the core's local shifts fully simplified,
-    or None when nothing shifts it, as always globally."""
-    core, local, _ = key
-    shifted = _shift_term(Product(ex._UNIT, core), Fraction(1)) \
-        if local else None
-    return None if shifted is None else full_simplify(shifted).terms
-
-
-def _simplified(key: tuple) -> tuple:
-    """F of (core, dim): the terms of the core, fully simplified."""
-    return full_simplify(Product(ex._UNIT, key[0])).terms
-
-
 def _core_residual(key: tuple) -> tuple:
-    """The canonical terms of Lam^k S - F of (core, local, k, dim): S the
-    shifts of the core, or F when nothing shifts it, and F the core
-    fully simplified."""
+    """The canonical terms of Lam^k S - F of (core, local, k, dim): F the
+    core fully simplified and S its local shifts fully simplified, or F
+    globally."""
     core, local, k, dim = key
-    shifted, plain = _SHIFTS[core, local, dim], _SIMPLIFIED[core, dim]
+    x = Product(ex._UNIT, core)
+    plain = full_simplify(x)
+    shifted = full_simplify(ex.rewrite_terms(
+        x, _shift_map(Fraction(1)))) if local else plain
     lam = (ex.lam(k),) if k else ()
     return canonicalize(Sum((ex._marked(
         [Product(u.coeff, ex._with_riders(lam, u.factors))
-         for u in (plain if shifted is None else shifted)]
-        + [Product(-u.coeff, u.factors) for u in plain]),))).terms
+         for u in shifted.terms]
+        + [Product(-u.coeff, u.factors) for u in plain.terms]),))).terms
 
 
-# (core, local, dim) -> S, (core, dim) -> F and (core, local, k, dim) ->
-# the canonical terms of Lam^k S - F, dim being ``SPACETIME_DIM``
-_SHIFTS = ex._Memo(_core_shifts)
-_SIMPLIFIED = ex._Memo(_simplified)
+# (core, local, k, dim) -> the canonical terms of Lam^k S - F, dim being
+# ``SPACETIME_DIM``, which ``full_simplify`` reads
 _RESIDUALS = ex._Memo(_core_residual)
 
 
 def _residual(expr: Sum, local: bool) -> Sum:
     """Lam^4 T(expr) - expr, fully simplified, in one pass: each term
     c r X adds c r (Lam^k S - F), k being 4 plus the term's unshifted
-    weight, and nothing when nothing shifts X and k is 0.  Globally
-    nothing shifts, so a term of weight -4 is skipped unsplit."""
+    weight.  Globally nothing shifts, so a term of weight -4 is skipped
+    unsplit."""
     dim, out = ex.SPACETIME_DIM, []
     for t in expr.terms:
         k = 4 + _unshifted_weight(t.factors, local)
         if not (k or local):
             continue
         riders, core = ex._split_riders(t.factors)
-        if not k and _SHIFTS[core, local, dim] is None:
-            continue
         out += [Product(ex._times(t.coeff, u.coeff),
                         ex._with_riders(riders, u.factors))
                 for u in _RESIDUALS[core, local, k, dim]]

@@ -1,23 +1,26 @@
 """Combined simplification: canonicalize, contract, reduce gammas, to a
-fixpoint."""
+fixpoint, one core at a time."""
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .clifford import gamma_canonicalize
-from .exprs import Expr, Sum, canonicalize
+from .exprs import Expr, Product, Sum, rewrite_terms
 from .tensor import contract_pairs
 
 
+def _simplify_core(t: Product) -> Optional[Sum]:
+    """One round on a core (contract, reduce gammas, contract): None when
+    it keeps the core, else the round's image simplified in turn.  Both
+    rules are term maps and the canonical form is linear, so a sum's
+    fixpoint is the sum of its cores' fixpoints; a rule cycle ends in
+    ``RecursionError``."""
+    out = contract_pairs(gamma_canonicalize(contract_pairs(t)))
+    return None if out.terms == (t,) else full_simplify(out)
+
+
 def full_simplify(e: Expr) -> Sum:
-    """Alternate contraction and gamma reduction until stable.  Each
-    round strictly shrinks a termination measure, so the cap is never
-    reached on well-formed input."""
-    cur = canonicalize(e)
-    for _ in range(30):
-        nxt = contract_pairs(cur)
-        nxt = gamma_canonicalize(nxt)
-        nxt = contract_pairs(nxt)
-        if nxt == cur:
-            return cur
-        cur = nxt
-    raise RuntimeError("simplification did not stabilize")
+    """Each core of ``e`` simplified to its fixpoint, kept per core by
+    ``rewrite_terms``."""
+    return rewrite_terms(e, _simplify_core)

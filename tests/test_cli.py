@@ -55,6 +55,16 @@ def test_weyl_meson_example_is_locally_invariant():
         assert "pass: yes" in p.stdout
 
 
+def test_weyl_gravity_example_is_only_globally_invariant():
+    """phi^2 R written out with one dummy name for every Christoffel
+    symbol gets a verdict: it passes globally and fails locally."""
+    example = str(ROOT / "examples" / "weyl-gravity.wl")
+    for mode, code in (("global", 0), ("local", 1)):
+        p = run_cli("verify", example, f"--mode={mode}")
+        assert p.returncode == code, (mode, p.stdout, p.stderr)
+        assert p.stderr == ""
+
+
 def test_verify_global_passes():
     p = run_cli("verify", "builtin:scalar", "--mode=global")
     assert p.returncode == 0
@@ -209,16 +219,24 @@ def test_frame_label_named_like_an_internal_one(tmp_path):
     assert re.sub(r"\bb\b", "ctr0", out["b"]) == out["ctr0"]
 
 
-def test_label_repeated_by_the_source_is_refused(tmp_path):
-    """A source label that appears three times, once outside a
-    derivative and twice inside it, is an index error (exit 1), not a
-    contraction the engine renames apart."""
-    f = tmp_path / "rep.lag"
-    f.write_text("indices spacetime m n k ;\nfields ginv A ;\nname t ;\n"
-                 "density A[n] * d[m](ginv[n,k] * A[k] * A[n]) ;\n")
-    p = run_cli("verify", str(f), "--mode=global")
-    assert p.returncode == 1, p.stderr
-    assert "index 'n' appears 3 times" in p.stderr
+def test_label_contracted_inside_parentheses_is_bound(tmp_path):
+    """A label contracted inside a derivative's parentheses is bound
+    there, as in the spelling with another name for it: the product
+    around it keeps its own `n` free, beside the derivative's `m`, so the
+    density is not a scalar (exit 1, reported, no index error)."""
+    head = "indices spacetime m n k j ;\nfields ginv A ;\nname t ;\n"
+    out = []
+    for inner in ("n", "j"):
+        f = tmp_path / f"rep-{inner}.lag"
+        f.write_text(head + f"density A[n] * d[m](ginv[{inner},k] * A[k]"
+                     f" * A[{inner}]) ;\n")
+        p = run_cli("verify", str(f), "--mode=global", "--json")
+        assert p.returncode == 1, p.stderr
+        assert p.stderr == ""
+        out.append(json.loads(p.stdout))
+    assert out[0] == out[1]
+    assert out[0]["trace"][0]["rule"] == "non-scalar-density"
+    assert out[0]["trace"][0]["before"] == "m, n"
 
 
 def test_non_scalar_density_is_flagged(tmp_path):

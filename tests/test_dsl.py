@@ -1,6 +1,7 @@
 """Source format round-trips and parse diagnostics."""
 
 import random
+import re
 import string
 import time
 import tracemalloc
@@ -284,6 +285,42 @@ def test_weyl_meson_written_out_equals_the_example():
                / "weyl-meson.wl").read_text()
     assert "(" in example
     assert dsl.parse(example) == dsl.parse(written_out)
+
+
+# a parenthesized sum binds the dummies it contracts: each source reuses
+# a dummy name across parts, and its twin spells it apart
+_BOUND_HEAD = ("indices spacetime m n p q ;\nfields ginv S phi ;\n"
+               "name t ;\ndensity ")
+_BOUND = [
+    ("(ginv[m,n] * S[m] * S[n]) * (ginv[m,n] * S[m] * S[n])",
+     "(ginv[m,n] * S[m] * S[n]) * (ginv[p,q] * S[p] * S[q])"),
+    ("ginv[m,n] * S[m] * S[n] * (phi^2 + ginv[m,n] * S[m] * S[n])",
+     "ginv[m,n] * S[m] * S[n] * (phi^2 + ginv[p,q] * S[p] * S[q])"),
+]
+
+
+@pytest.mark.hashseed
+@pytest.mark.parametrize("reused, apart", _BOUND)
+def test_parenthesized_sum_binds_its_dummies(reused, apart):
+    """A dummy that a parenthesized part contracts is renamed apart from
+    the same name elsewhere in the product: the source has the canonical
+    form of its spelling with distinct names."""
+    got = dsl.parse(_BOUND_HEAD + reused + " ;").parsed
+    assert got.terms and got == dsl.parse(_BOUND_HEAD + apart + " ;").parsed
+
+
+@pytest.mark.parametrize("density, message", [
+    ("A[k] * (ginv[n,k] * A[n] * A[n])", "index 'n' appears 3 times"),
+    ("d[m](d[m](phi))", "repeated index 'm' must pair upper with lower"),
+])
+def test_label_repeated_in_parentheses_is_refused(density, message):
+    """Only a proper contraction, once upper and once lower, is bound by
+    its parentheses: a label written three times, or twice lower, is
+    refused under its own name."""
+    src = ("indices spacetime m n k ;\nfields ginv A phi ;\nname t ;\n"
+           f"density {density} ;")
+    with pytest.raises(MalformedIndex, match=re.escape(message)):
+        dsl.parse(src)
 
 
 @pytest.mark.parametrize("density", ["phi^²", "²", "1/² * phi",

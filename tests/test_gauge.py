@@ -1,10 +1,11 @@
 """Covariantization rules and the decoupling results they imply."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from weylcheck import densities, oracle
+from weylcheck import densities, dsl, oracle
 from weylcheck import exprs as ex
 from weylcheck.errors import UncoveredDerivative
 from weylcheck.gauge import (
@@ -156,6 +157,41 @@ def test_curvature_density_covariantized_is_locally_invariant():
     cov = gauge_covariantize(_ricci_density())
     assert len(cov.terms) == 25
     assert check_invariance(cov, Mode.LOCAL).passed
+
+
+_WEYL_GRAVITY = (Path(__file__).resolve().parent.parent / "examples"
+                 / "weyl-gravity.wl")
+
+
+@pytest.mark.hashseed
+def test_weyl_gravity_example_is_only_globally_invariant():
+    """phi^2 R beside the scalar's kinetic term, every Christoffel symbol
+    written out with one dummy name: 10 terms, invariant under a
+    constant rescaling only."""
+    L = dsl.parse(_WEYL_GRAVITY.read_text())
+    assert len(L.parsed.terms) == 10
+    assert check_invariance(L, Mode.GLOBAL).passed
+    assert not check_invariance(L, Mode.LOCAL).passed
+
+
+@pytest.mark.hashseed
+def test_weyl_gravity_example_covariantized_is_locally_invariant():
+    cov = gauge_covariantize(dsl.parse(_WEYL_GRAVITY.read_text()))
+    assert len(cov.terms) == 28
+    assert check_invariance(cov, Mode.LOCAL).passed
+
+
+@pytest.mark.hashseed
+def test_weyl_gravity_example_holds_the_built_curvature_density():
+    """Less the kinetic term, the example is the 9 terms of phi^2 R built
+    from ``tensor.christoffel``."""
+    L = dsl.parse(_WEYL_GRAVITY.read_text())
+    kinetic = dsl.parse("indices spacetime m n ;\nfields ginv phi ;\n"
+                        "name t ;\ndensity 1/2 * ginv[m,n] * d[m](phi)"
+                        " * d[n](phi) ;")
+    curvature = ex.canonicalize(L.parsed - kinetic.parsed)
+    assert len(curvature.terms) == 9
+    assert ex.equal(curvature, _ricci_density())
 
 
 @pytest.mark.hashseed

@@ -6,6 +6,8 @@ with coefficient 1, each core's image is kept per map object, and the
 riders are joined to each term of the image.  These tests compare the
 pass with the one that mapped whole terms (``reference_rewrite``), on
 inputs with and without riders, and check what the memo holds.
+``full_simplify`` is such a pass too, compared with the loop over whole
+sums that it replaced.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import pytest
 
 import reference_rewrite as ref
 import strategies as gen
-from weylcheck import clifford, densities, gauge, scale, tensor
+from test_gauge import _ricci_density
+from weylcheck import clifford, densities, gauge, scale, simplify, tensor
 from weylcheck import exprs as ex
 from weylcheck.exprs import CRat, Product, Sum
 from weylcheck.report import Mode
@@ -166,3 +169,49 @@ def test_each_map_runs_once_per_core():
             if not failed:
                 assert sorted(calls, key=repr) == sorted(cores, key=repr), \
                     name
+
+
+def _simplify_inputs():
+    """The builtins, their local transforms and their covariantizations;
+    the digest seeds' densities; phi^2 R and its covariantization."""
+    out = []
+    for name in densities.BUILTIN_NAMES:
+        L = densities.builtin(name).parsed
+        out += [L, scale.apply_local_scale(L), gauge.gauge_covariantize(L)]
+    out += [gen.random_expr(seed) for seed in range(300)]
+    ricci = _ricci_density()
+    return out + [ricci, gauge.gauge_covariantize(ricci)]
+
+
+@pytest.mark.hashseed
+def test_full_simplify_is_the_whole_sum_fixpoint():
+    """Simplifying core by core gives the terms, or the error, of the loop
+    over whole sums."""
+    changed = 0
+    for k, e in enumerate(_simplify_inputs()):
+        want = _outcome(lambda: ref.full_simplify(e))
+        assert _outcome(lambda: simplify.full_simplify(e)) == want, k
+        changed += want != ex.canonicalize(e).terms
+    assert changed > 50
+
+
+def test_warm_full_simplify_runs_no_rule(monkeypatch):
+    """A sum whose cores were simplified before, under other coefficients
+    and riders, takes every fixpoint from the image memo: neither
+    ``contract_pairs`` nor ``gamma_canonicalize`` runs."""
+    xs = [densities.builtin(name).parsed
+          for name in ("scalar-gauged", "dirac", "yangmills")]
+    xs += [gen.random_expr(seed) for seed in range(20)]
+    for x in xs:
+        simplify.full_simplify(x)
+    warm = [ex.canonicalize(CRat(Fraction(-3, 2), 1)
+                            * gen.times_riders(x, 3, 1)) for x in xs]
+    calls = []
+    for name in ("contract_pairs", "gamma_canonicalize"):
+        real = getattr(simplify, name)
+        monkeypatch.setattr(simplify, name, lambda e, real=real, name=name: (
+            calls.append(name), real(e))[1])
+    got = [simplify.full_simplify(e) for e in warm]
+    assert calls == []
+    monkeypatch.undo()
+    assert got == [ref.full_simplify(e) for e in warm]

@@ -382,7 +382,7 @@ def test_warm_verdict_simplifies_nothing(builtins_all, monkeypatch):
             *(gen.random_expr(seed) for seed in range(20))]
     modes = (Mode.GLOBAL, Mode.LOCAL)
     first = [check_invariance(L, mode) for L in dens for mode in modes]
-    memos = (ex._IMAGES, scale._SHIFTS, scale._SIMPLIFIED, scale._RESIDUALS)
+    memos = (ex._IMAGES, scale._RESIDUALS)
     before = [len(memo) for memo in memos]
     assert all(before[1:])
     calls = []
@@ -405,7 +405,7 @@ def test_small_cache_limit_empties_residuals(builtins_all, monkeypatch):
             for r in [ref.check_invariance(L, mode)]]
     monkeypatch.setattr(ex, "_TERM_CACHE_LIMIT", 7)
     ex._make_room()
-    memos = (scale._SHIFTS, scale._SIMPLIFIED, scale._RESIDUALS)
+    memos = (scale._RESIDUALS,)
     assert not any(memos)
     got, kept = [], []
     for L in dens:
