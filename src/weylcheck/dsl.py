@@ -13,9 +13,9 @@ A sum in parentheses is a factor, so a field strength is written once:
 `(d[mu](A[nu]) - d[nu](A[mu]))`.  A number is a run of decimal digits
 with an optional `/denominator`.  `+` and `-` join terms, and one may
 lead a sum: the density, a derivative's operand or a parenthesized sum.
-A sign belongs to a number only in a `(...)` exponent, in `^-k` and in a
-complex literal such as `(1/2-3*i)`, spelled without blanks; with blanks,
-`( 1/2 - 3*i )` is a parenthesized sum of the same value.  Atoms take
+A sign belongs to a number only in a `(...)` exponent and in `^-k`.  A
+parenthesized sum of numbers, such as `(1/2-3*i)` or `( 1/2 - 3*i )`, is
+a number: the term's coefficient is multiplied by it.  Atoms take
 comma-separated index labels in brackets; the indices of `gamma` and
 `sigma` may carry a leading `-` for a lowered slot.  `gamma`, `sigma`
 and `one` are used undeclared.  `d[mu](...)` is the partial derivative.
@@ -33,12 +33,12 @@ The derivative of a lone atom is the factor the engine's derivative
 rule (`exprs._derive_factor`) makes of it, when that is one atom with
 coefficient 1: the atom with the index leading its `derivs`.  Every
 other operand stays under a `Partial` input node, and a parenthesized
-sum is a `Sum` factor, which `canonicalize` multiplies out.  So the
-terms of a usual density are products of atoms, which `canonicalize`
-takes as they stand.
+sum that holds a factor is a `Sum` factor, which `canonicalize`
+multiplies out.  So the terms of a usual density are products of atoms,
+which `canonicalize` takes as they stand.
 
 Deterministic work is done once per process.  A factor spelled without
-blanks (`ginv[mu,nu]`, `d[mu](phi)`, `phi^3`, `1/2`, `(1-2*i)`) and an
+blanks (`ginv[mu,nu]`, `d[mu](phi)`, `phi^3`, `1/2`) and an
 `indices` or `fields` statement on one line are each parsed once: a
 memo (`exprs._Memo`, emptied with the term cache) keeps what the parser
 built and what that needed declared, so a later occurrence is one lookup
@@ -108,15 +108,15 @@ _NAME = r"[^\W\d]\w*"
 _ALTS = rf"{_NAME}|\d+|[;,\[\]()*+\-^/]|.|\Z"
 _TOKEN = rf"(?s){_SKIP}({_ALTS})"
 # The parser also takes as one token an `indices` or `fields` statement
-# on one line and a compact factor: a number with its denominator, a
-# complex literal, an atom with its brackets and exponent, or `d[label]`
-# of one, spelled without blanks.
+# on one line and a compact factor: a number with its denominator, an
+# atom with its brackets and exponent, or `d[label]` of one, spelled
+# without blanks.  Each starts with a name or a digit, never a symbol.
 _RAT = r"\d+(?:/\d+)?"
 _ATOM = (rf"(?!d\[){_NAME}(?:\[-?{_NAME}(?:,-?{_NAME})*\])?"
          rf"(?:\^(?:-?\d+|\(-?{_RAT}\)))?")
 _COMPACT = (
     rf"(?s){_SKIP}((?:indices|fields)(?:[ \t]+{_NAME})+[ \t]*;|{_RAT}"
-    rf"|\(-?{_RAT}[+-]{_RAT}\*i\)|d\[{_NAME}\]\({_ATOM}\)|{_ATOM}|{_ALTS})")
+    rf"|d\[{_NAME}\]\({_ATOM}\)|{_ATOM}|{_ALTS})")
 _SYMBOLS = frozenset(";,[]()*+-^/")
 
 
@@ -147,10 +147,11 @@ def _check_characters(src: str):
 
 _SIGNS = {"+": 1, "-": -1}
 
-# memos the parser fills: factor spelling -> (a coefficient, or an atom,
-# its repeats (0 for a coefficient), the field kinds and the (label,
-# alphabet) pairs it needs declared, the deepest nesting it may sit at);
-# statement spelling -> (label -> alphabet, field kinds) that it declares
+# memos the parser fills: factor spelling -> (a number, an int or a
+# Fraction, or an atom, its repeats (0 for a number), the field kinds and
+# the (label, alphabet) pairs it needs declared, the deepest nesting it
+# may sit at); statement spelling -> (label -> alphabet, field kinds)
+# that it declares
 _FACTORS = ex._Memo()
 _STATEMENTS = ex._Memo()
 
@@ -202,14 +203,10 @@ class _Parser:
         return tok
 
     def accept(self, s: str) -> bool:
-        """Step over the symbol `s` if it comes next, alone or opening a
-        compact complex literal; no name or number is spelled like a
-        symbol."""
-        tok = self.toks[self.pos]
-        if tok != s:
-            if tok[:1] != s:
-                return False
-            self.plain(self.pos)
+        """Step over the symbol `s` if it comes next; no compact token
+        starts with a symbol."""
+        if self.toks[self.pos] != s:
+            return False
         self.pos += 1
         return True
 
@@ -331,8 +328,6 @@ class _Parser:
                 self.pos = t + 1
                 if hit[1]:
                     factors += [hit[0]] * hit[1]
-                elif type(hit[0]) is CRat:  # a complex literal
-                    coeff = hit[0] * coeff
                 else:
                     coeff = coeff * hit[0]
             else:
@@ -341,17 +336,15 @@ class _Parser:
                     v = self.parse_number("a number")
                     coeff = coeff * v
                     self.remember(spelling, t, v, 0)
-                elif tok == "(" and len(spelling) > 1:
-                    # a complex literal: no other compact token opens
-                    # with `(`
-                    self.pos = t + 1
-                    v = self.parse_complex_literal()
-                    coeff = v * coeff
-                    self.remember(spelling, t, v, 0)
                 elif tok == "(":
                     self.deeper("parentheses", t)
                     self.pos = t + 1
-                    factors.append(self.parse_group())
+                    group = self.parse_group()
+                    if any(p.factors for p in group.terms):
+                        factors.append(group)
+                    else:  # a number: its terms' coefficients added up
+                        v = sum((p.coeff for p in group.terms), CRat())
+                        coeff = v * coeff if v.im else coeff * v.re
                 elif tok == "i":
                     self.pos = t + 1
                     coeff = ex.I_UNIT * coeff
@@ -421,21 +414,6 @@ class _Parser:
             return int(tok)
         except ValueError:  # more digits than `int` converts
             self.fail("number too long", t)
-
-    def parse_complex_literal(self) -> CRat:
-        """`re + im*i)` or `re - im*i)`, the `(` taken."""
-        re = self.parse_number("a number", signed=True)
-        s = _SIGNS.get(self.peek())
-        if not s:
-            self.fail("expected '+' or '-' in complex literal")
-        self.pos += 1
-        im = self.parse_number("a number")
-        self.expect_sym("*")
-        i_t = self.expect_ident()
-        if self.toks[i_t] != "i":
-            self.fail("expected 'i'", i_t)
-        self.expect_sym(")")
-        return CRat(re, s * im)
 
     def deeper(self, what: str, at: int):
         """Open one level of nesting, refused at place ``at`` (its `d` or

@@ -148,9 +148,10 @@ def apply_local_scale(e: Expr, power=1) -> Sum:
 def _core_residual(key: tuple) -> tuple:
     """The canonical terms of Lam^k S - F of (core, local, k, dim): F the
     core fully simplified and S its local shifts fully simplified, or F
-    globally."""
+    globally.  The core, of a canonical term, is canonical: it is handed
+    on as a marked Sum."""
     core, local, k, dim = key
-    x = Product(ex._UNIT, core)
+    x = ex._marked((Product(ex._UNIT, core),))
     plain = full_simplify(x)
     shifted = full_simplify(ex.rewrite_terms(
         x, _shift_map(Fraction(1)))) if local else plain

@@ -3,8 +3,7 @@
 This is the recursive-descent parser that builds a ``Partial`` node for
 every derivative and a ``CRat`` coefficient for every term, reading each
 token through ``accept`` and ``expect_ident``, with its tokenizer.  It
-has learnt one rule since: a `(` that opens a factor opens a sum, unless
-the spelling from it is a complex literal without blanks.  Tests
+has learnt one rule since: a `(` that opens a factor opens a sum.  Tests
 run both parsers over the same sources and compare the canonical forms,
 or the class, message, line and column of the error.
 """
@@ -57,9 +56,6 @@ _TOKEN = re.compile(r"""
     ([^\W\d]\w*|\d+|[;,\[\]()*+\-^/]|.|\Z)
 """, re.VERBOSE | re.DOTALL)
 _SYMBOLS = frozenset(";,[]()*+-^/")
-# A `(` that opens a factor and starts this spelling, without blanks, is
-# a complex literal; any other opens a parenthesized sum.
-_COMPLEX = re.compile(r"\(-?\d+(?:/\d+)?[+-]\d+(?:/\d+)?\*i\)")
 
 
 def _is_name(tok: str) -> bool:
@@ -86,14 +82,9 @@ def _tokenize(src: str) -> list[str]:
     return toks
 
 
-def _start(src: str, k: int) -> int:
-    """Offset of the k-th token of a source."""
-    return next(itertools.islice(_TOKEN.finditer(src), k, None)).start(1)
-
-
 def _position(src: str, k: int) -> tuple[int, int]:
     """(line, column) of the k-th token of a source."""
-    at = _start(src, k)
+    at = next(itertools.islice(_TOKEN.finditer(src), k, None)).start(1)
     return src.count("\n", 0, at) + 1, at - src.rfind("\n", 0, at)
 
 
@@ -236,8 +227,6 @@ class _Parser:
             return CRat(self.parse_number("a number"))
         if t == "(":
             at = self.advance()
-            if _COMPLEX.match(self.src, _start(self.src, at)):
-                return self.parse_complex_literal()
             if self.nesting == _MAX_NESTING:
                 self.fail(f"parentheses nested deeper than {_MAX_NESTING}",
                           at)
@@ -278,20 +267,6 @@ class _Parser:
             return int(self.toks[t])
         except ValueError:  # more digits than `int` converts
             self.fail("number too long", t)
-
-    def parse_complex_literal(self) -> CRat:
-        """`re + im*i)` or `re - im*i)`, the `(` taken."""
-        re = self.parse_number("a number", signed=True)
-        s = self.sign()
-        if not s:
-            self.fail("expected '+' or '-' in complex literal")
-        im = self.parse_number("a number")
-        self.expect_sym("*")
-        i_t = self.expect_ident()
-        if self.toks[i_t] != "i":
-            self.fail("expected 'i'", i_t)
-        self.expect_sym(")")
-        return CRat(re, s * im)
 
     def parse_derivative(self) -> Expr:
         d_t = self.advance()

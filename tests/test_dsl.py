@@ -5,6 +5,7 @@ import re
 import string
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -240,13 +241,14 @@ def test_derivative_nesting_bound():
 
 def test_parenthesis_nesting_bound():
     """Parentheses count against the nesting bound as derivatives do: the
-    bound itself parses, and one level more, of parentheses alone or
-    under derivatives, is refused at the offending `(`."""
+    bound itself parses, and one level more, of parentheses alone, under
+    derivatives or around a parenthesized number, is refused at the
+    offending `(`."""
     n = dsl._MAX_NESTING
     head = "indices spacetime m ;\nfields phi ;\nname t ;\ndensity "
 
-    def src(opened):
-        return head + "".join(opened) + "phi" + ")" * len(opened) + " ;"
+    def src(opened, body="phi"):
+        return head + "".join(opened) + body + ")" * len(opened) + " ;"
 
     assert dsl.parse(src(["("] * n)).parsed.terms
     for opened in (["("] * (n + 1), ["d[m](", "("] * (n // 2) + ["("]):
@@ -254,17 +256,24 @@ def test_parenthesis_nesting_bound():
         col = len("density ") + len("".join(opened[:n])) + 1
         assert (e.line, e.col) == (4, col)
         assert f"parentheses nested deeper than {n}" in str(e)
+    number = "(1/2-3*i) * phi^4"
+    assert dsl.parse(src(["("] * (n - 1), number)).parsed.terms
+    e = _err(src(["("] * n, number), ParseError)
+    assert (e.line, e.col) == (4, 109)
+    assert f"parentheses nested deeper than {n}" in str(e)
 
 
-def test_spaced_complex_literal_is_a_sum_of_equal_value():
-    """`(1/2-3*i)` is one literal; with blanks it is the sum of two terms,
-    whose canonical form is the literal's."""
+def test_numeric_parentheses_are_the_coefficient():
+    """A parenthesized sum of numbers, with blanks or without, is a
+    number that multiplies the term's coefficient: no ``Sum`` factor is
+    left, and a coefficient of 1 is the shared unit."""
     head = "fields phi ;\nname t ;\ndensity "
-    spaced = dsl._Parser(head + "( 1/2 - 3*i ) * phi^4 ;").run()[1]
-    compact = dsl._Parser(head + "(1/2-3*i) * phi^4 ;").run()[1]
-    assert type(spaced.terms[0].factors[0]) is ex.Sum
-    assert compact.terms[0].factors == (ex.scalar_field(),) * 4
-    assert ex.canonicalize(spaced) == ex.canonicalize(compact)
+    for body in ("(1/2-3*i)", "( 1/2 - 3*i )", "(1/2 - 3*i)"):
+        (term,) = dsl._Parser(head + body + " * phi^4 ;").run()[1].terms
+        assert term.factors == (ex.scalar_field(),) * 4
+        assert term.coeff == ex.CRat(Fraction(1, 2), -3)
+    (term,) = dsl._Parser(head + "(1) * phi^4 ;").run()[1].terms
+    assert term.coeff is ex._UNIT
 
 
 def test_weyl_meson_written_out_equals_the_example():
@@ -458,8 +467,9 @@ _SPLIT_SITES = [
 
 
 # parenthesized sums: nested, signed, under a derivative, with repeated
-# dummies; empty, unclosed, raised to a power, after a `*` sign; and a
-# complex literal spelled with blanks, which is a sum
+# dummies; empty, unclosed, raised to a power, after a `*` sign; and sums
+# of numbers, with blanks or without, nested, signed, vanishing and
+# beside a sum that holds factors
 _GROUPS = [
     "ginv[m,n] * (d[m](phi) - f * S[m] * (phi + (phi^2 - 2*detg)))"
     " * d[n](phi)",
@@ -467,7 +477,9 @@ _GROUPS = [
     "d[m]((phi + phi^2)) * ginv[m,n] * d[n](phi)",
     "(ginv[m,n] * S[m] * S[n]) * (ginv[m,n] * S[m] * S[n])",
     "phi^4 * ()", "phi^2 * (phi + phi^2", "(phi + phi^2)^2 * phi^2",
-    "phi^3 * -(phi)", "( 1/2 - 3*i ) * phi^4",
+    "phi^3 * -(phi)", "( 1/2 - 3*i ) * phi^4", "(1 + 2) * phi^4",
+    "((1/2-3*i)) * phi^4", "-(2+1*i) * phi^4", "(i) * phi^4",
+    "(1 - 1) * phi^4", "(1/2-3*i) * (phi + phi^2)",
 ]
 
 

@@ -215,3 +215,21 @@ def test_warm_full_simplify_runs_no_rule(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert got == [ref.full_simplify(e) for e in warm]
+
+
+def test_cold_full_simplify_flattens_no_core(monkeypatch):
+    """Each core reaches its round as the canonical term it is, which
+    ``canonicalize`` returns at once: with the term cache and the memos
+    emptied, simplifying a builtin flattens nothing."""
+    real = ex._flatten
+    for name in ("scalar", "maxwell", "yangmills"):
+        x = densities.builtin(name).parsed
+        for cache in ex._MEMOS + [ex._TERM_CACHE]:
+            cache.clear()
+        calls = []
+        monkeypatch.setattr(ex, "_flatten", lambda e: (
+            calls.append(e), real(e))[1])
+        got = simplify.full_simplify(x)
+        monkeypatch.undo()
+        assert calls == [], name
+        assert got == ref.full_simplify(x)
