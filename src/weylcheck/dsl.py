@@ -40,14 +40,16 @@ which `canonicalize` takes as they stand.
 Deterministic work is done once per process.  A factor spelled without
 blanks (`ginv[mu,nu]`, `d[mu](phi)`, `phi^3`, `1/2`) and an
 `indices` or `fields` statement on one line are each parsed once: a
-memo (`exprs._Memo`, emptied with the term cache) keeps what the parser
+memo (`exprs._Memo`, emptied with every other memo) keeps what the parser
 built and what that needed declared, so a later occurrence is one lookup
 and a check against the current declarations and `_MAX_NESTING`.  The
 parser lexes each such spelling as one token; one that is not in the
 memo, or fails its check, is put back as its tokens where a rule reads
 it.  The parser reads a source once and raises each error where it
 meets it, at its line and column; a character that starts no token is
-reported ahead of any other error.  The renderer keeps the chunk of
+reported ahead of any other error.  An index or spinor fault that only
+canonicalization finds is reported at the first token of the density's
+term that holds it.  The renderer keeps the chunk of
 each atom in a memo too (`_CHUNKS`) and joins a term's chunks, a run of
 a rider atom as one power."""
 
@@ -58,7 +60,13 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import exprs as ex
-from .errors import IndexArityMismatch, ParseError, UndeclaredField
+from .errors import (
+    IndexArityMismatch,
+    MalformedChain,
+    MalformedIndex,
+    ParseError,
+    UndeclaredField,
+)
 from .exprs import (
     Alphabet,
     CRat,
@@ -83,6 +91,8 @@ _MAX_NESTING = 100
 # A term with more factors than this is refused at the atom that passes
 # it, before a repetition such as `phi^1000000000` is built.
 _MAX_FACTORS = 100_000
+# the faults canonicalization finds in a term, which ``parse`` places
+_TERM_FAULTS = (MalformedIndex, MalformedChain)
 
 
 class LagrangianDef(NamedTuple):
@@ -173,6 +183,8 @@ class _Parser:
         self.declared: set = set()
         self.name: Optional[str] = None
         self.density: Optional[Expr] = None
+        # the place of the first token of each term of the density
+        self.starts: list[int] = []
         self.nesting = 0
 
     def peek(self) -> str:
@@ -183,15 +195,19 @@ class _Parser:
         self.pos += 1
         return self.pos - 1
 
-    def fail(self, msg: str, at: Optional[int] = None, exc=ParseError):
-        """Raise at the token in place ``at``, by default the next one.
-        Each token is the source text after the blanks and comments
-        before it, so its place is found by walking the list."""
-        _check_characters(self.src)
+    def line_col(self, at: int) -> tuple[int, int]:
+        """(line, column) of the token in place ``at``.  Each token is
+        the source text after the blanks and comments before it, so its
+        place is found by walking the list."""
         skip, end = re.compile(_SKIP).match, 0
-        for tok in self.toks[:self.pos if at is None else at]:
+        for tok in self.toks[:at]:
             end = skip(self.src, end).end() + len(tok)
-        raise exc(msg, *_line_col(self.src, skip(self.src, end).end()))
+        return _line_col(self.src, skip(self.src, end).end())
+
+    def fail(self, msg: str, at: Optional[int] = None, exc=ParseError):
+        """Raise at the token in place ``at``, by default the next one."""
+        _check_characters(self.src)
+        raise exc(msg, *self.line_col(self.pos if at is None else at))
 
     def plain(self, t: int) -> str:
         """The token at place t, a compact one first put back as its
@@ -251,7 +267,7 @@ class _Parser:
             elif toks[head] == "density":
                 if self.density is not None:
                     self.fail("duplicate density statement", head)
-                self.density = self.parse_expr()
+                self.density = self.parse_expr(self.starts)
                 self.expect_sym(";")
             else:
                 self.fail(f"unknown statement {toks[head]!r}", head)
@@ -299,18 +315,45 @@ class _Parser:
             kinds.add(kind)
         return {}, frozenset(kinds)
 
+    def placed(self, err: Exception, density: Sum) -> Exception:
+        """``err``, which canonicalizing the density raised, led by the
+        place of the term that holds the fault: the first term that
+        raises alone, or else the first whose free indices differ from
+        the first nonzero term's.  ``err`` as it is when no term is."""
+        frees = None
+        for at, term in zip(self.starts, density.terms):
+            try:
+                s = canonicalize(term)
+            except _TERM_FAULTS as alone:
+                err = alone
+                break
+            if s.terms and frees is None:
+                frees = ex.free_indices(s)
+            elif s.terms and ex.free_indices(s) != frees:
+                break
+        else:
+            return err
+        line, col = self.line_col(at)
+        return type(err)(f"{line}:{col}: {err}")
+
     # -- expressions --------------------------------------------------------
 
-    def parse_expr(self) -> Sum:
+    def parse_expr(self, starts: Optional[list] = None) -> Sum:
+        """A sum; ``starts``, when given, gets the place of each term's
+        first token, after its sign."""
         toks = self.toks
         sign = _SIGNS.get(toks[self.pos])
         if sign:
             self.pos += 1
-        terms = [self.parse_term(sign or 1)]
-        while sign := _SIGNS.get(toks[self.pos]):
+        terms = []
+        while True:
+            if starts is not None:
+                starts.append(self.pos)
+            terms.append(self.parse_term(sign or 1))
+            sign = _SIGNS.get(toks[self.pos])
+            if not sign:
+                return Sum(tuple(terms))
             self.pos += 1
-            terms.append(self.parse_term(sign))
-        return Sum(tuple(terms))
 
     def parse_term(self, sign: int) -> Product:
         toks = self.toks
@@ -556,10 +599,17 @@ class _Parser:
 
 
 def parse(src: str) -> LagrangianDef:
+    """The definition a source spells.  An index or spinor fault that
+    canonicalization finds names the line and column of the density's
+    term that holds it (``_Parser.placed``)."""
     if not src.strip():
         raise ParseError("empty source", 1, 1)
-    name, density, declared = _Parser(src).run()
-    return LagrangianDef(name, canonicalize(density), declared)
+    p = _Parser(src)
+    name, density, declared = p.run()
+    try:
+        return LagrangianDef(name, canonicalize(density), declared)
+    except _TERM_FAULTS as err:
+        raise p.placed(err, density) from err
 
 
 # ---------------------------------------------------------------------------

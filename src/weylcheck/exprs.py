@@ -39,13 +39,15 @@ searched.  A term map sees only a term's core, with coefficient 1, and
 the canonical terms of its image are kept under (map,
 ``SPACETIME_DIM``, core), so a core is mapped and searched once per map
 object under any riders.  A canonical term's sort key and free indices
-(``_term_facts``) are kept per core too.  Every memo, here and in the
-other layers (the renderer's per-atom texts, the parser's factor and
-statement spellings, a check's per-core residuals, the oracle's
-contraction steps), is a ``_Memo``: a dict that computes a value on a
-miss, or is filled by the code that makes its values, and makes room
-before every store.  Room is made in one place, ``_make_room``: once
-the term cache or any memo is full, all of them are emptied together.
+(``_term_facts``) are kept per core too.  Every per-process cache, here
+(the term cache among them) and in the other layers (the renderer's
+per-atom texts, the parser's factor and statement spellings, the
+builtin densities, a check's shift maps and per-core residuals, the
+oracle's catalog and contraction steps), is a ``_Memo``: a dict that
+computes a value on a miss, or is filled by the code that makes its
+values, and makes room before every store.  Room is made in one place,
+``_make_room``: once any memo is full, all of them are emptied
+together by ``_forget``, the one way to start cold.
 
 Every engine function accepts any ``Expr`` and returns a canonical
 ``Sum``.  Only ``canonicalize``, on the Sums it returns, and the passes
@@ -611,27 +613,31 @@ def d(label: str, operand: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # per-process memos
 
-# The term cache (``_canonical_term``) and every memo (a ``_Memo``, listed
-# in ``_MEMOS`` as it is made, in this module and in ``dsl``, ``scale``
-# and ``oracle``) are emptied together, in one place (``_make_room``).
-_TERM_CACHE: dict = {}
+# Every per-process memo is a ``_Memo``, listed in ``_MEMOS`` as it is
+# made, in this module (the term cache among them) and in ``dsl``,
+# ``densities``, ``scale`` and ``oracle``.  They are emptied together, in
+# one place (``_forget``), once one of them is full (``_make_room``).
 _TERM_CACHE_LIMIT = 200_000
 _MEMOS: list = []
 
 
+def _forget() -> None:
+    """Empty every memo: the process starts cold."""
+    for memo in _MEMOS:
+        memo.clear()
+
+
 def _make_room() -> None:
-    """Empty the term cache and every memo once one of them is full."""
-    if max(map(len, _MEMOS + [_TERM_CACHE])) >= _TERM_CACHE_LIMIT:
-        _TERM_CACHE.clear()
-        for memo in _MEMOS:
-            memo.clear()
+    """Empty every memo once one of them is full."""
+    if max(map(len, _MEMOS)) >= _TERM_CACHE_LIMIT:
+        _forget()
 
 
 class _Memo(dict):
     """A per-process memo of deterministic work.  ``_Memo(fn)`` computes
     ``fn(key)`` on a miss, so a hit is one dict lookup, in C; a
     ``_Memo()`` is filled by the code that makes its values.  Every
-    store makes room first (``_make_room``)."""
+    store makes room first (``_make_room``, which nothing else calls)."""
 
     def __init__(self, fn: Optional[Callable] = None):
         self.fn = fn
@@ -1367,7 +1373,7 @@ def _canonical_term(coeff: CRat, factors: list):
     if coeff.is_zero():
         return None
     riders, core = _split_riders(factors)
-    found = _TERM_CACHE.get(core) or _term_form(core)
+    found = _TERM_CACHE[core]
     if found is _VANISHES:
         return None
     sign, out = found
@@ -1379,8 +1385,8 @@ def _term_form(core: tuple):
     (sign, canonical factors), or ``_VANISHES``.  The empty core, of
     riders alone, is () with sign +1; any other is searched.  A canonical
     result is the least candidate of its own search, reached with the
-    sign it carries, so it is cached as its own representative too."""
-    _make_room()
+    sign it carries, so it is cached as its own representative too; the
+    memo stores the entry of the core."""
     found = _VANISHES if core else (1, ())
     prep = core and _prepare_term(core)
     if prep:
@@ -1388,10 +1394,14 @@ def _term_form(core: tuple):
         best = _least_candidate(plain, chain_items, dummies, free_labels)
         if best is not None:
             found = (sign0 * best[0], best[1])
-    _TERM_CACHE[core] = found
     if found is not _VANISHES:
         _TERM_CACHE[found[1]] = (1, found[1])
     return found
+
+
+# the term cache: core, in the order given -> (sign, canonical factors),
+# or ``_VANISHES``
+_TERM_CACHE = _Memo(_term_form)
 
 
 def _prepare_term(factors: list):

@@ -496,10 +496,7 @@ def _chain(*items) -> Product:
     return Product(CRat(1), items)
 
 
-_CATALOG: Optional[list] = None
-
-
-def _build_catalog() -> list:
+def _build_catalog(_key=None) -> list:
     from . import clifford as cl
     from . import densities, gauge, scale
     from .simplify import full_simplify
@@ -686,11 +683,12 @@ def _build_catalog() -> list:
     return checks
 
 
+# None -> the catalog, built on first use
+_CATALOG = ex._Memo(_build_catalog)
+
+
 def catalog() -> list:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _build_catalog()
-    return _CATALOG
+    return _CATALOG[None]
 
 
 def run_oracle(trials: int = 100, seed: int = 0) -> VerificationReport:
@@ -698,8 +696,13 @@ def run_oracle(trials: int = 100, seed: int = 0) -> VerificationReport:
 
     Trial t draws `Assignment((seed, t))`; checks run on blocks of
     `_BLOCK` consecutive trials, and deviations are reported in (trial,
-    catalog) order.
+    catalog) order.  ``trials`` must be at least 1 and ``seed``
+    non-negative.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"the oracle seed must be non-negative, got {seed}")
     checks = catalog()
     worst = {c.name: 0.0 for c in checks}
     failures: list[str] = []

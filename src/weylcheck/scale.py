@@ -18,12 +18,12 @@ the term's unshifted weight, F the core X fully simplified and S its
 shifts fully simplified (F globally).  ``full_simplify`` is a term map,
 so S and F are images that ``rewrite_terms`` keeps per core, the shifts
 shared with ``apply_local_scale``; the canonical terms of Lam^k S - F
-are this module's one memo, ``_RESIDUALS`` (an ``exprs._Memo``, emptied
-with the term cache), keyed by the core, the mode, k and
-``SPACETIME_DIM``, which ``full_simplify`` reads.  Globally a term of
-weight -4 (k = 0) adds nothing and is not simplified at all.  The
-canonical form and ``full_simplify`` are linear and read no rider, so
-this is the fully simplified residual of the density."""
+are kept in ``_RESIDUALS`` (an ``exprs._Memo``, emptied with every other
+memo), keyed by the core, the mode, k and ``SPACETIME_DIM``, which
+``full_simplify`` reads.  Globally a term of weight -4 (k = 0) adds
+nothing and is not simplified at all.  The canonical form and
+``full_simplify`` are linear and read no rider, so this is the fully
+simplified residual of the density."""
 
 from __future__ import annotations
 
@@ -112,11 +112,16 @@ def _shift_term(t: Product, power: Fraction) -> Optional[Expr]:
     return Product(t.coeff, tuple(pieces)) if shifted else None
 
 
-@functools.cache
-def _shift_map(power: Fraction):
-    """The term map of the local shifts, one object per power, so
-    ``rewrite_terms`` finds the images it mapped before."""
+def _new_shift_map(power: Fraction):
+    """The term map of the local shifts at one power."""
     return functools.partial(_shift_term, power=power)
+
+
+# power -> its term map, one object per power, so ``rewrite_terms`` finds
+# the images it mapped before: ``exprs._IMAGES``, which these objects
+# key, is emptied with this memo
+_SHIFT_MAPS = ex._Memo(_new_shift_map)
+_shift_map = _SHIFT_MAPS.__getitem__
 
 
 def _apply_scale(e: Expr, power, local: bool) -> Sum:

@@ -3,9 +3,11 @@
 This is the recursive-descent parser that builds a ``Partial`` node for
 every derivative and a ``CRat`` coefficient for every term, reading each
 token through ``accept`` and ``expect_ident``, with its tokenizer.  It
-has learnt one rule since: a `(` that opens a factor opens a sum.  Tests
-run both parsers over the same sources and compare the canonical forms,
-or the class, message, line and column of the error.
+has learnt two rules since: a `(` that opens a factor opens a sum, and
+an index or spinor fault found in canonical form is raised at the first
+token of the density's term that holds it.  Tests run both parsers over
+the same sources and compare the canonical forms, or the class, message,
+line and column of the error.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ from typing import Optional, Union
 
 from weylcheck import exprs as ex
 from weylcheck.dsl import LagrangianDef
-from weylcheck.errors import IndexArityMismatch, ParseError, UndeclaredField
+from weylcheck.errors import (
+    IndexArityMismatch,
+    MalformedChain,
+    MalformedIndex,
+    ParseError,
+    UndeclaredField,
+)
 from weylcheck.exprs import (
     Alphabet,
     CRat,
@@ -100,6 +108,7 @@ class _Parser:
         self.fields: set[Kind] = set()
         self.name: Optional[str] = None
         self.density: Optional[Expr] = None
+        self.starts: list[int] = []
         self.nesting = 0
 
     def peek(self) -> str:
@@ -154,7 +163,7 @@ class _Parser:
             elif toks[head] == "density":
                 if self.density is not None:
                     self.fail("duplicate density statement", head)
-                self.density = self.parse_expr()
+                self.density = self.parse_expr(self.starts)
                 self.expect_sym(";")
             else:
                 self.fail(f"unknown statement {toks[head]!r}", head)
@@ -199,10 +208,15 @@ class _Parser:
         """1 or -1 after stepping over a `+` or a `-`, 0 for neither."""
         return 1 if self.accept("+") else -1 if self.accept("-") else 0
 
-    def parse_expr(self) -> Expr:
-        terms = [self.parse_term(self.sign() or 1)]
-        while sign := self.sign():
+    def parse_expr(self, starts: Optional[list] = None) -> Expr:
+        """A sum; ``starts``, when given, gets the place of the first
+        token of each term, after its sign."""
+        terms, sign = [], self.sign() or 1
+        while sign:
+            if starts is not None:
+                starts.append(self.pos)
             terms.append(self.parse_term(sign))
+            sign = self.sign()
         return Sum(tuple(terms))
 
     def parse_term(self, sign: int) -> Expr:
@@ -377,4 +391,22 @@ def parse(src: str) -> LagrangianDef:
         raise ParseError("empty source", 1, 1)
     p = _Parser(src)
     name, density, declared = p.run()
-    return LagrangianDef(name, canonicalize(density), declared)
+    try:
+        return LagrangianDef(name, canonicalize(density), declared)
+    except (MalformedIndex, MalformedChain) as err:
+        # the first term that fails alone holds the fault; else the first
+        # term whose free indices differ from the first nonzero term's
+        for k, term in zip(p.starts, density.terms):
+            try:
+                canonicalize(term)
+            except (MalformedIndex, MalformedChain) as alone:
+                line, col = _position(src, k)
+                raise type(alone)(f"{line}:{col}: {alone}") from err
+        frees = [(k, ex.free_indices(term))
+                 for k, term in zip(p.starts, density.terms)
+                 if not ex.is_zero(term)]
+        for k, free in frees:
+            if free != frees[0][1]:
+                line, col = _position(src, k)
+                raise type(err)(f"{line}:{col}: {err}") from err
+        raise

@@ -106,6 +106,23 @@ def test_binary_file_is_usage_error(tmp_path):
     assert "not a UTF-8 text file" in p.stderr
 
 
+@pytest.mark.parametrize("term, message", [
+    ("A[k] * (ginv[n,k] * A[n] * A[n])", "index 'n' appears 3 times"),
+    ("d[m](d[m](phi))", "repeated index 'm' must pair upper with lower"),
+    ("A[m]", "terms of a sum carry different free indices"),
+], ids=["three-times", "lower-twice", "free-indices"])
+def test_term_fault_reports_location(tmp_path, term, message):
+    """An index fault found in canonical form ends in one line that
+    names the line and column of the term holding it, exit 1, without
+    a traceback."""
+    f = tmp_path / "fault.wl"
+    f.write_text("indices spacetime m n k ;\nfields ginv A phi ;\nname t ;\n"
+                 f"density ginv[m,n] * A[m] * A[n]\n  + {term} ;\n")
+    p = run_cli("verify", str(f), "--mode=global")
+    assert p.returncode == 1 and p.stdout == "", p.stderr[-500:]
+    assert p.stderr.splitlines() == [f"weylcheck: 5:5: {message}"]
+
+
 def test_parse_error_reports_location(tmp_path):
     f = tmp_path / "bad.lag"
     f.write_text("fields phi ;\nname t ;\ndensity phi^2\n")

@@ -76,8 +76,8 @@ def _text(fn, arg) -> str:
 
 
 def digests(names=tuple(EXPECTED), cold_cache=False) -> dict[str, str]:
-    """Digests of the outputs ``names``; with ``cold_cache`` the term
-    cache is emptied before every seed."""
+    """Digests of the outputs ``names``; with ``cold_cache`` every memo,
+    the term cache among them, is emptied before every seed."""
     outputs: dict[str, list[str]] = {name: [] for name in names}
 
     def record(name, fn, arg):
@@ -86,7 +86,7 @@ def digests(names=tuple(EXPECTED), cold_cache=False) -> dict[str, str]:
 
     for seed in SEEDS:
         if cold_cache:
-            ex._TERM_CACHE.clear()
+            ex._forget()
         e = gen.random_expr(seed)
         for name, fn in _EXPR_ENGINES.items():
             record(name, lambda x: dsl.render_expr(fn(x)), e)
@@ -108,23 +108,22 @@ def test_canonical_forms_unchanged():
 
 
 def test_canonical_forms_do_not_depend_on_cache_history():
-    """The term cache remembers searches by skeleton; with it emptied
-    before every seed, the forms are those pinned above."""
+    """The term cache remembers searches by skeleton; with every memo
+    emptied before every seed, the forms are those pinned above."""
     names = ("canonicalize", "apply_global_scale", "check_invariance/local")
     got = digests(names, cold_cache=True)
     assert got == {name: EXPECTED[name] for name in names}
 
 
 def test_canonical_forms_survive_emptying_the_full_caches(monkeypatch):
-    """With a cache limit of 7 the term cache and the memos are emptied
-    over and over mid-run.  The forms are still those pinned above, and
-    afterwards no cache holds more than 8 entries."""
+    """With a cache limit of 7 the memos, the term cache among them, are
+    emptied over and over mid-run.  The forms are still those pinned
+    above, and afterwards no memo holds more than 8 entries."""
     monkeypatch.setattr(ex, "_TERM_CACHE_LIMIT", 7)
-    for cache in ex._MEMOS + [ex._TERM_CACHE]:
-        cache.clear()
+    ex._forget()
     names = ("canonicalize", "apply_global_scale", "check_invariance/local")
     assert digests(names) == {name: EXPECTED[name] for name in names}
-    assert all(len(cache) <= 8 for cache in ex._MEMOS + [ex._TERM_CACHE])
+    assert all(len(memo) <= 8 for memo in ex._MEMOS)
 
 
 _DECOYS_FIRST = """

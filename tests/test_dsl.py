@@ -332,6 +332,33 @@ def test_label_repeated_in_parentheses_is_refused(density, message):
         dsl.parse(src)
 
 
+# a two-term density whose second term, on line 5 at column 5, holds an
+# index fault that only canonicalization finds
+_PLACED_HEAD = ("indices spacetime m n k ;\nfields ginv A phi Psi Psibar ;\n"
+                "name t ;\ndensity ginv[m,n] * A[m] * A[n]\n  + ")
+_PLACED = {
+    "three-times": ("A[k] * (ginv[n,k] * A[n] * A[n])", MalformedIndex,
+                    "index 'n' appears 3 times"),
+    "lower-twice": ("d[m](d[m](phi))", MalformedIndex,
+                    "repeated index 'm' must pair upper with lower"),
+    "free-indices": ("A[m]", MalformedIndex,
+                     "terms of a sum carry different free indices"),
+    "two-bilinears": ("phi^2 * Psibar * Psi * Psibar * Psi", MalformedChain,
+                      "at most one spinor bilinear per term"),
+}
+
+
+@pytest.mark.parametrize("term, exc, message", _PLACED.values(),
+                         ids=_PLACED)
+def test_term_fault_names_its_place(term, exc, message):
+    """An index or spinor fault found in canonical form is raised with
+    the line and column of the first token of the term that holds it,
+    as the same class; a free-index clash names the first term whose
+    free indices differ from the first term's."""
+    e = _err(_PLACED_HEAD + term + " ;", exc)
+    assert type(e) is exc and str(e) == f"5:5: {message}"
+
+
 @pytest.mark.parametrize("density", ["phi^²", "²", "1/² * phi",
                                      "3² * phi"])
 def test_digit_int_cannot_read_is_a_parse_error(density):

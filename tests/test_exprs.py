@@ -142,14 +142,11 @@ def _symmetric_terms():
 
 
 def _searched(coeff, factors):
-    """``exprs._canonical_term`` with an empty term cache, so that the
+    """``exprs._canonical_term`` with every memo emptied, so that the
     search itself runs instead of a search remembered from an earlier
     term."""
-    saved, ex._TERM_CACHE = ex._TERM_CACHE, {}
-    try:
-        return ex._canonical_term(coeff, factors)
-    finally:
-        ex._TERM_CACHE = saved
+    ex._forget()
+    return ex._canonical_term(coeff, factors)
 
 
 def _differential_terms():
@@ -330,7 +327,7 @@ def test_search_tries_orders_without_listing_them():
 def test_search_refuses_past_its_cap(monkeypatch):
     """The cap counts the partial candidates the search extends."""
     monkeypatch.setattr(ex, "_SEARCH_CAP", 10)
-    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    ex._forget()
     with pytest.raises(MalformedIndex, match="too symmetric"):
         ex.canonicalize(_metric_cycle(3))
 
@@ -365,8 +362,7 @@ def test_search_cost_cannot_grow(monkeypatch, build, largest, total):
     """Searched afresh, each input gets its form with the cap lowered to
     its largest search, and all its searches together extend at most
     ``total`` partial candidates: the counts the search needs today."""
-    monkeypatch.setattr(ex, "_TERM_CACHE", {})
-    monkeypatch.setattr(densities, "_CACHE", {})
+    ex._forget()
     cap = _CountingCap(largest)
     monkeypatch.setattr(ex, "_SEARCH_CAP", cap)
     assert ex.canonicalize(build()).terms
@@ -387,8 +383,7 @@ def test_search_builds_atoms_only_for_its_winner(monkeypatch, build):
     intern-table call per node of the form it returns, its atoms and the
     index in each of their slots, and none when the term is its own
     negative."""
-    monkeypatch.setattr(ex, "_TERM_CACHE", {})
-    monkeypatch.setattr(densities, "_CACHE", {})
+    ex._forget()
     calls, intern = [], ex._HashConsed.__call__
 
     def counting(cls, *args, **kwargs):
@@ -428,7 +423,7 @@ def test_dummy_free_chain_items_cost_no_search(monkeypatch, build, total):
     index) names nothing and has one key in every candidate, so, like a
     factor without dummies, it takes no extension: only the contracted
     gamma and eta are searched."""
-    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    ex._forget()
     cap = _CountingCap(total)
     monkeypatch.setattr(ex, "_SEARCH_CAP", cap)
     assert ex.canonicalize(build()).terms
@@ -668,9 +663,7 @@ def test_each_prepared_skeleton_is_searched_once(monkeypatch, work):
     factors without the scalars, so no skeleton is searched twice."""
     from weylcheck import oracle, scale
     from weylcheck.report import Mode
-    monkeypatch.setattr(ex, "_TERM_CACHE", {})
-    monkeypatch.setattr(densities, "_CACHE", {})
-    monkeypatch.setattr(oracle, "_CATALOG", None)
+    ex._forget()
     searched = []
     search = ex._least_candidate
 
@@ -693,7 +686,7 @@ def test_scalars_reuse_the_search_of_their_skeleton(monkeypatch):
     """Once X is canonical, f^2 * Lam^3 * X is a term-cache hit on the
     factors of X: nothing is prepared again, and the scalars lead the
     canonical factors of X."""
-    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    ex._forget()
     x = ex.inv_metric("m", "n") * ex.weyl_vector("m") \
         * ex.d("n", ex.scalar_field())
     (t,) = ex.canonicalize(x).terms
@@ -712,14 +705,12 @@ def test_scalars_reuse_the_search_of_their_skeleton(monkeypatch):
 
 
 @pytest.mark.hashseed
-def test_term_cache_keys_hold_no_scalars(monkeypatch):
+def test_term_cache_keys_hold_no_scalars():
     """After a catalog build every term-cache key is a tuple of factor
     nodes without a rider: no coupling, Lam power, ``phi`` or ``detg``
     (``FieldAtom.rides``)."""
     from weylcheck import oracle
-    monkeypatch.setattr(ex, "_TERM_CACHE", {})
-    monkeypatch.setattr(densities, "_CACHE", {})
-    monkeypatch.setattr(oracle, "_CATALOG", None)
+    ex._forget()
     oracle.catalog()
     assert ex._TERM_CACHE
     for key in ex._TERM_CACHE:
@@ -752,7 +743,7 @@ def test_bare_atoms_reuse_the_search_of_the_rest(monkeypatch):
     the search: phi^k * ginv A A for k = 0..9, detg^k * ginv A A and a
     spinor term times phi take one search per distinct non-bare part,
     and every term-cache key stays a tuple of atoms without scalars."""
-    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    ex._forget()
     searched = _recorded(monkeypatch, "_least_candidate")
     phi, detg = ex.scalar_field(), ex.det_factor()
     core = ex.inv_metric("m", "n") * ex.em_vector("m") * ex.em_vector("n")
@@ -780,7 +771,7 @@ def test_index_free_terms_make_no_search(monkeypatch):
     """A term whose factors all ride (phi^9, detg * phi^7, with or
     without scalars) is its atoms sorted by ``_factor_key``, with sign
     +1: nothing is searched."""
-    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    ex._forget()
     searched = _recorded(monkeypatch, "_least_candidate")
     phi, detg = ex.scalar_field(), ex.det_factor()
     for factors in ((phi,) * 9, (phi,) * 7 + (detg,), (phi, detg, phi),
@@ -811,9 +802,9 @@ def test_facts_kept_per_core_match_the_whole_term(builtins_all):
 
 
 @pytest.mark.hashseed
-def test_bare_atoms_vanish_with_the_rest(monkeypatch):
+def test_bare_atoms_vanish_with_the_rest():
     """sigma contracted with eta vanishes, and so does phi^k times it."""
-    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    ex._forget()
     vanishing = ex.minkowski("a", "b") * ex.fermion_bar() \
         * ex.sigma("a", "b") * ex.fermion()
     for k in range(4):
@@ -826,7 +817,7 @@ def test_warm_bare_atom_term_prepares_and_searches_nothing(monkeypatch):
     """Once f^2 * phi^3 * detg * X is canonical, canonicalizing it again
     finds the core X in the term cache and joins the riders on: nothing
     is prepared or searched, and no factor key is computed."""
-    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    ex._forget()
     e = ex.scalar_field() ** 3 * ex.inv_metric("m", "n") * ex.det_factor() \
         * ex.coupling("f") * ex.weyl_vector("m") * ex.fermion_bar() \
         * ex.fermion() * ex.coupling("f") * ex.d("n", ex.scalar_field())
@@ -839,14 +830,14 @@ def test_warm_bare_atom_term_prepares_and_searches_nothing(monkeypatch):
 
 
 @pytest.mark.hashseed
-def test_bare_atoms_match_the_whole_term_search(monkeypatch):
+def test_bare_atoms_match_the_whole_term_search():
     """Generated terms with one to six riders inserted at seeded places,
     between chain items too (phi, detg and the scalars f, f^-1,
     lambda^2 and Lam^(+-1/2), so that scalars come in any order, repeated
     or cancelling to power 0), get the sign, factors and vanishing of the
     reference's search over the whole term, whether the core is searched
     afresh or found."""
-    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    ex._forget()
     riders = (ex.scalar_field(), ex.det_factor(), ex.coupling("f"),
               ex.coupling("f", -1), ex.coupling("lambda", 2),
               ex.lam(Fraction(1, 2)), ex.lam(Fraction(-1, 2)))
@@ -1412,11 +1403,11 @@ def test_composition_renames_apart_the_dummies_an_inner_product_minted():
                         ex.d("z", xx) * ginv("z", "y") * a_("y")), lab
 
 
-def test_canonicalize_leaves_no_reference_cycle(monkeypatch):
+def test_canonicalize_leaves_no_reference_cycle():
     """With the collector off, canonicalize calls, searching or finding
     their terms, leave nothing for ``gc.collect()`` to free."""
     import gc
-    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    ex._forget()
     phi = ex.scalar_field()
     inputs = [ex.inv_metric("m", "n") * ex.em_vector("m") * ex.d("n", phi),
               phi ** 3 + ex.coupling("f") * phi ** 3,
@@ -1672,13 +1663,13 @@ def test_factor_node_checks_its_fields(build, message):
         build()
 
 
-def test_kinds_hash_by_identity(monkeypatch):
+def test_kinds_hash_by_identity():
     """A kind is a singleton and hashes in C: parsing, canonicalizing,
     rescaling and rendering generated densities with an empty term cache
     never runs the Python-level ``Enum.__hash__``."""
     from weylcheck import scale
     from weylcheck.report import Mode
-    monkeypatch.setattr(ex, "_TERM_CACHE", {})
+    ex._forget()
     code = enum.Enum.__hash__.__code__
     calls = []
 
@@ -1748,14 +1739,16 @@ density 1/2 * ginv[mu,nu] * d[mu](phi) * d[nu](phi) - lambda * phi^4 ;
 
 
 def test_every_memo_is_emptied_together(monkeypatch):
-    """Every module-level memo of exprs, dsl, scale and oracle is a
-    ``_Memo`` listed in ``_MEMOS``.  Filled by a Clifford chain, a parse,
-    a render, a local check and an oracle plan, they are all emptied by
-    the next store once one is full: that store's entry is all that is
+    """Every module-level memo of exprs, dsl, densities, scale and oracle
+    is a ``_Memo`` listed in ``_MEMOS``, the term cache among them.
+    Filled by a Clifford chain, a parse, a render, a local check, an
+    oracle plan, a builtin and the catalog, they are all emptied by the
+    next store once one is full: that store's entry is all that is
     left."""
     from weylcheck import oracle, scale
     from weylcheck.report import Mode
-    memos = {f"{m.__name__}.{name}": v for m in (ex, dsl, scale, oracle)
+    memos = {f"{m.__name__}.{name}": v
+             for m in (ex, dsl, densities, scale, oracle)
              for name, v in vars(m).items() if isinstance(v, ex._Memo)}
     assert sorted(map(id, memos.values())) == sorted(map(id, ex._MEMOS))
     ex.canonicalize(ex.fermion_bar() * ex.gamma("a")
@@ -1765,6 +1758,8 @@ def test_every_memo_is_emptied_together(monkeypatch):
     dsl.render(L)
     scale.check_invariance(L, Mode.LOCAL).residual
     oracle._Plan(L.parsed)
+    densities.builtin("scalar")
+    oracle.catalog()
     assert [name for name, memo in memos.items() if not memo] == []
     monkeypatch.setattr(ex, "_TERM_CACHE_LIMIT", 1)
     atom = ex.metric("memo0", "memo1")
@@ -1774,19 +1769,64 @@ def test_every_memo_is_emptied_together(monkeypatch):
     assert not ex._TERM_CACHE
 
 
-def test_room_is_made_in_exprs_alone():
-    """No module but ``exprs`` names ``_make_room``, and there it is
-    called by a memo's store and by the term cache's fill alone."""
+def _calls_in_src(name: str) -> list[str]:
+    """The functions of ``src/weylcheck`` that call ``name``, as a
+    function or as a method, once per call."""
     import ast
     callers = []
     for path in sorted(Path(ex.__file__).parent.glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        if path.name != "exprs.py":
-            assert "_make_room" not in text, path.name
-            continue
-        for fn in ast.walk(ast.parse(text)):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(fn, ast.FunctionDef):
-                callers += [fn.name for node in ast.walk(fn)
-                            if isinstance(node, ast.Call)
-                            and getattr(node.func, "id", "") == "_make_room"]
-    assert sorted(callers) == ["__setitem__", "_term_form"]
+                callers += [
+                    fn.name for node in ast.walk(fn)
+                    if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None))]
+    return callers
+
+
+def test_room_is_made_in_exprs_alone():
+    """No module but ``exprs`` names ``_make_room``, and there it is
+    called by a memo's store alone; ``_forget`` is the one function that
+    empties a memo, or any dict."""
+    for path in sorted(Path(ex.__file__).parent.glob("*.py")):
+        if path.name != "exprs.py":
+            assert "_make_room" not in path.read_text(encoding="utf-8")
+    assert _calls_in_src("_make_room") == ["__setitem__"]
+    assert _calls_in_src("clear") == ["_forget"]
+
+
+def test_every_cache_is_a_memo():
+    """``src/weylcheck`` keeps no cache outside ``_Memo``: no
+    ``functools.cache`` or ``lru_cache``, no ``global`` statement and no
+    module-level empty dict to fill."""
+    import ast
+    for path in sorted(Path(ex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.Global), (path.name, node.lineno)
+            name = getattr(node, "attr", getattr(node, "id", None))
+            assert name not in ("cache", "lru_cache"), (path.name, node.lineno)
+        for node in tree.body:
+            value = getattr(node, "value", None)
+            empty = (isinstance(value, ast.Dict) and not value.keys) or (
+                isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) == "dict")
+            assert not empty, (path.name, node.lineno)
+
+
+def test_forgotten_builtins_and_catalog_are_rebuilt_alike():
+    """After ``_forget`` a builtin and the oracle's catalog are built
+    again, and equal the first ones: the same rendered source, the same
+    checks in the same order."""
+    from weylcheck import oracle
+    first = [dsl.render(densities.builtin(n))
+             for n in densities.BUILTIN_NAMES]
+    names = [c.name for c in oracle.catalog()]
+    built = densities.builtin("scalar"), oracle.catalog()
+    ex._forget()
+    assert densities.builtin("scalar") is not built[0]
+    assert oracle.catalog() is not built[1]
+    assert [dsl.render(densities.builtin(n))
+            for n in densities.BUILTIN_NAMES] == first
+    assert [c.name for c in oracle.catalog()] == names

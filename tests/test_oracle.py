@@ -284,6 +284,19 @@ def test_raw_terms_evaluate_like_their_canonical_form():
         assert dev < oracle.TOL_FIELD, (seed, dev)
 
 
+@pytest.mark.parametrize("trials, seed, message", [
+    (0, 0, "trials must be at least 1, got 0"),
+    (-5, 0, "trials must be at least 1, got -5"),
+    (1, -1, "the oracle seed must be non-negative, got -1"),
+])
+def test_run_oracle_refuses_no_trials_and_negative_seeds(trials, seed,
+                                                         message):
+    """A run of no trials would read as a passing numeric check, and a
+    negative seed cannot seed the draws: both are refused by name."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_oracle(trials=trials, seed=seed)
+
+
 def test_catalog_sides_are_canonicalized_once(monkeypatch):
     """After the catalog is built, a run neither canonicalizes a term
     nor flattens an expression: every canonicalize call that does work
@@ -304,8 +317,7 @@ def test_contraction_is_planned_once_per_signature(monkeypatch):
     signature of three or more operands and never for fewer, whose one
     step is the path it would plan; equal signatures share their
     steps."""
-    oracle._STEPS.clear()
-    monkeypatch.setattr(oracle, "_CATALOG", None)
+    ex._forget()
     plan, planned = np.einsum_path, []
 
     def counting(*args, **kwargs):
@@ -538,7 +550,7 @@ def test_failures_reported_across_block_boundaries(monkeypatch, capsys,
                     f"{c.name}: deviation {dev:.3e} at trial {trial}")
     assert [f.rsplit(" ", 1)[1] for f in failures] == ["3", "4", "26", "60"]
 
-    monkeypatch.setattr(oracle, "_CATALOG", checks)
+    monkeypatch.setitem(oracle._CATALOG, None, checks)
     r = run_oracle(trials=100, seed=0)
     assert not r.passed
     assert r.residual == "; ".join(failures)

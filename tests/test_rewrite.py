@@ -219,13 +219,12 @@ def test_warm_full_simplify_runs_no_rule(monkeypatch):
 
 def test_cold_full_simplify_flattens_no_core(monkeypatch):
     """Each core reaches its round as the canonical term it is, which
-    ``canonicalize`` returns at once: with the term cache and the memos
-    emptied, simplifying a builtin flattens nothing."""
+    ``canonicalize`` returns at once: with every memo, the term cache
+    among them, emptied, simplifying a builtin flattens nothing."""
     real = ex._flatten
     for name in ("scalar", "maxwell", "yangmills"):
         x = densities.builtin(name).parsed
-        for cache in ex._MEMOS + [ex._TERM_CACHE]:
-            cache.clear()
+        ex._forget()
         calls = []
         monkeypatch.setattr(ex, "_flatten", lambda e: (
             calls.append(e), real(e))[1])

@@ -107,7 +107,7 @@ def test_contraction_scans_only_the_atoms_it_can_join(monkeypatch):
     monkeypatch.setattr(ex.Kind, "__hash__", counting)
     counts = []
     for size in (100, 200):
-        monkeypatch.setattr(ex, "_TERM_CACHE", {})
+        ex._forget()
         e = ex.scalar_field() ** size * ex.em_vector("m") \
             * ex.weyl_vector("n") * ex.inv_metric("m", "n")
         calls[0] = 0
